@@ -61,7 +61,7 @@ class RunManifest:
 
     command: str
     parameters: dict
-    seed: int
+    seed: int | None  # None for commands that draw no random numbers
     tool_version: str
     started: str
     finished: str
@@ -89,11 +89,8 @@ def _csv_line(values):
 @contextlib.contextmanager
 def _out_stream(path):
     if path:
-        fh = open(path, "w", newline="\n")
-        try:
+        with open(path, "w", newline="\n") as fh:
             yield fh
-        finally:
-            fh.close()
     else:
         yield sys.stdout
 
@@ -101,12 +98,11 @@ def _out_stream(path):
 def _write_manifest(args, started):
     if not args.output:
         return
-    params = {k: (v.value if isinstance(v, Scheme) else v)
-              for k, v in vars(args).items() if k != "func"}
+    params = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = RunManifest(
         command=args.command,
         parameters=params,
-        seed=getattr(args, "seed", DEFAULT_SEED),
+        seed=getattr(args, "seed", None),
         tool_version=__version__,
         started=started,
         finished=_now(),
@@ -297,14 +293,17 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--output", default=None, help="output path (default stdout)")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="parallelism hint; affects speed only, never results")
-        sp.add_argument("--allow-huge-d", action="store_true",
-                        help="lift the d <= 2**20 cap")
+    common = {
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--output": dict(help="output path (default stdout)"),
+        "--seed": dict(type=int, default=DEFAULT_SEED),
+        "--threads": dict(type=int, default=1, help="parallelism hint; never changes results"),
+        "--allow-huge-d": dict(action="store_true", help="lift the d <= 2**20 cap"),
+    }
+
+    def add_common(sp, *flags):  # only the flags the subcommand reads
+        for flag in flags:
+            sp.add_argument(flag, **common[flag])
 
     for name in ("mfet", "bounds"):
         sp = sub.add_parser(name, help="exact value, Brownian form, ratio, bounds")
@@ -315,7 +314,7 @@ def _build_parser():
         sp.add_argument("--theta", type=float, required=True)
         sp.add_argument("--rel-tol", type=float, default=1e-10)
         sp.add_argument("--max-panels", type=int, default=4096)
-        add_common(sp)
+        add_common(sp, "--format", "--output", "--allow-huge-d")
         sp.set_defaults(func=cmd_mfet)
 
     sp = sub.add_parser("scaling", help="bounds and MC estimates over doubling dimensions")
@@ -329,7 +328,7 @@ def _build_parser():
     sp.add_argument("--dt", type=float, default=0.001)
     sp.add_argument("--scheme", choices=[s.value for s in Scheme],
                     default=Scheme.SQUARED_RADIAL_EULER.value)
-    add_common(sp)
+    add_common(sp, "--output", "--seed", "--threads", "--allow-huge-d")
     sp.set_defaults(func=cmd_scaling)
 
     sp = sub.add_parser("trajectories", help="coupled OUP/BM radius traces")
@@ -339,7 +338,7 @@ def _build_parser():
     sp.add_argument("--theta", type=float, default=0.7)
     sp.add_argument("--dt", type=float, default=0.001)
     sp.add_argument("--stride", type=int, default=1)
-    add_common(sp)
+    add_common(sp, "--output", "--seed", "--allow-huge-d")
     sp.set_defaults(func=cmd_trajectories)
 
     sp = sub.add_parser("drift-ratio", help="squared-radial drift relative to the driftless case")
@@ -349,13 +348,12 @@ def _build_parser():
     sp.add_argument("--rho-max", type=float, default=None, help="default: L")
     sp.add_argument("--rho-points", type=int, default=101)
     sp.add_argument("--d-list", default="2,4,8,16,32,64,128")
-    add_common(sp)
+    add_common(sp, "--output")
     sp.set_defaults(func=cmd_drift_ratio)
 
     sp = sub.add_parser("selftest", help="run the built-in invariant suite")
     sp.add_argument("--fast", action="store_true", help="reduced grids, completes in under a minute")
     sp.add_argument("--corrupt-gamma", action="store_true", help=argparse.SUPPRESS)
-    add_common(sp)
     sp.set_defaults(func=cmd_selftest)
 
     return parser

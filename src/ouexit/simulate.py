@@ -121,8 +121,65 @@ def _normals_from_raw(raw):
     return ndtri(u)
 
 
-def _draws_per_step(scheme, d):
-    return d if scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT) else 1
+def _scheme_kernel(problem, cfg):
+    """(start, first, step, threshold, radius) of the configured scheme.
+
+    ``start`` is one path's state, a row of d coordinates or a scalar, with
+    one normal per entry drawn each step.  ``first`` and ``step`` map
+    (state, z) to (state, monitored); a path exits once monitored reaches
+    ``threshold``, and ``radius`` maps a monitored value to a radius.
+    """
+    p, x, dt = problem.params, problem.x, cfg.dt
+    sqrt_dt = math.sqrt(dt)
+    sig_sqdt = p.sigma * sqrt_dt
+    big_l2 = problem.L * problem.L
+
+    if cfg.scheme is Scheme.FULL_EULER:
+        theta_dt = p.theta * dt
+
+        def step(state, z):
+            state = state - theta_dt * state + sig_sqdt * z
+            return state, np.sum(state * state, axis=1)
+
+        return np.concatenate(([x], np.zeros(p.d - 1))), step, step, big_l2, math.sqrt
+
+    if cfg.scheme is Scheme.FULL_EXACT:
+        decay = math.exp(-p.theta * dt)
+        if p.theta == 0.0:
+            step_sd = sig_sqdt
+        else:
+            step_sd = p.sigma * math.sqrt(-math.expm1(-2.0 * p.theta * dt) / (2.0 * p.theta))
+
+        def step(state, z):
+            state = decay * state + step_sd * z
+            return state, np.sum(state * state, axis=1)
+
+        return np.concatenate(([x], np.zeros(p.d - 1))), step, step, big_l2, math.sqrt
+
+    s2d = p.sigma * p.sigma * p.d
+    two_theta = 2.0 * p.theta
+    two_sig_sqdt = 2.0 * p.sigma * sqrt_dt
+
+    def squared_radial(y, z):
+        yp = np.maximum(y, 0.0)
+        y = y + (s2d - two_theta * yp) * dt + two_sig_sqdt * np.sqrt(yp) * z
+        return y, y
+
+    if cfg.scheme is Scheme.SQUARED_RADIAL_EULER:
+        return x * x, squared_radial, squared_radial, big_l2, lambda y: math.sqrt(max(y, 0.0))
+
+    # radial-euler; the drift is singular at 0, so a start there bootstraps
+    half_dm1_s2 = 0.5 * (p.d - 1) * p.sigma * p.sigma
+
+    def step(rho, z):
+        rho = np.abs(rho + (half_dm1_s2 / rho - p.theta * rho) * dt + sig_sqdt * z)
+        return rho, rho
+
+    def bootstrap(rho, z):
+        rho = np.sqrt(np.maximum(squared_radial(rho * rho, z)[0], 0.0))
+        return rho, rho
+
+    return x, (bootstrap if x == 0.0 else step), step, problem.L, float
 
 
 def _run_paths(problem, cfg, indices, record=None, stride=1):
@@ -133,14 +190,8 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
     collects (t, radius) samples every ``stride`` steps plus the crossing
     sample (single-path runs only).
     """
-    p = problem.params
-    scheme = cfg.scheme
     n = len(indices)
-    d = p.d
-    m = _draws_per_step(scheme, d)
     dt = cfg.dt
-    sqrt_dt = math.sqrt(dt)
-    big_l2 = problem.L * problem.L
     max_steps = max(1, int(math.floor(cfg.t_max / dt + 1e-9)))
 
     out = np.full(n, math.nan)
@@ -153,82 +204,28 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
         out[:] = 0.0
         return out
 
-    # scheme constants
-    s2d = p.sigma * p.sigma * d
-    two_theta = 2.0 * p.theta
-    two_sig_sqdt = 2.0 * p.sigma * sqrt_dt
-    sig_sqdt = p.sigma * sqrt_dt
-    theta_dt = p.theta * dt
-    half_dm1_s2 = 0.5 * (d - 1) * p.sigma * p.sigma
-    if scheme is Scheme.FULL_EXACT:
-        decay = math.exp(-p.theta * dt)
-        if p.theta == 0.0:
-            step_sd = sig_sqdt
-        else:
-            step_sd = p.sigma * math.sqrt(-math.expm1(-2.0 * p.theta * dt) / (2.0 * p.theta))
-
-    # per-path state
-    if scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT):
-        state = np.zeros((n, d))
-        state[:, 0] = problem.x
-    elif scheme is Scheme.SQUARED_RADIAL_EULER:
-        state = np.full(n, problem.x * problem.x)
-    else:
-        state = np.full(n, problem.x)
-    radial_bootstrap = scheme is Scheme.RADIAL_EULER and problem.x == 0.0
-
+    start, first, step, threshold, radius = _scheme_kernel(problem, cfg)
+    shape = np.shape(start)
+    m = np.size(start)
+    state = np.full((n,) + shape, start)
     streams = [_PathStream(cfg.seed, i) for i in indices]
     pos_map = np.arange(n)  # row -> position in ``out``
     chunk = max(1, min(2048, _BLOCK_FLOATS // max(1, n * m)))
-    block = None
-    pos = chunk
+    pos = chunk  # the first step fills the block
 
-    for step in range(max_steps):
+    for k in range(max_steps):
         if pos == chunk:
             raws = np.stack([s.raw(chunk * m) for s in streams])
-            block = _normals_from_raw(raws)
-            if m > 1:
-                block = block.reshape(len(streams), chunk, m)
+            block = _normals_from_raw(raws).reshape((len(streams), chunk) + shape)
             pos = 0
-        z = block[:, pos] if m == 1 else block[:, pos, :]
+        z = block[:, pos]
         pos += 1
+        state, monitored = (first if k == 0 else step)(state, z)
 
-        if scheme is Scheme.FULL_EULER:
-            state = state - theta_dt * state + sig_sqdt * z
-            monitored = np.sum(state * state, axis=1)
-            threshold = big_l2
-        elif scheme is Scheme.FULL_EXACT:
-            state = decay * state + step_sd * z
-            monitored = np.sum(state * state, axis=1)
-            threshold = big_l2
-        elif scheme is Scheme.SQUARED_RADIAL_EULER:
-            yp = np.maximum(state, 0.0)
-            state = state + (s2d - two_theta * yp) * dt + two_sig_sqdt * np.sqrt(yp) * z
-            monitored = state
-            threshold = big_l2
-        else:  # RADIAL_EULER
-            if radial_bootstrap and step == 0:
-                y = state * state
-                yp = np.maximum(y, 0.0)
-                y = y + (s2d - two_theta * yp) * dt + two_sig_sqdt * np.sqrt(yp) * z
-                state = np.sqrt(np.maximum(y, 0.0))
-            else:
-                state = state + (half_dm1_s2 / state - p.theta * state) * dt + sig_sqdt * z
-                state = np.abs(state)
-            monitored = state
-            threshold = problem.L
-
-        t_now = (step + 1) * dt
+        t_now = (k + 1) * dt
         exited = monitored >= threshold
-        if record is not None:
-            if scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT):
-                radius = math.sqrt(float(monitored[0]))
-            elif scheme is Scheme.SQUARED_RADIAL_EULER:
-                radius = math.sqrt(max(float(monitored[0]), 0.0))
-            else:
-                radius = float(monitored[0])
-            if bool(exited[0]) or (step + 1) % stride == 0:
-                record.append((t_now, radius))
+        if record is not None and (bool(exited[0]) or (k + 1) % stride == 0):
+            record.append((t_now, radius(float(monitored[0]))))
         if exited.any():
             out[pos_map[exited]] = t_now
             keep = ~exited
@@ -237,7 +234,7 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
             pos_map = pos_map[keep]
             state = state[keep]
             block = block[keep]
-            streams = [s for s, k in zip(streams, keep) if k]
+            streams = [s for s, kept in zip(streams, keep) if kept]
     return out
 
 

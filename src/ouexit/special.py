@@ -21,7 +21,8 @@ from .errors import ConvergenceError, DomainError
 
 # Iteration policy for both the series and the continued fraction: stop when
 # the running term falls below _TOL relative to the sum, fail loudly after
-# _MAX_ITER terms rather than return a silent partial sum.
+# _max_iter(a) terms rather than return a silent partial sum.  Near x = a the
+# series needs about 9.5 sqrt(a) terms, so the cap grows with sqrt(a).
 _TOL = 1e-16
 _MAX_ITER = 500
 
@@ -43,6 +44,10 @@ def ln_gamma(a):
     return math.lgamma(a)
 
 
+def _max_iter(a):
+    return _MAX_ITER + int(20.0 * math.sqrt(a))
+
+
 def _series_log_sum(a, x):
     """log of S in the series representation lig(a, x) = x**a * exp(-x) * S.
 
@@ -54,7 +59,7 @@ def _series_log_sum(a, x):
     term = 1.0 / a
     total = term
     ap = a
-    for _ in range(_MAX_ITER):
+    for _ in range(_max_iter(a)):
         ap += 1.0
         term *= x / ap
         total += term
@@ -76,7 +81,7 @@ def _contfrac_factor(a, x):
     c = 1.0 / _TINY
     d = 1.0 / b if b != 0.0 else 1.0 / _TINY
     h = d
-    for i in range(1, _MAX_ITER + 1):
+    for i in range(1, _max_iter(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b

@@ -237,6 +237,47 @@ class TestSelftestCommand:
         assert "FAILED: neuman-bracket" in out
 
 
+_VALID_ARGV = {
+    "mfet": ["mfet", "--d", "4", "--L", "2", "--x", "0", "--sigma", "1", "--theta", "0.5"],
+    "bounds": ["bounds", "--d", "4", "--L", "2", "--x", "0", "--sigma", "1", "--theta", "0.5"],
+    "selftest": ["selftest", "--fast"],
+}
+
+
+class TestCommonFlags:
+    @pytest.mark.parametrize("command,flag", [
+        ("scaling", "--format json"),
+        ("trajectories", "--format json"),
+        ("drift-ratio", "--format json"),
+        ("selftest", "--format json"),
+        ("mfet", "--seed 1"),
+        ("bounds", "--seed 1"),
+        ("drift-ratio", "--seed 1"),
+        ("selftest", "--seed 1"),
+        ("mfet", "--threads 2"),
+        ("bounds", "--threads 2"),
+        ("trajectories", "--threads 2"),
+        ("drift-ratio", "--threads 2"),
+        ("selftest", "--threads 2"),
+        ("drift-ratio", "--allow-huge-d"),
+        ("selftest", "--allow-huge-d"),
+        ("selftest", "--output out.txt"),
+    ])
+    def test_flag_a_command_ignores_is_a_usage_error(self, command, flag, capsys):
+        # each command takes only the common flags it reads
+        argv = _VALID_ARGV.get(command, [command]) + flag.split()
+        assert run_cli(*argv) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_manifest_seed_is_null_without_randomness(self, tmp_path):
+        out = tmp_path / "ratio.csv"
+        assert run_cli("drift-ratio", "--d-list", "2", "--rho-points", "3",
+                       "--output", str(out)) == 0
+        manifest = json.loads((tmp_path / "ratio.csv.manifest.json").read_text())
+        assert manifest["seed"] is None
+        assert "seed" not in manifest["parameters"]
+
+
 class TestEntryPoints:
     def test_module_execution(self):
         proc = subprocess.run(

@@ -6,6 +6,7 @@ assertion runs at a fixed seed, so outcomes are deterministic; tolerances
 combine the standard error with the known discrete-monitoring bias margin.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -63,6 +64,19 @@ class TestDeterminism:
         a = estimate_mfet(p, McConfig(n_paths=64, dt=1e-3, seed=1))
         b = estimate_mfet(p, McConfig(n_paths=64, dt=1e-3, seed=2))
         assert a.mean != b.mean
+
+    def test_full_schemes_in_one_dimension_keep_paths_apart(self):
+        # at d = 1 a path's state is still a row of one coordinate; a batch
+        # must not mix its paths, so each member matches its lone run and the
+        # mean hits the Brownian truth 1.0
+        p = _problem(1, 0.0, 1.0)
+        for scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT):
+            cfg = McConfig(n_paths=400, dt=1e-3, seed=7, scheme=scheme)
+            batch = _run_paths(p, cfg, list(range(400)))
+            for i in (0, 5, 399):
+                assert sample_exit_time(p, cfg, i) == batch[i]
+            est = estimate_mfet(p, cfg)
+            assert abs(est.mean - 1.0) <= 3.0 * est.std_err + 0.05
 
     def test_exact_scheme_equals_euler_at_zero_drift(self):
         # with theta = 0 both full schemes reduce to the same Brownian
@@ -235,3 +249,36 @@ class TestRecords:
         cfg = McConfig(n_paths=1, dt=1e-3, seed=SEED)
         with pytest.raises(DomainError):
             record_path(p, cfg, 0, stride=0)
+
+
+# Exit steps of paths 0-7 and the SHA-256 of path 3's stride-7 radius trace
+# per scheme.  They pin the output bits across code changes, which the
+# run-twice determinism tests cannot; x = 0 covers the radial-euler bootstrap.
+FROZEN = [
+    ("full-euler", 0.0, [255, 269, 215, 604, 467, 281, 613, 133],
+     "aa8cba76c189b14376b117c69efe01b8d19e7cc2779263e515c6b38a9360801e"),
+    ("full-euler", 0.5, [258, 540, 82, 530, 254, 66, 637, 133],
+     "830bd4f371714a083905ecf9c2ccb06272ca7521fb48365469fb88280e73b63f"),
+    ("full-exact", 0.0, [255, 269, 215, 604, 467, 281, 613, 133],
+     "31853461e2f2bda5b24ce528903051ba1e84e4de433eba6fa618a3bbcffb7e89"),
+    ("full-exact", 0.5, [258, 540, 82, 530, 254, 66, 642, 133],
+     "88c3e5b4e6386c8f6893651cb6977c4666984ea2fe3e66c3313b33bfa5c27471"),
+    ("radial-euler", 0.0, [350, 432, 322, 200, 255, 128, 516, 600],
+     "387ddc69705f56885cbf1b5cd1c0baa8fdf14149fcd8d6798da45946ff40e0bd"),
+    ("radial-euler", 0.5, [349, 366, 191, 119, 249, 87, 515, 600],
+     "e691427d23714bbd6903845e7957fc6e604cc8e7167abcc8941008d6c961c8a5"),
+    ("squared-radial-euler", 0.0, [350, 432, 322, 307, 255, 128, 515, 600],
+     "4ace94898af14674c171586e8fc9fd0be2caaeca6c6248e8d427f1babbfc0899"),
+    ("squared-radial-euler", 0.5, [343, 366, 190, 119, 254, 93, 513, 600],
+     "5b59e7a84a4b051388c45054d058458a741289c3842792f5e52e1371a15ee68f"),
+]
+
+
+@pytest.mark.parametrize("scheme,x,steps,trace_sha", FROZEN)
+def test_frozen_bits(scheme, x, steps, trace_sha):
+    p = _problem(3, 0.5, 1.0, x=x)
+    cfg = McConfig(n_paths=8, dt=1e-3, seed=20240611, scheme=scheme)
+    times = _run_paths(p, cfg, list(range(8)))
+    assert [round(t / cfg.dt) for t in times] == steps
+    radii = record_path(p, cfg, 3, stride=7).radii
+    assert hashlib.sha256(radii.tobytes()).hexdigest() == trace_sha

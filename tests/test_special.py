@@ -3,10 +3,12 @@
 Oracle: plain composite Simpson of the defining integral, with the t = u**2
 substitution so the integrand is smooth at the origin for shape parameters
 down to 0.5.  The oracle shares no code with the implementation under test.
+Large shapes near the diagonal x = a are checked against mpmath at 40 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from ouexit import (
     neuman_bounds,
     neuman_log_bounds,
     reg_lower_gamma,
+    special,
 )
 from ouexit.special import _reg_lower_contfrac, _reg_lower_series
 
@@ -100,11 +103,14 @@ class TestRegLowerGamma:
                 c = _reg_lower_contfrac(a, x)
                 assert s == pytest.approx(c, rel=1e-12)
 
-    def test_series_cap_is_a_loud_error(self):
+    def test_series_cap_is_a_loud_error(self, monkeypatch):
         # near the diagonal at very large shape the series needs thousands of
-        # terms; the iteration cap must fail loudly, never return junk
+        # terms; a cap below that must fail loudly, never return junk
+        monkeypatch.setattr(special, "_max_iter", lambda a: 50)
         with pytest.raises(ConvergenceError):
             _reg_lower_series(1e5, 1e5 - 10.0)
+        with pytest.raises(ConvergenceError):
+            _reg_lower_contfrac(1e5, 1e5 + 10.0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
@@ -148,6 +154,18 @@ class TestLnLowerGamma:
         # direct evaluation of lig overflows thousands of orders of magnitude here
         v = ln_lower_gamma(5e4, 1e3)
         assert math.isfinite(v)
+
+    @pytest.mark.parametrize("a", [5e3, 32768.0, 1e5, 5e5])
+    def test_large_shape_along_diagonal_against_mpmath(self, a):
+        # near x = a both branches need O(sqrt(a)) terms
+        with mpmath.workdps(40):
+            for frac in (0.98, 0.995, 1.0, 1.005, 1.02):
+                x = a * frac
+                if x <= a:
+                    want = mpmath.gammainc(a, 0, x)
+                else:
+                    want = mpmath.gamma(a) - mpmath.gammainc(a, x)
+                assert ln_lower_gamma(a, x) == pytest.approx(float(mpmath.log(want)), rel=2e-15)
 
     def test_limit_is_complete_gamma(self):
         for a in (0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0):
