@@ -12,12 +12,12 @@ integral collapses to a lower incomplete gamma and the whole thing becomes a
 single integral,
 
     E tau = (1/(lam^(d/2) sigma^2)) * int_x^L z^(1-d) exp(lam z^2)
-                                      * lig(d/2, lam z^2) dz,
+                                      * lig(d/2, lam z^2) dz.
 
-which this module evaluates end-to-end in log space: the linear integrand
-overflows doubles for d beyond a few hundred.  For lam <= 0 (Brownian and
-transient regimes) the nested double integral is evaluated directly, again
-in log space.
+For lam <= 0 the inner integral is (z^d/d) M(d/2, d/2+1, -lam z^2) (DLMF
+13.2.2, 8.5.1), a Kummer series of positive terms, exactly z^d/d at lam = 0.
+Either way one quadrature gives E tau, in log space: the linear integrand
+overflows doubles for d beyond a few hundred.
 
 Also here: the Brownian-motion closed form (L^2-x^2)/(sigma^2 d), the
 two-sided closed-form bounds obtained by pushing the Neuman inequalities
@@ -99,11 +99,11 @@ def _exp_or_inf(v):
     return math.exp(v) if v <= _MAX_EXP else math.inf
 
 
-def _log_integrand_reverting(params):
-    """Log-integrand of the single-integral form, constants folded in.
+def _outer_log_integrand(params):
+    """log f(z), the log of the outer integrand with constants folded in:
 
-    log f(z) = (1-d) ln z + lam z^2 + ln lig(d/2, lam z^2)
-               - (d/2) ln lam - 2 ln sigma
+        lam > 0:  (1-d) ln z + lam z^2 + ln lig(d/2, lam z^2) - (d/2) ln lam - 2 ln sigma
+        lam <= 0: ln z + lam z^2 + ln_kummer_sum(d/2, -lam z^2) - 2 ln sigma
 
     so that the integral of exp(log f) over [x, L] is the mean exit time
     itself (keeping the constant inside keeps the linear value of the
@@ -112,7 +112,13 @@ def _log_integrand_reverting(params):
     lam = params.lam
     d = params.d
     a = 0.5 * d
-    log_c = -a * math.log(lam) - 2.0 * math.log(params.sigma)
+    log_s2 = 2.0 * math.log(params.sigma)
+    if lam <= 0:
+        def log_f(z):
+            return math.log(z) + lam * z * z + special.ln_kummer_sum(a, -lam * z * z) - log_s2
+
+        return log_f
+    log_c = -a * math.log(lam) - log_s2
 
     def log_f(z):
         u = lam * z * z
@@ -121,52 +127,17 @@ def _log_integrand_reverting(params):
     return log_f
 
 
-def _log_integrand_nested(params, cfg):
-    """Log-integrand of the outer integral for lam <= 0 (nested form).
-
-    The inner integral of t^(d-1) exp(-lam t^2) is itself evaluated in log
-    space: its integrand overflows doubles for d beyond a few hundred even
-    at lam = 0.
-    """
-    lam = params.lam
-    d = params.d
-    dm1 = d - 1.0
-    log_c = math.log(2.0) - 2.0 * math.log(params.sigma)
-    inner_cfg = QuadConfig(
-        rel_tol=min(cfg.rel_tol * 0.1, 1e-11),
-        abs_tol=0.0,
-        max_panels=cfg.max_panels,
-    )
-
-    def log_g(t):
-        return dm1 * math.log(t) - lam * t * t
-
-    def log_f(z):
-        inner = integrate_log(log_g, 0.0, z, inner_cfg)
-        if not inner.converged:
-            raise QuadratureError("inner radial integral did not converge", inner)
-        return (1.0 - d) * math.log(z) + lam * z * z + inner.value + log_c
-
-    return log_f
-
-
-def _outer_log_integrand(problem, cfg):
-    if problem.params.lam > 0:
-        return _log_integrand_reverting(problem.params)
-    return _log_integrand_nested(problem.params, cfg)
-
-
 def mfet_exact(problem, cfg=QuadConfig()):
     """Exact mean first-exit time, by adaptive quadrature of the closed form.
 
-    Uses the single-integral incomplete-gamma form for lam > 0 and the
-    nested double integral for lam <= 0.  Returns exactly 0 when the start
-    radius sits on the boundary.  Raises QuadratureError (carrying the
-    partial result) if the panel budget is exhausted.
+    One quadrature for every lam (exact at lam = 0).  Returns exactly 0 when
+    the start radius sits on the boundary and inf once ln E tau exceeds
+    709.78.  Raises QuadratureError (carrying the partial result) if the
+    panel budget is exhausted.
     """
     if problem.x == problem.L:
         return 0.0
-    log_f = _outer_log_integrand(problem, cfg)
+    log_f = _outer_log_integrand(problem.params)
     res = integrate_log(log_f, problem.x, problem.L, cfg)
     if not res.converged:
         raise QuadratureError("exit-time quadrature did not converge", res)
@@ -267,7 +238,7 @@ def avp_residual(problem, x_eval, h=None, cfg=QuadConfig()):
             f"need 0 < x_eval-h and x_eval+h < L, got x_eval={x_eval!r}, h={h!r}"
         )
     p = problem.params
-    log_f = _outer_log_integrand(problem, cfg)
+    log_f = _outer_log_integrand(p)
     k = 0.5 * h
 
     nodes = (x_eval - h, x_eval - k, x_eval, x_eval + k, x_eval + h)

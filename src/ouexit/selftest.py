@@ -2,10 +2,10 @@
 
 Re-derives the package's key invariants at runtime: the elementary bracket
 on the incomplete gamma, the Brownian reduction of the exact formula, the
-closed-form bound chain, the substitution identity tying the radial integral
-to the incomplete gamma, and Monte-Carlo determinism.  Everything is checked
-against independently computed quantities, so a corrupted build fails loudly
-with the name of the first broken invariant.
+closed-form bound chain, the radial integral against its incomplete-gamma
+(lam > 0) and Kummer-series (lam < 0) forms, and Monte-Carlo determinism.
+Everything is checked against independently computed quantities, so a
+corrupted build fails loudly with the name of the first broken invariant.
 """
 
 import math
@@ -77,17 +77,20 @@ def check_bound_chain(fast=False):
 
 
 def check_substitution_identity(fast=False, ln_lig=None):
-    """Radial integral equals lam**(-d/2)/2 * lig(d/2, lam z^2) to 1e-10 relative."""
+    """Radial integral equals its incomplete-gamma or Kummer form to 1e-10 relative."""
     ln_lig = ln_lig or special.ln_lower_gamma
-    cases = [(2, 0.5, 1.0)] if fast else [
-        (d, lam, z) for d in (2, 5) for lam in (0.5, 2.0) for z in (0.5, 1.0, 3.0)
+    cases = [(2, 0.5, 1.0), (2, -0.5, 1.0)] if fast else [
+        (d, lam, z) for d in (2, 5) for lam in (0.5, 2.0, -0.5, -2.0) for z in (0.5, 1.0, 3.0)
     ]
     for d, lam, z in cases:
         direct = integrate(lambda t: t ** (d - 1) * math.exp(-lam * t * t), 0.0, z,
                            QuadConfig(rel_tol=1e-12)).value
-        via_gamma = 0.5 * lam ** (-0.5 * d) * math.exp(ln_lig(0.5 * d, lam * z * z))
-        if abs(direct - via_gamma) / via_gamma > 1e-10:
-            return False, f"d={d}, lam={lam}, z={z}: {direct} vs {via_gamma}"
+        if lam > 0:
+            closed = 0.5 * lam ** (-0.5 * d) * math.exp(ln_lig(0.5 * d, lam * z * z))
+        else:
+            closed = 0.5 * z ** d * math.exp(special.ln_kummer_sum(0.5 * d, -lam * z * z))
+        if abs(direct - closed) / closed > 1e-10:
+            return False, f"d={d}, lam={lam}, z={z}: {direct} vs {closed}"
     return True, "substitution identity holds"
 
 

@@ -13,13 +13,15 @@ or continued-fraction pieces (never as log(exp(...))).
 
 Evaluation follows the classic split: power series for x < a + 1,
 Lentz continued fraction for the complementary function otherwise.
+ln_kummer_sum gives the companion integral of t**(a-1) * exp(+t) over
+[0, y], divided by y**a: a series of positive terms.
 """
 
 import math
 
 from .errors import ConvergenceError, DomainError
 
-# Iteration policy for both the series and the continued fraction: stop when
+# Iteration policy (gamma series, continued fraction, Kummer sum): stop when
 # the running term falls below _TOL relative to the sum, fail loudly after
 # _max_iter(a) terms rather than return a silent partial sum.  Near x = a the
 # series needs about 9.5 sqrt(a) terms, so the cap grows with sqrt(a).
@@ -68,6 +70,29 @@ def _series_log_sum(a, x):
     raise ConvergenceError(
         f"lower-gamma series did not converge for a={a!r}, x={x!r}"
     )
+
+
+def ln_kummer_sum(a, y):
+    """log of sum_{n>=0} y**n / (n! * (a+n)) = log(M(a, a+1, y) / a), for y >= 0.
+
+    All terms are positive.  They are summed outward in both directions from
+    the largest, near n0 = floor(y), in units of it: O(sqrt(y)) terms, none
+    over- or underflowing; fails loudly after _max_iter(y) steps.
+    """
+    a, y = _check_args(a, y)
+    n0 = math.floor(y)
+    log_peak = -math.log(a + n0)
+    if n0 > 0:
+        log_peak += n0 * math.log(y) - math.lgamma(n0 + 1.0)
+    total = up = down = 1.0  # terms n0 + k and n0 - k over term n0
+    for k in range(1, _max_iter(y) + 1):
+        n, m = n0 + k, n0 - k
+        up *= y / n * (a + n - 1.0) / (a + n)
+        down = down * (m + 1.0) / y * (a + m + 1.0) / (a + m) if m >= 0 else 0.0
+        total += up + down
+        if up + down < total * _TOL:
+            return log_peak + math.log(total)
+    raise ConvergenceError(f"Kummer series did not converge for a={a!r}, y={y!r}")
 
 
 def _contfrac_factor(a, x):

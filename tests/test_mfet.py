@@ -5,12 +5,14 @@ Oracle: nested composite Simpson of the double-integral form, entirely in
 linear arithmetic and independent of the package quadrature.  The inner
 integral is rescaled by t = z*s so the awkward z**(1-d) outer weight cancels
 analytically and both integrands are smooth; usable for moderate dimensions.
-The log-space code paths at large d are exercised against closed forms and
-asymptotics instead.
+The log-space code paths at large d are exercised against closed forms,
+asymptotics and, for lam < 0, an mpmath quadrature of the Kummer-function
+form of the inner integral.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -73,7 +75,10 @@ class TestExactFormula:
 
     @pytest.mark.parametrize(
         "d,lam,big_l",
-        [(2, 0.5, 2.0), (4, 0.5, 4.0), (2, 0.1, 4.0), (5, 2.0, 2.0), (8, 0.7, 3.0)],
+        [
+            (2, 0.5, 2.0), (4, 0.5, 4.0), (2, 0.1, 4.0), (5, 2.0, 2.0), (8, 0.7, 3.0),
+            (3, -0.5, 2.0), (2, -2.0, 2.5), (8, 0.0, 3.0),
+        ],
     )
     def test_oracle_grid(self, d, lam, big_l):
         want = mfet_nested_simpson(d, lam, 1.0, big_l)
@@ -85,6 +90,44 @@ class TestExactFormula:
         b = mfet_bounds(p)
         assert b.lower_bm < b.lower_exp < got < b.upper_mixed < b.upper_exp
         assert got == pytest.approx(mfet_nested_simpson(4, 0.5, 1.0, 4.0), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "d,lam,big_l", [(1024, -2.0, 5.0), (65536, -2.0, 5.0), (4, -0.5, 100.0), (1000, -0.5, 100.0)]
+    )
+    def test_transient_regime_against_mpmath(self, d, lam, big_l):
+        # inner integral z^d/d * M(d/2, d/2+1, -lam z^2) (DLMF 13.2.2, 8.5.1),
+        # outer integral by mpmath's own quadrature at 30 digits
+        a = mpmath.mpf(d) / 2
+        with mpmath.workdps(30):
+            want = 2 / mpmath.mpf(d) * mpmath.quad(
+                lambda z: z * mpmath.exp(lam * z * z) * mpmath.hyp1f1(a, a + 1, -lam * z * z),
+                [0, big_l],
+            )
+        assert mfet_exact(_problem(d, lam, big_l)) == pytest.approx(float(want), rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 64, 1024, 65536])
+    def test_brownian_case_is_exact(self, d):
+        # at lam = 0 the Kummer series is its first term, so only the
+        # rounding of the quadrature is left
+        for big_l, x, sigma in ((4.0, 0.0, 1.0), (2.0, 1.0, 1.3)):
+            p = _problem(d, 0.0, big_l, x=x, sigma=sigma)
+            assert mfet_exact(p) == pytest.approx(mfet_bm(p), rel=4e-15)
+
+    @pytest.mark.parametrize(
+        "theta,sigma,d,big_l,x,want",
+        [
+            (0.5, 1.0, 1, 2.0, 0.0, "9.003204832458149"),
+            (2.0, 1.0, 4096, 4.0, 0.0, "0.0039370738718925834"),
+            (0.7, 1.0, 4, 3.0, 1.2, "14.722911462790865"),
+            (0.5, 1.3, 3, 2.0, 0.5, "0.9777145580543194"),
+            (0.5, 1.0, 1024, 22.6, 3.0, "0.6809427858438515"),
+            (0.5, 1.0, 65536, 300.0, 0.0, "inf"),
+        ],
+    )
+    def test_frozen_bits(self, theta, sigma, d, big_l, x, want):
+        # lam > 0 values pinned to the last bit
+        p = ExitProblem(OupParams(theta=theta, sigma=sigma, d=d), L=big_l, x=x)
+        assert repr(mfet_exact(p)) == want
 
     def test_brownian_limit_both_signs(self):
         for d in (1, 4, 64, 1024):

@@ -3,7 +3,8 @@
 Oracle: plain composite Simpson of the defining integral, with the t = u**2
 substitution so the integrand is smooth at the origin for shape parameters
 down to 0.5.  The oracle shares no code with the implementation under test.
-Large shapes near the diagonal x = a are checked against mpmath at 40 digits.
+Large shapes near the diagonal x = a, and the Kummer series behind the
+lam <= 0 exit time, are checked against mpmath at 40 digits.
 """
 
 import math
@@ -171,6 +172,32 @@ class TestLnLowerGamma:
         for a in (0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0):
             got = ln_lower_gamma(a, 100.0 * a)
             assert got == pytest.approx(ln_gamma(a), abs=1e-10 * max(1.0, abs(ln_gamma(a))))
+
+
+class TestLnKummerSum:
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 512.0, 32768.0])
+    def test_against_mpmath(self, a):
+        with mpmath.workdps(40):
+            for y in (0.0, 1e-8, 0.3, 7.5, 50.0, 700.0, 5000.0, 1e5):
+                want = float(mpmath.log(mpmath.hyp1f1(a, a + 1, y) / a))
+                got = special.ln_kummer_sum(a, y)
+                assert abs(got - want) <= 4e-15 * max(1.0, abs(want))
+
+    def test_zero_argument_is_the_first_term(self):
+        for a in (0.5, 3.0, 32768.0):
+            assert special.ln_kummer_sum(a, 0.0) == -math.log(a)
+
+    def test_rejects_bad_args(self):
+        for a, y in ((1.0, -0.5), (0.0, 1.0), (-2.0, 1.0), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                special.ln_kummer_sum(a, y)
+
+    def test_cap_is_a_loud_error(self, monkeypatch):
+        # the sum needs about 8.6 sqrt(y) terms on each side of its peak; a
+        # cap below that must fail loudly, never return a partial sum
+        monkeypatch.setattr(special, "_max_iter", lambda a: 50)
+        with pytest.raises(ConvergenceError):
+            special.ln_kummer_sum(2.0, 1e5)
 
 
 class TestNeumanBounds:
