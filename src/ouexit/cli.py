@@ -297,7 +297,7 @@ def _build_parser():
         "--format": dict(choices=("csv", "json"), default="csv"),
         "--output": dict(help="output path (default stdout)"),
         "--seed": dict(type=int, default=DEFAULT_SEED),
-        "--threads": dict(type=int, default=1, help="parallelism hint; never changes results"),
+        "--threads": dict(type=int, default=1, help="currently has no effect; results never depend on it"),
         "--allow-huge-d": dict(action="store_true", help="lift the d <= 2**20 cap"),
     }
 

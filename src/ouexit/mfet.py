@@ -95,10 +95,6 @@ def _exp_diff(lo, hi):
     return math.exp(lo) * math.expm1(hi - lo)
 
 
-def _exp_or_inf(v):
-    return math.exp(v) if v <= _MAX_EXP else math.inf
-
-
 def _outer_log_integrand(params):
     """log f(z), the log of the outer integrand with constants folded in:
 
@@ -141,7 +137,7 @@ def mfet_exact(problem, cfg=QuadConfig()):
     res = integrate_log(log_f, problem.x, problem.L, cfg)
     if not res.converged:
         raise QuadratureError("exit-time quadrature did not converge", res)
-    return _exp_or_inf(res.value)
+    return special.exp_saturating(res.value)
 
 
 def mfet_bm(problem):

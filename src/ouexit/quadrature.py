@@ -5,7 +5,7 @@ One fixed-order nested rule per panel (15-point Kronrod with the embedded
 the tolerance or the panel budget is hit.  No randomness anywhere, so
 results are bit-reproducible across runs and thread counts.
 
-Two evaluation modes share the machinery:
+Two evaluation modes share that rule and one bisection loop:
 
 * ``integrate``     -- plain linear arithmetic.
 * ``integrate_log`` -- the integrand is supplied as its logarithm and the
@@ -55,9 +55,11 @@ _WG = (
 )
 
 # Flattened 15-node layout, left to right; Gauss nodes sit at odd positions.
+# The Gauss weight is 0.0 at the others, an exact zero that changes no bit.
 _NODES = tuple([-t for t in _XGK[:7]] + [0.0] + [t for t in reversed(_XGK[:7])])
 _WK = tuple(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
-_WG15 = {1: _WG[0], 3: _WG[1], 5: _WG[2], 7: _WG[3], 9: _WG[2], 11: _WG[1], 13: _WG[0]}
+_WG_AT_NODES = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+                0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
 
 
 @dataclass(frozen=True)
@@ -101,21 +103,67 @@ def _check_interval(a, b):
     return a, b
 
 
-def _eval_panel(f, lo, hi):
-    """Kronrod/Gauss pair on one panel; returns (value, err)."""
+def _sample(f, lo, hi, log_mode):
+    """(halfw, f at the 15 nodes of [lo, hi]); a non-finite sample is an
+    EvaluationError at its abscissa, except -inf (log-zero) in log mode."""
     center = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
+    ys = []
+    for t in _NODES:
+        y = f(center + halfw * t)
+        if not math.isfinite(y) and not (log_mode and y == -math.inf):
+            what = "log-integrand" if log_mode else "integrand"
+            raise EvaluationError(f"{what} returned a non-finite value", center + halfw * t)
+        ys.append(y)
+    return halfw, ys
+
+
+def _rule(halfw, ys):
+    """Kronrod value and |Kronrod - Gauss| error of a panel from its 15 samples."""
     kron = 0.0
     gauss = 0.0
-    for k in range(15):
-        y = f(center + halfw * _NODES[k])
-        if not math.isfinite(y):
-            raise EvaluationError("integrand returned a non-finite value", center + halfw * _NODES[k])
-        kron += _WK[k] * y
-        wg = _WG15.get(k)
-        if wg is not None:
-            gauss += wg * y
-    return halfw * kron, abs(halfw * (kron - gauss))
+    for wk, wg, y in zip(_WK, _WG_AT_NODES, ys):
+        kron += wk * y
+        gauss += wg * y
+    return halfw * kron, halfw * abs(kron - gauss)
+
+
+def _eval_panel(f, lo, hi):
+    """Kronrod/Gauss pair on one panel; returns (value, err)."""
+    return _rule(*_sample(f, lo, hi, False))
+
+
+def _eval_panel_log(log_f, lo, hi):
+    """Kronrod/Gauss pair in log space; returns (log_value, log_err)."""
+    halfw, lfs = _sample(log_f, lo, hi, True)
+    m = max(lfs)
+    if m == -math.inf:
+        return -math.inf, -math.inf
+    val, err = _rule(halfw, [math.exp(y - m) for y in lfs])
+    log_err = m + math.log(err) if err > 0.0 else -math.inf
+    return m + math.log(val), log_err
+
+
+def _adapt(eval_panel, f, a, b, total, tol, max_panels):
+    """Bisect the worst panel until total_err <= tol(total_val) or the budget
+    is spent; ``total`` reduces the panels' values or errors.  Returns
+    (total_val, total_err, panels_used, converged)."""
+    val, err = eval_panel(f, a, b)
+    # heap entries: (-err, tiebreak, lo, hi, value, err)
+    counter = 0
+    heap = [(-err, counter, a, b, val, err)]
+    while True:
+        total_val = total([p[4] for p in heap])
+        total_err = total([p[5] for p in heap])
+        converged = total_err <= tol(total_val)
+        if converged or len(heap) >= max_panels:
+            return total_val, total_err, len(heap), converged
+        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
+            v, e = eval_panel(f, sub_lo, sub_hi)
+            counter += 1
+            heapq.heappush(heap, (-e, counter, sub_lo, sub_hi, v, e))
 
 
 def integrate(f, a, b, cfg=QuadConfig()):
@@ -123,25 +171,8 @@ def integrate(f, a, b, cfg=QuadConfig()):
     a, b = _check_interval(a, b)
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
-
-    val, err = _eval_panel(f, a, b)
-    # heap entries: (-err, tiebreak, lo, hi, value, err)
-    counter = 0
-    heap = [(-err, counter, a, b, val, err)]
-    while True:
-        total_val = math.fsum(p[4] for p in heap)
-        total_err = math.fsum(p[5] for p in heap)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if total_err <= tol:
-            return QuadResult(total_val, total_err, len(heap), True)
-        if len(heap) >= cfg.max_panels:
-            return QuadResult(total_val, total_err, len(heap), False)
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            v, e = _eval_panel(f, sub_lo, sub_hi)
-            counter += 1
-            heapq.heappush(heap, (-e, counter, sub_lo, sub_hi, v, e))
+    return QuadResult(*_adapt(_eval_panel, f, a, b, math.fsum,
+                              lambda val: max(cfg.abs_tol, cfg.rel_tol * abs(val)), cfg.max_panels))
 
 
 def _logsumexp(values):
@@ -149,33 +180,6 @@ def _logsumexp(values):
     if m == -math.inf:
         return -math.inf
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
-
-
-def _eval_panel_log(log_f, lo, hi):
-    """Kronrod/Gauss pair in log space; returns (log_value, log_err)."""
-    center = 0.5 * (lo + hi)
-    halfw = 0.5 * (hi - lo)
-    lfs = []
-    for k in range(15):
-        y = log_f(center + halfw * _NODES[k])
-        if math.isnan(y) or y == math.inf:
-            raise EvaluationError("log-integrand returned a non-finite value", center + halfw * _NODES[k])
-        lfs.append(y)
-    m = max(lfs)
-    if m == -math.inf:
-        return -math.inf, -math.inf
-    kron = 0.0
-    gauss = 0.0
-    for k in range(15):
-        t = math.exp(lfs[k] - m)
-        kron += _WK[k] * t
-        wg = _WG15.get(k)
-        if wg is not None:
-            gauss += wg * t
-    log_val = m + math.log(halfw * kron)
-    diff = abs(kron - gauss)
-    log_err = m + math.log(halfw * diff) if diff > 0.0 else -math.inf
-    return log_val, log_err
 
 
 def integrate_log(log_f, a, b, cfg=QuadConfig()):
@@ -192,24 +196,10 @@ def integrate_log(log_f, a, b, cfg=QuadConfig()):
 
     log_abs_tol = math.log(cfg.abs_tol) if cfg.abs_tol > 0 else -math.inf
     log_rel_tol = math.log(cfg.rel_tol)
-
-    lval, lerr = _eval_panel_log(log_f, a, b)
-    counter = 0
-    heap = [(-lerr, counter, a, b, lval, lerr)]
-    while True:
-        log_total = _logsumexp([p[4] for p in heap])
-        log_err_total = _logsumexp([p[5] for p in heap])
-        log_tol = max(log_abs_tol, log_rel_tol + log_total)
-        if log_err_total <= log_tol:
-            return QuadResult(log_total, _rel_err_of_log(log_err_total, log_total), len(heap), True)
-        if len(heap) >= cfg.max_panels:
-            return QuadResult(log_total, _rel_err_of_log(log_err_total, log_total), len(heap), False)
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            v, e = _eval_panel_log(log_f, sub_lo, sub_hi)
-            counter += 1
-            heapq.heappush(heap, (-e, counter, sub_lo, sub_hi, v, e))
+    log_total, log_err, panels, converged = _adapt(
+        _eval_panel_log, log_f, a, b, _logsumexp,
+        lambda log_val: max(log_abs_tol, log_rel_tol + log_val), cfg.max_panels)
+    return QuadResult(log_total, _rel_err_of_log(log_err, log_total), panels, converged)
 
 
 def _rel_err_of_log(log_err, log_val):

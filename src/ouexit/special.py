@@ -203,12 +203,11 @@ def neuman_bounds(a, x):
     come back as 0.0 or inf.
     """
     lo, hi = neuman_log_bounds(a, x)
-    return _exp_saturating(lo), _exp_saturating(hi)
+    return exp_saturating(lo), exp_saturating(hi)
 
 
-def _exp_saturating(v):
-    if v == -math.inf:
-        return 0.0
+def exp_saturating(v):
+    """exp(v), or inf where math.exp would overflow (exp(-inf) is 0.0 already)."""
     try:
         return math.exp(v)
     except OverflowError:

@@ -122,10 +122,13 @@ class TestExactFormula:
             (0.5, 1.3, 3, 2.0, 0.5, "0.9777145580543194"),
             (0.5, 1.0, 1024, 22.6, 3.0, "0.6809427858438515"),
             (0.5, 1.0, 65536, 300.0, 0.0, "inf"),
+            (-0.5, 1.0, 3, 2.0, 0.0, "0.9510546421746636"),
+            (-2.0, 1.0, 1024, 5.0, 0.0, "0.02329623573924573"),
+            (0.0, 1.3, 8, 2.0, 1.0, "0.22189349112426035"),
         ],
     )
     def test_frozen_bits(self, theta, sigma, d, big_l, x, want):
-        # lam > 0 values pinned to the last bit
+        # values of every lam regime (> 0, < 0 and 0) pinned to the last bit
         p = ExitProblem(OupParams(theta=theta, sigma=sigma, d=d), L=big_l, x=x)
         assert repr(mfet_exact(p)) == want
 

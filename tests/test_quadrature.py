@@ -130,3 +130,37 @@ class TestIntegrateLog:
         assert r.converged
         # err_estimate is the relative linear error here
         assert r.err_estimate <= cfg.rel_tol
+
+
+class TestFrozenBits:
+    # whole QuadResults of both modes pinned to the last bit, including two
+    # runs that stop at the panel budget
+    @pytest.mark.parametrize(
+        "mode,f,a,b,cfg,want",
+        [
+            (integrate, lambda z: math.sin(3.0 * z) * math.exp(z), 0.0, 5.0, QuadConfig(),
+             "QuadResult(value=43.77543219219708, err_estimate=1.4842616025134703e-09,"
+             " panels_used=4, converged=True)"),
+            (integrate, lambda z: z * math.exp(0.5 * z * z), 0.0, 4.0, QuadConfig(),
+             "QuadResult(value=2979.9579870417283, err_estimate=5.203551634025416e-08,"
+             " panels_used=4, converged=True)"),
+            (integrate, lambda z: math.sin(50.0 * z) + 2.0, 0.0, 3.0,
+             QuadConfig(rel_tol=1e-12, max_panels=2),
+             "QuadResult(value=6.344880711716532, err_estimate=0.161578580320634,"
+             " panels_used=2, converged=False)"),
+            (integrate_log, lambda z: 500.0 + math.cos(z), 0.0, 6.0,
+             QuadConfig(rel_tol=1e-9, abs_tol=0.0),
+             "QuadResult(value=501.9734245630688, err_estimate=2.5108527412101143e-11,"
+             " panels_used=4, converged=True)"),
+            (integrate_log, lambda z: -0.5 * z * z, -1.0, 2.0, QuadConfig(),
+             "QuadResult(value=0.7187722388802102, err_estimate=9.645924937569037e-13,"
+             " panels_used=2, converged=True)"),
+            (integrate_log, lambda z: math.sin(50.0 * z), 0.0, 3.0,
+             QuadConfig(rel_tol=1e-12, max_panels=3),
+             "QuadResult(value=1.3523163330334809, err_estimate=0.12328255837969035,"
+             " panels_used=3, converged=False)"),
+        ],
+        ids=["sin3z-exp", "z-exp-half-z2", "budget", "log-500-cos", "log-half-z2", "log-budget"],
+    )
+    def test_frozen_result(self, mode, f, a, b, cfg, want):
+        assert repr(mode(f, a, b, cfg)) == want
