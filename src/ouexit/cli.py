@@ -22,6 +22,7 @@ failure, 2 usage error, 3 numerical failure.
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -188,22 +189,31 @@ def cmd_scaling(args):
     started = _now()
     lam = args.lam
     scheme = Scheme(args.scheme)
+    cells = []  # (d, problem, exact, MC horizon), all checked before any output
+    d = args.d_min
+    while d <= args.d_max:
+        params = OupParams(theta=lam * args.sigma * args.sigma, sigma=args.sigma, d=d)
+        prob = ExitProblem(params=params, L=args.L, x=args.x)
+        exact = mfet_exact(prob)
+        # Safety horizon well past the analytic mean so censoring is a
+        # pathology report, not a routine truncation of the estimate.
+        t_max = max(50.0 * exact, 1e6 * args.dt)
+        if not math.isfinite(t_max):
+            raise EstimationError(
+                f"cell d={d}, L={args.L!r}, lambda={lam!r}: mfet_exact={exact!r} "
+                f"overflows, so the MC horizon 50 * mfet_exact is not finite", 0,
+            )
+        cells.append((d, prob, exact, t_max))
+        d *= 2
     with _out_stream(args.output) as out:
         out.write(_csv_line(_SCALING_COLUMNS))
-        d = args.d_min
-        while d <= args.d_max:
-            params = OupParams(theta=lam * args.sigma * args.sigma, sigma=args.sigma, d=d)
-            prob = ExitProblem(params=params, L=args.L, x=args.x)
-            exact = mfet_exact(prob)
+        for d, prob, exact, t_max in cells:
             lower_bm = mfet_bm(prob)
             if lam > 0:
                 b = mfet_bounds(prob)
                 lower_exp, upper_mixed, upper_exp = b.lower_exp, b.upper_mixed, b.upper_exp
             else:
                 lower_exp = upper_mixed = upper_exp = None
-            # Safety horizon well past the analytic mean so censoring is a
-            # pathology report, not a routine truncation of the estimate.
-            t_max = max(50.0 * exact, 1e6 * args.dt)
             est = estimate_mfet(prob, McConfig(
                 n_paths=args.paths, dt=args.dt, seed=args.seed,
                 scheme=scheme, t_max=t_max,
@@ -213,7 +223,6 @@ def cmd_scaling(args):
                 est.mean, est.std_err, est.n_censored,
             ]))
             out.flush()
-            d *= 2
     _write_manifest(args, started)
     return 0
 

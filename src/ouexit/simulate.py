@@ -29,6 +29,21 @@ fixed-position uniforms (a rejection sampler would consume a data-dependent
 number of draws and break reproducibility under regrouping).  Every
 aggregate is reduced in path-index order with pairwise summation, so
 estimates are identical however the paths are batched or parallelized.
+
+Straggler hand-off: exit times are heavy-tailed (about exp(lambda L^2) at
+small d), so most time steps of a batch have only a few paths still
+running, and a numpy step costs several microseconds of call overhead
+however few paths it carries.  ``_run_paths`` therefore steps all live
+paths together in numpy only while live paths times normals per step exceeds
+``_SCALAR_LOAD``; after that it finishes each remaining path alone in a
+scalar Python loop over the rest of its pre-drawn normals, drawing further
+blocks from the path's own stream.  The regrouping keeps the bits: the
+normals are the same (they depend only on seed, path and position), each
+scheme's scalar form evaluates the numpy step's expression in the same
+order (the radial clamp ``y if y > 0.0 else 0.0`` equals
+``np.maximum(y, 0.0)`` on -0.0 too), and the full schemes still sum |x|^2
+with numpy over C-contiguous rows of d, so its summation order stays
+numpy's at every d (left to right below 8 entries, pairwise from 8).
 """
 
 import math
@@ -43,6 +58,8 @@ from .errors import DomainError, EstimationError
 
 _U64_MAX = 2**64 - 1
 _BLOCK_FLOATS = 2_000_000
+_SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
+_RUN_STEPS = 256  # steps per scalar run of a full-dimensional path
 
 
 class Scheme(str, Enum):
@@ -122,39 +139,56 @@ def _normals_from_raw(raw):
 
 
 def _scheme_kernel(problem, cfg):
-    """(start, first, step, threshold, radius) of the configured scheme.
+    """(start, first, step, run, threshold, radius) of the configured scheme.
 
     ``start`` is one path's state, a row of d coordinates or a scalar, with
-    one normal per entry drawn each step.  ``first`` and ``step`` map
-    (state, z) to (state, monitored); a path exits once monitored reaches
+    one normal per entry drawn each step.  ``first`` and ``step`` map a batch
+    (states, z) to (states, monitored); a path exits once monitored reaches
     ``threshold``, and ``radius`` maps a monitored value to a radius.
+    ``run`` is the scalar form of ``step`` for one path: it maps (state, zs),
+    the path's next normals in step order, to (state, monitored values of
+    the steps it took), stopping at the exit step or after at most
+    ``len(zs)`` steps, with the bits of ``step``.
     """
     p, x, dt = problem.params, problem.x, cfg.dt
     sqrt_dt = math.sqrt(dt)
     sig_sqdt = p.sigma * sqrt_dt
     big_l2 = problem.L * problem.L
 
-    if cfg.scheme is Scheme.FULL_EULER:
-        theta_dt = p.theta * dt
+    if cfg.scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT):
+        if cfg.scheme is Scheme.FULL_EULER:
+            theta_dt, scale = p.theta * dt, sig_sqdt
 
-        def step(state, z):
-            state = state - theta_dt * state + sig_sqdt * z
-            return state, np.sum(state * state, axis=1)
-
-        return np.concatenate(([x], np.zeros(p.d - 1))), step, step, big_l2, math.sqrt
-
-    if cfg.scheme is Scheme.FULL_EXACT:
-        decay = math.exp(-p.theta * dt)
-        if p.theta == 0.0:
-            step_sd = sig_sqdt
+            def recur(c, ws):
+                return [c := c - theta_dt * c + w for w in ws]
         else:
-            step_sd = p.sigma * math.sqrt(-math.expm1(-2.0 * p.theta * dt) / (2.0 * p.theta))
+            decay = math.exp(-p.theta * dt)
+            if p.theta == 0.0:
+                scale = sig_sqdt
+            else:
+                scale = p.sigma * math.sqrt(-math.expm1(-2.0 * p.theta * dt) / (2.0 * p.theta))
 
+            def recur(c, ws):
+                return [c := decay * c + w for w in ws]
+
+        # ``recur`` takes one coordinate through its noise terms ws: on
+        # arrays for one batch step, on floats for a scalar run, so both
+        # forms evaluate the same expression
         def step(state, z):
-            state = decay * state + step_sd * z
+            state = recur(state, [scale * z])[0]
             return state, np.sum(state * state, axis=1)
 
-        return np.concatenate(([x], np.zeros(p.d - 1))), step, step, big_l2, math.sqrt
+        def run(state, zs):
+            # |x|^2 summed by numpy over C-contiguous rows of d, in the
+            # batch step's order
+            ws = (scale * zs[:_RUN_STEPS]).T.tolist()
+            xs = np.array([recur(c, col) for c, col in zip(state.tolist(), ws)]).T.copy()
+            r2 = np.sum(xs * xs, axis=1)
+            hit = np.flatnonzero(r2 >= big_l2)
+            n = hit[0] + 1 if hit.size else len(r2)
+            return xs[n - 1], r2[:n]
+
+        return np.concatenate(([x], np.zeros(p.d - 1))), step, step, run, big_l2, math.sqrt
 
     s2d = p.sigma * p.sigma * p.d
     two_theta = 2.0 * p.theta
@@ -166,20 +200,52 @@ def _scheme_kernel(problem, cfg):
         return y, y
 
     if cfg.scheme is Scheme.SQUARED_RADIAL_EULER:
-        return x * x, squared_radial, squared_radial, big_l2, lambda y: math.sqrt(max(y, 0.0))
+
+        def run(y, zs):
+            y, ys, sqrt = float(y), [], math.sqrt
+            for z in zs.tolist():
+                yp = y if y > 0.0 else 0.0  # np.maximum's bits, -0.0 included
+                y = y + (s2d - two_theta * yp) * dt + two_sig_sqdt * sqrt(yp) * z
+                ys.append(y)
+                if y >= big_l2:
+                    break
+            return y, ys
+
+        return x * x, squared_radial, squared_radial, run, big_l2, lambda y: math.sqrt(max(y, 0.0))
 
     # radial-euler; the drift is singular at 0, so a start there bootstraps
     half_dm1_s2 = 0.5 * (p.d - 1) * p.sigma * p.sigma
+    theta, big_l = p.theta, problem.L
 
     def step(rho, z):
-        rho = np.abs(rho + (half_dm1_s2 / rho - p.theta * rho) * dt + sig_sqdt * z)
+        rho = np.abs(rho + (half_dm1_s2 / rho - theta * rho) * dt + sig_sqdt * z)
         return rho, rho
 
     def bootstrap(rho, z):
         rho = np.sqrt(np.maximum(squared_radial(rho * rho, z)[0], 0.0))
         return rho, rho
 
-    return x, (bootstrap if x == 0.0 else step), step, problem.L, float
+    def run(rho, zs):
+        rho, rhos = float(rho), []
+        for z in zs.tolist():
+            rho = abs(rho + (half_dm1_s2 / rho - theta * rho) * dt + sig_sqdt * z)
+            rhos.append(rho)
+            if rho >= big_l:
+                break
+        return rho, rhos
+
+    return x, (bootstrap if x == 0.0 else step), step, run, big_l, float
+
+
+def _normals(streams, steps, shape):
+    """The next ``steps`` normals of each stream, shaped (paths, steps) + shape."""
+    raws = np.stack([s.raw(steps * math.prod(shape)) for s in streams])
+    return _normals_from_raw(raws).reshape((len(streams), steps) + shape)
+
+
+def _block_steps(floats_per_step):
+    """Steps per normals block: 2048, or fewer to keep a block within _BLOCK_FLOATS."""
+    return max(1, min(2048, _BLOCK_FLOATS // max(1, floats_per_step)))
 
 
 def _run_paths(problem, cfg, indices, record=None, stride=1):
@@ -188,7 +254,10 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
     Returns an array aligned with ``indices`` holding the exit grid time, or
     NaN for paths censored at the horizon.  When ``record`` is a list it
     collects (t, radius) samples every ``stride`` steps plus the crossing
-    sample (single-path runs only).
+    sample (single-path runs only).  Live paths step together in numpy while
+    their load exceeds ``_SCALAR_LOAD`` (the first step always does), then
+    each is finished alone by the scheme's scalar ``run``; see the module
+    docstring for why the bits do not change.
     """
     n = len(indices)
     dt = cfg.dt
@@ -204,27 +273,28 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
         out[:] = 0.0
         return out
 
-    start, first, step, threshold, radius = _scheme_kernel(problem, cfg)
+    start, first, step, run, threshold, radius = _scheme_kernel(problem, cfg)
     shape = np.shape(start)
     m = np.size(start)
     state = np.full((n,) + shape, start)
     streams = [_PathStream(cfg.seed, i) for i in indices]
     pos_map = np.arange(n)  # row -> position in ``out``
-    chunk = max(1, min(2048, _BLOCK_FLOATS // max(1, n * m)))
-    pos = chunk  # the first step fills the block
+    chunk = _block_steps(n * m)
+    block = np.empty((n, 0) + shape)
+    pos = k = 0  # next column of ``block``; steps taken
 
-    for k in range(max_steps):
-        if pos == chunk:
-            raws = np.stack([s.raw(chunk * m) for s in streams])
-            block = _normals_from_raw(raws).reshape((len(streams), chunk) + shape)
+    while k < max_steps and (k == 0 or len(streams) * m > _SCALAR_LOAD):
+        if pos == block.shape[1]:
+            block = _normals(streams, chunk, shape)
             pos = 0
         z = block[:, pos]
         pos += 1
         state, monitored = (first if k == 0 else step)(state, z)
+        k += 1
 
-        t_now = (k + 1) * dt
+        t_now = k * dt
         exited = monitored >= threshold
-        if record is not None and (bool(exited[0]) or (k + 1) % stride == 0):
+        if record is not None and (bool(exited[0]) or k % stride == 0):
             record.append((t_now, radius(float(monitored[0]))))
         if exited.any():
             out[pos_map[exited]] = t_now
@@ -235,6 +305,22 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
             state = state[keep]
             block = block[keep]
             streams = [s for s, kept in zip(streams, keep) if kept]
+
+    for row, stream in enumerate(streams):
+        s, zs, j = state[row], block[row, pos:], k
+        while j < max_steps:
+            if not len(zs):
+                zs = _normals([stream], _block_steps(m), shape)[0]
+            s, monitored = run(s, zs[:max_steps - j])
+            if record is not None:
+                for i, v in enumerate(monitored, j + 1):
+                    if i % stride == 0 or v >= threshold:
+                        record.append((i * dt, radius(float(v))))
+            j += len(monitored)
+            if monitored[-1] >= threshold:
+                out[pos_map[row]] = j * dt
+                break
+            zs = zs[len(monitored):]
     return out
 
 

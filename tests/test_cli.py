@@ -123,6 +123,17 @@ class TestScalingCommand:
         assert run_cli(*common, "--threads", "8", "--output", str(out8)) == 0
         assert out1.read_bytes() == out8.read_bytes()
 
+    def test_overflowing_cell_is_numerical_failure(self, tmp_path, capsys):
+        # lambda L^2 = 800: mfet_exact overflows to inf, so the cell has no
+        # finite MC horizon; nothing is written
+        out = tmp_path / "t.csv"
+        code = run_cli("scaling", "--L", "40", "--d-min", "2", "--d-max", "2",
+                       "--output", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: cell d=2, L=40.0, lambda=0.5:")
+        assert not out.exists()
+
     def test_non_power_of_two_rejected(self, capsys):
         assert run_cli("scaling", "--d-min", "3", "--d-max", "8") == 2
         capsys.readouterr()

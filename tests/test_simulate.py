@@ -8,6 +8,8 @@ combine the standard error with the known discrete-monitoring bias margin.
 
 import hashlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from ouexit import (
     record_path,
     sample_exit_time,
 )
+from ouexit import simulate
 from ouexit.simulate import _run_paths
 
 SEED = 123456789
@@ -236,6 +239,8 @@ class TestRecords:
         rec = record_path(p, cfg, 0)
         assert rec.exited_at is None
         assert np.all(rec.radii < 10.0)
+        # the start sample plus one per step up to the horizon, none past it
+        assert len(rec.times) == 51 and rec.times[-1] == 50 * cfg.dt
 
     def test_squared_radial_trace_never_negative(self):
         p = _problem(3, 0.9, 1.2)
@@ -250,6 +255,23 @@ class TestRecords:
         with pytest.raises(DomainError):
             record_path(p, cfg, 0, stride=0)
 
+
+@pytest.mark.parametrize("d", [1, 4, 9, 16])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_scalar_hand_off_matches_batch_step(monkeypatch, scheme, d):
+    # the numpy batch step run to the end is the reference for the scalar
+    # loop that finishes stragglers: exit times and recorded traces agree
+    # bitwise, a horizon that censors part of the batch included
+    p = _problem(d, 0.5, 1.5)
+    cfg = McConfig(n_paths=24, dt=1e-3, seed=SEED, scheme=scheme, t_max=1.5)
+    handed_off = _run_paths(p, cfg, list(range(24)))
+    rec = record_path(p, cfg, 5, stride=3)
+    monkeypatch.setattr(simulate, "_SCALAR_LOAD", 0)
+    assert _run_paths(p, cfg, list(range(24))).tobytes() == handed_off.tobytes()
+    ref = record_path(p, cfg, 5, stride=3)
+    assert ref.times.tobytes() == rec.times.tobytes()
+    assert ref.radii.tobytes() == rec.radii.tobytes()
+    assert ref.exited_at == rec.exited_at
 
 # Exit steps of paths 0-7 and the SHA-256 of path 3's stride-7 radius trace
 # per scheme.  They pin the output bits across code changes, which the
@@ -282,3 +304,101 @@ def test_frozen_bits(scheme, x, steps, trace_sha):
     assert [round(t / cfg.dt) for t in times] == steps
     radii = record_path(p, cfg, 3, stride=7).radii
     assert hashlib.sha256(radii.tobytes()).hexdigest() == trace_sha
+
+
+# Batches that cross the hand-off from the numpy batch step to the per-path
+# scalar loop, captured before that loop existed: full schemes at d = 1, 9
+# and 16 (from d = 8 numpy sums |x|^2 pairwise), 64-path radial batches,
+# theta = 0 and theta < 0, and horizons that censor paths part-way through a
+# normals block.  Columns: scheme, d, theta, L, x, n_paths, t_max, censored
+# paths, SHA-256 of the exit-time array.
+FROZEN_BATCHES = [
+    ("full-euler", 1, 0.5, 1.0, 0.0, 16, None, 0,
+     "f0017f875773c1c1a2c7f1db88553a834a2829c872ebbf98582dde0fabb9c9e2"),
+    ("full-exact", 1, 0.5, 1.0, 0.0, 16, None, 0,
+     "f0017f875773c1c1a2c7f1db88553a834a2829c872ebbf98582dde0fabb9c9e2"),
+    ("full-euler", 9, 0.5, 2.0, 0.0, 16, None, 0,
+     "44a7e937e4b8ef16d395d7939baed9e1c642cd95e24a0f78110c469932d5b071"),
+    ("full-exact", 9, 0.5, 2.0, 0.0, 16, None, 0,
+     "44a7e937e4b8ef16d395d7939baed9e1c642cd95e24a0f78110c469932d5b071"),
+    ("full-euler", 16, 0.5, 2.0, 0.0, 16, None, 0,
+     "90235b8b230043cd0288de69d89742efb25cebecf263023bd41df76e605bd355"),
+    ("full-exact", 16, 0.5, 2.0, 0.0, 16, None, 0,
+     "90235b8b230043cd0288de69d89742efb25cebecf263023bd41df76e605bd355"),
+    ("radial-euler", 3, 0.5, 1.5, 0.0, 64, None, 0,
+     "726c152506bfe732fc3209dc1e11d69f635d36250c99c859bfbe55009546ddbb"),
+    ("squared-radial-euler", 3, 0.5, 1.5, 0.0, 64, None, 0,
+     "fbfd76e6574bbd6525d02e9de853a85e0c50371b04b9b5b4e86ea9fe4e10a994"),
+    ("full-euler", 3, 0.0, 1.0, 0.3, 8, None, 0,
+     "1c1e5703b3ecbaf0b1bfc614b3190dcf647efe2b0add8ef86ff1dbd30ab62c5c"),
+    ("full-exact", 3, 0.0, 1.0, 0.3, 8, None, 0,
+     "1c1e5703b3ecbaf0b1bfc614b3190dcf647efe2b0add8ef86ff1dbd30ab62c5c"),
+    ("radial-euler", 3, 0.0, 1.0, 0.3, 8, None, 0,
+     "4a5eb0f91a3d4554cc615ba9bde1bf5371f653b4101a360a6f4d5f291fc8dc88"),
+    ("squared-radial-euler", 3, 0.0, 1.0, 0.3, 8, None, 0,
+     "cc427923cbf0ce21cb9d9849f2dbb98bbcad71220a5d51b89145e429942ea1c5"),
+    ("full-euler", 3, -0.5, 1.0, 0.0, 8, None, 0,
+     "409e9f439d4d0c02d0d02f8e5e0471be164659a06389f4478a1478c7f5cb754f"),
+    ("full-exact", 3, -0.5, 1.0, 0.0, 8, None, 0,
+     "409e9f439d4d0c02d0d02f8e5e0471be164659a06389f4478a1478c7f5cb754f"),
+    ("radial-euler", 3, -0.5, 1.0, 0.0, 8, None, 0,
+     "fefd7c96c5d6ae99736b2ab1f8de983069ecf9622823387cf4a2e97b76e8df63"),
+    ("squared-radial-euler", 3, -0.5, 1.0, 0.0, 8, None, 0,
+     "5ca2549131c363a45b581233441df801b647fdd7ae3b9848f5405232a8b26672"),
+    ("full-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 24,
+     "022ecfa6d544eb171785f5688ac1d474314c4edeb57105e604e48c9983317482"),
+    ("full-exact", 4, 0.0, 2.0, 0.0, 40, 0.7, 24,
+     "022ecfa6d544eb171785f5688ac1d474314c4edeb57105e604e48c9983317482"),
+    ("radial-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 30,
+     "265f309953dd2466f2ad32b4d8d25e84af97ed3e2478c6f7cdb914d792d3ccf8"),
+    ("squared-radial-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 30,
+     "add076e94f378edbdf5b6d06146b2d6a4410de3a4a997ec8fd95d89243a9bb2a"),
+    ("full-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 8,
+     "1323ff0f8de8190324de9796065a52579e175d8a9e92588faa280eb9f35f59fb"),
+    ("squared-radial-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 7,
+     "34a31939cfe3ce21315301bcf25730650b550c93c411d46ddef591cee4fb3af0"),
+]
+
+
+@pytest.mark.parametrize("scheme,d,theta,big_l,x,n,t_max,censored,sha", FROZEN_BATCHES)
+def test_frozen_batch_bits(scheme, d, theta, big_l, x, n, t_max, censored, sha):
+    p = _problem(d, theta, big_l, x=x)
+    cfg = McConfig(n_paths=n, dt=1e-3, seed=20240611, scheme=scheme, t_max=t_max)
+    times = _run_paths(p, cfg, list(range(n)))
+    assert int(np.count_nonzero(np.isnan(times))) == censored
+    assert hashlib.sha256(times.tobytes()).hexdigest() == sha
+
+
+# The trajectories command's d = 2 and d = 10 cells at its defaults (full
+# Euler, L = 2.5, path 0 of seed 123456789), recorded every step: exit time
+# and SHA-256 of the times followed by the radii.
+FROZEN_RECORDS = [
+    (2, 0.7, 62.996, "8d654417f9ef241e39fcd49e85e04ab71ad3116ade3fbbd58d25109accfca531"),
+    (2, 0.0, 4.065, "2edfae014f58003663bc7a2afdae27f009b60af862fc871a341e6e1d3edf7233"),
+    (10, 0.7, 0.961, "2a0e80dcc6fdd438e7c16357c0d34b9662dd80292da7064fa6366321a05a68f1"),
+    (10, 0.0, 0.774, "71dddc85b17249e411baa9586b6965701f968462fe211ae611b682b6c529a2c2"),
+]
+
+
+@pytest.mark.parametrize("d,theta,exited_at,sha", FROZEN_RECORDS)
+def test_frozen_record_bits(d, theta, exited_at, sha):
+    cfg = McConfig(n_paths=1, dt=1e-3, seed=123456789, scheme=Scheme.FULL_EULER)
+    rec = record_path(_problem(d, theta, 2.5), cfg, 0, stride=1)
+    assert rec.exited_at == exited_at
+    assert hashlib.sha256(rec.times.tobytes() + rec.radii.tobytes()).hexdigest() == sha
+
+
+def test_mc_route_does_not_import_scipy_signal():
+    # importing scipy.signal roughly triples the package's import time and
+    # doubles its memory, so the MC route must keep to scipy.special
+    code = (
+        "import sys\n"
+        "from ouexit import ExitProblem, McConfig, OupParams, Scheme, estimate_mfet\n"
+        "p = ExitProblem(OupParams(theta=0.5, sigma=1.0, d=3), L=1.0, x=0.0)\n"
+        "for s in Scheme:\n"
+        "    estimate_mfet(p, McConfig(n_paths=40, dt=1e-3, seed=1, scheme=s))\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
