@@ -15,8 +15,9 @@ selftest      built-in invariant suite; exit code 1 on the first violation.
 
 Every run that writes to a file also writes ``<file>.manifest.json`` with
 the command, all parameter values, the seed and the tool version, so the
-output can be regenerated exactly.  Exit codes: 0 success, 1 selftest
-failure, 2 usage error, 3 numerical failure.
+output can be regenerated exactly.  Every input is checked before the
+output is opened, so a usage error writes nothing.  Exit codes: 0 success,
+1 selftest failure, 2 usage error, 3 numerical failure.
 """
 
 import argparse
@@ -27,14 +28,8 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-from . import __version__, special
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EstimationError,
-    EvaluationError,
-    QuadratureError,
-)
+from . import __version__
+from .errors import DomainError, OuexitError
 from .mfet import ExitProblem, OupParams, drift_ratio, mfet_bm, mfet_bounds, mfet_exact
 from .quadrature import QuadConfig
 from .selftest import run_selftest
@@ -113,6 +108,21 @@ def _write_manifest(args, started):
         fh.write("\n")
 
 
+def _write_table(args, started, columns, row_groups):
+    """Write a CSV table, flushing after each group of rows, then its manifest.
+
+    Callers check every input before calling, so a usage error never leaves a
+    partial file; groups may be lazy, so rows appear as they are computed.
+    """
+    with _out_stream(args.output) as out:
+        out.write(_csv_line(columns))
+        for group in row_groups:
+            out.writelines(map(_csv_line, group))
+            out.flush()
+    _write_manifest(args, started)
+    return 0
+
+
 def _check_dimension(d, allow_huge):
     if d > _D_CAP and not allow_huge:
         raise DomainError(
@@ -130,13 +140,33 @@ def _parse_int_list(text):
 # ---------------------------------------------------------------------------
 # mfet / bounds
 
-def _mfet_record(args):
+_BOUND_FIELDS = ("lower_bm", "lower_exp", "upper_mixed", "upper_exp")
+
+
+def _exact_fields(prob, cfg=QuadConfig()):
+    """(mfet_exact, mfet_bm, {bound field: value, or None unless theta > 0}).
+
+    An exact value that overflows the double range is a numerical failure,
+    so no command writes inf for it.
+    """
+    p = prob.params
+    exact = mfet_exact(prob, cfg)
+    if not math.isfinite(exact):
+        raise OuexitError(f"cell d={p.d}, L={prob.L!r}, lambda={p.lam!r}: "
+                          f"mfet_exact={exact!r} overflows the double range")
+    b = mfet_bounds(prob) if p.theta > 0 else None
+    return exact, mfet_bm(prob), {k: getattr(b, k, None) for k in _BOUND_FIELDS}
+
+
+def cmd_mfet(args):
+    if args.command == "bounds" and not args.theta > 0:
+        raise DomainError("the bounds command requires theta > 0")
+    started = _now()
     _check_dimension(args.d, args.allow_huge_d)
     params = OupParams(theta=args.theta, sigma=args.sigma, d=args.d)
     prob = ExitProblem(params=params, L=args.L, x=args.x)
-    cfg = QuadConfig(rel_tol=args.rel_tol, max_panels=args.max_panels)
-    exact = mfet_exact(prob, cfg)
-    bm = mfet_bm(prob)
+    exact, bm, bounds = _exact_fields(
+        prob, QuadConfig(rel_tol=args.rel_tol, max_panels=args.max_panels))
     if args.theta > 0:
         regime = "recurrent"
     elif args.theta == 0:
@@ -149,26 +179,12 @@ def _mfet_record(args):
         "regime": regime,
         "mfet_exact": exact, "mfet_bm": bm,
         "ratio": exact / bm if args.x < args.L else None,
-        "lower_bm": None, "lower_exp": None, "upper_mixed": None, "upper_exp": None,
+        **bounds,
     }
-    if args.theta > 0:
-        b = mfet_bounds(prob)
-        rec.update(lower_bm=b.lower_bm, lower_exp=b.lower_exp,
-                   upper_mixed=b.upper_mixed, upper_exp=b.upper_exp)
-    return rec
-
-
-def cmd_mfet(args):
-    if args.command == "bounds" and not args.theta > 0:
-        raise DomainError("the bounds command requires theta > 0")
-    started = _now()
-    rec = _mfet_record(args)
+    if args.format == "csv":
+        return _write_table(args, started, _MFET_COLUMNS, [[[rec[c] for c in _MFET_COLUMNS]]])
     with _out_stream(args.output) as out:
-        if args.format == "json":
-            out.write(json.dumps(rec, indent=2) + "\n")
-        else:
-            out.write(_csv_line(_MFET_COLUMNS))
-            out.write(_csv_line([rec[c] for c in _MFET_COLUMNS]))
+        out.write(json.dumps(rec, indent=2) + "\n")
     _write_manifest(args, started)
     return 0
 
@@ -187,103 +203,76 @@ def cmd_scaling(args):
         raise DomainError("--d-min must not exceed --d-max")
     _check_dimension(args.d_max, args.allow_huge_d)
     started = _now()
-    lam = args.lam
-    scheme = Scheme(args.scheme)
-    cells = []  # (d, problem, exact, MC horizon), all checked before any output
+    cells = []  # (problem, MC config, exact-value columns) for every d before any output
     d = args.d_min
     while d <= args.d_max:
-        params = OupParams(theta=lam * args.sigma * args.sigma, sigma=args.sigma, d=d)
+        params = OupParams(theta=args.lam * args.sigma * args.sigma, sigma=args.sigma, d=d)
         prob = ExitProblem(params=params, L=args.L, x=args.x)
-        exact = mfet_exact(prob)
+        exact, bm, bounds = _exact_fields(prob)
         # Safety horizon well past the analytic mean so censoring is a
         # pathology report, not a routine truncation of the estimate.
-        t_max = max(50.0 * exact, 1e6 * args.dt)
-        if not math.isfinite(t_max):
-            raise EstimationError(
-                f"cell d={d}, L={args.L!r}, lambda={lam!r}: mfet_exact={exact!r} "
-                f"overflows, so the MC horizon 50 * mfet_exact is not finite", 0,
-            )
-        cells.append((d, prob, exact, t_max))
+        cfg = McConfig(n_paths=args.paths, dt=args.dt, seed=args.seed, scheme=args.scheme,
+                       t_max=max(50.0 * exact, 1e6 * args.dt))
+        row = [d, exact, bm, bounds["lower_exp"], bounds["upper_mixed"], bounds["upper_exp"]]
+        cells.append((prob, cfg, row))
         d *= 2
-    with _out_stream(args.output) as out:
-        out.write(_csv_line(_SCALING_COLUMNS))
-        for d, prob, exact, t_max in cells:
-            lower_bm = mfet_bm(prob)
-            if lam > 0:
-                b = mfet_bounds(prob)
-                lower_exp, upper_mixed, upper_exp = b.lower_exp, b.upper_mixed, b.upper_exp
-            else:
-                lower_exp = upper_mixed = upper_exp = None
-            est = estimate_mfet(prob, McConfig(
-                n_paths=args.paths, dt=args.dt, seed=args.seed,
-                scheme=scheme, t_max=t_max,
-            ))
-            out.write(_csv_line([
-                d, exact, lower_bm, lower_exp, upper_mixed, upper_exp,
-                est.mean, est.std_err, est.n_censored,
-            ]))
-            out.flush()
-    _write_manifest(args, started)
-    return 0
+
+    def groups():
+        for prob, cfg, row in cells:
+            est = estimate_mfet(prob, cfg)
+            yield [row + [est.mean, est.std_err, est.n_censored]]
+
+    return _write_table(args, started, _SCALING_COLUMNS, groups())
 
 
 # ---------------------------------------------------------------------------
 # trajectories
 
 def cmd_trajectories(args):
-    dims = _parse_int_list(args.d)
-    for d in dims:
-        _check_dimension(d, args.allow_huge_d)
+    if args.stride < 1:
+        raise DomainError(f"--stride must be >= 1, got {args.stride!r}")
     started = _now()
-    with _out_stream(args.output) as out:
-        out.write(_csv_line(_TRAJ_COLUMNS))
-        for d in dims:
-            for theta_run in (args.theta, 0.0):
-                params = OupParams(theta=theta_run, sigma=args.sigma, d=d)
-                prob = ExitProblem(params=params, L=args.L, x=0.0)
-                cfg = McConfig(n_paths=1, dt=args.dt, seed=args.seed,
-                               scheme=Scheme.FULL_EULER)
-                rec = record_path(prob, cfg, 0, stride=args.stride)
-                for t, r in zip(rec.times, rec.radii):
-                    out.write(_csv_line([d, theta_run, float(t), float(r),
-                                         1 if r >= args.L else 0]))
-                out.flush()
-    _write_manifest(args, started)
-    return 0
+    cfg = McConfig(n_paths=1, dt=args.dt, seed=args.seed, scheme=Scheme.FULL_EULER)
+    problems = []  # the coupled (theta, 0) pair per dimension
+    for d in _parse_int_list(args.d):
+        _check_dimension(d, args.allow_huge_d)
+        for theta in (args.theta, 0.0):
+            params = OupParams(theta=theta, sigma=args.sigma, d=d)
+            problems.append(ExitProblem(params=params, L=args.L, x=0.0))
+
+    def groups():
+        for prob in problems:
+            p = prob.params
+            rec = record_path(prob, cfg, 0, stride=args.stride)
+            yield ([p.d, p.theta, float(t), float(r), 1 if r >= args.L else 0]
+                   for t, r in zip(rec.times, rec.radii))
+
+    return _write_table(args, started, _TRAJ_COLUMNS, groups())
 
 
 # ---------------------------------------------------------------------------
 # drift-ratio
 
 def cmd_drift_ratio(args):
-    dims = _parse_int_list(args.d_list)
     rho_max = args.rho_max if args.rho_max is not None else args.L
-    if not rho_max > 0:
-        raise DomainError(f"--rho-max must be positive, got {rho_max!r}")
+    if not (math.isfinite(rho_max) and rho_max > 0):
+        raise DomainError(f"--rho-max must be a positive finite real, got {rho_max!r}")
     if args.rho_points < 2:
         raise DomainError(f"--rho-points must be >= 2, got {args.rho_points!r}")
     started = _now()
-    with _out_stream(args.output) as out:
-        out.write(_csv_line(_DRIFT_COLUMNS))
-        for d in dims:
-            params = OupParams(theta=args.theta, sigma=args.sigma, d=d)
-            for k in range(args.rho_points):
-                rho = rho_max * k / (args.rho_points - 1)
-                out.write(_csv_line([d, rho, drift_ratio(params, rho)]))
-    _write_manifest(args, started)
-    return 0
+    rhos = [rho_max * k / (args.rho_points - 1) for k in range(args.rho_points)]
+    dims = _parse_int_list(args.d_list)
+    params = [OupParams(theta=args.theta, sigma=args.sigma, d=d) for d in dims]
+    # closed-form rows, cheap enough to compute (and so check) in full up front
+    groups = [[[p.d, rho, drift_ratio(p, rho)] for rho in rhos] for p in params]
+    return _write_table(args, started, _DRIFT_COLUMNS, groups)
 
 
 # ---------------------------------------------------------------------------
 # selftest
 
 def cmd_selftest(args):
-    ln_lig = None
-    if args.corrupt_gamma:
-        # fault-injection hook for testing the selftest itself
-        def ln_lig(a, x):
-            return special.ln_lower_gamma(a, x) + 0.05
-    ok, first_failure = run_selftest(fast=args.fast, ln_lig=ln_lig)
+    ok, first_failure = run_selftest(fast=args.fast)
     if not ok:
         print(f"FAILED: {first_failure}")
         return 1
@@ -362,7 +351,6 @@ def _build_parser():
 
     sp = sub.add_parser("selftest", help="run the built-in invariant suite")
     sp.add_argument("--fast", action="store_true", help="reduced grids, completes in under a minute")
-    sp.add_argument("--corrupt-gamma", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_selftest)
 
     return parser
@@ -379,7 +367,7 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, ConvergenceError, EvaluationError, EstimationError) as exc:
+    except OuexitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import ouexit.special
 from ouexit.cli import main
 
 
@@ -84,6 +85,16 @@ class TestMfetCommand:
                        "--sigma", "1", "--theta", "0.5")
         assert code == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["mfet", "bounds"])
+    def test_overflowing_exact_value_is_numerical_failure(self, command, tmp_path, capsys):
+        # lambda L^2 = 45000: mfet_exact is inf, so neither value nor bounds are written
+        out = tmp_path / "t.csv"
+        code = run_cli(command, "--d", "65536", "--L", "300", "--x", "0", "--sigma", "1",
+                       "--theta", "0.5", "--output", str(out))
+        assert code == 3
+        assert "mfet_exact=inf overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_dimension_cap_with_override(self, capsys):
         code = run_cli("mfet", "--d", str(2**21), "--L", "2", "--x", "0",
@@ -241,8 +252,10 @@ class TestSelftestCommand:
         assert elapsed < 60.0
         assert "all checks passed" in out
 
-    def test_corrupted_gamma_names_the_bracket_invariant(self, capsys):
-        code = run_cli("selftest", "--fast", "--corrupt-gamma")
+    def test_corrupted_gamma_names_the_bracket_invariant(self, capsys, monkeypatch):
+        honest = ouexit.special.ln_lower_gamma
+        monkeypatch.setattr(ouexit.special, "ln_lower_gamma", lambda a, x: honest(a, x) + 0.05)
+        code = run_cli("selftest", "--fast")
         out = capsys.readouterr().out
         assert code == 1
         assert "FAILED: neuman-bracket" in out
@@ -287,6 +300,28 @@ class TestCommonFlags:
         manifest = json.loads((tmp_path / "ratio.csv.manifest.json").read_text())
         assert manifest["seed"] is None
         assert "seed" not in manifest["parameters"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        "scaling --d-max 4 --dt -1",
+        "scaling --d-max 4 --paths 0",
+        "scaling --d-max 4 --seed -5",
+        "trajectories --stride 0",
+        "trajectories --dt -1",
+        "trajectories --L -2",
+        "trajectories --d 2,0",
+        "drift-ratio --d-list 2,0",
+        "drift-ratio --rho-max inf",
+        "mfet --d 4 --L 2 --x 3 --sigma 1 --theta 0",
+    ])
+    def test_usage_error_writes_nothing(self, argv, tmp_path, capsys):
+        # every input is checked before the output file is opened
+        out = tmp_path / "t.csv"
+        assert run_cli(*argv.split(), "--output", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert not (tmp_path / "t.csv.manifest.json").exists()
 
 
 class TestEntryPoints:
