@@ -68,7 +68,7 @@ def _now():
 
 
 def _fmt(v):
-    """Shortest round-trip serialization; empty cell for missing values."""
+    """Shortest round-trip serialization; 0/1 for flags, empty cell for missing values."""
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -244,8 +244,9 @@ def cmd_trajectories(args):
         for prob in problems:
             p = prob.params
             rec = record_path(prob, cfg, 0, stride=args.stride)
-            yield ([p.d, p.theta, float(t), float(r), 1 if r >= args.L else 0]
-                   for t, r in zip(rec.times, rec.radii))
+            # flag the engine's crossing: sqrt(|x|^2) can reach L a step early
+            yield ([p.d, p.theta, t, r, t == rec.exited_at]
+                   for t, r in zip(rec.times.tolist(), rec.radii.tolist()))
 
     return _write_table(args, started, _TRAJ_COLUMNS, groups())
 
@@ -295,7 +296,6 @@ def _build_parser():
         "--format": dict(choices=("csv", "json"), default="csv"),
         "--output": dict(help="output path (default stdout)"),
         "--seed": dict(type=int, default=DEFAULT_SEED),
-        "--threads": dict(type=int, default=1, help="currently has no effect; results never depend on it"),
         "--allow-huge-d": dict(action="store_true", help="lift the d <= 2**20 cap"),
     }
 
@@ -326,7 +326,7 @@ def _build_parser():
     sp.add_argument("--dt", type=float, default=0.001)
     sp.add_argument("--scheme", choices=[s.value for s in Scheme],
                     default=Scheme.SQUARED_RADIAL_EULER.value)
-    add_common(sp, "--output", "--seed", "--threads", "--allow-huge-d")
+    add_common(sp, "--output", "--seed", "--allow-huge-d")
     sp.set_defaults(func=cmd_scaling)
 
     sp = sub.add_parser("trajectories", help="coupled OUP/BM radius traces")

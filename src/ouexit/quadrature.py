@@ -3,7 +3,7 @@
 One fixed-order nested rule per panel (15-point Kronrod with the embedded
 7-point Gauss rule for the error estimate), bisecting the worst panel until
 the tolerance or the panel budget is hit.  No randomness anywhere, so
-results are bit-reproducible across runs and thread counts.
+results are bit-reproducible across runs.
 
 Two evaluation modes share that rule and one bisection loop:
 

@@ -6,10 +6,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+import ouexit.cli
 import ouexit.special
 from ouexit.cli import main
+from ouexit.simulate import PathRecord
 
 
 def run_cli(*argv):
@@ -101,6 +104,11 @@ class TestMfetCommand:
                        "--sigma", "1", "--theta", "0")
         assert code == 2
         capsys.readouterr()
+        code = run_cli("mfet", "--d", str(2**21), "--L", "2", "--x", "0",
+                       "--sigma", "1", "--theta", "0", "--allow-huge-d", "--format", "json")
+        assert code == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["mfet_exact"] == rec["mfet_bm"] == 4.0 / 2**21
 
 
 class TestScalingCommand:
@@ -124,15 +132,6 @@ class TestScalingCommand:
         rows = parse_csv(capsys.readouterr().out)
         assert rows[0]["lower_exp"] == ""
         assert rows[0]["lower_bm"] != ""
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        out1 = tmp_path / "a.csv"
-        out8 = tmp_path / "b.csv"
-        common = ["scaling", "--d-min", "2", "--d-max", "16", "--L", "2",
-                  "--paths", "20", "--dt", "0.001", "--seed", "42"]
-        assert run_cli(*common, "--threads", "1", "--output", str(out1)) == 0
-        assert run_cli(*common, "--threads", "8", "--output", str(out8)) == 0
-        assert out1.read_bytes() == out8.read_bytes()
 
     def test_overflowing_cell_is_numerical_failure(self, tmp_path, capsys):
         # lambda L^2 = 800: mfet_exact overflows to inf, so the cell has no
@@ -185,6 +184,19 @@ class TestTrajectoriesCommand:
         assert exited_rows
         for r in exited_rows:
             assert float(r["radius"]) >= 1.5
+
+    def test_exit_row_is_the_engines_crossing(self, monkeypatch, capsys):
+        # an interior radius of exactly L (|x|^2 one ulp below L^2 rounds to
+        # it under sqrt) is no exit; only the recorded crossing is flagged
+        assert math.sqrt(math.nextafter(6.25, 0.0)) == 2.5
+        rec = PathRecord(times=np.array([0.0, 0.001, 0.002]),
+                         radii=np.array([0.0, 2.5, 2.6]), exited_at=0.002)
+        monkeypatch.setattr(ouexit.cli, "record_path", lambda *a, **k: rec)
+        assert run_cli("trajectories", "--d", "2", "--L", "2.5") == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert [(r["theta"], r["t"]) for r in rows if r["exited"] == "1"] == [
+            ("0.7", "0.002"), ("0.0", "0.002")]
+        assert all(r["exited"] == "0" for r in rows if r["t"] != "0.002")
 
 
 class TestTrajectoriesPreset:
@@ -278,6 +290,7 @@ class TestCommonFlags:
         ("bounds", "--seed 1"),
         ("drift-ratio", "--seed 1"),
         ("selftest", "--seed 1"),
+        ("scaling", "--threads 2"),
         ("mfet", "--threads 2"),
         ("bounds", "--threads 2"),
         ("trajectories", "--threads 2"),
@@ -314,6 +327,10 @@ class TestUsageErrors:
         "drift-ratio --d-list 2,0",
         "drift-ratio --rho-max inf",
         "mfet --d 4 --L 2 --x 3 --sigma 1 --theta 0",
+        "scaling --d-min 8 --d-max 4",
+        "drift-ratio --rho-points 1",
+        "trajectories --d 2,x",
+        "mfet --d 4 --L 2 --x 0 --sigma 1 --theta nan",
     ])
     def test_usage_error_writes_nothing(self, argv, tmp_path, capsys):
         # every input is checked before the output file is opened

@@ -108,6 +108,8 @@ class TestBoundaryAndValidation:
         cfg = McConfig(n_paths=4, dt=1e-2, seed=SEED)
         with pytest.raises(DomainError):
             sample_exit_time(p, cfg, 4)
+        with pytest.raises(DomainError):
+            record_path(p, cfg, 4)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
