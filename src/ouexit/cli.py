@@ -25,13 +25,11 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __version__
 from .errors import DomainError, OuexitError
 from .mfet import ExitProblem, OupParams, drift_ratio, mfet_bm, mfet_bounds, mfet_exact
-from .quadrature import QuadConfig
 from .selftest import run_selftest
 from .simulate import McConfig, Scheme, estimate_mfet, record_path
 
@@ -49,18 +47,6 @@ _SCALING_COLUMNS = (
 )
 _TRAJ_COLUMNS = ("d", "theta", "t", "radius", "exited")
 _DRIFT_COLUMNS = ("d", "rho", "ratio")
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to regenerate an output file bit-for-bit."""
-
-    command: str
-    parameters: dict
-    seed: int | None  # None for commands that draw no random numbers
-    tool_version: str
-    started: str
-    finished: str
 
 
 def _now():
@@ -92,19 +78,19 @@ def _out_stream(path):
 
 
 def _write_manifest(args, started):
+    """Write everything needed to regenerate ``args.output`` bit-for-bit."""
     if not args.output:
         return
-    params = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = RunManifest(
-        command=args.command,
-        parameters=params,
-        seed=getattr(args, "seed", None),
-        tool_version=__version__,
-        started=started,
-        finished=_now(),
-    )
+    manifest = {
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": getattr(args, "seed", None),  # None for commands that draw no random numbers
+        "tool_version": __version__,
+        "started": started,
+        "finished": _now(),
+    }
     with open(args.output + ".manifest.json", "w", newline="\n") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
@@ -132,9 +118,12 @@ def _check_dimension(d, allow_huge):
 
 def _parse_int_list(text):
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise DomainError(f"expected a comma-separated integer list, got {text!r}") from None
+        values = []
+    if not values:
+        raise DomainError(f"expected a comma-separated integer list, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +132,14 @@ def _parse_int_list(text):
 _BOUND_FIELDS = ("lower_bm", "lower_exp", "upper_mixed", "upper_exp")
 
 
-def _exact_fields(prob, cfg=QuadConfig()):
+def _exact_fields(prob):
     """(mfet_exact, mfet_bm, {bound field: value, or None unless theta > 0}).
 
     An exact value that overflows the double range is a numerical failure,
     so no command writes inf for it.
     """
     p = prob.params
-    exact = mfet_exact(prob, cfg)
+    exact = mfet_exact(prob)
     if not math.isfinite(exact):
         raise OuexitError(f"cell d={p.d}, L={prob.L!r}, lambda={p.lam!r}: "
                           f"mfet_exact={exact!r} overflows the double range")
@@ -165,8 +154,7 @@ def cmd_mfet(args):
     _check_dimension(args.d, args.allow_huge_d)
     params = OupParams(theta=args.theta, sigma=args.sigma, d=args.d)
     prob = ExitProblem(params=params, L=args.L, x=args.x)
-    exact, bm, bounds = _exact_fields(
-        prob, QuadConfig(rel_tol=args.rel_tol, max_panels=args.max_panels))
+    exact, bm, bounds = _exact_fields(prob)
     if args.theta > 0:
         regime = "recurrent"
     elif args.theta == 0:
@@ -255,13 +243,12 @@ def cmd_trajectories(args):
 # drift-ratio
 
 def cmd_drift_ratio(args):
-    rho_max = args.rho_max if args.rho_max is not None else args.L
-    if not (math.isfinite(rho_max) and rho_max > 0):
-        raise DomainError(f"--rho-max must be a positive finite real, got {rho_max!r}")
+    if not (math.isfinite(args.rho_max) and args.rho_max > 0):
+        raise DomainError(f"--rho-max must be a positive finite real, got {args.rho_max!r}")
     if args.rho_points < 2:
         raise DomainError(f"--rho-points must be >= 2, got {args.rho_points!r}")
     started = _now()
-    rhos = [rho_max * k / (args.rho_points - 1) for k in range(args.rho_points)]
+    rhos = [args.rho_max * k / (args.rho_points - 1) for k in range(args.rho_points)]
     dims = _parse_int_list(args.d_list)
     params = [OupParams(theta=args.theta, sigma=args.sigma, d=d) for d in dims]
     # closed-form rows, cheap enough to compute (and so check) in full up front
@@ -273,7 +260,7 @@ def cmd_drift_ratio(args):
 # selftest
 
 def cmd_selftest(args):
-    ok, first_failure = run_selftest(fast=args.fast)
+    ok, first_failure = run_selftest()
     if not ok:
         print(f"FAILED: {first_failure}")
         return 1
@@ -310,8 +297,6 @@ def _build_parser():
         sp.add_argument("--x", type=float, required=True)
         sp.add_argument("--sigma", type=float, required=True)
         sp.add_argument("--theta", type=float, required=True)
-        sp.add_argument("--rel-tol", type=float, default=1e-10)
-        sp.add_argument("--max-panels", type=int, default=4096)
         add_common(sp, "--format", "--output", "--allow-huge-d")
         sp.set_defaults(func=cmd_mfet)
 
@@ -342,15 +327,13 @@ def _build_parser():
     sp = sub.add_parser("drift-ratio", help="squared-radial drift relative to the driftless case")
     sp.add_argument("--theta", type=float, default=0.7)
     sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--L", type=float, default=3.0)
-    sp.add_argument("--rho-max", type=float, default=None, help="default: L")
+    sp.add_argument("--rho-max", type=float, default=3.0)
     sp.add_argument("--rho-points", type=int, default=101)
     sp.add_argument("--d-list", default="2,4,8,16,32,64,128")
     add_common(sp, "--output")
     sp.set_defaults(func=cmd_drift_ratio)
 
     sp = sub.add_parser("selftest", help="run the built-in invariant suite")
-    sp.add_argument("--fast", action="store_true", help="reduced grids, completes in under a minute")
     sp.set_defaults(func=cmd_selftest)
 
     return parser

@@ -22,12 +22,10 @@ def _log_grid(lo, hi, n):
     return np.exp(np.linspace(math.log(lo), math.log(hi), n))
 
 
-def check_neuman_bracket(fast=False):
+def check_neuman_bracket():
     """lower <= lig(a, x) <= upper on the sampling grid, compared in log space."""
-    a_values = (0.5, 2.5, 50.0) if fast else (0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0)
-    n_x = 15 if fast else 40
-    for a in a_values:
-        for x in _log_grid(1e-6, 1e4, n_x):
+    for a in (0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0):
+        for x in _log_grid(1e-6, 1e4, 40):
             lo, hi = special.neuman_log_bounds(a, float(x))
             lg = special.ln_lower_gamma(a, float(x))
             slack = 4e-15 * (1.0 + abs(lg))
@@ -36,14 +34,11 @@ def check_neuman_bracket(fast=False):
     return True, "bracket holds on the full grid"
 
 
-def check_brownian_reduction(fast=False):
+def check_brownian_reduction():
     """mfet at lam = +/-1e-12 matches (L^2-x^2)/(sigma^2 d) to 1e-6 relative."""
-    dims = (1, 64) if fast else (1, 4, 64, 1024)
-    configs = ((4.0, 0.0, 1.0),) if fast else ((4.0, 0.0, 1.0), (2.0, 1.0, 1.0), (3.0, 0.0, 2.0))
-    lams = (1e-12,) if fast else (1e-12, -1e-12)
-    for d in dims:
-        for big_l, x, sigma in configs:
-            for lam in lams:
+    for d in (1, 4, 64, 1024):
+        for big_l, x, sigma in ((4.0, 0.0, 1.0), (2.0, 1.0, 1.0), (3.0, 0.0, 2.0)):
+            for lam in (1e-12, -1e-12):
                 prob = ExitProblem(OupParams(theta=lam * sigma * sigma, sigma=sigma, d=d), L=big_l, x=x)
                 got = mfet_exact(prob)
                 want = mfet_bm(prob)
@@ -52,14 +47,11 @@ def check_brownian_reduction(fast=False):
     return True, "exact formula reduces to the Brownian value"
 
 
-def check_bound_chain(fast=False):
+def check_bound_chain():
     """lower_bm <= lower_exp <= mfet_exact <= upper_mixed <= upper_exp."""
-    dims = (2, 64) if fast else (1, 4, 64, 1024)
-    lams = (0.5,) if fast else (0.5, 2.0)
-    geoms = ((4.0, 0.0),) if fast else ((4.0, 0.0), (2.0, 1.0))
-    for d in dims:
-        for lam in lams:
-            for big_l, x in geoms:
+    for d in (1, 4, 64, 1024):
+        for lam in (0.5, 2.0):
+            for big_l, x in ((4.0, 0.0), (2.0, 1.0)):
                 prob = ExitProblem(OupParams(theta=lam, sigma=1.0, d=d), L=big_l, x=x)
                 b = mfet_bounds(prob)
                 mid = mfet_exact(prob)
@@ -75,11 +67,9 @@ def check_bound_chain(fast=False):
     return True, "bound chain holds"
 
 
-def check_substitution_identity(fast=False):
+def check_substitution_identity():
     """Radial integral equals its incomplete-gamma or Kummer form to 1e-10 relative."""
-    cases = [(2, 0.5, 1.0), (2, -0.5, 1.0)] if fast else [
-        (d, lam, z) for d in (2, 5) for lam in (0.5, 2.0, -0.5, -2.0) for z in (0.5, 1.0, 3.0)
-    ]
+    cases = [(d, lam, z) for d in (2, 5) for lam in (0.5, 2.0, -0.5, -2.0) for z in (0.5, 1.0, 3.0)]
     for d, lam, z in cases:
         direct = integrate(lambda t: t ** (d - 1) * math.exp(-lam * t * t), 0.0, z,
                            QuadConfig(rel_tol=1e-12)).value
@@ -93,10 +83,10 @@ def check_substitution_identity(fast=False):
     return True, "substitution identity holds"
 
 
-def check_mc_determinism(fast=False):
+def check_mc_determinism():
     """Two identical estimate runs produce bitwise-identical results."""
     prob = ExitProblem(OupParams(theta=0.0, sigma=1.0, d=8), L=2.0, x=0.0)
-    cfg = McConfig(n_paths=32 if fast else 128, dt=1e-3, seed=20240817,
+    cfg = McConfig(n_paths=128, dt=1e-3, seed=20240817,
                    scheme=Scheme.SQUARED_RADIAL_EULER)
     first = estimate_mfet(prob, cfg)
     second = estimate_mfet(prob, cfg)
@@ -114,12 +104,12 @@ CHECKS = (
 )
 
 
-def run_selftest(fast=False):
+def run_selftest():
     """Run every check; return (all_passed, first_failure_name)."""
     first_failure = None
     print(f"{'check':<24} {'status':<6} detail")
     for name, fn in CHECKS:
-        ok, detail = fn(fast=fast)
+        ok, detail = fn()
         print(f"{name:<24} {'pass' if ok else 'FAIL':<6} {detail}")
         if not ok and first_failure is None:
             first_failure = name

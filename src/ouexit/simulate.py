@@ -94,6 +94,10 @@ class McConfig:
             object.__setattr__(self, "t_max", 1e6 * self.dt)
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise DomainError(f"t_max must be finite and >= dt, got {self.t_max!r}")
+        if self.t_max / self.dt > 2**53:
+            # past 2**53 the step index k is no longer exact in k * dt
+            raise DomainError(f"horizon of t_max/dt = {self.t_max / self.dt:.3g} steps "
+                              "exceeds 2**53")
 
 
 @dataclass(frozen=True)

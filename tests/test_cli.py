@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import ouexit.cli
+import ouexit.mfet
 import ouexit.special
 from ouexit.cli import main
+from ouexit.quadrature import QuadResult
 from ouexit.simulate import PathRecord
 
 
@@ -73,9 +75,11 @@ class TestMfetCommand:
                        "--sigma", "1", "--theta", "0") == 2  # x > L
         capsys.readouterr()
 
-    def test_quadrature_failure_is_exit_3(self, capsys):
+    def test_quadrature_failure_is_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(ouexit.mfet, "integrate_log",
+                            lambda *a, **k: QuadResult(0.0, 1.0, 1, False))
         code = run_cli("mfet", "--d", "1", "--L", "4", "--x", "0",
-                       "--sigma", "1", "--theta", "2", "--max-panels", "2")
+                       "--sigma", "1", "--theta", "2")
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -237,7 +241,7 @@ class TestDriftRatioCommand:
 
     def test_fig_parameters_spot_value(self, capsys):
         code = run_cli("drift-ratio", "--theta", "0.7", "--sigma", "1",
-                       "--L", "3", "--d-list", "2", "--rho-points", "4")
+                       "--rho-max", "3", "--d-list", "2", "--rho-points", "4")
         assert code == 0
         rows = parse_csv(capsys.readouterr().out)
         last = rows[-1]
@@ -257,7 +261,7 @@ class TestDriftRatioCommand:
 class TestSelftestCommand:
     def test_fast_suite_passes_within_budget(self, capsys):
         start = time.monotonic()
-        code = run_cli("selftest", "--fast")
+        code = run_cli("selftest")
         elapsed = time.monotonic() - start
         out = capsys.readouterr().out
         assert code == 0
@@ -267,7 +271,7 @@ class TestSelftestCommand:
     def test_corrupted_gamma_names_the_bracket_invariant(self, capsys, monkeypatch):
         honest = ouexit.special.ln_lower_gamma
         monkeypatch.setattr(ouexit.special, "ln_lower_gamma", lambda a, x: honest(a, x) + 0.05)
-        code = run_cli("selftest", "--fast")
+        code = run_cli("selftest")
         out = capsys.readouterr().out
         assert code == 1
         assert "FAILED: neuman-bracket" in out
@@ -276,7 +280,7 @@ class TestSelftestCommand:
 _VALID_ARGV = {
     "mfet": ["mfet", "--d", "4", "--L", "2", "--x", "0", "--sigma", "1", "--theta", "0.5"],
     "bounds": ["bounds", "--d", "4", "--L", "2", "--x", "0", "--sigma", "1", "--theta", "0.5"],
-    "selftest": ["selftest", "--fast"],
+    "selftest": ["selftest"],
 }
 
 
@@ -299,9 +303,13 @@ class TestCommonFlags:
         ("drift-ratio", "--allow-huge-d"),
         ("selftest", "--allow-huge-d"),
         ("selftest", "--output out.txt"),
+        ("selftest", "--fast"),
+        ("mfet", "--rel-tol 1e-8"),
+        ("bounds", "--max-panels 2"),
+        ("drift-ratio", "--L 3"),
     ])
     def test_flag_a_command_ignores_is_a_usage_error(self, command, flag, capsys):
-        # each command takes only the common flags it reads
+        # each command takes only the flags it reads
         argv = _VALID_ARGV.get(command, [command]) + flag.split()
         assert run_cli(*argv) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
@@ -330,6 +338,9 @@ class TestUsageErrors:
         "scaling --d-min 8 --d-max 4",
         "drift-ratio --rho-points 1",
         "trajectories --d 2,x",
+        "trajectories --d ,",
+        "drift-ratio --d-list ,",
+        "scaling --L 12 --d-min 2 --d-max 2 --paths 1",
         "mfet --d 4 --L 2 --x 0 --sigma 1 --theta nan",
     ])
     def test_usage_error_writes_nothing(self, argv, tmp_path, capsys):

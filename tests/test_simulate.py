@@ -123,6 +123,11 @@ class TestBoundaryAndValidation:
         with pytest.raises(DomainError):
             McConfig(n_paths=1, dt=1e-3, seed=-1)
 
+    def test_horizon_capped_at_2_53_steps(self):
+        with pytest.raises(DomainError, match="1.8e\\+16 steps"):
+            McConfig(n_paths=1, dt=1.0, t_max=2.0**54)
+        assert McConfig(n_paths=1, dt=1.0, t_max=2.0**53).t_max == 2.0**53
+
     def test_default_horizon_is_million_steps(self):
         cfg = McConfig(n_paths=1, dt=1e-3)
         assert cfg.t_max == pytest.approx(1e3)
