@@ -32,9 +32,8 @@ from .simulate import (
     Scheme,
     estimate_mfet,
     record_path,
-    sample_exit_time,
 )
-from .special import ln_gamma, ln_lower_gamma, neuman_bounds, neuman_log_bounds, reg_lower_gamma
+from .special import ln_gamma, ln_lower_gamma, neuman_log_bounds, reg_lower_gamma
 
 __version__ = "0.1.0"
 
@@ -65,10 +64,8 @@ __all__ = [
     "mfet_bm",
     "mfet_bounds",
     "mfet_exact",
-    "neuman_bounds",
     "neuman_log_bounds",
     "record_path",
     "reg_lower_gamma",
-    "sample_exit_time",
     "__version__",
 ]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import special
 from .errors import DomainError, QuadratureError
-from .quadrature import QuadConfig, integrate_log
+from .quadrature import integrate_log
 
 _MAX_EXP = 709.782712893384
 
@@ -56,6 +56,13 @@ class OupParams:
             raise DomainError(f"sigma must be a positive finite real, got {self.sigma!r}")
         if not math.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta!r}")
+        if not 0.0 < self.sigma * self.sigma < math.inf:
+            raise DomainError(f"sigma**2 leaves the double range at sigma={self.sigma!r}")
+        # lam shares theta's sign, so both name the same regime
+        lam = self.lam
+        if not (math.isfinite(lam) and (lam == 0.0) == (self.theta == 0.0)):
+            raise DomainError(f"theta/sigma**2 = {lam!r} leaves the double range at "
+                              f"theta={self.theta!r}, sigma={self.sigma!r}")
 
     @property
     def lam(self):
@@ -74,6 +81,8 @@ class ExitProblem:
     def __post_init__(self):
         if not (math.isfinite(self.L) and self.L > 0):
             raise DomainError(f"ball radius must be a positive finite real, got {self.L!r}")
+        if not self.L * self.L > 0.0:
+            raise DomainError(f"L**2 underflows to 0 at ball radius L={self.L!r}")
         if not (math.isfinite(self.x) and 0 <= self.x <= self.L):
             raise DomainError(f"start radius must lie in [0, L], got {self.x!r}")
 
@@ -123,7 +132,7 @@ def _outer_log_integrand(params):
     return log_f
 
 
-def mfet_exact(problem, cfg=QuadConfig()):
+def mfet_exact(problem):
     """Exact mean first-exit time, by adaptive quadrature of the closed form.
 
     One quadrature for every lam (exact at lam = 0).  Returns exactly 0 when
@@ -134,7 +143,7 @@ def mfet_exact(problem, cfg=QuadConfig()):
     if problem.x == problem.L:
         return 0.0
     log_f = _outer_log_integrand(problem.params)
-    res = integrate_log(log_f, problem.x, problem.L, cfg)
+    res = integrate_log(log_f, problem.x, problem.L)
     if not res.converged:
         raise QuadratureError("exit-time quadrature did not converge", res)
     return special.exp_saturating(res.value)
@@ -183,11 +192,11 @@ def mfet_bounds(problem):
     )
 
 
-def asymptotic_ratio(problem, cfg=QuadConfig()):
+def asymptotic_ratio(problem):
     """Mean exit time relative to the Brownian closed form; tends to 1 as d grows."""
     if problem.x == problem.L:
         raise DomainError("ratio is 0/0 when starting on the boundary")
-    return mfet_exact(problem, cfg) / mfet_bm(problem)
+    return mfet_exact(problem) / mfet_bm(problem)
 
 
 def drift_ratio(params, rho):
@@ -202,7 +211,7 @@ def drift_ratio(params, rho):
     return (s2d - 2.0 * params.theta * rho * rho) / s2d
 
 
-def avp_residual(problem, x_eval, h=None, cfg=QuadConfig()):
+def avp_residual(problem, x_eval, h=None):
     """Finite-difference residual of the exit-time ODE at an interior radius.
 
     With u the mean exit time as a function of the start radius, returns
@@ -238,7 +247,7 @@ def avp_residual(problem, x_eval, h=None, cfg=QuadConfig()):
     k = 0.5 * h
 
     nodes = (x_eval - h, x_eval - k, x_eval, x_eval + k, x_eval + h)
-    parts = [integrate_log(log_f, lo, hi, cfg) for lo, hi in zip(nodes, nodes[1:])]
+    parts = [integrate_log(log_f, lo, hi) for lo, hi in zip(nodes, nodes[1:])]
     for part in parts:
         if not part.converged:
             raise QuadratureError("residual quadrature did not converge", part)

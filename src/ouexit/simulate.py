@@ -26,9 +26,13 @@ Determinism contract: the stream of Gaussians for path i is a pure function
 of (seed, i, draw position).  Streams are Philox counter-based generators
 keyed by (seed, path index); Gaussians come from the inverse normal CDF of
 fixed-position uniforms (a rejection sampler would consume a data-dependent
-number of draws and break reproducibility under regrouping).  Every
-aggregate is reduced in path-index order with pairwise summation, so
-estimates are identical however the paths are batched or parallelized.
+number of draws and break reproducibility under regrouping).  Normals are
+drawn in blocks of twice the steps already taken, from _RUN_STEPS up to
+2048 steps and at most _BLOCK_FLOATS normals, so a path that exits early
+draws few it never uses; streams are read in order, so block sizes never
+move a normal to another step.  Every aggregate is reduced in path-index
+order with pairwise summation, so estimates are identical however the paths
+are batched or parallelized.
 
 Straggler hand-off: exit times are heavy-tailed (about exp(lambda L^2) at
 small d), so most time steps of a batch have only a few paths still
@@ -121,25 +125,6 @@ class PathRecord:
     times: np.ndarray
     radii: np.ndarray
     exited_at: Optional[float]
-
-
-class _PathStream:
-    """Counter-based raw stream for one path, keyed by (seed, path index)."""
-
-    __slots__ = ("_bg",)
-
-    def __init__(self, seed, index):
-        self._bg = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-
-    def raw(self, n):
-        return self._bg.random_raw(n)
-
-
-def _normals_from_raw(raw):
-    # 53-bit uniform centered in (0, 1), then inverse normal CDF; both steps
-    # are fixed elementwise maps, so values depend only on the raw draws.
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
 
 
 def _scheme_kernel(problem, cfg):
@@ -243,13 +228,17 @@ def _scheme_kernel(problem, cfg):
 
 def _normals(streams, steps, shape):
     """The next ``steps`` normals of each stream, shaped (paths, steps) + shape."""
-    raws = np.stack([s.raw(steps * math.prod(shape)) for s in streams])
-    return _normals_from_raw(raws).reshape((len(streams), steps) + shape)
+    raws = np.stack([s.random_raw(steps * math.prod(shape)) for s in streams])
+    # 53-bit uniform centered in (0, 1), then inverse normal CDF; both steps
+    # are fixed elementwise maps, so values depend only on the raw draws.
+    u = ((raws >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(u).reshape((len(streams), steps) + shape)
 
 
-def _block_steps(floats_per_step):
-    """Steps per normals block: 2048, or fewer to keep a block within _BLOCK_FLOATS."""
-    return max(1, min(2048, _BLOCK_FLOATS // max(1, floats_per_step)))
+def _block_steps(floats_per_step, taken):
+    """Steps per normals block after ``taken`` steps; see the module docstring."""
+    return max(1, min(2048, _BLOCK_FLOATS // max(1, floats_per_step),
+                      max(_RUN_STEPS, 2 * taken)))
 
 
 def _run_paths(problem, cfg, indices, record=None, stride=1):
@@ -281,15 +270,15 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
     shape = np.shape(start)
     m = np.size(start)
     state = np.full((n,) + shape, start)
-    streams = [_PathStream(cfg.seed, i) for i in indices]
+    streams = [np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64))
+               for i in indices]
     pos_map = np.arange(n)  # row -> position in ``out``
-    chunk = _block_steps(n * m)
     block = np.empty((n, 0) + shape)
     pos = k = 0  # next column of ``block``; steps taken
 
     while k < max_steps and (k == 0 or len(streams) * m > _SCALAR_LOAD):
         if pos == block.shape[1]:
-            block = _normals(streams, chunk, shape)
+            block = _normals(streams, _block_steps(n * m, k), shape)
             pos = 0
         z = block[:, pos]
         pos += 1
@@ -314,7 +303,7 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
         s, zs, j = state[row], block[row, pos:], k
         while j < max_steps:
             if not len(zs):
-                zs = _normals([stream], _block_steps(m), shape)[0]
+                zs = _normals([stream], _block_steps(m, j), shape)[0]
             s, monitored = run(s, zs[:max_steps - j])
             if record is not None:
                 for i, v in enumerate(monitored, j + 1):
@@ -326,14 +315,6 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
                 break
             zs = zs[len(monitored):]
     return out
-
-
-def sample_exit_time(problem, cfg, path_index):
-    """Exit grid time of one path, or None if it was censored at the horizon."""
-    if not (isinstance(path_index, int) and 0 <= path_index < cfg.n_paths):
-        raise DomainError(f"path_index must lie in [0, n_paths), got {path_index!r}")
-    t = _run_paths(problem, cfg, [path_index])[0]
-    return None if math.isnan(t) else float(t)
 
 
 def estimate_mfet(problem, cfg):
@@ -373,7 +354,7 @@ def estimate_mfet(problem, cfg):
 
 
 def record_path(problem, cfg, path_index, stride=1):
-    """Like sample_exit_time, but keeps every stride-th (t, radius) sample."""
+    """Run one path; keep every stride-th (t, radius) sample and the crossing."""
     if not (isinstance(stride, int) and stride >= 1):
         raise DomainError(f"stride must be an integer >= 1, got {stride!r}")
     if not (isinstance(path_index, int) and 0 <= path_index < cfg.n_paths):

@@ -193,19 +193,6 @@ def neuman_log_bounds(a, x):
     return lo, hi
 
 
-def neuman_bounds(a, x):
-    """Neuman's elementary bracket (lower, upper) for lig(a, x).
-
-    lower = (x**a / a) * exp(-a*x/(a+1))
-    upper = (x**a / (a*(a+1))) * (1 + a*exp(-x))
-
-    Evaluated in log space and exponentiated; values outside double range
-    come back as 0.0 or inf.
-    """
-    lo, hi = neuman_log_bounds(a, x)
-    return exp_saturating(lo), exp_saturating(hi)
-
-
 def exp_saturating(v):
     """exp(v), or inf where math.exp would overflow (exp(-inf) is 0.0 already)."""
     try:

@@ -323,6 +323,19 @@ class TestCommonFlags:
         assert "seed" not in manifest["parameters"]
 
 
+# argvs whose parameters leave the double range once squared or divided,
+# and the parameter their error must name
+_OUT_OF_RANGE = {
+    "mfet --d 4 --L 1 --x 0 --sigma 1e-170 --theta 0.5": "sigma",
+    "mfet --d 4 --L 1 --x 0 --sigma 1e200 --theta 0": "sigma",
+    "scaling --d-min 2 --d-max 2 --sigma 1e-170 --paths 2": "sigma",
+    "drift-ratio --sigma 1e-170 --d-list 2 --rho-points 2": "sigma",
+    "mfet --d 1 --L 1e-300 --x 0 --sigma 1 --theta 0.5": "ball radius L",
+    "bounds --d 4 --L 1 --x 0 --sigma 1e200 --theta 1": "sigma",
+    "mfet --d 4 --L 1 --x 0 --sigma 1e-100 --theta 1e250": "theta/sigma**2",
+}
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         "scaling --d-max 4 --dt -1",
@@ -342,12 +355,15 @@ class TestUsageErrors:
         "drift-ratio --d-list ,",
         "scaling --L 12 --d-min 2 --d-max 2 --paths 1",
         "mfet --d 4 --L 2 --x 0 --sigma 1 --theta nan",
+        *_OUT_OF_RANGE,
     ])
     def test_usage_error_writes_nothing(self, argv, tmp_path, capsys):
         # every input is checked before the output file is opened
         out = tmp_path / "t.csv"
         assert run_cli(*argv.split(), "--output", str(out)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert _OUT_OF_RANGE.get(argv, "") in err
         assert not out.exists()
         assert not (tmp_path / "t.csv.manifest.json").exists()
 

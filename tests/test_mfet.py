@@ -11,11 +11,13 @@ form of the inner integral.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
+import ouexit.mfet
 from ouexit import (
     DomainError,
     ExitProblem,
@@ -174,10 +176,15 @@ class TestExactFormula:
                     via = 0.5 * lam ** (-0.5 * d) * math.exp(ln_lower_gamma(0.5 * d, lam * z * z))
                     assert direct == pytest.approx(via, rel=1e-10)
 
-    def test_panel_exhaustion_raises_with_partial_result(self):
-        cfg = QuadConfig(rel_tol=1e-13, max_panels=2)
+    def test_panel_exhaustion_raises_with_partial_result(self, monkeypatch):
+        integrate_log = ouexit.mfet.integrate_log
+
+        def starved(log_f, a, b):
+            return integrate_log(log_f, a, b, QuadConfig(rel_tol=1e-13, max_panels=2))
+
+        monkeypatch.setattr(ouexit.mfet, "integrate_log", starved)
         with pytest.raises(QuadratureError) as exc:
-            mfet_exact(_problem(1, 2.0, 4.0), cfg)
+            mfet_exact(_problem(1, 2.0, 4.0))
         assert exc.value.result.converged is False
         assert exc.value.result.panels_used == 2
 
@@ -347,6 +354,28 @@ class TestParamValidation:
             ExitProblem(p, L=0.0, x=0.0)
         with pytest.raises(DomainError):
             ExitProblem(p, L=1.0, x=1.5)
+
+    @pytest.mark.parametrize("theta,sigma,name", [
+        (0.5, 1e-170, "sigma"),              # sigma**2 underflows
+        (0.0, 1e200, "sigma"),               # sigma**2 overflows
+        (1e250, 1e-100, "theta/sigma**2"),   # lambda overflows
+        (1e-300, 1e100, "theta/sigma**2"),   # lambda underflows to 0, theta does not
+    ])
+    def test_squares_and_ratio_stay_in_double_range(self, theta, sigma, name):
+        with pytest.raises(DomainError, match=re.escape(name)):
+            OupParams(theta=theta, sigma=sigma, d=4)
+
+    def test_lambda_shares_the_sign_of_theta(self):
+        # a subnormal lambda is kept; only one that rounds to 0 is refused
+        for theta in (-1e-300, 0.0, 1e-300):
+            lam = OupParams(theta=theta, sigma=1e10, d=4).lam
+            assert (lam > 0, lam < 0) == (theta > 0, theta < 0)
+
+    def test_radius_square_must_not_underflow(self):
+        p = OupParams(theta=0.5, sigma=1.0, d=1)
+        with pytest.raises(DomainError, match="L="):
+            ExitProblem(p, L=1e-300, x=0.0)
+        assert ExitProblem(p, L=1e-150, x=0.0).L == 1e-150
 
     def test_lambda_is_derived(self):
         p = OupParams(theta=0.5, sigma=2.0, d=3)

@@ -26,7 +26,6 @@ from ouexit import (
     mfet_bounds,
     mfet_exact,
     record_path,
-    sample_exit_time,
 )
 from ouexit import simulate
 from ouexit.simulate import _run_paths
@@ -51,7 +50,7 @@ class TestDeterminism:
         cfg = McConfig(n_paths=40, dt=1e-3, seed=SEED)
         batch = _run_paths(p, cfg, list(range(40)))
         for i in (0, 7, 39):
-            assert sample_exit_time(p, cfg, i) == batch[i]
+            assert _run_paths(p, cfg, [i])[0] == batch[i]
 
     def test_regrouping_with_different_buffer_sizes(self):
         # a large full-dimensional batch buffers its streams in much smaller
@@ -60,7 +59,7 @@ class TestDeterminism:
         cfg = McConfig(n_paths=800, dt=1e-3, seed=SEED, scheme=Scheme.FULL_EULER)
         batch = _run_paths(p, cfg, list(range(800)))
         for i in (0, 123, 799):
-            assert sample_exit_time(p, cfg, i) == batch[i]
+            assert _run_paths(p, cfg, [i])[0] == batch[i]
 
     def test_seed_changes_the_answer(self):
         p = _problem(4, 0.5, 2.0)
@@ -77,7 +76,7 @@ class TestDeterminism:
             cfg = McConfig(n_paths=400, dt=1e-3, seed=7, scheme=scheme)
             batch = _run_paths(p, cfg, list(range(400)))
             for i in (0, 5, 399):
-                assert sample_exit_time(p, cfg, i) == batch[i]
+                assert _run_paths(p, cfg, [i])[0] == batch[i]
             est = estimate_mfet(p, cfg)
             assert abs(est.mean - 1.0) <= 3.0 * est.std_err + 0.05
 
@@ -95,7 +94,7 @@ class TestBoundaryAndValidation:
         p = _problem(3, 0.4, 1.5, x=1.5)
         for scheme in Scheme:
             cfg = McConfig(n_paths=4, dt=1e-2, seed=SEED, scheme=scheme)
-            assert sample_exit_time(p, cfg, 0) == 0.0
+            assert _run_paths(p, cfg, [0])[0] == 0.0
 
     def test_single_boundary_path_estimate(self):
         p = _problem(3, 0.4, 1.5, x=1.5)
@@ -106,8 +105,6 @@ class TestBoundaryAndValidation:
     def test_path_index_range_checked(self):
         p = _problem(3, 0.4, 1.5)
         cfg = McConfig(n_paths=4, dt=1e-2, seed=SEED)
-        with pytest.raises(DomainError):
-            sample_exit_time(p, cfg, 4)
         with pytest.raises(DomainError):
             record_path(p, cfg, 4)
 
@@ -376,14 +373,17 @@ def test_frozen_batch_bits(scheme, d, theta, big_l, x, n, t_max, censored, sha):
     assert hashlib.sha256(times.tobytes()).hexdigest() == sha
 
 
-# The trajectories command's d = 2 and d = 10 cells at its defaults (full
-# Euler, L = 2.5, path 0 of seed 123456789), recorded every step: exit time
-# and SHA-256 of the times followed by the radii.
+# The trajectories command's cells at its defaults (full Euler, L = 2.5,
+# path 0 of seed 123456789), recorded every step: exit time and SHA-256 of
+# the times followed by the radii.  A lone d = 1000 path stays in the numpy
+# batch step, as its load exceeds _SCALAR_LOAD.
 FROZEN_RECORDS = [
     (2, 0.7, 62.996, "8d654417f9ef241e39fcd49e85e04ab71ad3116ade3fbbd58d25109accfca531"),
     (2, 0.0, 4.065, "2edfae014f58003663bc7a2afdae27f009b60af862fc871a341e6e1d3edf7233"),
     (10, 0.7, 0.961, "2a0e80dcc6fdd438e7c16357c0d34b9662dd80292da7064fa6366321a05a68f1"),
     (10, 0.0, 0.774, "71dddc85b17249e411baa9586b6965701f968462fe211ae611b682b6c529a2c2"),
+    (1000, 0.7, 0.007, "2782f3fb71d3427eddb012b54912821cea0dad0acaf9a3453c2d89b22216d3d0"),
+    (1000, 0.0, 0.007, "cd7621d10e8e6b6782f9b0253b02fbba5d72e64c4d5a69d922b25c2a54a6871d"),
 ]
 
 
@@ -393,6 +393,23 @@ def test_frozen_record_bits(d, theta, exited_at, sha):
     rec = record_path(_problem(d, theta, 2.5), cfg, 0, stride=1)
     assert rec.exited_at == exited_at
     assert hashlib.sha256(rec.times.tobytes() + rec.radii.tobytes()).hexdigest() == sha
+
+
+def test_early_exit_draws_few_normals(monkeypatch):
+    # the d = 1000 trajectories record exits after 7 steps; its first
+    # normals block covers _RUN_STEPS steps, not 2000
+    drawn = []
+    normals = simulate._normals
+
+    def counted(streams, steps, shape):
+        block = normals(streams, steps, shape)
+        drawn.append(block.size)
+        return block
+
+    monkeypatch.setattr(simulate, "_normals", counted)
+    cfg = McConfig(n_paths=1, dt=1e-3, seed=123456789, scheme=Scheme.FULL_EULER)
+    assert record_path(_problem(1000, 0.7, 2.5), cfg, 0).exited_at == 0.007
+    assert sum(drawn) <= 256_000
 
 
 def test_mc_route_does_not_import_scipy_signal():
