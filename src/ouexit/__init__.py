@@ -3,6 +3,10 @@
 Three independent routes to the same quantity, cross-validated against each
 other: exact adaptive quadrature of the closed form, elementary two-sided
 bounds, and Monte-Carlo path simulation.
+
+Only the Monte-Carlo route needs numpy and scipy.  Its names are bound on
+first access (PEP 562), so importing the package and the exact route load
+the standard library alone.
 """
 
 from .errors import (
@@ -25,17 +29,22 @@ from .mfet import (
     mfet_exact,
 )
 from .quadrature import QuadConfig, QuadResult, integrate, integrate_log
-from .simulate import (
-    McConfig,
-    McEstimate,
-    PathRecord,
-    Scheme,
-    estimate_mfet,
-    record_path,
-)
+from .schemes import Scheme
 from .special import ln_gamma, ln_lower_gamma, neuman_log_bounds, reg_lower_gamma
 
 __version__ = "0.1.0"
+
+_SIMULATE_NAMES = ("McConfig", "McEstimate", "PathRecord", "estimate_mfet", "record_path")
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        value = globals()[name] = getattr(simulate, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ConvergenceError",

@@ -4,7 +4,6 @@ Subcommands
 -----------
 mfet          exact mean exit time, Brownian closed form, their ratio, and
               (for theta > 0) the four closed-form bounds, as CSV or JSON.
-bounds        alias of ``mfet`` that requires theta > 0.
 scaling       table of exact value, bounds and a Monte-Carlo estimate over a
               doubling grid of dimensions (the bound-scaling experiment).
 trajectories  coupled radius-vs-time traces of the mean-reverting process
@@ -18,6 +17,10 @@ the command, all parameter values, the seed and the tool version, so the
 output can be regenerated exactly.  Every input is checked before the
 output is opened, so a usage error writes nothing.  Exit codes: 0 success,
 1 selftest failure, 2 usage error, 3 numerical failure.
+
+Only ``scaling``, ``trajectories`` and ``selftest`` simulate, so only they
+import numpy and scipy; ``mfet`` and ``drift-ratio`` run on the standard
+library alone.
 """
 
 import argparse
@@ -30,8 +33,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .errors import DomainError, OuexitError
 from .mfet import ExitProblem, OupParams, drift_ratio, mfet_bm, mfet_bounds, mfet_exact
-from .selftest import run_selftest
-from .simulate import McConfig, Scheme, estimate_mfet, record_path
+from .schemes import Scheme
 
 DEFAULT_SEED = 123456789
 _D_CAP = 2**20
@@ -49,23 +51,41 @@ _TRAJ_COLUMNS = ("d", "theta", "t", "radius", "exited")
 _DRIFT_COLUMNS = ("d", "rho", "ratio")
 
 
+def _simulate(*names):
+    """The named ``simulate`` attributes as this module binds them.
+
+    Imports ``simulate`` (and with it numpy and scipy) on first use.  A
+    binding already in place, such as a wrapper set on this module, wins.
+    """
+    from . import simulate
+
+    return [globals().setdefault(name, getattr(simulate, name)) for name in names]
+
+
+def __getattr__(name):
+    if name in ("McConfig", "estimate_mfet", "record_path"):
+        return _simulate(name)[0]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _now():
     return datetime.now(timezone.utc).isoformat()
 
 
 def _fmt(v):
     """Shortest round-trip serialization; 0/1 for flags, empty cell for missing values."""
+    t = type(v)  # floats first: most cells are
+    if t is float:
+        return repr(v)
+    if t is bool:
+        return "1" if v else "0"
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
 def _csv_line(values):
-    return ",".join(_fmt(v) for v in values) + "\n"
+    return ",".join(map(_fmt, values)) + "\n"
 
 
 @contextlib.contextmanager
@@ -127,7 +147,7 @@ def _parse_int_list(text):
 
 
 # ---------------------------------------------------------------------------
-# mfet / bounds
+# mfet
 
 _BOUND_FIELDS = ("lower_bm", "lower_exp", "upper_mixed", "upper_exp")
 
@@ -148,8 +168,6 @@ def _exact_fields(prob):
 
 
 def cmd_mfet(args):
-    if args.command == "bounds" and not args.theta > 0:
-        raise DomainError("the bounds command requires theta > 0")
     started = _now()
     _check_dimension(args.d, args.allow_huge_d)
     params = OupParams(theta=args.theta, sigma=args.sigma, d=args.d)
@@ -190,6 +208,7 @@ def cmd_scaling(args):
     if args.d_min > args.d_max:
         raise DomainError("--d-min must not exceed --d-max")
     _check_dimension(args.d_max, args.allow_huge_d)
+    McConfig, estimate_mfet = _simulate("McConfig", "estimate_mfet")
     started = _now()
     cells = []  # (problem, MC config, exact-value columns) for every d before any output
     d = args.d_min
@@ -219,6 +238,7 @@ def cmd_scaling(args):
 def cmd_trajectories(args):
     if args.stride < 1:
         raise DomainError(f"--stride must be >= 1, got {args.stride!r}")
+    McConfig, record_path = _simulate("McConfig", "record_path")
     started = _now()
     cfg = McConfig(n_paths=1, dt=args.dt, seed=args.seed, scheme=Scheme.FULL_EULER)
     problems = []  # the coupled (theta, 0) pair per dimension
@@ -260,6 +280,8 @@ def cmd_drift_ratio(args):
 # selftest
 
 def cmd_selftest(args):
+    from .selftest import run_selftest
+
     ok, first_failure = run_selftest()
     if not ok:
         print(f"FAILED: {first_failure}")
@@ -290,15 +312,14 @@ def _build_parser():
         for flag in flags:
             sp.add_argument(flag, **common[flag])
 
-    for name in ("mfet", "bounds"):
-        sp = sub.add_parser(name, help="exact value, Brownian form, ratio, bounds")
-        sp.add_argument("--d", type=int, required=True)
-        sp.add_argument("--L", type=float, required=True)
-        sp.add_argument("--x", type=float, required=True)
-        sp.add_argument("--sigma", type=float, required=True)
-        sp.add_argument("--theta", type=float, required=True)
-        add_common(sp, "--format", "--output", "--allow-huge-d")
-        sp.set_defaults(func=cmd_mfet)
+    sp = sub.add_parser("mfet", help="exact value, Brownian form, ratio, bounds")
+    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--L", type=float, required=True)
+    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--sigma", type=float, required=True)
+    sp.add_argument("--theta", type=float, required=True)
+    add_common(sp, "--format", "--output", "--allow-huge-d")
+    sp.set_defaults(func=cmd_mfet)
 
     sp = sub.add_parser("scaling", help="bounds and MC estimates over doubling dimensions")
     sp.add_argument("--d-min", type=int, default=2)

@@ -52,25 +52,18 @@ numpy's at every d (left to right below 8 entries, pairwise from 8).
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, EstimationError
+from .schemes import Scheme
 
 _U64_MAX = 2**64 - 1
 _BLOCK_FLOATS = 2_000_000
 _SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
 _RUN_STEPS = 256  # steps per scalar run of a full-dimensional path
-
-
-class Scheme(str, Enum):
-    FULL_EULER = "full-euler"
-    FULL_EXACT = "full-exact"
-    RADIAL_EULER = "radial-euler"
-    SQUARED_RADIAL_EULER = "squared-radial-euler"
 
 
 @dataclass(frozen=True)
@@ -231,7 +224,10 @@ def _normals(streams, steps, shape):
     raws = np.stack([s.random_raw(steps * math.prod(shape)) for s in streams])
     # 53-bit uniform centered in (0, 1), then inverse normal CDF; both steps
     # are fixed elementwise maps, so values depend only on the raw draws.
+    # The top 53-bit value, (2**53 - 1) + 0.5, rounds to 2**53 and so u to
+    # 1.0, where ndtri is +inf; it alone moves, to the double below 1.
     u = ((raws >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return ndtri(u).reshape((len(streams), steps) + shape)
 
 

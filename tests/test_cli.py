@@ -83,21 +83,11 @@ class TestMfetCommand:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_bounds_alias_requires_positive_theta(self, capsys):
-        code = run_cli("bounds", "--d", "4", "--L", "4", "--x", "0",
-                       "--sigma", "1", "--theta", "0")
-        assert code == 2
-        capsys.readouterr()
-        code = run_cli("bounds", "--d", "4", "--L", "4", "--x", "0",
-                       "--sigma", "1", "--theta", "0.5")
-        assert code == 0
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("command", ["mfet", "bounds"])
+    @pytest.mark.parametrize("command", ["mfet", "mfet --format json"])
     def test_overflowing_exact_value_is_numerical_failure(self, command, tmp_path, capsys):
         # lambda L^2 = 45000: mfet_exact is inf, so neither value nor bounds are written
         out = tmp_path / "t.csv"
-        code = run_cli(command, "--d", "65536", "--L", "300", "--x", "0", "--sigma", "1",
+        code = run_cli(*command.split(), "--d", "65536", "--L", "300", "--x", "0", "--sigma", "1",
                        "--theta", "0.5", "--output", str(out))
         assert code == 3
         assert "mfet_exact=inf overflows" in capsys.readouterr().err
@@ -279,7 +269,6 @@ class TestSelftestCommand:
 
 _VALID_ARGV = {
     "mfet": ["mfet", "--d", "4", "--L", "2", "--x", "0", "--sigma", "1", "--theta", "0.5"],
-    "bounds": ["bounds", "--d", "4", "--L", "2", "--x", "0", "--sigma", "1", "--theta", "0.5"],
     "selftest": ["selftest"],
 }
 
@@ -291,12 +280,10 @@ class TestCommonFlags:
         ("drift-ratio", "--format json"),
         ("selftest", "--format json"),
         ("mfet", "--seed 1"),
-        ("bounds", "--seed 1"),
         ("drift-ratio", "--seed 1"),
         ("selftest", "--seed 1"),
         ("scaling", "--threads 2"),
         ("mfet", "--threads 2"),
-        ("bounds", "--threads 2"),
         ("trajectories", "--threads 2"),
         ("drift-ratio", "--threads 2"),
         ("selftest", "--threads 2"),
@@ -305,7 +292,7 @@ class TestCommonFlags:
         ("selftest", "--output out.txt"),
         ("selftest", "--fast"),
         ("mfet", "--rel-tol 1e-8"),
-        ("bounds", "--max-panels 2"),
+        ("mfet", "--max-panels 2"),
         ("drift-ratio", "--L 3"),
     ])
     def test_flag_a_command_ignores_is_a_usage_error(self, command, flag, capsys):
@@ -331,7 +318,7 @@ _OUT_OF_RANGE = {
     "scaling --d-min 2 --d-max 2 --sigma 1e-170 --paths 2": "sigma",
     "drift-ratio --sigma 1e-170 --d-list 2 --rho-points 2": "sigma",
     "mfet --d 1 --L 1e-300 --x 0 --sigma 1 --theta 0.5": "ball radius L",
-    "bounds --d 4 --L 1 --x 0 --sigma 1e200 --theta 1": "sigma",
+    "mfet --d 4 --L 1 --x 0 --sigma 1e200 --theta 1": "sigma",
     "mfet --d 4 --L 1 --x 0 --sigma 1e-100 --theta 1e250": "theta/sigma**2",
 }
 

@@ -412,6 +412,19 @@ def test_early_exit_draws_few_normals(monkeypatch):
     assert sum(drawn) <= 256_000
 
 
+def test_top_raw_draws_give_finite_normals():
+    # the largest 53-bit value rounds to u = 1.0, where ndtri is +inf; it
+    # maps to the double below 1 instead, and the smallest stays finite too
+    class Raws:
+        def random_raw(self, n):
+            return np.array([2**64 - 1, (2**53 - 1) << 11, 0], dtype=np.uint64)
+
+    z = simulate._normals([Raws()], 3, ())[0]
+    assert np.isfinite(z).all()
+    assert z[0] == z[1] == pytest.approx(8.2, abs=0.05)
+    assert z[2] == pytest.approx(-8.3, abs=0.05)
+
+
 def test_mc_route_does_not_import_scipy_signal():
     # importing scipy.signal roughly triples the package's import time and
     # doubles its memory, so the MC route must keep to scipy.special
