@@ -318,7 +318,7 @@ _OUT_OF_RANGE = {
     "scaling --d-min 2 --d-max 2 --sigma 1e-170 --paths 2": "sigma",
     "drift-ratio --sigma 1e-170 --d-list 2 --rho-points 2": "sigma",
     "mfet --d 1 --L 1e-300 --x 0 --sigma 1 --theta 0.5": "ball radius L",
-    "mfet --d 4 --L 1 --x 0 --sigma 1e200 --theta 1": "sigma",
+    "mfet --sigma 1e200 --theta 1 --d 4 --L 1 --x 0": "sigma",
     "mfet --d 4 --L 1 --x 0 --sigma 1e-100 --theta 1e250": "theta/sigma**2",
 }
 
