@@ -28,7 +28,7 @@ from .mfet import (
     mfet_bounds,
     mfet_exact,
 )
-from .quadrature import QuadConfig, QuadResult, integrate, integrate_log
+from .quadrature import QuadResult, integrate, integrate_log
 from .schemes import Scheme
 from .special import ln_gamma, ln_lower_gamma, neuman_log_bounds, reg_lower_gamma
 
@@ -58,7 +58,6 @@ __all__ = [
     "OuexitError",
     "OupParams",
     "PathRecord",
-    "QuadConfig",
     "QuadResult",
     "QuadratureError",
     "Scheme",

@@ -37,6 +37,7 @@ from .schemes import Scheme
 
 DEFAULT_SEED = 123456789
 _D_CAP = 2**20
+_MAX_PATH_STEPS = 2**40  # expected MC cost past which a scaling cell is refused
 
 _MFET_COLUMNS = (
     "d", "L", "x", "sigma", "theta", "lambda", "regime",
@@ -90,11 +91,15 @@ def _csv_line(values):
 
 @contextlib.contextmanager
 def _out_stream(path):
-    if path:
-        with open(path, "w", newline="\n") as fh:
-            yield fh
-    else:
+    if not path:
         yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise DomainError(f"cannot open --output {path!r}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def _write_manifest(args, started):
@@ -223,6 +228,11 @@ def cmd_scaling(args):
         row = [d, exact, bm, bounds["lower_exp"], bounds["upper_mixed"], bounds["upper_exp"]]
         cells.append((prob, cfg, row))
         d *= 2
+    for _, cfg, (d, exact, *_) in cells:  # after every usage check
+        cost = cfg.n_paths * exact / cfg.dt
+        if cost > _MAX_PATH_STEPS:
+            raise OuexitError(f"cell d={d}: about {cost:.3g} path-steps "
+                              "(paths x mfet_exact / dt) exceed the limit of 2**40")
 
     def groups():
         for prob, cfg, row in cells:
@@ -236,8 +246,6 @@ def cmd_scaling(args):
 # trajectories
 
 def cmd_trajectories(args):
-    if args.stride < 1:
-        raise DomainError(f"--stride must be >= 1, got {args.stride!r}")
     McConfig, record_path = _simulate("McConfig", "record_path")
     started = _now()
     cfg = McConfig(n_paths=1, dt=args.dt, seed=args.seed, scheme=Scheme.FULL_EULER)
@@ -251,7 +259,7 @@ def cmd_trajectories(args):
     def groups():
         for prob in problems:
             p = prob.params
-            rec = record_path(prob, cfg, 0, stride=args.stride)
+            rec = record_path(prob, cfg, 0)
             # flag the engine's crossing: sqrt(|x|^2) can reach L a step early
             yield ([p.d, p.theta, t, r, t == rec.exited_at]
                    for t, r in zip(rec.times.tolist(), rec.radii.tolist()))
@@ -265,10 +273,8 @@ def cmd_trajectories(args):
 def cmd_drift_ratio(args):
     if not (math.isfinite(args.rho_max) and args.rho_max > 0):
         raise DomainError(f"--rho-max must be a positive finite real, got {args.rho_max!r}")
-    if args.rho_points < 2:
-        raise DomainError(f"--rho-points must be >= 2, got {args.rho_points!r}")
     started = _now()
-    rhos = [args.rho_max * k / (args.rho_points - 1) for k in range(args.rho_points)]
+    rhos = [args.rho_max * k / 100 for k in range(101)]
     dims = _parse_int_list(args.d_list)
     params = [OupParams(theta=args.theta, sigma=args.sigma, d=d) for d in dims]
     # closed-form rows, cheap enough to compute (and so check) in full up front
@@ -341,7 +347,6 @@ def _build_parser():
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--theta", type=float, default=0.7)
     sp.add_argument("--dt", type=float, default=0.001)
-    sp.add_argument("--stride", type=int, default=1)
     add_common(sp, "--output", "--seed", "--allow-huge-d")
     sp.set_defaults(func=cmd_trajectories)
 
@@ -349,7 +354,6 @@ def _build_parser():
     sp.add_argument("--theta", type=float, default=0.7)
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--rho-max", type=float, default=3.0)
-    sp.add_argument("--rho-points", type=int, default=101)
     sp.add_argument("--d-list", default="2,4,8,16,32,64,128")
     add_common(sp, "--output")
     sp.set_defaults(func=cmd_drift_ratio)

@@ -203,12 +203,16 @@ def drift_ratio(params, rho):
     """Drift of the squared radial OUP over the squared-Bessel drift at radius rho.
 
     (sigma^2 d - 2 theta rho^2) / (sigma^2 d); identically 1 for theta = 0,
-    and increases toward 1 as d grows for fixed rho.
+    and increases toward 1 as d grows for fixed rho.  A ratio that leaves
+    the double range is a DomainError.
     """
     if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho >= 0):
         raise DomainError(f"rho must be a nonnegative finite real, got {rho!r}")
     s2d = params.sigma * params.sigma * params.d
-    return (s2d - 2.0 * params.theta * rho * rho) / s2d
+    ratio = (s2d - 2.0 * params.theta * rho * rho) / s2d
+    if not math.isfinite(ratio):
+        raise DomainError(f"the drift ratio at rho={rho!r} leaves the double range")
+    return ratio
 
 
 def avp_residual(problem, x_eval, h=None):

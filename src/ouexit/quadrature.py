@@ -62,21 +62,10 @@ _WG_AT_NODES = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
                 0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and panel budget for the adaptive loop."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_panels: int = 4096
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not (self.abs_tol >= 0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be nonnegative, got {self.abs_tol!r}")
-        if self.max_panels < 1:
-            raise DomainError(f"max_panels must be >= 1, got {self.max_panels!r}")
+# Absolute tolerance and panel budget of the adaptive loop; the relative
+# tolerance is the callers' one setting.
+_ABS_TOL = 1e-14
+_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -94,7 +83,9 @@ class QuadResult:
     converged: bool
 
 
-def _check_interval(a, b):
+def _check_args(a, b, rel_tol):
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration limits must be finite, got [{a!r}, {b!r}]")
@@ -144,10 +135,10 @@ def _eval_panel_log(log_f, lo, hi):
     return m + math.log(val), log_err
 
 
-def _adapt(eval_panel, f, a, b, total, tol, max_panels):
-    """Bisect the worst panel until total_err <= tol(total_val) or the budget
-    is spent; ``total`` reduces the panels' values or errors.  Returns
-    (total_val, total_err, panels_used, converged)."""
+def _adapt(eval_panel, f, a, b, total, tol):
+    """Bisect the worst panel until total_err <= tol(total_val) or there are
+    _MAX_PANELS panels; ``total`` reduces the panels' values or errors.
+    Returns (total_val, total_err, panels_used, converged)."""
     val, err = eval_panel(f, a, b)
     # heap entries: (-err, tiebreak, lo, hi, value, err)
     counter = 0
@@ -156,7 +147,7 @@ def _adapt(eval_panel, f, a, b, total, tol, max_panels):
         total_val = total([p[4] for p in heap])
         total_err = total([p[5] for p in heap])
         converged = total_err <= tol(total_val)
-        if converged or len(heap) >= max_panels:
+        if converged or len(heap) >= _MAX_PANELS:
             return total_val, total_err, len(heap), converged
         _, _, lo, hi, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -166,13 +157,14 @@ def _adapt(eval_panel, f, a, b, total, tol, max_panels):
             heapq.heappush(heap, (-e, counter, sub_lo, sub_hi, v, e))
 
 
-def integrate(f, a, b, cfg=QuadConfig()):
-    """Adaptive integral of ``f`` over [a, b]."""
-    a, b = _check_interval(a, b)
+def integrate(f, a, b, rel_tol=1e-10):
+    """Adaptive integral of ``f`` over [a, b], converged when
+    err <= max(_ABS_TOL, rel_tol * |value|)."""
+    a, b = _check_args(a, b, rel_tol)
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
     return QuadResult(*_adapt(_eval_panel, f, a, b, math.fsum,
-                              lambda val: max(cfg.abs_tol, cfg.rel_tol * abs(val)), cfg.max_panels))
+                              lambda val: max(_ABS_TOL, rel_tol * abs(val))))
 
 
 def _logsumexp(values):
@@ -182,23 +174,22 @@ def _logsumexp(values):
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-def integrate_log(log_f, a, b, cfg=QuadConfig()):
+def integrate_log(log_f, a, b, rel_tol=1e-10):
     """log of the integral of exp(log_f) over [a, b].
 
     ``log_f`` may return -inf (log-zero); +inf or NaN is an evaluation
     error.  Convergence is judged on the linear value: the result is
-    converged when err <= max(abs_tol, rel_tol * value) would hold after
+    converged when err <= max(_ABS_TOL, rel_tol * value) would hold after
     exponentiating, checked without leaving log space.
     """
-    a, b = _check_interval(a, b)
+    a, b = _check_args(a, b, rel_tol)
     if a == b:
         return QuadResult(-math.inf, 0.0, 0, True)
 
-    log_abs_tol = math.log(cfg.abs_tol) if cfg.abs_tol > 0 else -math.inf
-    log_rel_tol = math.log(cfg.rel_tol)
+    log_abs_tol, log_rel_tol = math.log(_ABS_TOL), math.log(rel_tol)
     log_total, log_err, panels, converged = _adapt(
         _eval_panel_log, log_f, a, b, _logsumexp,
-        lambda log_val: max(log_abs_tol, log_rel_tol + log_val), cfg.max_panels)
+        lambda log_val: max(log_abs_tol, log_rel_tol + log_val))
     return QuadResult(log_total, _rel_err_of_log(log_err, log_total), panels, converged)
 
 

@@ -113,7 +113,7 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Downsampled (time, radius) trace of one path."""
+    """(time, radius) trace of one path at every step, the start included."""
 
     times: np.ndarray
     radii: np.ndarray
@@ -237,16 +237,16 @@ def _block_steps(floats_per_step, taken):
                       max(_RUN_STEPS, 2 * taken)))
 
 
-def _run_paths(problem, cfg, indices, record=None, stride=1):
+def _run_paths(problem, cfg, indices, record=None):
     """Advance the given paths to exit or the horizon; return grid exit times.
 
     Returns an array aligned with ``indices`` holding the exit grid time, or
     NaN for paths censored at the horizon.  When ``record`` is a list it
-    collects (t, radius) samples every ``stride`` steps plus the crossing
-    sample (single-path runs only).  Live paths step together in numpy while
-    their load exceeds ``_SCALAR_LOAD`` (the first step always does), then
-    each is finished alone by the scheme's scalar ``run``; see the module
-    docstring for why the bits do not change.
+    collects the radius at the start and after every step (single-path runs
+    only).  Live paths step together in numpy while their load exceeds
+    ``_SCALAR_LOAD`` (the first step always does), then each is finished
+    alone by the scheme's scalar ``run``; see the module docstring for why
+    the bits do not change.
     """
     n = len(indices)
     dt = cfg.dt
@@ -256,7 +256,7 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
     if record is not None:
         if n != 1:
             raise DomainError("recording is a single-path operation")
-        record.append((0.0, problem.x))
+        record.append(problem.x)
     if problem.x >= problem.L:
         # starts on the boundary; the single start sample is the whole record
         out[:] = 0.0
@@ -281,12 +281,11 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
         state, monitored = (first if k == 0 else step)(state, z)
         k += 1
 
-        t_now = k * dt
         exited = monitored >= threshold
-        if record is not None and (bool(exited[0]) or k % stride == 0):
-            record.append((t_now, radius(float(monitored[0]))))
+        if record is not None:
+            record.append(radius(float(monitored[0])))
         if exited.any():
-            out[pos_map[exited]] = t_now
+            out[pos_map[exited]] = k * dt
             keep = ~exited
             if not keep.any():
                 return out
@@ -302,9 +301,7 @@ def _run_paths(problem, cfg, indices, record=None, stride=1):
                 zs = _normals([stream], _block_steps(m, j), shape)[0]
             s, monitored = run(s, zs[:max_steps - j])
             if record is not None:
-                for i, v in enumerate(monitored, j + 1):
-                    if i % stride == 0 or v >= threshold:
-                        record.append((i * dt, radius(float(v))))
+                record.extend(radius(float(v)) for v in monitored)
             j += len(monitored)
             if monitored[-1] >= threshold:
                 out[pos_map[row]] = j * dt
@@ -349,14 +346,11 @@ def estimate_mfet(problem, cfg):
     )
 
 
-def record_path(problem, cfg, path_index, stride=1):
-    """Run one path; keep every stride-th (t, radius) sample and the crossing."""
-    if not (isinstance(stride, int) and stride >= 1):
-        raise DomainError(f"stride must be an integer >= 1, got {stride!r}")
+def record_path(problem, cfg, path_index):
+    """Run one path; keep its radius at the start and after every step."""
     if not (isinstance(path_index, int) and 0 <= path_index < cfg.n_paths):
         raise DomainError(f"path_index must lie in [0, n_paths), got {path_index!r}")
-    samples = []
-    t = _run_paths(problem, cfg, [path_index], record=samples, stride=stride)[0]
-    times = np.array([s[0] for s in samples])
-    radii = np.array([s[1] for s in samples])
-    return PathRecord(times=times, radii=radii, exited_at=None if math.isnan(t) else float(t))
+    radii = []
+    t = _run_paths(problem, cfg, [path_index], record=radii)[0]
+    return PathRecord(times=np.arange(len(radii)) * cfg.dt, radii=np.array(radii),
+                      exited_at=None if math.isnan(t) else float(t))

@@ -138,6 +138,19 @@ class TestScalingCommand:
         assert err.startswith("numerical failure: cell d=2, L=40.0, lambda=0.5:")
         assert not out.exists()
 
+    def test_cell_past_the_cost_limit_is_refused(self, tmp_path, capsys):
+        # the horizon passes the 2**53-step cap, but 100 paths x mfet_exact
+        # (1.86e9) / dt is 1.9e14 path-steps: refused before any output
+        out = tmp_path / "t.csv"
+        start = time.monotonic()
+        code = run_cli("scaling", "--L", "7", "--d-min", "2", "--d-max", "2",
+                       "--output", str(out))
+        assert time.monotonic() - start < 1.0
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: cell d=2: about 1.86e+14 path-steps")
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_power_of_two_rejected(self, capsys):
         assert run_cli("scaling", "--d-min", "3", "--d-max", "8") == 2
         capsys.readouterr()
@@ -165,8 +178,7 @@ class TestScalingCommand:
 
 class TestTrajectoriesCommand:
     def test_small_run_contract(self, capsys):
-        code = run_cli("trajectories", "--d", "4", "--L", "1.5", "--dt", "0.001",
-                       "--stride", "5")
+        code = run_cli("trajectories", "--d", "4", "--L", "1.5", "--dt", "0.001")
         assert code == 0
         out = capsys.readouterr().out
         rows = parse_csv(out)
@@ -223,15 +235,14 @@ class TestScalingRightPanel:
 
 class TestDriftRatioCommand:
     def test_brownian_row_is_identity(self, capsys):
-        code = run_cli("drift-ratio", "--theta", "0", "--d-list", "2",
-                       "--rho-points", "5")
+        code = run_cli("drift-ratio", "--theta", "0", "--d-list", "2")
         assert code == 0
         rows = parse_csv(capsys.readouterr().out)
         assert all(float(r["ratio"]) == 1.0 for r in rows)
 
     def test_fig_parameters_spot_value(self, capsys):
         code = run_cli("drift-ratio", "--theta", "0.7", "--sigma", "1",
-                       "--rho-max", "3", "--d-list", "2", "--rho-points", "4")
+                       "--rho-max", "3", "--d-list", "2")
         assert code == 0
         rows = parse_csv(capsys.readouterr().out)
         last = rows[-1]
@@ -239,8 +250,7 @@ class TestDriftRatioCommand:
         assert float(last["ratio"]) == pytest.approx(-5.3, rel=1e-12)
 
     def test_ratio_increases_toward_one_with_dimension(self, capsys):
-        code = run_cli("drift-ratio", "--theta", "0.7", "--d-list", "2,4,8,16,32,64,128",
-                       "--rho-points", "3")
+        code = run_cli("drift-ratio", "--theta", "0.7", "--d-list", "2,4,8,16,32,64,128")
         assert code == 0
         rows = parse_csv(capsys.readouterr().out)
         at_rho = [float(r["ratio"]) for r in rows if float(r["rho"]) == 3.0]
@@ -294,6 +304,8 @@ class TestCommonFlags:
         ("mfet", "--rel-tol 1e-8"),
         ("mfet", "--max-panels 2"),
         ("drift-ratio", "--L 3"),
+        ("trajectories", "--stride 2"),
+        ("drift-ratio", "--rho-points 5"),
     ])
     def test_flag_a_command_ignores_is_a_usage_error(self, command, flag, capsys):
         # each command takes only the flags it reads
@@ -303,8 +315,7 @@ class TestCommonFlags:
 
     def test_manifest_seed_is_null_without_randomness(self, tmp_path):
         out = tmp_path / "ratio.csv"
-        assert run_cli("drift-ratio", "--d-list", "2", "--rho-points", "3",
-                       "--output", str(out)) == 0
+        assert run_cli("drift-ratio", "--d-list", "2", "--output", str(out)) == 0
         manifest = json.loads((tmp_path / "ratio.csv.manifest.json").read_text())
         assert manifest["seed"] is None
         assert "seed" not in manifest["parameters"]
@@ -316,7 +327,8 @@ _OUT_OF_RANGE = {
     "mfet --d 4 --L 1 --x 0 --sigma 1e-170 --theta 0.5": "sigma",
     "mfet --d 4 --L 1 --x 0 --sigma 1e200 --theta 0": "sigma",
     "scaling --d-min 2 --d-max 2 --sigma 1e-170 --paths 2": "sigma",
-    "drift-ratio --sigma 1e-170 --d-list 2 --rho-points 2": "sigma",
+    "drift-ratio --sigma 1e-170 --d-list 2": "sigma",
+    "drift-ratio --rho-max 1e200 --d-list 2": "rho",
     "mfet --d 1 --L 1e-300 --x 0 --sigma 1 --theta 0.5": "ball radius L",
     "mfet --sigma 1e200 --theta 1 --d 4 --L 1 --x 0": "sigma",
     "mfet --d 4 --L 1 --x 0 --sigma 1e-100 --theta 1e250": "theta/sigma**2",
@@ -328,7 +340,6 @@ class TestUsageErrors:
         "scaling --d-max 4 --dt -1",
         "scaling --d-max 4 --paths 0",
         "scaling --d-max 4 --seed -5",
-        "trajectories --stride 0",
         "trajectories --dt -1",
         "trajectories --L -2",
         "trajectories --d 2,0",
@@ -336,7 +347,6 @@ class TestUsageErrors:
         "drift-ratio --rho-max inf",
         "mfet --d 4 --L 2 --x 3 --sigma 1 --theta 0",
         "scaling --d-min 8 --d-max 4",
-        "drift-ratio --rho-points 1",
         "trajectories --d 2,x",
         "trajectories --d ,",
         "drift-ratio --d-list ,",
@@ -353,6 +363,20 @@ class TestUsageErrors:
         assert _OUT_OF_RANGE.get(argv, "") in err
         assert not out.exists()
         assert not (tmp_path / "t.csv.manifest.json").exists()
+
+
+class TestUnopenableOutput:
+    @pytest.mark.parametrize("argv,target", [
+        ("mfet --d 4 --L 4 --x 0 --sigma 1 --theta 0.5", "missing/x.csv"),
+        ("trajectories --d 2", "."),
+    ], ids=["missing-directory", "directory"])
+    def test_is_a_usage_error_that_writes_nothing(self, argv, target, tmp_path, capsys):
+        out = tmp_path / target
+        assert run_cli(*argv.split(), "--output", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot open --output {str(out)!r}")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEntryPoints:

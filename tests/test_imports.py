@@ -22,7 +22,7 @@ def test_exact_route_loads_no_numpy_or_scipy():
         "ouexit.mfet_bounds(p)\n"
         "assert cli.main(['mfet', '--d', '4', '--L', '4', '--x', '0', '--sigma', '1',\n"
         "                 '--theta', '0.5', '--format', 'json']) == 0\n"
-        "assert cli.main(['drift-ratio', '--theta', '0.7', '--rho-points', '3']) == 0\n"
+        "assert cli.main(['drift-ratio', '--theta', '0.7']) == 0\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -41,7 +41,7 @@ def test_simulate_names_are_the_engines_own(module, name):
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from ouexit import *", namespace)
-    assert len(ouexit.__all__) == 30
+    assert len(ouexit.__all__) == 29
     assert all(namespace[name] is getattr(ouexit, name) for name in ouexit.__all__)
 
 

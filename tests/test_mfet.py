@@ -22,7 +22,6 @@ from ouexit import (
     DomainError,
     ExitProblem,
     OupParams,
-    QuadConfig,
     QuadratureError,
     asymptotic_ratio,
     avp_residual,
@@ -169,10 +168,8 @@ class TestExactFormula:
         for d in (2, 5):
             for lam in (0.5, 2.0):
                 for z in (0.5, 1.0, 3.0):
-                    direct = integrate(
-                        lambda t: t ** (d - 1) * math.exp(-lam * t * t), 0.0, z,
-                        QuadConfig(rel_tol=1e-12),
-                    ).value
+                    direct = integrate(lambda t: t ** (d - 1) * math.exp(-lam * t * t),
+                                       0.0, z, rel_tol=1e-12).value
                     via = 0.5 * lam ** (-0.5 * d) * math.exp(ln_lower_gamma(0.5 * d, lam * z * z))
                     assert direct == pytest.approx(via, rel=1e-10)
 
@@ -180,9 +177,10 @@ class TestExactFormula:
         integrate_log = ouexit.mfet.integrate_log
 
         def starved(log_f, a, b):
-            return integrate_log(log_f, a, b, QuadConfig(rel_tol=1e-13, max_panels=2))
+            return integrate_log(log_f, a, b, rel_tol=1e-13)
 
         monkeypatch.setattr(ouexit.mfet, "integrate_log", starved)
+        monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
         with pytest.raises(QuadratureError) as exc:
             mfet_exact(_problem(1, 2.0, 4.0))
         assert exc.value.result.converged is False
@@ -280,8 +278,10 @@ class TestDriftRatio:
         assert drift_ratio(p128, 3.0) == pytest.approx(1.0 - 12.6 / 128.0, rel=1e-13)
 
     def test_brownian_is_identity(self):
+        # at the largest radius too: 2.0 * 0.0 * rho * rho is 0, never 0 * inf
         for d in (1, 7, 4096):
-            assert drift_ratio(OupParams(theta=0.0, sigma=2.0, d=d), 5.0) == 1.0
+            for rho in (5.0, 1.7e308):
+                assert drift_ratio(OupParams(theta=0.0, sigma=2.0, d=d), rho) == 1.0
 
     def test_monotone_toward_one_in_dimension(self):
         ratios = [drift_ratio(OupParams(theta=0.7, sigma=1.0, d=2**k), 3.0) for k in range(1, 8)]
@@ -291,6 +291,12 @@ class TestDriftRatio:
     def test_rejects_negative_radius(self):
         with pytest.raises(DomainError):
             drift_ratio(OupParams(theta=0.7, sigma=1.0, d=2), -1.0)
+
+    @pytest.mark.parametrize("theta", [0.7, -0.7])
+    def test_rejects_a_radius_whose_drift_overflows(self, theta):
+        # rho^2 = inf, so the ratio would be -inf or +inf
+        with pytest.raises(DomainError, match="rho=1e\\+200"):
+            drift_ratio(OupParams(theta=theta, sigma=1.0, d=2), 1e200)
 
 
 class TestOdeResidual:

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ouexit import DomainError, EvaluationError, QuadConfig, integrate, integrate_log
+from ouexit import DomainError, EvaluationError, integrate, integrate_log, quadrature
 
 
 class TestIntegrate:
     def test_polynomial_exactness(self):
         r = integrate(lambda z: z, 0.0, 2.0)
         assert r.converged
-        assert abs(r.value - 2.0) <= QuadConfig().abs_tol
+        assert abs(r.value - 2.0) <= quadrature._ABS_TOL
 
     def test_exponential(self):
         r = integrate(lambda z: math.exp(z), 0.0, 1.0)
@@ -36,10 +36,9 @@ class TestIntegrate:
             assert abs(r.value - truth) <= r.err_estimate + 1e-15 * abs(truth)
 
     def test_converged_result_meets_tolerance_contract(self):
-        cfg = QuadConfig(rel_tol=1e-8, abs_tol=1e-12)
-        r = integrate(lambda z: math.sin(z) ** 2 + 0.1, 0.0, 10.0, cfg)
+        r = integrate(lambda z: math.sin(z) ** 2 + 0.1, 0.0, 10.0, rel_tol=1e-8)
         assert r.converged
-        assert r.err_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
+        assert r.err_estimate <= max(quadrature._ABS_TOL, 1e-8 * abs(r.value))
 
     def test_empty_interval(self):
         r = integrate(lambda z: 1.0, 1.5, 1.5)
@@ -57,20 +56,18 @@ class TestIntegrate:
             integrate(f, 0.0, 1.0)
         assert exc.value.abscissa > 0.5
 
-    def test_panel_budget_reported(self):
+    def test_panel_budget_reported(self, monkeypatch):
         # an oscillation two panels cannot resolve to 1e-12
-        cfg = QuadConfig(rel_tol=1e-12, max_panels=2)
-        r = integrate(lambda z: math.sin(50.0 * z) + 2.0, 0.0, 3.0, cfg)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+        r = integrate(lambda z: math.sin(50.0 * z) + 2.0, 0.0, 3.0, rel_tol=1e-12)
         assert not r.converged
         assert r.panels_used == 2
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            QuadConfig(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadConfig(abs_tol=-1.0)
-        with pytest.raises(DomainError):
-            QuadConfig(max_panels=0)
+        for mode in (integrate, integrate_log):
+            for rel_tol in (0.0, -1e-10, math.inf, math.nan):
+                with pytest.raises(DomainError, match="rel_tol"):
+                    mode(lambda z: 1.0, 0.0, 1.0, rel_tol=rel_tol)
 
     def test_deterministic_reruns(self):
         f = lambda z: math.sin(3 * z) * math.exp(z)  # noqa: E731
@@ -125,42 +122,39 @@ class TestIntegrateLog:
         assert r.converged
 
     def test_tolerance_contract_on_linear_value(self):
-        cfg = QuadConfig(rel_tol=1e-9, abs_tol=0.0)
-        r = integrate_log(lambda z: 500.0 + math.cos(z), 0.0, 6.0, cfg)
+        r = integrate_log(lambda z: 500.0 + math.cos(z), 0.0, 6.0, rel_tol=1e-9)
         assert r.converged
         # err_estimate is the relative linear error here
-        assert r.err_estimate <= cfg.rel_tol
+        assert r.err_estimate <= 1e-9
 
 
 class TestFrozenBits:
     # whole QuadResults of both modes pinned to the last bit, including two
-    # runs that stop at the panel budget
+    # runs that stop at a panel budget patched down from 4096
     @pytest.mark.parametrize(
-        "mode,f,a,b,cfg,want",
+        "mode,f,a,b,rel_tol,max_panels,want",
         [
-            (integrate, lambda z: math.sin(3.0 * z) * math.exp(z), 0.0, 5.0, QuadConfig(),
+            (integrate, lambda z: math.sin(3.0 * z) * math.exp(z), 0.0, 5.0, 1e-10, 4096,
              "QuadResult(value=43.77543219219708, err_estimate=1.4842616025134703e-09,"
              " panels_used=4, converged=True)"),
-            (integrate, lambda z: z * math.exp(0.5 * z * z), 0.0, 4.0, QuadConfig(),
+            (integrate, lambda z: z * math.exp(0.5 * z * z), 0.0, 4.0, 1e-10, 4096,
              "QuadResult(value=2979.9579870417283, err_estimate=5.203551634025416e-08,"
              " panels_used=4, converged=True)"),
-            (integrate, lambda z: math.sin(50.0 * z) + 2.0, 0.0, 3.0,
-             QuadConfig(rel_tol=1e-12, max_panels=2),
+            (integrate, lambda z: math.sin(50.0 * z) + 2.0, 0.0, 3.0, 1e-12, 2,
              "QuadResult(value=6.344880711716532, err_estimate=0.161578580320634,"
              " panels_used=2, converged=False)"),
-            (integrate_log, lambda z: 500.0 + math.cos(z), 0.0, 6.0,
-             QuadConfig(rel_tol=1e-9, abs_tol=0.0),
+            (integrate_log, lambda z: 500.0 + math.cos(z), 0.0, 6.0, 1e-9, 4096,
              "QuadResult(value=501.9734245630688, err_estimate=2.5108527412101143e-11,"
              " panels_used=4, converged=True)"),
-            (integrate_log, lambda z: -0.5 * z * z, -1.0, 2.0, QuadConfig(),
+            (integrate_log, lambda z: -0.5 * z * z, -1.0, 2.0, 1e-10, 4096,
              "QuadResult(value=0.7187722388802102, err_estimate=9.645924937569037e-13,"
              " panels_used=2, converged=True)"),
-            (integrate_log, lambda z: math.sin(50.0 * z), 0.0, 3.0,
-             QuadConfig(rel_tol=1e-12, max_panels=3),
+            (integrate_log, lambda z: math.sin(50.0 * z), 0.0, 3.0, 1e-12, 3,
              "QuadResult(value=1.3523163330334809, err_estimate=0.12328255837969035,"
              " panels_used=3, converged=False)"),
         ],
         ids=["sin3z-exp", "z-exp-half-z2", "budget", "log-500-cos", "log-half-z2", "log-budget"],
     )
-    def test_frozen_result(self, mode, f, a, b, cfg, want):
-        assert repr(mode(f, a, b, cfg)) == want
+    def test_frozen_result(self, monkeypatch, mode, f, a, b, rel_tol, max_panels, want):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
+        assert repr(mode(f, a, b, rel_tol=rel_tol)) == want

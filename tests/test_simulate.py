@@ -228,15 +228,6 @@ class TestRecords:
         assert rec.radii[-1] >= 2.0
         assert rec.times[-1] == rec.exited_at
 
-    def test_stride_downsamples_but_keeps_crossing(self):
-        p = _problem(2, 0.7, 2.0)
-        cfg = McConfig(n_paths=1, dt=1e-3, seed=SEED, scheme=Scheme.FULL_EULER)
-        full = record_path(p, cfg, 0, stride=1)
-        thin = record_path(p, cfg, 0, stride=10)
-        assert thin.exited_at == full.exited_at
-        assert len(thin.times) < len(full.times)
-        assert thin.radii[-1] >= 2.0
-
     def test_censored_record_has_no_exit(self):
         p = _problem(2, 0.0, 10.0)
         cfg = McConfig(n_paths=1, dt=1e-3, seed=SEED, t_max=0.05)
@@ -253,33 +244,40 @@ class TestRecords:
         assert np.all(rec.radii >= 0.0)
         assert np.all(np.isfinite(rec.radii))
 
-    def test_stride_validated(self):
-        p = _problem(2, 0.7, 2.0)
-        cfg = McConfig(n_paths=1, dt=1e-3, seed=SEED)
-        with pytest.raises(DomainError):
-            record_path(p, cfg, 0, stride=0)
+    @pytest.mark.parametrize("t_max", [None, 0.05])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_times_are_the_step_grid(self, scheme, t_max):
+        # one sample per step, exited or censored: times are k * dt exactly
+        cfg = McConfig(n_paths=1, dt=1e-3, seed=SEED, scheme=scheme, t_max=t_max)
+        rec = record_path(_problem(3, 0.5, 1.0), cfg, 0)
+        n = len(rec.times)
+        assert len(rec.radii) == n
+        assert rec.times.tobytes() == (np.arange(n) * cfg.dt).tobytes()
+        assert rec.times.tobytes() == np.array([k * cfg.dt for k in range(n)]).tobytes()
+        assert rec.times[-1] == (cfg.t_max if rec.exited_at is None else rec.exited_at)
 
 
 @pytest.mark.parametrize("d", [1, 4, 9, 16])
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_scalar_hand_off_matches_batch_step(monkeypatch, scheme, d):
     # the numpy batch step run to the end is the reference for the scalar
-    # loop that finishes stragglers: exit times and recorded traces agree
+    # loop that finishes stragglers: exit times and every-step traces agree
     # bitwise, a horizon that censors part of the batch included
     p = _problem(d, 0.5, 1.5)
     cfg = McConfig(n_paths=24, dt=1e-3, seed=SEED, scheme=scheme, t_max=1.5)
     handed_off = _run_paths(p, cfg, list(range(24)))
-    rec = record_path(p, cfg, 5, stride=3)
+    rec = record_path(p, cfg, 5)
     monkeypatch.setattr(simulate, "_SCALAR_LOAD", 0)
     assert _run_paths(p, cfg, list(range(24))).tobytes() == handed_off.tobytes()
-    ref = record_path(p, cfg, 5, stride=3)
+    ref = record_path(p, cfg, 5)
     assert ref.times.tobytes() == rec.times.tobytes()
     assert ref.radii.tobytes() == rec.radii.tobytes()
     assert ref.exited_at == rec.exited_at
 
-# Exit steps of paths 0-7 and the SHA-256 of path 3's stride-7 radius trace
-# per scheme.  They pin the output bits across code changes, which the
-# run-twice determinism tests cannot; x = 0 covers the radial-euler bootstrap.
+# Exit steps of paths 0-7 and the SHA-256 of path 3's radius trace at every
+# 7th step plus the crossing, per scheme.  They pin the output bits across
+# code changes, which the run-twice determinism tests cannot; x = 0 covers
+# the radial-euler bootstrap.
 FROZEN = [
     ("full-euler", 0.0, [255, 269, 215, 604, 467, 281, 613, 133],
      "aa8cba76c189b14376b117c69efe01b8d19e7cc2779263e515c6b38a9360801e"),
@@ -306,8 +304,10 @@ def test_frozen_bits(scheme, x, steps, trace_sha):
     cfg = McConfig(n_paths=8, dt=1e-3, seed=20240611, scheme=scheme)
     times = _run_paths(p, cfg, list(range(8)))
     assert [round(t / cfg.dt) for t in times] == steps
-    radii = record_path(p, cfg, 3, stride=7).radii
-    assert hashlib.sha256(radii.tobytes()).hexdigest() == trace_sha
+    radii = record_path(p, cfg, 3).radii
+    keep = np.arange(len(radii)) % 7 == 0
+    keep[-1] = True  # path 3 exits in every row
+    assert hashlib.sha256(radii[keep].tobytes()).hexdigest() == trace_sha
 
 
 # Batches that cross the hand-off from the numpy batch step to the per-path
@@ -390,7 +390,7 @@ FROZEN_RECORDS = [
 @pytest.mark.parametrize("d,theta,exited_at,sha", FROZEN_RECORDS)
 def test_frozen_record_bits(d, theta, exited_at, sha):
     cfg = McConfig(n_paths=1, dt=1e-3, seed=123456789, scheme=Scheme.FULL_EULER)
-    rec = record_path(_problem(d, theta, 2.5), cfg, 0, stride=1)
+    rec = record_path(_problem(d, theta, 2.5), cfg, 0)
     assert rec.exited_at == exited_at
     assert hashlib.sha256(rec.times.tobytes() + rec.radii.tobytes()).hexdigest() == sha
 
