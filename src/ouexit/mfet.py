@@ -58,6 +58,11 @@ class OupParams:
             raise DomainError(f"theta must be finite, got {self.theta!r}")
         if not 0.0 < self.sigma * self.sigma < math.inf:
             raise DomainError(f"sigma**2 leaves the double range at sigma={self.sigma!r}")
+        # sigma**2 * d is the Brownian rate of |X|^2: mfet_bm's divisor, the
+        # squared-radial drift and the drift ratio's numerator
+        if not self.sigma * self.sigma * self.d < math.inf:
+            raise DomainError(f"sigma**2 * d leaves the double range at sigma={self.sigma!r}, "
+                              f"d={self.d!r}")
         # lam shares theta's sign, so both name the same regime
         lam = self.lam
         if not (math.isfinite(lam) and (lam == 0.0) == (self.theta == 0.0)):

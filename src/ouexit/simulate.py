@@ -34,6 +34,17 @@ move a normal to another step.  Every aggregate is reduced in path-index
 order with pairwise summation, so estimates are identical however the paths
 are batched or parallelized.
 
+Filling a block: ``_normals`` allocates it once and fills it in pieces of
+at most _PIECE normals (one row cut into pieces, or several short rows
+together), taking each piece from raw draws to normals in place, so its
+temporaries stay in cache.  A block of at least _PAR_MIN normals with two
+or more streams has its rows split over a thread pool with one worker per
+CPU in the process's affinity mask (``taskset`` limits it), made on first
+use and dropped in a forked child.  Philox, the elementwise maps and ndtri
+release the GIL.  Each row is one stream's own draws written to its own
+row, by elementwise maps, so the bits depend neither on the pieces nor on
+the pool size.
+
 Straggler hand-off: exit times are heavy-tailed (about exp(lambda L^2) at
 small d), so most time steps of a batch have only a few paths still
 running, and a numpy step costs several microseconds of call overhead
@@ -51,6 +62,9 @@ numpy's at every d (left to right below 8 entries, pairwise from 8).
 """
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,6 +78,14 @@ _U64_MAX = 2**64 - 1
 _BLOCK_FLOATS = 2_000_000
 _SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
 _RUN_STEPS = 256  # steps per scalar run of a full-dimensional path
+_PIECE = 2**15  # normals per transform piece: 256 KB per temporary
+_PAR_MIN = 2**16  # normals in a block worth splitting over the pool
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:  # no affinity masks (macOS, Windows)
+    _WORKERS = os.cpu_count() or 1
+_pool = None  # ThreadPoolExecutor of _WORKERS threads, made on first use
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -219,16 +241,71 @@ def _scheme_kernel(problem, cfg):
     return x, (bootstrap if x == 0.0 else step), step, run, big_l, float
 
 
+def _to_normals(raw, out):
+    """Map raw 64-bit draws to normals in ``out``; ``raw`` is overwritten.
+
+    53-bit uniform centered in (0, 1), then inverse normal CDF: fixed
+    elementwise maps, so each value depends only on its raw draw.  The top
+    53-bit value, (2**53 - 1) + 0.5, rounds to 2**53 and so u to 1.0, where
+    ndtri is +inf; it alone moves, to the double below 1.
+    """
+    raw >>= np.uint64(11)
+    np.add(raw, 0.5, out=out)
+    out *= 2.0**-53
+    np.minimum(out, 1.0 - 2.0**-53, out=out)
+    ndtri(out, out=out)
+
+
+def _fill(flat, streams, lo, hi):
+    """Fill rows lo..hi-1 of ``flat`` from their streams, a piece at a time.
+
+    A piece is one row cut into _PIECE columns, or as many whole short rows
+    as fit in _PIECE normals, so its temporaries stay in cache.
+    """
+    n = flat.shape[1]
+    rows, cols = max(1, _PIECE // n), min(n, _PIECE)
+    for r in range(lo, hi, rows):
+        group = streams[r:min(hi, r + rows)]
+        for c in range(0, n, cols):
+            c1 = min(n, c + cols)
+            raws = [s.random_raw(c1 - c) for s in group]
+            _to_normals(np.stack(raws) if len(raws) > 1 else raws[0],
+                        flat[r:r + len(raws), c:c1])
+
+
+def _executor():
+    """The normals pool, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ouexit-normals")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child has none of the parent's threads; a pool it inherited
+    # would queue work that never runs
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _normals(streams, steps, shape):
     """The next ``steps`` normals of each stream, shaped (paths, steps) + shape."""
-    raws = np.stack([s.random_raw(steps * math.prod(shape)) for s in streams])
-    # 53-bit uniform centered in (0, 1), then inverse normal CDF; both steps
-    # are fixed elementwise maps, so values depend only on the raw draws.
-    # The top 53-bit value, (2**53 - 1) + 0.5, rounds to 2**53 and so u to
-    # 1.0, where ndtri is +inf; it alone moves, to the double below 1.
-    u = ((raws >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    np.minimum(u, 1.0 - 2.0**-53, out=u)
-    return ndtri(u).reshape((len(streams), steps) + shape)
+    n = len(streams)
+    flat = np.empty((n, steps * math.prod(shape)))
+    parts = min(_WORKERS, n) if flat.size >= _PAR_MIN else 1
+    if parts < 2:
+        _fill(flat, streams, 0, n)
+    else:
+        cuts = [n * i // parts for i in range(parts + 1)]
+        pool = _executor()
+        for f in [pool.submit(_fill, flat, streams, lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
+            f.result()
+    return flat.reshape((n, steps) + shape)
 
 
 def _block_steps(floats_per_step, taken):
@@ -291,7 +368,7 @@ def _run_paths(problem, cfg, indices, record=None):
                 return out
             pos_map = pos_map[keep]
             state = state[keep]
-            block = block[keep]
+            block, pos = block[keep, pos:], 0
             streams = [s for s, kept in zip(streams, keep) if kept]
 
     for row, stream in enumerate(streams):

@@ -332,6 +332,9 @@ _OUT_OF_RANGE = {
     "mfet --d 1 --L 1e-300 --x 0 --sigma 1 --theta 0.5": "ball radius L",
     "mfet --sigma 1e200 --theta 1 --d 4 --L 1 --x 0": "sigma",
     "mfet --d 4 --L 1 --x 0 --sigma 1e-100 --theta 1e250": "theta/sigma**2",
+    "mfet --sigma 1e154 --d 1000 --L 1 --x 0 --theta 0": "sigma**2 * d",
+    "drift-ratio --sigma 1e154 --d-list 1000": "sigma**2 * d",
+    "scaling --d-min 1024 --d-max 1024 --sigma 1e154 --paths 2": "sigma**2 * d",
 }
 
 

@@ -371,6 +371,13 @@ class TestParamValidation:
         with pytest.raises(DomainError, match=re.escape(name)):
             OupParams(theta=theta, sigma=sigma, d=4)
 
+    def test_brownian_rate_stays_in_double_range(self):
+        # sigma**2 = 1e308 is finite, but sigma**2 * d is not at d = 1000;
+        # mfet_bm gave 0.0 and every MC path exited at the first step
+        assert OupParams(theta=0.0, sigma=1e154, d=1).sigma == 1e154
+        with pytest.raises(DomainError, match=re.escape("sigma**2 * d")):
+            OupParams(theta=0.0, sigma=1e154, d=1000)
+
     def test_lambda_shares_the_sign_of_theta(self):
         # a subnormal lambda is kept; only one that rounds to 0 is refused
         for theta in (-1e-300, 0.0, 1e-300):

@@ -8,11 +8,15 @@ combine the standard error with the known discrete-monitoring bias margin.
 
 import hashlib
 import math
+import multiprocessing
+import os
+import queue
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from ouexit import (
     DomainError,
@@ -423,6 +427,83 @@ def test_top_raw_draws_give_finite_normals():
     assert np.isfinite(z).all()
     assert z[0] == z[1] == pytest.approx(8.2, abs=0.05)
     assert z[2] == pytest.approx(-8.3, abs=0.05)
+
+
+def _one_shot_normals(streams, steps, shape):
+    # the reference: every raw draw of the block at once, then each
+    # elementwise map over the whole block
+    raws = np.stack([s.random_raw(steps * math.prod(shape)) for s in streams])
+    u = ((raws >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    return ndtri(u).reshape((len(streams), steps) + shape)
+
+
+def _streams(n, seed=SEED):
+    return [np.random.Philox(key=np.array([seed, i], dtype=np.uint64)) for i in range(n)]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n,steps,shape", [
+    (16, 256, (4,)),                        # mc-metastable's first block, below _PAR_MIN
+    (7, 19, (1024,)),                       # above _PAR_MIN; 7 rows split unevenly
+    (1, 3 * simulate._PIECE + 5, ()),        # one row of 3 whole pieces and a part
+    (3, 2 * simulate._PIECE + 1, ()),
+    (5, 3, (7,)),
+])
+def test_normals_match_one_shot_transform(monkeypatch, workers, n, steps, shape):
+    monkeypatch.setattr(simulate, "_WORKERS", workers)
+    monkeypatch.setattr(simulate, "_pool", None)
+    got = simulate._normals(_streams(n), steps, shape)
+    assert got.shape == (n, steps) + shape
+    assert got.tobytes() == _one_shot_normals(_streams(n), steps, shape).tobytes()
+    # the streams stay in order across calls
+    streams, ref = _streams(n), _streams(n)
+    _one_shot_normals(ref, steps, shape)
+    simulate._normals(streams, steps, shape)
+    assert (simulate._normals(streams, 2, shape).tobytes()
+            == _one_shot_normals(ref, 2, shape).tobytes())
+
+
+def _highdim_estimate():
+    p = _problem(1024, 0.5, 4.0)
+    return estimate_mfet(p, McConfig(n_paths=100, dt=1e-3, seed=SEED, scheme=Scheme.FULL_EXACT))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_estimate_does_not_depend_on_worker_count(monkeypatch, workers):
+    default = _highdim_estimate()
+    monkeypatch.setattr(simulate, "_WORKERS", workers)
+    monkeypatch.setattr(simulate, "_pool", None)
+    assert _highdim_estimate() == default
+
+
+def _estimate_into(results):
+    results.put(_highdim_estimate())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_forked_child_gets_its_own_pool(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads;
+    # without the at-fork reset its first parallel block waits forever
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    parent = _highdim_estimate()
+    assert simulate._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_estimate_into, args=(results,))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+    except queue.Empty:
+        pytest.fail("the forked child produced no estimate within 60 s")
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert not child.is_alive()
+    assert got == parent
 
 
 def test_mc_route_does_not_import_scipy_signal():
