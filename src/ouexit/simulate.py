@@ -37,13 +37,16 @@ are batched or parallelized.
 Filling a block: ``_normals`` allocates it once and fills it in pieces of
 at most _PIECE normals (one row cut into pieces, or several short rows
 together), taking each piece from raw draws to normals in place, so its
-temporaries stay in cache.  A block of at least _PAR_MIN normals with two
-or more streams has its rows split over a thread pool with one worker per
-CPU in the process's affinity mask (``taskset`` limits it), made on first
-use and dropped in a forked child.  Philox, the elementwise maps and ndtri
-release the GIL.  Each row is one stream's own draws written to its own
-row, by elementwise maps, so the bits depend neither on the pieces nor on
-the pool size.
+temporaries stay in cache.  A block with two or more streams has its rows
+split over a thread pool with one worker per CPU in the process's affinity
+mask (``taskset`` limits it; a forked child gets a new pool), into at most
+one part per whole piece of the block.  Measured on 2 cores, a split with
+a piece or more per part took 0.6-0.8 of the direct time for every block
+shape tried; with less, 0.6-1.3, a loss for short rows, whose per-stream
+Python calls hold the GIL (Philox, the elementwise maps and ndtri release
+it).  Each row is one stream's own draws written to its own row, by
+elementwise maps, so the bits depend neither on the pieces nor on the pool
+size.
 
 Straggler hand-off: exit times are heavy-tailed (about exp(lambda L^2) at
 small d), so most time steps of a batch have only a few paths still
@@ -63,7 +66,6 @@ numpy's at every d (left to right below 8 entries, pairwise from 8).
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -79,13 +81,18 @@ _BLOCK_FLOATS = 2_000_000
 _SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
 _RUN_STEPS = 256  # steps per scalar run of a full-dimensional path
 _PIECE = 2**15  # normals per transform piece: 256 KB per temporary
-_PAR_MIN = 2**16  # normals in a block worth splitting over the pool
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:  # no affinity masks (macOS, Windows)
     _WORKERS = os.cpu_count() or 1
-_pool = None  # ThreadPoolExecutor of _WORKERS threads, made on first use
-_pool_lock = threading.Lock()
+
+
+def _new_pool():
+    # threads start on the first submit, so making the pool costs nothing
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="ouexit-normals")
+
+
+_pool = _new_pool()
 
 
 @dataclass(frozen=True)
@@ -273,37 +280,28 @@ def _fill(flat, streams, lo, hi):
                         flat[r:r + len(raws), c:c1])
 
 
-def _executor():
-    """The normals pool, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ouexit-normals")
-        return _pool
-
-
-def _forget_pool():
+def _renew_pool():
     # a forked child has none of the parent's threads; a pool it inherited
     # would queue work that never runs
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    global _pool
+    _pool = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):  # no fork on Windows
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_renew_pool)
 
 
 def _normals(streams, steps, shape):
     """The next ``steps`` normals of each stream, shaped (paths, steps) + shape."""
     n = len(streams)
     flat = np.empty((n, steps * math.prod(shape)))
-    parts = min(_WORKERS, n) if flat.size >= _PAR_MIN else 1
+    # at least one piece per part; see the module docstring
+    parts = min(_WORKERS, n, flat.size // _PIECE)
     if parts < 2:
         _fill(flat, streams, 0, n)
     else:
         cuts = [n * i // parts for i in range(parts + 1)]
-        pool = _executor()
-        for f in [pool.submit(_fill, flat, streams, lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
+        for f in [_pool.submit(_fill, flat, streams, lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
             f.result()
     return flat.reshape((n, steps) + shape)
 

@@ -13,6 +13,8 @@ import os
 import queue
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -442,16 +444,30 @@ def _streams(n, seed=SEED):
     return [np.random.Philox(key=np.array([seed, i], dtype=np.uint64)) for i in range(n)]
 
 
+@pytest.fixture
+def use_workers(monkeypatch):
+    # split blocks as if the affinity mask held ``workers`` CPUs
+    pools = []
+
+    def use(workers):
+        pools.append(ThreadPoolExecutor(workers, thread_name_prefix="test-normals"))
+        monkeypatch.setattr(simulate, "_WORKERS", workers)
+        monkeypatch.setattr(simulate, "_pool", pools[-1])
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("n,steps,shape", [
-    (16, 256, (4,)),                        # mc-metastable's first block, below _PAR_MIN
-    (7, 19, (1024,)),                       # above _PAR_MIN; 7 rows split unevenly
+    (16, 256, (4,)),                        # mc-metastable's first block: one piece
+    (7, 19, (1024,)),                       # 4 pieces; 7 rows split unevenly
     (1, 3 * simulate._PIECE + 5, ()),        # one row of 3 whole pieces and a part
     (3, 2 * simulate._PIECE + 1, ()),
 ])
-def test_normals_match_one_shot_transform(monkeypatch, workers, n, steps, shape):
-    monkeypatch.setattr(simulate, "_WORKERS", workers)
-    monkeypatch.setattr(simulate, "_pool", None)
+def test_normals_match_one_shot_transform(use_workers, workers, n, steps, shape):
+    use_workers(workers)
     got = simulate._normals(_streams(n), steps, shape)
     assert got.shape == (n, steps) + shape
     assert got.tobytes() == _one_shot_normals(_streams(n), steps, shape).tobytes()
@@ -469,12 +485,11 @@ def _highdim_estimate():
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_estimate_does_not_depend_on_worker_count(monkeypatch, workers):
+def test_estimate_does_not_depend_on_worker_count(use_workers, workers):
     # 3 workers is more than the 2 cores the suite is timed on; the short
     # switch interval interleaves the threads as finely as it can
     default = _highdim_estimate()
-    monkeypatch.setattr(simulate, "_WORKERS", workers)
-    monkeypatch.setattr(simulate, "_pool", None)
+    use_workers(workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -490,12 +505,12 @@ def _estimate_into(results):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
-def test_forked_child_gets_its_own_pool(monkeypatch):
+def test_forked_child_gets_its_own_pool(use_workers):
     # the child inherits the parent's pool object but none of its threads;
     # without the at-fork reset its first parallel block waits forever
-    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    use_workers(2)
     parent = _highdim_estimate()
-    assert simulate._pool is not None
+    assert any(t.name.startswith("test-normals") for t in threading.enumerate())
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
     child = ctx.Process(target=_estimate_into, args=(results,))
