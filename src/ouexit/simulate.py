@@ -48,20 +48,30 @@ it).  Each row is one stream's own draws written to its own row, by
 elementwise maps, so the bits depend neither on the pieces nor on the pool
 size.
 
-Straggler hand-off: exit times are heavy-tailed (about exp(lambda L^2) at
-small d), so most time steps of a batch have only a few paths still
-running, and a numpy step costs several microseconds of call overhead
-however few paths it carries.  ``_run_paths`` therefore steps all live
-paths together in numpy only while live paths times normals per step exceeds
-``_SCALAR_LOAD``; after that it finishes each remaining path alone in a
-scalar Python loop over the rest of its pre-drawn normals, drawing further
-blocks from the path's own stream.  The regrouping keeps the bits: the
-normals are the same (they depend only on seed, path and position), each
-scheme's scalar form evaluates the numpy step's expression in the same
-order (the radial clamp ``y if y > 0.0 else 0.0`` equals
-``np.maximum(y, 0.0)`` on -0.0 too), and the full schemes still sum |x|^2
-with numpy over C-contiguous rows of d, so its summation order stays
-numpy's at every d (left to right below 8 entries, pairwise from 8).
+Chunks and the straggler hand-off: exit times are heavy-tailed (about
+exp(lambda L^2) at small d), so most time steps of a batch have only a few
+paths still running, and every numpy call costs about a microsecond of
+overhead however few paths it carries.  ``_run_paths`` therefore advances
+the live paths a chunk of steps per kernel call: the kernel applies its
+step expression to the chunk's columns in turn, and the driver finds each
+path's first crossing in the chunk with one argmax and drops exited paths
+once per chunk.  A chunk is at most an eighth of the steps already taken,
+so the steps a path takes past its exit, then discarded, stay under an
+eighth of those it needed; past one step it holds at most _CHUNK normals
+over all its paths, so its temporaries stay under glibc's 128 KB mmap
+threshold; and it ends at the end of the normals block and at the horizon.  Paths step in numpy only
+while live paths times normals per step exceeds ``_SCALAR_LOAD``; after
+that each remaining path is finished alone in a scalar Python loop over the
+rest of its pre-drawn normals, drawing further blocks from the path's own
+stream.  Neither regrouping moves a bit: the normals are the same (they
+depend only on seed, path and position); a step evaluates the same
+expression on each value whatever the chunk, and each scheme's scalar form
+evaluates it in the same order (the radial clamp ``y if y > 0.0 else 0.0``
+equals ``np.maximum(y, 0.0)`` on -0.0 too); an exit is the first crossing's
+grid time in whatever chunk it falls; and the full schemes sum |x|^2 with
+numpy over C-contiguous rows of d, stacked (paths, c, d) for a chunk and
+(steps, d) for a scalar run, so its summation order stays numpy's at every
+d (left to right below 8 entries, pairwise from 8).
 """
 
 import math
@@ -80,6 +90,7 @@ _U64_MAX = 2**64 - 1
 _BLOCK_FLOATS = 2_000_000
 _SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
 _RUN_STEPS = 256  # steps per scalar run of a full-dimensional path
+_CHUNK = 2**13  # path-normals per batch chunk: 64 KB per temporary
 _PIECE = 2**15  # normals per transform piece: 256 KB per temporary
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
@@ -153,13 +164,16 @@ def _scheme_kernel(problem, cfg):
     """(start, first, step, run, threshold, radius) of the configured scheme.
 
     ``start`` is one path's state, a row of d coordinates or a scalar, with
-    one normal per entry drawn each step.  ``first`` and ``step`` map a batch
-    (states, z) to (states, monitored); a path exits once monitored reaches
-    ``threshold``, and ``radius`` maps a monitored value to a radius.
-    ``run`` is the scalar form of ``step`` for one path: it maps (state, zs),
-    the path's next normals in step order, to (state, monitored values of
-    the steps it took), stopping at the exit step or after at most
-    ``len(zs)`` steps, with the bits of ``step``.
+    one normal per entry drawn each step.  ``first`` and ``step`` advance a
+    batch by a chunk of c steps: they map (states, zs), with zs shaped
+    (paths, c) + shape and holding each path's next normals in step order,
+    to (states after the chunk, monitored values shaped (paths, c)).
+    ``first`` takes the batch's first step, a one-step chunk.  A path exits
+    once monitored reaches ``threshold``, and ``radius`` maps a monitored
+    value to a radius.  ``run`` is the scalar form of ``step`` for one path:
+    it maps (state, zs), the path's next normals in step order, to (state,
+    monitored values of the steps it took), stopping at the exit step or
+    after at most ``len(zs)`` steps, with the bits of ``step``.
     """
     p, x, dt = problem.params, problem.x, cfg.dt
     sqrt_dt = math.sqrt(dt)
@@ -183,23 +197,36 @@ def _scheme_kernel(problem, cfg):
                 return [c := decay * c + w for w in ws]
 
         # ``recur`` takes one coordinate through its noise terms ws: on
-        # arrays for one batch step, on floats for a scalar run, so both
+        # arrays for a batch chunk, on floats for a scalar run, so both
         # forms evaluate the same expression
-        def step(state, z):
-            state = recur(state, [scale * z])[0]
-            return state, np.sum(state * state, axis=1)
+        def step(state, zs):
+            xs = recur(state, scale * zs.swapaxes(0, 1))
+            # |x|^2 of every step in one reduction over C-contiguous rows of
+            # d, the order the scalar run uses too
+            rows = xs[0][:, None] if len(xs) == 1 else np.stack(xs, axis=1)
+            return xs[-1], np.add.reduce(rows * rows, axis=2)
 
         def run(state, zs):
             # |x|^2 summed by numpy over C-contiguous rows of d, in the
             # batch step's order
             ws = (scale * zs[:_RUN_STEPS]).T.tolist()
-            xs = np.array([recur(c, col) for c, col in zip(state.tolist(), ws)]).T.copy()
-            r2 = np.sum(xs * xs, axis=1)
+            xs = np.array([recur(c, col) for c, col in zip(state.tolist(), ws)],
+                          np.float64).T.copy()
+            r2 = np.add.reduce(xs * xs, axis=1)
             hit = np.flatnonzero(r2 >= big_l2)
             n = hit[0] + 1 if hit.size else len(r2)
             return xs[n - 1], r2[:n]
 
         return np.concatenate(([x], np.zeros(p.d - 1))), step, step, run, big_l2, math.sqrt
+
+    def by_column(f):
+        # a chunk of a one-step map, taken column by column
+        def chunk(state, zs):
+            monitored = np.empty(zs.shape)
+            for j in range(zs.shape[1]):
+                state, monitored[:, j] = f(state, zs[:, j])
+            return state, monitored
+        return chunk
 
     s2d = p.sigma * p.sigma * p.d
     two_theta = 2.0 * p.theta
@@ -222,13 +249,14 @@ def _scheme_kernel(problem, cfg):
                     break
             return y, ys
 
-        return x * x, squared_radial, squared_radial, run, big_l2, lambda y: math.sqrt(max(y, 0.0))
+        step = by_column(squared_radial)
+        return x * x, step, step, run, big_l2, lambda y: math.sqrt(max(y, 0.0))
 
     # radial-euler; the drift is singular at 0, so a start there bootstraps
     half_dm1_s2 = 0.5 * (p.d - 1) * p.sigma * p.sigma
     theta, big_l = p.theta, problem.L
 
-    def step(rho, z):
+    def radial(rho, z):
         rho = np.abs(rho + (half_dm1_s2 / rho - theta * rho) * dt + sig_sqdt * z)
         return rho, rho
 
@@ -245,7 +273,8 @@ def _scheme_kernel(problem, cfg):
                 break
         return rho, rhos
 
-    return x, (bootstrap if x == 0.0 else step), step, run, big_l, float
+    step = by_column(radial)
+    return x, (by_column(bootstrap) if x == 0.0 else step), step, run, big_l, float
 
 
 def _to_normals(raw, out):
@@ -318,10 +347,10 @@ def _run_paths(problem, cfg, indices, record=None):
     Returns an array aligned with ``indices`` holding the exit grid time, or
     NaN for paths censored at the horizon.  When ``record`` is a list it
     collects the radius at the start and after every step (single-path runs
-    only).  Live paths step together in numpy while their load exceeds
-    ``_SCALAR_LOAD`` (the first step always does), then each is finished
-    alone by the scheme's scalar ``run``; see the module docstring for why
-    the bits do not change.
+    only).  Live paths advance together in numpy, a chunk of steps per
+    kernel call, while their load exceeds ``_SCALAR_LOAD`` (the first step
+    always does), then each is finished alone by the scheme's scalar
+    ``run``; see the module docstring for why the bits do not change.
     """
     n = len(indices)
     dt = cfg.dt
@@ -351,16 +380,21 @@ def _run_paths(problem, cfg, indices, record=None):
         if pos == block.shape[1]:
             block = _normals(streams, _block_steps(n * m, k), shape)
             pos = 0
-        z = block[:, pos]
-        pos += 1
-        state, monitored = (first if k == 0 else step)(state, z)
-        k += 1
-
-        exited = monitored >= threshold
+        # k // 8 keeps the steps stepped past an exit under an eighth of
+        # those taken, and makes the first chunk one step
+        c = min(block.shape[1] - pos, max_steps - k, max(1, k // 8),
+                max(1, _CHUNK // (len(streams) * m)))
+        state, monitored = (first if k == 0 else step)(state, block[:, pos:pos + c])
+        hit = monitored >= threshold
+        exited = hit[:, 0] if c == 1 else hit.any(axis=1)
         if record is not None:
-            record.append(radius(float(monitored[0])))
+            upto = hit[0].argmax() + 1 if exited[0] else c
+            record.extend(map(radius, monitored[0, :upto].tolist()))
+        k += c
+        pos += c
         if exited.any():
-            out[pos_map[exited]] = k * dt
+            # each exited row's first crossing, counted from the chunk's start
+            out[pos_map[exited]] = (k - c + 1 + hit[exited].argmax(axis=1)) * dt
             keep = ~exited
             if not keep.any():
                 return out

@@ -280,6 +280,54 @@ def test_scalar_hand_off_matches_batch_step(monkeypatch, scheme, d):
     assert ref.radii.tobytes() == rec.radii.tobytes()
     assert ref.exited_at == rec.exited_at
 
+@pytest.fixture
+def chunk_hits(monkeypatch):
+    """Per batch kernel call after the first, the (paths, c) crossing mask."""
+    hits = []
+    kernel = simulate._scheme_kernel
+
+    def spied(problem, cfg):
+        start, first, step, run, threshold, radius = kernel(problem, cfg)
+
+        def spied_step(state, zs):
+            state, monitored = step(state, zs)
+            hits.append(monitored >= threshold)
+            return state, monitored
+
+        return start, first, spied_step, run, threshold, radius
+
+    monkeypatch.setattr(simulate, "_scheme_kernel", spied)
+    return hits
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.5])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_chunks_keep_the_bits(monkeypatch, chunk_hits, scheme, theta):
+    # one-step chunks are the reference for batches that advance a chunk of
+    # steps per kernel call: exit times and every-step records agree
+    # bitwise, with exits inside chunks and a horizon that cuts one short
+    p = _problem(9, theta, 2.4)
+    cfg = McConfig(n_paths=64, dt=1e-3, seed=SEED, scheme=scheme, t_max=0.437)
+    chunked = _run_paths(p, cfg, list(range(64)))
+    assert any(h.shape[1] > 1 and h[:, :-1].any() for h in chunk_hits)
+    widths = [h.shape[1] for h in chunk_hits]
+    assert np.isnan(chunked).any() and 1 + sum(widths) == 437
+    k, load = 437 - widths[-1], len(chunk_hits[-1]) * (9 if "full" in scheme else 1)
+    assert widths[-1] < min(k // 8, simulate._CHUNK // load)
+    # full schemes at d = 64 record in batch chunks; some paths exit
+    rec_p = _problem(64, theta, 4.6 if theta > 0 else 6.0)
+    recs = [record_path(rec_p, cfg, i) for i in range(4)]
+    assert {r.exited_at is None for r in recs} == {True, False}
+    monkeypatch.setattr(simulate, "_CHUNK", 1)
+    chunk_hits.clear()
+    assert _run_paths(p, cfg, list(range(64))).tobytes() == chunked.tobytes()
+    assert {h.shape[1] for h in chunk_hits} == {1}
+    for i, rec in enumerate(recs):
+        ref = record_path(rec_p, cfg, i)
+        assert ref.exited_at == rec.exited_at
+        assert ref.radii.tobytes() == rec.radii.tobytes()
+
+
 # Exit steps of paths 0-7 and the SHA-256 of path 3's radius trace at every
 # 7th step plus the crossing, per scheme.  They pin the output bits across
 # code changes, which the run-twice determinism tests cannot; x = 0 covers
@@ -320,8 +368,10 @@ def test_frozen_bits(scheme, x, steps, trace_sha):
 # scalar loop, captured before that loop existed: full schemes at d = 1, 9
 # and 16 (from d = 8 numpy sums |x|^2 pairwise), 64-path radial batches,
 # theta = 0 and theta < 0, and horizons that censor paths part-way through a
-# normals block.  Columns: scheme, d, theta, L, x, n_paths, t_max, censored
-# paths, SHA-256 of the exit-time array.
+# normals block.  The last two rows, the benchmark's metastable cell (d = 4,
+# 16 paths, exits after 332-7991 steps), were captured before batches took
+# a chunk of steps per kernel call.  Columns: scheme, d, theta, L, x,
+# n_paths, t_max, censored paths, SHA-256 of the exit-time array.
 FROZEN_BATCHES = [
     ("full-euler", 1, 0.5, 1.0, 0.0, 16, None, 0,
      "f0017f875773c1c1a2c7f1db88553a834a2829c872ebbf98582dde0fabb9c9e2"),
@@ -367,6 +417,10 @@ FROZEN_BATCHES = [
      "1323ff0f8de8190324de9796065a52579e175d8a9e92588faa280eb9f35f59fb"),
     ("squared-radial-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 7,
      "34a31939cfe3ce21315301bcf25730650b550c93c411d46ddef591cee4fb3af0"),
+    ("full-euler", 4, 0.5, 2.5, 0.0, 16, None, 0,
+     "a3c0f18773093e2322a17830089fa89614af47606e737d606d84b9665525a344"),
+    ("full-exact", 4, 0.5, 2.5, 0.0, 16, None, 0,
+     "a3c0f18773093e2322a17830089fa89614af47606e737d606d84b9665525a344"),
 ]
 
 
@@ -381,8 +435,8 @@ def test_frozen_batch_bits(scheme, d, theta, big_l, x, n, t_max, censored, sha):
 
 # The trajectories command's cells at its defaults (full Euler, L = 2.5,
 # path 0 of seed 123456789), recorded every step: exit time and SHA-256 of
-# the times followed by the radii.  A lone d = 1000 path stays in the numpy
-# batch step, as its load exceeds _SCALAR_LOAD.
+# the times followed by the radii.  A lone d = 1000 path stays in numpy
+# batch chunks, as its load exceeds _SCALAR_LOAD.
 FROZEN_RECORDS = [
     (2, 0.7, 62.996, "8d654417f9ef241e39fcd49e85e04ab71ad3116ade3fbbd58d25109accfca531"),
     (2, 0.0, 4.065, "2edfae014f58003663bc7a2afdae27f009b60af862fc871a341e6e1d3edf7233"),
