@@ -380,8 +380,8 @@ def _run_paths(problem, cfg, indices, record=None):
         if pos == block.shape[1]:
             block = _normals(streams, _block_steps(n * m, k), shape)
             pos = 0
-        # k // 8 keeps the steps stepped past an exit under an eighth of
-        # those taken, and makes the first chunk one step
+        # k // 8 keeps the steps taken past an exit under an eighth of those
+        # before it, and makes the first chunk one step
         c = min(block.shape[1] - pos, max_steps - k, max(1, k // 8),
                 max(1, _CHUNK // (len(streams) * m)))
         state, monitored = (first if k == 0 else step)(state, block[:, pos:pos + c])
