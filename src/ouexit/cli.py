@@ -18,6 +18,13 @@ output can be regenerated exactly.  Every input is checked before the
 output is opened, so a usage error writes nothing.  Exit codes: 0 success,
 1 selftest failure, 2 usage error, 3 numerical failure.
 
+Every CSV table goes through one writer, a group of rows at a time.  A
+group holds one entry per column: a list of that column's cells, or one
+value that repeats down the group; a group of single values alone is one
+row.  Each list column is formatted in one pass and the rows stream to the
+output as they are joined, so a trace of many rows costs a few C-level
+passes, not a Python call per cell.
+
 Only ``scaling``, ``trajectories`` and ``selftest`` simulate, so only they
 import numpy and scipy; ``mfet`` and ``drift-ratio`` run on the standard
 library alone.
@@ -25,8 +32,10 @@ library alone.
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
+import operator
 import sys
 from datetime import datetime, timezone
 
@@ -85,8 +94,38 @@ def _fmt(v):
     return str(v)
 
 
-def _csv_line(values):
-    return ",".join(map(_fmt, values)) + "\n"
+_FLAGS = {True: "1", False: "0"}
+
+
+def _cells(entry):
+    """One column of a group as strings, with ``_fmt``'s bytes.
+
+    A list is formatted in one pass (a C-level map for all-float and
+    all-bool lists); any other entry is one value that repeats down the
+    group, formatted once.
+    """
+    if type(entry) is not list:
+        return itertools.repeat(_fmt(entry))
+    kinds = set(map(type, entry))
+    if kinds == {float}:
+        return map(float.__repr__, entry)
+    if kinds == {bool}:
+        return map(_FLAGS.__getitem__, entry)
+    return map(_fmt, entry)
+
+
+def _write_group(out, group):
+    """Write one group: its entries are the columns, lists or repeated values.
+
+    The rows run as long as the group's lists (which share one length); a
+    group of single values alone is one row.  Rows stream to ``out`` as they
+    are joined, so a long group is never held as one string.
+    """
+    if not any(type(entry) is list for entry in group):
+        group = [[entry] for entry in group]
+    cols = [_cells(entry) for entry in group]
+    cols[-1] = map(operator.add, cols[-1], itertools.repeat("\n"))
+    out.writelines(map(",".join, zip(*cols)))
 
 
 @contextlib.contextmanager
@@ -122,13 +161,14 @@ def _write_manifest(args, started):
 def _write_table(args, started, columns, row_groups):
     """Write a CSV table, flushing after each group of rows, then its manifest.
 
-    Callers check every input before calling, so a usage error never leaves a
-    partial file; groups may be lazy, so rows appear as they are computed.
+    A group has one entry per column (see ``_write_group``).  Callers check
+    every input before calling, so a usage error never leaves a partial
+    file; groups may be lazy, so rows appear as they are computed.
     """
     with _out_stream(args.output) as out:
-        out.write(_csv_line(columns))
+        _write_group(out, columns)
         for group in row_groups:
-            out.writelines(map(_csv_line, group))
+            _write_group(out, group)
             out.flush()
     _write_manifest(args, started)
     return 0
@@ -193,7 +233,7 @@ def cmd_mfet(args):
         **bounds,
     }
     if args.format == "csv":
-        return _write_table(args, started, _MFET_COLUMNS, [[[rec[c] for c in _MFET_COLUMNS]]])
+        return _write_table(args, started, _MFET_COLUMNS, [[rec[c] for c in _MFET_COLUMNS]])
     with _out_stream(args.output) as out:
         out.write(json.dumps(rec, indent=2) + "\n")
     _write_manifest(args, started)
@@ -237,7 +277,7 @@ def cmd_scaling(args):
     def groups():
         for prob, cfg, row in cells:
             est = estimate_mfet(prob, cfg)
-            yield [row + [est.mean, est.std_err, est.n_censored]]
+            yield row + [est.mean, est.std_err, est.n_censored]
 
     return _write_table(args, started, _SCALING_COLUMNS, groups())
 
@@ -261,8 +301,8 @@ def cmd_trajectories(args):
             p = prob.params
             rec = record_path(prob, cfg, 0)
             # flag the engine's crossing: sqrt(|x|^2) can reach L a step early
-            yield ([p.d, p.theta, t, r, t == rec.exited_at]
-                   for t, r in zip(rec.times.tolist(), rec.radii.tolist()))
+            yield [p.d, p.theta, rec.times.tolist(), rec.radii.tolist(),
+                   (rec.times == rec.exited_at).tolist()]
 
     return _write_table(args, started, _TRAJ_COLUMNS, groups())
 
@@ -278,7 +318,7 @@ def cmd_drift_ratio(args):
     dims = _parse_int_list(args.d_list)
     params = [OupParams(theta=args.theta, sigma=args.sigma, d=d) for d in dims]
     # closed-form rows, cheap enough to compute (and so check) in full up front
-    groups = [[[p.d, rho, drift_ratio(p, rho)] for rho in rhos] for p in params]
+    groups = [[p.d, rhos, [drift_ratio(p, rho) for rho in rhos]] for p in params]
     return _write_table(args, started, _DRIFT_COLUMNS, groups)
 
 

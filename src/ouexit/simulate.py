@@ -72,6 +72,14 @@ grid time in whatever chunk it falls; and the full schemes sum |x|^2 with
 numpy over C-contiguous rows of d, stacked (paths, c, d) for a chunk and
 (steps, d) for a scalar run, so its summation order stays numpy's at every
 d (left to right below 8 entries, pairwise from 8).
+
+Records: a recorded path keeps the monitored values (|x|^2, rho or y) as
+the batch chunks and scalar runs produce them, and ``record_path`` maps
+them all to radii in one call of the kernel's array ``radius`` after the
+run, with the start radius in front.  Each map is elementwise (sqrt,
+identity, or squared-radial's sqrt of y clamped at 0, which keeps -0.0 as
+``math.sqrt(max(y, 0.0))`` does), so the radii keep the bits of a
+value-by-value map.
 """
 
 import math
@@ -169,11 +177,11 @@ def _scheme_kernel(problem, cfg):
     (paths, c) + shape and holding each path's next normals in step order,
     to (states after the chunk, monitored values shaped (paths, c)).
     ``first`` takes the batch's first step, a one-step chunk.  A path exits
-    once monitored reaches ``threshold``, and ``radius`` maps a monitored
-    value to a radius.  ``run`` is the scalar form of ``step`` for one path:
-    it maps (state, zs), the path's next normals in step order, to (state,
-    monitored values of the steps it took), stopping at the exit step or
-    after at most ``len(zs)`` steps, with the bits of ``step``.
+    once monitored reaches ``threshold``, and ``radius`` maps an array of
+    monitored values to radii.  ``run`` is the scalar form of ``step`` for
+    one path: it maps (state, zs), the path's next normals in step order, to
+    (state, monitored values of the steps it took), stopping at the exit
+    step or after at most ``len(zs)`` steps, with the bits of ``step``.
     """
     p, x, dt = problem.params, problem.x, cfg.dt
     sqrt_dt = math.sqrt(dt)
@@ -217,7 +225,7 @@ def _scheme_kernel(problem, cfg):
             n = hit[0] + 1 if hit.size else len(r2)
             return xs[n - 1], r2[:n]
 
-        return np.concatenate(([x], np.zeros(p.d - 1))), step, step, run, big_l2, math.sqrt
+        return np.concatenate(([x], np.zeros(p.d - 1))), step, step, run, big_l2, np.sqrt
 
     def by_column(f):
         # a chunk of a one-step map, taken column by column
@@ -249,8 +257,12 @@ def _scheme_kernel(problem, cfg):
                     break
             return y, ys
 
+        def radius(y):
+            # not np.maximum, which turns -0.0 into +0.0: the clamp keeps it
+            return np.sqrt(np.where(y < 0.0, 0.0, y))
+
         step = by_column(squared_radial)
-        return x * x, step, step, run, big_l2, lambda y: math.sqrt(max(y, 0.0))
+        return x * x, step, step, run, big_l2, radius
 
     # radial-euler; the drift is singular at 0, so a start there bootstraps
     half_dm1_s2 = 0.5 * (p.d - 1) * p.sigma * p.sigma
@@ -274,7 +286,7 @@ def _scheme_kernel(problem, cfg):
         return rho, rhos
 
     step = by_column(radial)
-    return x, (by_column(bootstrap) if x == 0.0 else step), step, run, big_l, float
+    return x, (by_column(bootstrap) if x == 0.0 else step), step, run, big_l, np.asarray
 
 
 def _to_normals(raw, out):
@@ -346,8 +358,9 @@ def _run_paths(problem, cfg, indices, record=None):
 
     Returns an array aligned with ``indices`` holding the exit grid time, or
     NaN for paths censored at the horizon.  When ``record`` is a list it
-    collects the radius at the start and after every step (single-path runs
-    only).  Live paths advance together in numpy, a chunk of steps per
+    collects the monitored values after every step, as array slices and
+    scalar-run outputs (single-path runs only; ``record_path`` maps them to
+    radii).  Live paths advance together in numpy, a chunk of steps per
     kernel call, while their load exceeds ``_SCALAR_LOAD`` (the first step
     always does), then each is finished alone by the scheme's scalar
     ``run``; see the module docstring for why the bits do not change.
@@ -360,13 +373,12 @@ def _run_paths(problem, cfg, indices, record=None):
     if record is not None:
         if n != 1:
             raise DomainError("recording is a single-path operation")
-        record.append(problem.x)
     if problem.x >= problem.L:
         # starts on the boundary; the single start sample is the whole record
         out[:] = 0.0
         return out
 
-    start, first, step, run, threshold, radius = _scheme_kernel(problem, cfg)
+    start, first, step, run, threshold, _ = _scheme_kernel(problem, cfg)
     shape = np.shape(start)
     m = np.size(start)
     state = np.full((n,) + shape, start)
@@ -389,7 +401,7 @@ def _run_paths(problem, cfg, indices, record=None):
         exited = hit[:, 0] if c == 1 else hit.any(axis=1)
         if record is not None:
             upto = hit[0].argmax() + 1 if exited[0] else c
-            record.extend(map(radius, monitored[0, :upto].tolist()))
+            record.append(monitored[0, :upto])
         k += c
         pos += c
         if exited.any():
@@ -410,7 +422,7 @@ def _run_paths(problem, cfg, indices, record=None):
                 zs = _normals([stream], _block_steps(m, j), shape)[0]
             s, monitored = run(s, zs[:max_steps - j])
             if record is not None:
-                record.extend(radius(float(v)) for v in monitored)
+                record.append(monitored)
             j += len(monitored)
             if monitored[-1] >= threshold:
                 out[pos_map[row]] = j * dt
@@ -456,10 +468,18 @@ def estimate_mfet(problem, cfg):
 
 
 def record_path(problem, cfg, path_index):
-    """Run one path; keep its radius at the start and after every step."""
+    """Run one path; keep its radius at the start and after every step.
+
+    The monitored values of every step are mapped to radii in one call of
+    the scheme's ``radius``, after the run.
+    """
     if not (isinstance(path_index, int) and 0 <= path_index < cfg.n_paths):
         raise DomainError(f"path_index must lie in [0, n_paths), got {path_index!r}")
-    radii = []
-    t = _run_paths(problem, cfg, [path_index], record=radii)[0]
-    return PathRecord(times=np.arange(len(radii)) * cfg.dt, radii=np.array(radii),
+    monitored = []
+    t = _run_paths(problem, cfg, [path_index], record=monitored)[0]
+    radii = np.array([problem.x])
+    if monitored:
+        radius = _scheme_kernel(problem, cfg)[-1]
+        radii = np.concatenate((radii, radius(np.concatenate(monitored))))
+    return PathRecord(times=np.arange(len(radii)) * cfg.dt, radii=radii,
                       exited_at=None if math.isnan(t) else float(t))

@@ -1,5 +1,7 @@
 """Tests for the command-line front end: flags, formats, exit codes, manifests."""
 
+import hashlib
+import io
 import json
 import math
 import subprocess
@@ -256,6 +258,68 @@ class TestDriftRatioCommand:
         at_rho = [float(r["ratio"]) for r in rows if float(r["rho"]) == 3.0]
         assert at_rho == sorted(at_rho)
         assert all(v < 1.0 for v in at_rho)
+
+
+class TestOutputBytes:
+    # SHA-256 of each CSV as written to stdout; the trajectories and
+    # drift-ratio hashes are the README experiment hashes CI checks
+    @pytest.mark.parametrize("argv,sha", [
+        (["trajectories"],
+         "52642ed5df69abb5919bd76a30c9c6da2ff7bed9af0b7c969ea949cbd2df84c4"),
+        (["drift-ratio", "--rho-max", "3"],
+         "6bd532818ed87c47fffa502b5d25199757466e77df0f8a8e461db5722846820f"),
+        (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "0.5"],
+         "0adcfe561f13e3d332b3ed82daeb1dd2bc92f8650dea01559b47a2aebac14247"),
+        # transient: the four bound cells are empty
+        (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "-0.5"],
+         "5878c79e3dc389e6f511556f98d87d371f9427a4c437f4222f4554e2b9fc875f"),
+    ], ids=["trajectories", "drift-ratio-inside", "mfet-recurrent", "mfet-transient"])
+    def test_csv_keeps_its_bytes(self, argv, sha, capsys):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+def _row_form(group_rows):
+    """The per-row writer the column form replaced, as the reference."""
+    def fmt(v):
+        t = type(v)
+        if t is float:
+            return repr(v)
+        if t is bool:
+            return "1" if v else "0"
+        if v is None:
+            return ""
+        return str(v)
+
+    return "".join(",".join(map(fmt, row)) + "\n" for row in group_rows)
+
+
+def _rows(group):
+    """A column group's rows: lists run down, single values repeat."""
+    lists = [entry for entry in group if type(entry) is list]
+    if not lists:
+        return [list(group)]
+    return [[entry[i] if type(entry) is list else entry for entry in group]
+            for i in range(len(lists[0]))]
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("group", [
+        [3, [1, 2, 3], [-0.0, math.inf, math.nan], [1e-05, 1e+16, -math.inf]],
+        [np.float64(0.1), [np.float64(2.5), 0.5, 7], [0.25, 1e300, 5e-324]],
+        [[True, False, True], [None, 1.5, None], None, [False, False, False]],
+        [[0.001, 0.002], 2, 0.7, "recurrent", [True, False]],
+        [4, 4.0, None, "transient", np.float64(-0.0), -0.0, True],
+        [2, 0.7, [], [], []],  # no rows
+        [[1, True], [1.0, 0]],
+        [[True], [np.True_]],
+    ], ids=["ints-and-special-floats", "numpy-float64", "bools-and-none",
+            "list-beside-repeats", "one-row-of-singles", "empty-lists", "int-and-bool",
+            "numpy-bool"])
+    def test_equals_the_row_form(self, group):
+        out = io.StringIO()
+        ouexit.cli._write_group(out, group)
+        assert out.getvalue() == _row_form(_rows(group))
 
 
 class TestSelftestCommand:

@@ -455,6 +455,32 @@ def test_frozen_record_bits(d, theta, exited_at, sha):
     assert hashlib.sha256(rec.times.tobytes() + rec.radii.tobytes()).hexdigest() == sha
 
 
+# The scalar radius maps each kernel applied to one monitored value at a time
+# before records mapped a whole array in one call.
+SCALAR_RADIUS = {
+    Scheme.FULL_EULER: math.sqrt,
+    Scheme.FULL_EXACT: math.sqrt,
+    Scheme.RADIAL_EULER: float,
+    Scheme.SQUARED_RADIAL_EULER: lambda y: math.sqrt(max(y, 0.0)),
+}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_vector_radius_matches_the_scalar_map(scheme):
+    rng = np.random.default_rng(7)
+    values = np.concatenate(([-0.0, 0.0, 5e-324, 1e-300, 6.25, math.nextafter(6.25, 0.0)],
+                             rng.random(200) * 10.0, rng.random(20) * 1e-300))
+    if "full" not in scheme:  # |x|^2 is never below zero; the radial values may be
+        values = np.concatenate(([-1e-300, -5e-324, -2.5], values))
+    cfg = McConfig(n_paths=1, dt=1e-3, seed=SEED, scheme=scheme)
+    radius = simulate._scheme_kernel(_problem(3, 0.5, 2.5), cfg)[-1]
+    expected = np.array([SCALAR_RADIUS[scheme](v) for v in values.tolist()])
+    assert radius(values).tobytes() == expected.tobytes()
+    if scheme is Scheme.SQUARED_RADIAL_EULER:
+        # max(-0.0, 0.0) is -0.0, and so is its square root; np.maximum would give +0.0
+        assert math.copysign(1.0, radius(np.array([-0.0]))[0]) == -1.0
+
+
 def test_early_exit_draws_few_normals(monkeypatch):
     # the d = 1000 trajectories record exits after 7 steps; its first
     # normals block covers _RUN_STEPS steps, not 2000
