@@ -19,11 +19,11 @@ output is opened, so a usage error writes nothing.  Exit codes: 0 success,
 1 selftest failure, 2 usage error, 3 numerical failure.
 
 Every CSV table goes through one writer, a group of rows at a time.  A
-group holds one entry per column: a list of that column's cells, or one
-value that repeats down the group; a group of single values alone is one
-row.  Each list column is formatted in one pass and the rows stream to the
-output as they are joined, so a trace of many rows costs a few C-level
-passes, not a Python call per cell.
+group holds one entry per column: a list of that column's cells (the lists
+share one length), or one value that repeats down the group; a group of
+single values alone is one row.  Each list column is formatted in one pass
+and the rows stream to the output as they are joined, never held as one
+string, so a long trace costs a few C-level passes, not a call per cell.
 
 Only ``scaling``, ``trajectories`` and ``selftest`` simulate, so only they
 import numpy and scipy; ``mfet`` and ``drift-ratio`` run on the standard
@@ -98,12 +98,7 @@ _FLAGS = {True: "1", False: "0"}
 
 
 def _cells(entry):
-    """One column of a group as strings, with ``_fmt``'s bytes.
-
-    A list is formatted in one pass (a C-level map for all-float and
-    all-bool lists); any other entry is one value that repeats down the
-    group, formatted once.
-    """
+    """One column of a group as strings, with ``_fmt``'s bytes."""
     if type(entry) is not list:
         return itertools.repeat(_fmt(entry))
     kinds = set(map(type, entry))
@@ -115,12 +110,7 @@ def _cells(entry):
 
 
 def _write_group(out, group):
-    """Write one group: its entries are the columns, lists or repeated values.
-
-    The rows run as long as the group's lists (which share one length); a
-    group of single values alone is one row.  Rows stream to ``out`` as they
-    are joined, so a long group is never held as one string.
-    """
+    """Write one column group (see the module docstring), a row at a time."""
     if not any(type(entry) is list for entry in group):
         group = [[entry] for entry in group]
     cols = [_cells(entry) for entry in group]

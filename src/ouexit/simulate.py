@@ -73,13 +73,11 @@ numpy over C-contiguous rows of d, stacked (paths, c, d) for a chunk and
 (steps, d) for a scalar run, so its summation order stays numpy's at every
 d (left to right below 8 entries, pairwise from 8).
 
-Records: a recorded path keeps the monitored values (|x|^2, rho or y) as
-the batch chunks and scalar runs produce them, and ``record_path`` maps
-them all to radii in one call of the kernel's array ``radius`` after the
-run, with the start radius in front.  Each map is elementwise (sqrt,
-identity, or squared-radial's sqrt of y clamped at 0, which keeps -0.0 as
-``math.sqrt(max(y, 0.0))`` does), so the radii keep the bits of a
-value-by-value map.
+Records: a recorded path keeps its monitored values (|x|^2, rho or y) as
+the chunks and scalar runs produce them, and ``record_path`` maps them to
+radii in one call of the kernel's elementwise array ``radius`` after the
+run (sqrt, identity, or sqrt of y clamped at 0 with -0.0 kept), so the
+radii have the bits of a value-by-value map.
 """
 
 import math
@@ -358,9 +356,8 @@ def _run_paths(problem, cfg, indices, record=None):
 
     Returns an array aligned with ``indices`` holding the exit grid time, or
     NaN for paths censored at the horizon.  When ``record`` is a list it
-    collects the monitored values after every step, as array slices and
-    scalar-run outputs (single-path runs only; ``record_path`` maps them to
-    radii).  Live paths advance together in numpy, a chunk of steps per
+    collects the monitored values of every step, as array slices and
+    scalar-run outputs (single-path runs only).  Live paths advance together in numpy, a chunk of steps per
     kernel call, while their load exceeds ``_SCALAR_LOAD`` (the first step
     always does), then each is finished alone by the scheme's scalar
     ``run``; see the module docstring for why the bits do not change.
@@ -468,11 +465,7 @@ def estimate_mfet(problem, cfg):
 
 
 def record_path(problem, cfg, path_index):
-    """Run one path; keep its radius at the start and after every step.
-
-    The monitored values of every step are mapped to radii in one call of
-    the scheme's ``radius``, after the run.
-    """
+    """Run one path; keep its radius at the start and after every step."""
     if not (isinstance(path_index, int) and 0 <= path_index < cfg.n_paths):
         raise DomainError(f"path_index must lie in [0, n_paths), got {path_index!r}")
     monitored = []
