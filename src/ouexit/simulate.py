@@ -357,10 +357,11 @@ def _run_paths(problem, cfg, indices, record=None):
     Returns an array aligned with ``indices`` holding the exit grid time, or
     NaN for paths censored at the horizon.  When ``record`` is a list it
     collects the monitored values of every step, as array slices and
-    scalar-run outputs (single-path runs only).  Live paths advance together in numpy, a chunk of steps per
-    kernel call, while their load exceeds ``_SCALAR_LOAD`` (the first step
-    always does), then each is finished alone by the scheme's scalar
-    ``run``; see the module docstring for why the bits do not change.
+    scalar-run outputs (single-path runs only).  Live paths advance together
+    in numpy, a chunk of steps per kernel call, while their load exceeds
+    ``_SCALAR_LOAD`` (the first step always does), then each is finished
+    alone by the scheme's scalar ``run``; see the module docstring for why
+    the bits do not change.
     """
     n = len(indices)
     dt = cfg.dt
@@ -371,7 +372,7 @@ def _run_paths(problem, cfg, indices, record=None):
         if n != 1:
             raise DomainError("recording is a single-path operation")
     if problem.x >= problem.L:
-        # starts on the boundary; the single start sample is the whole record
+        # starts on the boundary: no step is taken, so nothing is recorded
         out[:] = 0.0
         return out
 
