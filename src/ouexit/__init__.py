@@ -28,9 +28,9 @@ from .mfet import (
     mfet_bounds,
     mfet_exact,
 )
-from .quadrature import QuadResult, integrate, integrate_log
+from .quadrature import QuadResult, integrate_log
 from .schemes import Scheme
-from .special import ln_gamma, ln_lower_gamma, neuman_log_bounds, reg_lower_gamma
+from .special import ln_lower_gamma, neuman_log_bounds
 
 __version__ = "0.1.0"
 
@@ -65,15 +65,12 @@ __all__ = [
     "avp_residual",
     "drift_ratio",
     "estimate_mfet",
-    "integrate",
     "integrate_log",
-    "ln_gamma",
     "ln_lower_gamma",
     "mfet_bm",
     "mfet_bounds",
     "mfet_exact",
     "neuman_log_bounds",
     "record_path",
-    "reg_lower_gamma",
     "__version__",
 ]

@@ -4,12 +4,12 @@ Everything is built around the lower incomplete gamma integral
 
     lig(a, x) = integral of t**(a-1) * exp(-t) over t in [0, x],
 
-its regularized form P(a, x) = lig(a, x) / Gamma(a), and the elementary
-two-sided Neuman bounds on lig.  The exit-time formulas downstream need
-lig at shape parameters up to ~1e5 where the unregularized value over- or
-underflows doubles by thousands of orders of magnitude, so the primary
-representation here is the logarithm, assembled directly from the series
-or continued-fraction pieces (never as log(exp(...))).
+its logarithm ln_lower_gamma, and the elementary two-sided Neuman bounds
+on lig.  The exit-time formulas downstream need lig at shape parameters
+d/2 up to 2**19 (the CLI's default dimension cap), where the value over-
+or underflows doubles by thousands of orders of magnitude, so it is
+represented by its logarithm, assembled directly from the series or
+continued-fraction pieces (never as log(exp(...))).
 
 Evaluation follows the classic split: power series for x < a + 1,
 Lentz continued fraction for the complementary function otherwise.
@@ -37,13 +37,6 @@ def _check_args(a, x):
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
         raise DomainError(f"argument must be a nonnegative finite real, got {x!r}")
     return float(a), float(x)
-
-
-def ln_gamma(a):
-    """log of the gamma function for positive real a."""
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise DomainError(f"ln_gamma requires a positive finite real, got {a!r}")
-    return math.lgamma(a)
 
 
 def _max_iter(a):
@@ -130,40 +123,13 @@ def _log_q_contfrac(a, x):
     return a * math.log(x) - x - math.lgamma(a) + math.log(_contfrac_factor(a, x))
 
 
-def _reg_lower_series(a, x):
-    """P(a, x) forced through the series branch."""
-    if x == 0.0:
-        return 0.0
-    log_p = a * math.log(x) - x - math.lgamma(a) + _series_log_sum(a, x)
-    if log_p >= 0.0:
-        return 1.0
-    return math.exp(log_p)
-
-
-def _reg_lower_contfrac(a, x):
-    """P(a, x) forced through the continued-fraction branch."""
-    return 1.0 - math.exp(_log_q_contfrac(a, x))
-
-
-def reg_lower_gamma(a, x):
-    """Regularized lower incomplete gamma P(a, x) in [0, 1].
-
-    Monotone nondecreasing in x, P(a, 0) = 0, P(a, x) -> 1 as x -> inf.
-    """
-    a, x = _check_args(a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _reg_lower_series(a, x)
-    return _reg_lower_contfrac(a, x)
-
-
 def ln_lower_gamma(a, x):
     """log of the (unregularized) lower incomplete gamma lig(a, x).
 
     Returns -inf for x = 0 (the empty integral) as a log-zero value; no
     intermediate quantity over- or underflows for shape parameters up to
-    ~1e5, which direct evaluation of lig would not survive.
+    2**19 (checked against mpmath at 5e5), which direct evaluation of lig
+    would not survive.
     """
     a, x = _check_args(a, x)
     if x == 0.0:

@@ -14,6 +14,7 @@ import pytest
 import ouexit.cli
 import ouexit.mfet
 import ouexit.special
+from ouexit import selftest
 from ouexit.cli import main
 from ouexit.quadrature import QuadResult
 from ouexit.simulate import PathRecord
@@ -339,6 +340,17 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAILED: neuman-bracket" in out
+
+    @pytest.mark.parametrize("name,first_case", [
+        ("ln_lower_gamma", "d=2, lam=0.5, z=0.5"),
+        ("ln_kummer_sum", "d=2, lam=-0.5, z=0.5"),
+    ])
+    def test_substitution_identity_sees_a_1e9_corruption(self, monkeypatch, name, first_case):
+        honest = getattr(ouexit.special, name)
+        monkeypatch.setattr(ouexit.special, name, lambda a, x: honest(a, x) + 1e-9)
+        ok, detail = selftest.check_substitution_identity()
+        assert ok is False
+        assert detail.startswith(first_case + ":")
 
 
 _VALID_ARGV = {

@@ -1,7 +1,11 @@
-"""Tests for the import boundary: only the Monte-Carlo route loads numpy and scipy."""
+"""Tests for the import boundary: only the Monte-Carlo route loads numpy and
+scipy, and the README's library example imports only public names."""
 
+import ast
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +45,7 @@ def test_simulate_names_are_the_engines_own(module, name):
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from ouexit import *", namespace)
-    assert len(ouexit.__all__) == 29
+    assert len(ouexit.__all__) == 26
     assert all(namespace[name] is getattr(ouexit, name) for name in ouexit.__all__)
 
 
@@ -49,3 +53,39 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute_raises(module):
     with pytest.raises(AttributeError, match="no_such_name"):
         module.no_such_name
+
+
+def _check_commented(value, comment):
+    """Compare ``value`` with the README's comment on it: a number (a trailing
+    '...' marks a prefix, otherwise the value rounds to it), or
+    ``Type(field=number, ...)``.  Returns the number of values compared."""
+    call = re.match(r"(\w+)\((.*)\)$", comment)
+    if call:
+        assert type(value).__name__ == call[1]
+        return sum(_check_commented(getattr(value, name), number)
+                   for name, number in re.findall(r"(\w+)=([-\d.]+)", call[2]))
+    number, dots = re.match(r"([-\d.]+?)(\.\.\.)?(?:\s|$)", comment).groups()
+    if dots:
+        assert repr(value).startswith(number)
+    else:
+        assert round(value, len(number.partition(".")[2])) == float(number)
+    return 1
+
+
+def test_readme_library_block_runs_as_written():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.M | re.S)[1]
+    lines = block.splitlines()
+    namespace = {}
+    checked = 0
+    statements = ast.parse(block).body
+    for node, after in zip(statements, statements[1:] + [None]):
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        end = after.lineno - 1 if after else len(lines)
+        comment = " ".join(line.partition("#")[2].strip() for line in lines[node.lineno - 1:end])
+        checked += _check_commented(value, comment)
+    # 66.228493..., the four bounds and 4.0
+    assert checked == 6

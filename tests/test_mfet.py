@@ -161,17 +161,21 @@ class TestExactFormula:
             assert later < earlier
 
     def test_substitution_identity(self):
-        # direct quadrature of the radial integrand equals the incomplete
-        # gamma reduction, pointwise in the upper limit
-        from ouexit import integrate, ln_lower_gamma
-
+        # mpmath quadrature of the radial integrand equals its incomplete
+        # gamma (lam > 0) or Kummer (lam < 0) reduction, pointwise in the
+        # upper limit
+        special = ouexit.special
         for d in (2, 5):
-            for lam in (0.5, 2.0):
+            for lam in (0.5, 2.0, -0.5, -2.0):
                 for z in (0.5, 1.0, 3.0):
-                    direct = integrate(lambda t: t ** (d - 1) * math.exp(-lam * t * t),
-                                       0.0, z, rel_tol=1e-12).value
-                    via = 0.5 * lam ** (-0.5 * d) * math.exp(ln_lower_gamma(0.5 * d, lam * z * z))
-                    assert direct == pytest.approx(via, rel=1e-10)
+                    with mpmath.workdps(30):
+                        direct = mpmath.quad(lambda t: t ** (d - 1) * mpmath.exp(-lam * t * t), [0, z])
+                    y = lam * z * z
+                    if lam > 0:
+                        via = 0.5 * lam ** (-0.5 * d) * math.exp(special.ln_lower_gamma(0.5 * d, y))
+                    else:
+                        via = 0.5 * z**d * math.exp(special.ln_kummer_sum(0.5 * d, -y))
+                    assert float(direct) == pytest.approx(via, rel=1e-10)
 
     def test_panel_exhaustion_raises_with_partial_result(self, monkeypatch):
         integrate_log = ouexit.mfet.integrate_log

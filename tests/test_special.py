@@ -15,16 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ouexit import (
-    ConvergenceError,
-    DomainError,
-    ln_gamma,
-    ln_lower_gamma,
-    neuman_log_bounds,
-    reg_lower_gamma,
-    special,
-)
-from ouexit.special import _reg_lower_contfrac, _reg_lower_series
+from ouexit import ConvergenceError, DomainError, ln_lower_gamma, neuman_log_bounds, special
+from ouexit.special import _log_q_contfrac, _series_log_sum
 
 
 def simpson_lower_gamma(a, x, n=40_000):
@@ -56,26 +48,38 @@ def simpson_log_lower_gamma(a, x, n=200_000):
     return float(m + math.log((h / 3.0) * np.sum(w * np.exp(log_f - m))))
 
 
+def reg_lower_gamma(a, x):
+    """P(a, x) = lig(a, x) / Gamma(a), the regularized form of ln_lower_gamma."""
+    return math.exp(ln_lower_gamma(a, x) - math.lgamma(a))
+
+
 class TestLnGamma:
+    # ln_lower_gamma reaches ln Gamma(a) far past the diagonal
     def test_small_integers(self):
-        assert ln_gamma(1.0) == 0.0
-        assert ln_gamma(2.0) == 0.0
+        assert ln_lower_gamma(1.0, 1e3) == 0.0
+        assert ln_lower_gamma(2.0, 1e3) == 0.0
 
     def test_half(self):
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
+        assert ln_lower_gamma(0.5, 1e3) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
 
     def test_recurrence_over_range(self):
-        # log Gamma(a+1) = log Gamma(a) + log a, up to the top of the domain
+        # lig(a+1, x) = a lig(a, x) - x**a exp(-x), on both branches, up to
+        # the largest shapes the exit-time route uses
         for a in (0.5, 1.7, 12.0, 345.6, 9999.5, 1e5 - 1):
-            assert ln_gamma(a + 1.0) == pytest.approx(ln_gamma(a) + math.log(a), rel=1e-13)
+            for x in (0.5 * a, a, 2.0 * a):
+                lig = ln_lower_gamma(a, x)
+                log_ratio = a * math.log(x) - x - math.log(a) - lig  # of x**a exp(-x) to a lig
+                want = math.log(a) + lig + math.log1p(-math.exp(log_ratio))
+                assert ln_lower_gamma(a + 1.0, x) == pytest.approx(want, rel=1e-13)
 
     def test_rejects_bad_args(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
-                ln_gamma(bad)
+                ln_lower_gamma(bad, 1.0)
 
 
 class TestRegLowerGamma:
+    # P(a, x) through exp(ln_lower_gamma - lgamma)
     def test_exponential_case(self):
         # shape 1 reduces to 1 - exp(-x)
         assert reg_lower_gamma(1.0, 2.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
@@ -89,36 +93,36 @@ class TestRegLowerGamma:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0])
     def test_against_simpson_oracle(self, a):
         for x in np.geomspace(1e-3, 30.0, 12):
-            want = simpson_lower_gamma(a, float(x)) / math.exp(ln_gamma(a))
+            want = simpson_lower_gamma(a, float(x)) / math.exp(math.lgamma(a))
             assert reg_lower_gamma(a, float(x)) == pytest.approx(want, rel=1e-9)
 
     def test_branches_agree_around_crossover(self):
-        # both internal evaluation routes must match in a band around x = a+1
-        # (the continued fraction is only reliable near and above the
-        # crossover, so the band is +/- 5%)
+        # ln P from the series piece and from the continued-fraction piece
+        # must match in a band around x = a+1 (the continued fraction is only
+        # reliable near and above the crossover, so the band is +/- 5%)
         for a in (0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0):
             for frac in (0.95, 1.0, 1.05):
                 x = frac * (a + 1.0)
-                s = _reg_lower_series(a, x)
-                c = _reg_lower_contfrac(a, x)
-                assert s == pytest.approx(c, rel=1e-12)
+                s = a * math.log(x) - x - math.lgamma(a) + _series_log_sum(a, x)
+                c = math.log1p(-math.exp(_log_q_contfrac(a, x)))
+                assert s == pytest.approx(c, abs=1e-12)
 
     def test_series_cap_is_a_loud_error(self, monkeypatch):
-        # near the diagonal at very large shape the series needs thousands of
-        # terms; a cap below that must fail loudly, never return junk
+        # near the diagonal at very large shape both branches need thousands
+        # of terms; a cap below that must fail loudly, never return junk
         monkeypatch.setattr(special, "_max_iter", lambda a: 50)
         with pytest.raises(ConvergenceError):
-            _reg_lower_series(1e5, 1e5 - 10.0)
+            ln_lower_gamma(1e5, 1e5 - 10.0)
         with pytest.raises(ConvergenceError):
-            _reg_lower_contfrac(1e5, 1e5 + 10.0)
+            ln_lower_gamma(1e5, 1e5 + 10.0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
-            reg_lower_gamma(-1.0, 1.0)
+            ln_lower_gamma(-1.0, 1.0)
         with pytest.raises(DomainError):
-            reg_lower_gamma(1.0, -0.5)
+            ln_lower_gamma(1.0, -0.5)
         with pytest.raises(DomainError):
-            reg_lower_gamma(1.0, math.nan)
+            ln_lower_gamma(1.0, math.nan)
 
     @given(
         a=st.sampled_from([0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0]),
@@ -170,7 +174,8 @@ class TestLnLowerGamma:
     def test_limit_is_complete_gamma(self):
         for a in (0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0):
             got = ln_lower_gamma(a, 100.0 * a)
-            assert got == pytest.approx(ln_gamma(a), abs=1e-10 * max(1.0, abs(ln_gamma(a))))
+            want = math.lgamma(a)
+            assert got == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
 
 
 class TestLnKummerSum:
