@@ -19,6 +19,16 @@ For lam <= 0 the inner integral is (z^d/d) M(d/2, d/2+1, -lam z^2) (DLMF
 Either way one quadrature gives E tau, in log space: the linear integrand
 overflows doubles for d beyond a few hundred.
 
+Kummer's transformation (DLMF 13.2.39) integrated term by term gives, with
+y = lam L^2 and b = d/2 + 1,
+
+    E tau = (L^2/(sigma^2 d)) * sum_{n>=0} y^n (1 - (x/L)^(2n+2)) / ((n+1) (b)_n).
+
+For lam > 0 every term is positive, so any one term is a lower bound on
+E tau.  mfet_exact takes the largest, in O(1), and returns inf without
+integrating when its log, less a rounding slack, exceeds 709.78: the
+quadrature would end in inf there too (or fail on the way).
+
 Also here: the Brownian-motion closed form (L^2-x^2)/(sigma^2 d), the
 two-sided closed-form bounds obtained by pushing the Neuman inequalities
 through the single-integral form (valid for theta > 0), the ratio to the
@@ -137,16 +147,71 @@ def _outer_log_integrand(params):
     return log_f
 
 
+def _ln_peak_term(problem):
+    """(n, ln t_n, slack) for the largest term t_n of the lam > 0 series.
+
+    t_n = (L^2/(sigma^2 d)) y^n (1 - (x/L)^(2n+2)) / ((n+1) (b)_n), with
+    y = lam L^2 and b = d/2 + 1 (module docstring).  Past the factor in x,
+    t_(n+1)/t_n = y(n+1)/((n+2)(b+n)), so the terms rise while
+    (n+2)(b+n) < y(n+1) and fall after the larger root of that quadratic:
+    n is that root rounded up, or 0 if it has no positive root.  Any n
+    gives a lower bound on E tau, so rounding in the root costs tightness,
+    never rigour.  n stops at 2**52, where it is still an exact float, and
+    is 0 for b past 2**52.
+
+    ln t_n is exact to within ``slack``: lgamma is not correctly rounded
+    and ln (b)_n = lgamma(b+n) - lgamma(b) cancels, so the slack scales
+    with every log added up, not with their sum.  A start factor that
+    rounds to 0 (x next to L) gives ln t_n = -inf, no bound; y = inf
+    (lam L^2 past the double range) gives ln t_n = inf.
+    """
+    p = problem.params
+    big_l = problem.L
+    y = p.lam * big_l * big_l
+    if y == math.inf:
+        return math.inf, math.inf, 0.0
+    b = 0.5 * p.d + 1.0
+    n = 0.0
+    # larger root of n^2 + (b+2-y) n + (2b-y) = 0; its discriminant
+    # (y-b)^2 - 4(b-1) is taken as a product, which cannot overflow, and is
+    # negative (no rise anywhere) unless y - b >= 2 sqrt(b-1), where the
+    # root is above -1
+    gap, w = y - b, 2.0 * math.sqrt(b - 1.0)
+    if gap >= w and b < 2.0**52:  # so lgamma(b + n) stays far from overflow
+        root = 0.5 * (gap - 2.0) + 0.5 * math.sqrt(gap - w) * math.sqrt(gap + w)
+        n = min(float(math.ceil(root)), 2.0**52)
+    ln_c = 2.0 * math.log(big_l) - math.log(p.sigma * p.sigma * p.d)
+    parts = [ln_c, -math.log(n + 1.0)]
+    if n:
+        parts += [n * math.log(y), -math.lgamma(b + n), math.lgamma(b)]
+    slack = 1e-9 * (math.fsum(map(abs, parts)) + 1.0)
+    # 1 - (x/L)^(2n+2) with ln(x/L) = log1p(r): x - L is exact where x/L
+    # nears 1 (x >= L/2); the factor is 1 where x/L rounds to 0
+    r = (problem.x - big_l) / big_l
+    f = -math.expm1((2.0 * n + 2.0) * math.log1p(r)) if r > -1.0 else 1.0
+    if not f > 0.0:
+        return n, -math.inf, slack
+    return n, math.fsum(parts) + math.log(f), slack
+
+
 def mfet_exact(problem):
     """Exact mean first-exit time, by adaptive quadrature of the closed form.
 
     One quadrature for every lam (exact at lam = 0).  Returns exactly 0 when
     the start radius sits on the boundary and inf once ln E tau exceeds
-    709.78.  Raises QuadratureError (carrying the partial result) if the
-    panel budget is exhausted.
+    709.78.  For lam > 0, inf is decided before integrating when the
+    largest term of the positive series (module docstring), a lower bound
+    on E tau, is already past 709.78 after its rounding slack; only
+    problems inside that slack reach the quadrature and overflow there.
+    Raises QuadratureError (carrying the partial result) if the panel
+    budget is exhausted.
     """
     if problem.x == problem.L:
         return 0.0
+    if problem.params.lam > 0:
+        _, ln_term, slack = _ln_peak_term(problem)
+        if ln_term - slack > _MAX_EXP:
+            return math.inf
     log_f = _outer_log_integrand(problem.params)
     res = integrate_log(log_f, problem.x, problem.L)
     if not res.converged:

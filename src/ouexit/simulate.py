@@ -29,10 +29,13 @@ fixed-position uniforms (a rejection sampler would consume a data-dependent
 number of draws and break reproducibility under regrouping).  Normals are
 drawn in blocks of twice the steps already taken, from _RUN_STEPS up to
 2048 steps and at most _BLOCK_FLOATS normals, so a path that exits early
-draws few it never uses; streams are read in order, so block sizes never
-move a normal to another step.  Every aggregate is reduced in path-index
-order with pairwise summation, so estimates are identical however the paths
-are batched or parallelized.
+draws few it never uses.  The first block stops at twice the Brownian-motion
+exit steps, 2 mfet_bm / dt, but never holds less than one transform piece
+(_PIECE normals over all paths), so a lone path at large d, which exits in
+a few steps, does not draw 256 steps of d normals.  Streams are read in
+order, so block sizes never move a normal to another step.  Every
+aggregate is reduced in path-index order with pairwise summation, so
+estimates are identical however the paths are batched or parallelized.
 
 Filling a block: ``_normals`` allocates it once and fills it in pieces of
 at most _PIECE normals (one row cut into pieces, or several short rows
@@ -90,6 +93,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, EstimationError
+from .mfet import mfet_bm
 from .schemes import Scheme
 
 _U64_MAX = 2**64 - 1
@@ -383,7 +387,11 @@ def _run_paths(problem, cfg, indices, record=None):
     streams = [np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64))
                for i in indices]
     pos_map = np.arange(n)  # row -> position in ``out``
-    block = np.empty((n, 0) + shape)
+    # the first block stops at twice the Brownian exit steps, but holds at
+    # least one transform piece; compared before ceil, as mfet_bm may be inf
+    steps = _block_steps(n * m, 0)
+    cap = max(2.0 * mfet_bm(problem) / dt, _PIECE / (n * m))
+    block = _normals(streams, math.ceil(cap) if cap < steps else steps, shape)
     pos = k = 0  # next column of ``block``; steps taken
 
     while k < max_steps and (k == 0 or len(streams) * m > _SCALAR_LOAD):

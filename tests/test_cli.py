@@ -96,6 +96,16 @@ class TestMfetCommand:
         assert "mfet_exact=inf overflows" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflow_decided_without_quadrature_is_numerical_failure(self, capsys):
+        # lambda L^2 = 1e8: the quadrature gave up after seconds; the series'
+        # peak term decides the overflow at once
+        started = time.perf_counter()
+        code = run_cli("mfet", "--d", "4", "--L", "10000", "--x", "0", "--sigma", "1",
+                       "--theta", "1")
+        assert code == 3
+        assert "overflows the double range" in capsys.readouterr().err
+        assert time.perf_counter() - started < 1.0
+
     def test_dimension_cap_with_override(self, capsys):
         code = run_cli("mfet", "--d", str(2**21), "--L", "2", "--x", "0",
                        "--sigma", "1", "--theta", "0")

@@ -11,6 +11,7 @@ form of the inner integral.
 """
 
 import math
+import random
 import re
 
 import mpmath
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 
 import ouexit.mfet
+from ouexit.mfet import _MAX_EXP, _ln_peak_term, _outer_log_integrand
+from ouexit.quadrature import integrate_log
 from ouexit import (
     DomainError,
     ExitProblem,
@@ -195,6 +198,110 @@ class TestExactFormula:
         got = mfet_exact(p)
         b = mfet_bounds(p)
         assert b.lower_exp <= got <= b.upper_mixed
+
+
+def _mp_ln_term(problem, n):
+    """ln t_n of the lam > 0 series at 40 digits, from the exact theta/sigma^2."""
+    with mpmath.workdps(40):
+        p = problem.params
+        s2 = mpmath.mpf(p.sigma) ** 2
+        big_l, x, n = mpmath.mpf(problem.L), mpmath.mpf(problem.x), mpmath.mpf(n)
+        y = mpmath.mpf(p.theta) / s2 * big_l**2
+        b = mpmath.mpf(p.d) / 2 + 1
+        return (mpmath.log(big_l**2 / (s2 * p.d)) + n * mpmath.log(y)
+                + mpmath.log(1 - (x / big_l) ** (2 * n + 2)) - mpmath.log(n + 1)
+                - mpmath.loggamma(b + n) + mpmath.loggamma(b))
+
+
+def _sampled_problems(seed, n):
+    # lam > 0 problems drawn like the exact-grid benchmark's: d up to 65536
+    # with L in [1, 5], and one in seven a large ball of radius about sqrt(d/lam)
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    out = []
+    for _ in range(n):
+        if rng.random() < 6 / 7:
+            d, lam, big_l = round(log_uniform(1, 65536)), log_uniform(0.05, 2.0), rng.uniform(1.0, 5.0)
+        else:
+            d, lam = round(log_uniform(1024, 65536)), log_uniform(0.05, 2.0)
+            big_l = math.sqrt(d / lam) * rng.uniform(0.5, 1.5)
+        sigma = log_uniform(0.5, 2.0)
+        x = 0.0 if rng.random() < 0.25 else big_l * rng.uniform(0.0, 0.95)
+        out.append(_problem(d, lam, big_l, x=x, sigma=sigma))
+    return out
+
+
+def _near_threshold_problems(seed, n):
+    # d, lam, sigma and x/L drawn over the sampler's ranges, with L set by
+    # bisection so that the peak term's log lands in [700, 714], where
+    # ln E tau is near the double range's 709.78
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        d = round(math.exp(rng.uniform(0.0, math.log(65536))))
+        lam, sigma = math.exp(rng.uniform(math.log(0.05), math.log(2.0))), rng.uniform(0.5, 2.0)
+        frac, target = rng.choice([0.0, rng.uniform(0.0, 0.95)]), rng.uniform(700.0, 714.0)
+        lo, hi = math.log(1e-3), math.log(1e6)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            big_l = math.exp(mid)
+            if _ln_peak_term(_problem(d, lam, big_l, x=frac * big_l, sigma=sigma))[1] < target:
+                lo = mid
+            else:
+                hi = mid
+        big_l = math.exp(hi)
+        out.append(_problem(d, lam, big_l, x=frac * big_l, sigma=sigma))
+    return out
+
+
+class TestDecidedOverflow:
+    """mfet_exact's inf from the peak term of the positive series."""
+
+    @pytest.mark.parametrize("big_l", [1e4, 1e200])
+    def test_overflow_is_decided_without_integrating(self, monkeypatch, big_l):
+        # L = 1e4: the quadrature gives up (QuadratureError) after seconds;
+        # L = 1e200: lam L^2 is inf, which ln_lower_gamma refuses
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated an overflowing problem")
+
+        monkeypatch.setattr(ouexit.mfet, "integrate_log", refuse)
+        p = ExitProblem(OupParams(theta=1.0, sigma=1.0, d=4), L=big_l, x=0.0)
+        assert mfet_exact(p) == math.inf
+
+    @pytest.mark.parametrize("d", [1, 64, 4096, 65536, 2**20])
+    def test_peak_term_against_mpmath(self, d):
+        b = 0.5 * d + 1.0
+        for y in (2.0, 1.2 * b + 10.0, 3.0 * b + 1000.0):
+            for frac, sigma in ((0.0, 1.0), (0.5, 0.7), (1.0 - 1e-9, 1.3)):
+                big_l = math.sqrt(y / 0.5)
+                p = _problem(d, 0.5, big_l, x=frac * big_l, sigma=sigma)
+                n, ln_term, slack = _ln_peak_term(p)
+                want = _mp_ln_term(p, n)
+                assert slack < 0.1
+                assert abs(ln_term - want) <= slack
+                if frac == 0.0 and n:
+                    # a local maximum of the terms
+                    assert want >= max(_mp_ln_term(p, n - 1), _mp_ln_term(p, n + 1))
+
+    def test_bound_never_fires_on_a_finite_value(self):
+        problems = [p for seed in (11, 23, 37) for p in _sampled_problems(seed, 700)]
+        problems += _near_threshold_problems(5, 150)
+        decided, near = 0, 0
+        for p in problems:
+            _, ln_term, slack = _ln_peak_term(p)
+            res = integrate_log(_outer_log_integrand(p.params), p.x, p.L)
+            assert res.converged
+            # a lower bound on ln E tau, and inf only where E tau overflows
+            assert ln_term - slack <= res.value, p
+            if ln_term - slack > _MAX_EXP:
+                decided += 1
+                assert res.value > 709.78, p
+                assert mfet_exact(p) == math.inf
+            near += 705.0 <= res.value <= 715.0
+        assert decided >= 100 and near >= 100
 
 
 class TestBrownianClosedForm:

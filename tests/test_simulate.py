@@ -498,6 +498,50 @@ def test_early_exit_draws_few_normals(monkeypatch):
     assert sum(drawn) <= 256_000
 
 
+class _FirstBlock(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "d,big_l,n,full_steps",
+    [(4, 2.5, 16, 256), (256, 4.0, 100, 78), (1024, 4.0, 100, 19), (256, 12.0, 16, 256),
+     (1024, 24.0, 8, 244)],
+)
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_first_block_of_a_batch(monkeypatch, scheme, d, big_l, n, full_steps):
+    # the benchmark's MC cells: twice the Brownian exit steps and one
+    # transform piece both exceed the usual first block, so it keeps its size
+    seen = []
+
+    def first(streams, steps, shape):
+        seen.append((len(streams), steps, shape))
+        raise _FirstBlock
+
+    monkeypatch.setattr(simulate, "_normals", first)
+    cfg = McConfig(n_paths=n, dt=1e-3, seed=SEED, scheme=scheme)
+    with pytest.raises(_FirstBlock):
+        _run_paths(_problem(d, 0.5, big_l), cfg, list(range(n)))
+    full = scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT)
+    assert seen == [(n, full_steps if full else 256, (d,) if full else ())]
+
+
+@pytest.mark.parametrize("theta", [0.7, 0.0])
+def test_lone_high_dimensional_path_draws_one_piece(monkeypatch, theta):
+    # the trajectories preset's d = 1000 traces: 2 mfet_bm / dt is 12.5
+    # steps, so the first block is one piece of 2**15 normals, 33 steps
+    drawn = []
+    normals = simulate._normals
+
+    def counted(streams, steps, shape):
+        drawn.append(steps)
+        return normals(streams, steps, shape)
+
+    monkeypatch.setattr(simulate, "_normals", counted)
+    cfg = McConfig(n_paths=1, dt=1e-3, seed=123456789, scheme=Scheme.FULL_EULER)
+    assert record_path(_problem(1000, theta, 2.5), cfg, 0).exited_at < 0.033
+    assert drawn == [33]  # 33k normals
+
+
 def test_top_raw_draws_give_finite_normals():
     # the largest 53-bit value rounds to u = 1.0, where ndtri is +inf; it
     # maps to the double below 1 instead, and the smallest stays finite too
