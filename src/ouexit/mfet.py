@@ -17,7 +17,8 @@ single integral,
 For lam <= 0 the inner integral is (z^d/d) M(d/2, d/2+1, -lam z^2) (DLMF
 13.2.2, 8.5.1), a Kummer series of positive terms, exactly z^d/d at lam = 0.
 Either way one quadrature gives E tau, in log space: the linear integrand
-overflows doubles for d beyond a few hundred.
+overflows doubles for d beyond a few hundred.  integrate_log raises
+QuadratureError when its panel budget runs out, so no caller here checks.
 
 Kummer's transformation (DLMF 13.2.39) integrated term by term gives, with
 y = lam L^2 and b = d/2 + 1,
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 from . import special
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .quadrature import integrate_log
 
 _MAX_EXP = 709.782712893384
@@ -203,8 +204,8 @@ def mfet_exact(problem):
     largest term of the positive series (module docstring), a lower bound
     on E tau, is already past 709.78 after its rounding slack; only
     problems inside that slack reach the quadrature and overflow there.
-    Raises QuadratureError (carrying the partial result) if the panel
-    budget is exhausted.
+    QuadratureError (carrying the partial result) from integrate_log
+    passes through if the panel budget is exhausted.
     """
     if problem.x == problem.L:
         return 0.0
@@ -213,10 +214,7 @@ def mfet_exact(problem):
         if ln_term - slack > _MAX_EXP:
             return math.inf
     log_f = _outer_log_integrand(problem.params)
-    res = integrate_log(log_f, problem.x, problem.L)
-    if not res.converged:
-        raise QuadratureError("exit-time quadrature did not converge", res)
-    return special.exp_saturating(res.value)
+    return special.exp_saturating(integrate_log(log_f, problem.x, problem.L).value)
 
 
 def mfet_bm(problem):
@@ -308,7 +306,8 @@ def avp_residual(problem, x_eval, h=None):
 
     This is algebraically the same five-point stencil on u but avoids the
     catastrophic cancellation of differencing nearly equal quadrature
-    results.
+    results.  A stencil that leaves the double range (an integral, or a
+    sum of them, past 1.8e308) is a DomainError.
     """
     if h is None:
         h = 1e-3 * problem.L
@@ -321,14 +320,15 @@ def avp_residual(problem, x_eval, h=None):
     k = 0.5 * h
 
     nodes = (x_eval - h, x_eval - k, x_eval, x_eval + k, x_eval + h)
-    parts = [integrate_log(log_f, lo, hi) for lo, hi in zip(nodes, nodes[1:])]
-    for part in parts:
-        if not part.converged:
-            raise QuadratureError("residual quadrature did not converge", part)
-    # a1, a2, b1, b2 as in the docstring
-    a1, a2, b1, b2 = (math.exp(part.value) for part in parts)
+    # a1, a2, b1, b2 as in the docstring; an inf among them makes d2u,
+    # and so the residual, non-finite
+    a1, a2, b1, b2 = (special.exp_saturating(integrate_log(log_f, lo, hi).value)
+                      for lo, hi in zip(nodes, nodes[1:]))
 
     d2u = (15.0 * (a2 - b1) + (b2 - a1)) / (12.0 * k * k)
     d1u = (a1 + b2 - 7.0 * (a2 + b1)) / (12.0 * k)
     coeff = 2.0 * p.lam * x_eval - (p.d - 1.0) / x_eval
-    return d2u - coeff * d1u + 2.0 / (p.sigma * p.sigma)
+    residual = d2u - coeff * d1u + 2.0 / (p.sigma * p.sigma)
+    if not math.isfinite(residual):
+        raise DomainError(f"the ODE residual at x_eval={x_eval!r} leaves the double range")
+    return residual

@@ -6,8 +6,9 @@ Kronrod with the embedded 7-point Gauss rule for the error estimate) after
 subtracting its largest log-sample (log-sum-exp discipline), so integrands
 spanning thousands of orders of magnitude integrate without overflow.  The
 worst panel is bisected until the tolerance, interpreted on the linear
-value, or the panel budget is hit.  No randomness anywhere, so results are
-bit-reproducible across runs.
+value, is met; a run the panel budget stops raises QuadratureError
+carrying its partial result.  Neither is an argument.  No randomness
+anywhere, so results are bit-reproducible across runs.
 
 All rule nodes are interior points, so endpoints are never sampled; an
 integrand with a removable 0*inf ambiguity at an endpoint is fine.
@@ -17,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, QuadratureError
 
 # 15-point Kronrod nodes/weights on [-1, 1] with the embedded 7-point Gauss
 # weights (QUADPACK dqk15 constants).
@@ -56,15 +57,16 @@ _WG_AT_NODES = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
                 0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
 
 
-# Absolute tolerance and panel budget of the adaptive loop; the relative
-# tolerance is the callers' one setting.
+# Tolerances and panel budget of the adaptive loop.
+_REL_TOL = 1e-10
 _ABS_TOL = 1e-14
 _MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Outcome of one adaptive integration.
+    """Outcome of one converged adaptive integration (or the partial one
+    a QuadratureError carries).
 
     ``value`` is the log of the integral and ``err_estimate`` is the
     estimated absolute error of that log (which is the estimated relative
@@ -74,7 +76,6 @@ class QuadResult:
     value: float
     err_estimate: float
     panels_used: int
-    converged: bool
 
 
 def _panel(log_f, lo, hi):
@@ -112,26 +113,25 @@ def _logsumexp(values):
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-def integrate_log(log_f, a, b, rel_tol=1e-10):
+def integrate_log(log_f, a, b):
     """log of the integral of exp(log_f) over [a, b].
 
     ``log_f`` may return -inf (log-zero); +inf or NaN is an evaluation
     error.  Convergence is judged on the linear value: the result is
-    converged when err <= max(_ABS_TOL, rel_tol * value) would hold after
+    converged when err <= max(_ABS_TOL, _REL_TOL * value) would hold after
     exponentiating, checked without leaving log space.  Otherwise the worst
-    panel is bisected, up to _MAX_PANELS panels.
+    panel is bisected; a run still unconverged at _MAX_PANELS panels raises
+    QuadratureError with the partial QuadResult as ``result``.
     """
-    if not (rel_tol > 0 and math.isfinite(rel_tol)):
-        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration limits must be finite, got [{a!r}, {b!r}]")
     if a > b:
         raise DomainError(f"integration limits must satisfy a <= b, got [{a!r}, {b!r}]")
     if a == b:
-        return QuadResult(-math.inf, 0.0, 0, True)
+        return QuadResult(-math.inf, 0.0, 0)
 
-    log_abs_tol, log_rel_tol = math.log(_ABS_TOL), math.log(rel_tol)
+    log_abs_tol, log_rel_tol = math.log(_ABS_TOL), math.log(_REL_TOL)
     val, err = _panel(log_f, a, b)
     # heap entries: (-log_err, tiebreak, lo, hi, log_value, log_err)
     counter = 0
@@ -141,7 +141,10 @@ def integrate_log(log_f, a, b, rel_tol=1e-10):
         log_err = _logsumexp([p[5] for p in heap])
         converged = log_err <= max(log_abs_tol, log_rel_tol + log_total)
         if converged or len(heap) >= _MAX_PANELS:
-            return QuadResult(log_total, _rel_err_of_log(log_err, log_total), len(heap), converged)
+            res = QuadResult(log_total, _rel_err_of_log(log_err, log_total), len(heap))
+            if converged:
+                return res
+            raise QuadratureError(f"quadrature did not converge within {_MAX_PANELS} panels", res)
         _, _, lo, hi, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         for sub_lo, sub_hi in ((lo, mid), (mid, hi)):

@@ -71,8 +71,7 @@ def check_substitution_identity():
     """Radial integral equals its incomplete-gamma or Kummer form to 1e-10 relative."""
     cases = [(d, lam, z) for d in (2, 5) for lam in (0.5, 2.0, -0.5, -2.0) for z in (0.5, 1.0, 3.0)]
     for d, lam, z in cases:
-        direct = math.exp(integrate_log(lambda t: (d - 1) * math.log(t) - lam * t * t, 0.0, z,
-                                        rel_tol=1e-12).value)
+        direct = math.exp(integrate_log(lambda t: (d - 1) * math.log(t) - lam * t * t, 0.0, z).value)
         if lam > 0:
             ln_lig = special.ln_lower_gamma(0.5 * d, lam * z * z)
             closed = 0.5 * lam ** (-0.5 * d) * math.exp(ln_lig)

@@ -16,6 +16,7 @@ import ouexit.mfet
 import ouexit.special
 from ouexit import selftest
 from ouexit.cli import main
+from ouexit.errors import QuadratureError
 from ouexit.quadrature import QuadResult
 from ouexit.simulate import PathRecord
 
@@ -79,8 +80,10 @@ class TestMfetCommand:
         capsys.readouterr()
 
     def test_quadrature_failure_is_exit_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(ouexit.mfet, "integrate_log",
-                            lambda *a, **k: QuadResult(0.0, 1.0, 1, False))
+        def starved(log_f, a, b):
+            raise QuadratureError("quadrature did not converge", QuadResult(0.0, 1.0, 1))
+
+        monkeypatch.setattr(ouexit.mfet, "integrate_log", starved)
         code = run_cli("mfet", "--d", "1", "--L", "4", "--x", "0",
                        "--sigma", "1", "--theta", "2")
         assert code == 3
@@ -350,6 +353,18 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAILED: neuman-bracket" in out
+
+    def test_starved_quadrature_is_not_a_pass(self, capsys, monkeypatch):
+        # two panels leave 10 of the substitution identity's 24 integrals
+        # unconverged; the other checks would stop the suite before it
+        monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
+        monkeypatch.setattr(selftest, "CHECKS", [c for c in selftest.CHECKS
+                                                 if c[0] == "substitution-identity"])
+        code = run_cli("selftest")
+        out, err = capsys.readouterr()
+        assert "all checks passed" not in out
+        assert (code == 1 and "FAILED: substitution-identity" in out
+                or code == 3 and "numerical failure" in err)
 
     @pytest.mark.parametrize("name,first_case", [
         ("ln_lower_gamma", "d=2, lam=0.5, z=0.5"),

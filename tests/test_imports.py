@@ -24,8 +24,10 @@ def test_exact_route_loads_no_numpy_or_scipy():
         "p = ouexit.ExitProblem(ouexit.OupParams(theta=0.5, sigma=1.0, d=4), L=4.0, x=0.0)\n"
         "ouexit.mfet_exact(p)\n"
         "ouexit.mfet_bounds(p)\n"
-        "assert cli.main(['mfet', '--d', '4', '--L', '4', '--x', '0', '--sigma', '1',\n"
-        "                 '--theta', '0.5', '--format', 'json']) == 0\n"
+        "ouexit.avp_residual(p, x_eval=2.0)\n"
+        "for theta in ('0.5', '-0.5'):\n"
+        "    assert cli.main(['mfet', '--d', '4', '--L', '4', '--x', '0', '--sigma', '1',\n"
+        "                     '--theta', theta, '--format', 'json']) == 0\n"
         "assert cli.main(['drift-ratio', '--theta', '0.7']) == 0\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
     )

@@ -181,16 +181,11 @@ class TestExactFormula:
                     assert float(direct) == pytest.approx(via, rel=1e-10)
 
     def test_panel_exhaustion_raises_with_partial_result(self, monkeypatch):
-        integrate_log = ouexit.mfet.integrate_log
-
-        def starved(log_f, a, b):
-            return integrate_log(log_f, a, b, rel_tol=1e-13)
-
-        monkeypatch.setattr(ouexit.mfet, "integrate_log", starved)
+        monkeypatch.setattr(ouexit.quadrature, "_REL_TOL", 1e-13)
         monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
         with pytest.raises(QuadratureError) as exc:
             mfet_exact(_problem(1, 2.0, 4.0))
-        assert exc.value.result.converged is False
+        assert exc.value.result.err_estimate > 1e-13
         assert exc.value.result.panels_used == 2
 
     def test_huge_dimension_stays_stable(self):
@@ -292,8 +287,8 @@ class TestDecidedOverflow:
         decided, near = 0, 0
         for p in problems:
             _, ln_term, slack = _ln_peak_term(p)
+            # raises unless converged
             res = integrate_log(_outer_log_integrand(p.params), p.x, p.L)
-            assert res.converged
             # a lower bound on ln E tau, and inf only where E tau overflows
             assert ln_term - slack <= res.value, p
             if ln_term - slack > _MAX_EXP:
@@ -454,6 +449,14 @@ class TestOdeResidual:
             avp_residual(p, x_eval=0.0005, h=1e-3)
         with pytest.raises(DomainError):
             avp_residual(p, x_eval=2.0, h=1e-3)
+
+    @pytest.mark.parametrize("big_l", [20.0, 21.0])
+    def test_stencil_past_the_double_range_is_a_domain_error(self, big_l):
+        # L = 20: each integral is finite (ln 706-708), their stencil sum is
+        # not; L = 21: an integral itself is past 1.8e308
+        p = _problem(4, 2.0, big_l)
+        with pytest.raises(DomainError, match="x_eval=.*leaves the double range"):
+            avp_residual(p, x_eval=big_l - 1.0)
 
 
 class TestParamValidation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ouexit import DomainError, EvaluationError, integrate_log, quadrature
+from ouexit import DomainError, EvaluationError, QuadratureError, integrate_log, quadrature
 
 
 class TestIntegrate:
@@ -16,7 +16,6 @@ class TestIntegrate:
 
     def test_polynomial_exactness(self):
         r = integrate_log(math.log, 0.0, 2.0)
-        assert r.converged
         assert abs(math.exp(r.value) - 2.0) <= quadrature._ABS_TOL
 
     def test_exponential(self):
@@ -26,7 +25,6 @@ class TestIntegrate:
     def test_gaussian_growth_kernel(self):
         # antiderivative of z*exp(z^2/2) is exp(z^2/2)
         r = integrate_log(lambda z: math.log(z) + 0.5 * z * z, 0.0, 4.0)
-        assert r.converged
         assert math.exp(r.value) == pytest.approx(math.exp(8.0) - 1.0, rel=1e-12)
 
     def test_error_estimate_bounds_true_error(self):
@@ -40,14 +38,15 @@ class TestIntegrate:
             r = integrate_log(log_f, a, b)
             assert abs(math.exp(r.value) / truth - 1.0) <= r.err_estimate + 1e-15
 
-    def test_converged_result_meets_tolerance_contract(self):
-        r = integrate_log(lambda z: math.log(math.sin(z) ** 2 + 0.1), 0.0, 10.0, rel_tol=1e-8)
-        assert r.converged
+    def test_converged_result_meets_tolerance_contract(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-8)
+        # returning at all means converged: a budget stop raises
+        r = integrate_log(lambda z: math.log(math.sin(z) ** 2 + 0.1), 0.0, 10.0)
         assert r.err_estimate <= max(quadrature._ABS_TOL / math.exp(r.value), 1e-8)
 
     def test_empty_interval(self):
         r = integrate_log(lambda z: 1.0, 1.5, 1.5)
-        assert (r.value, r.err_estimate, r.panels_used, r.converged) == (-math.inf, 0.0, 0, True)
+        assert (r.value, r.err_estimate, r.panels_used) == (-math.inf, 0.0, 0)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(DomainError):
@@ -64,14 +63,11 @@ class TestIntegrate:
     def test_panel_budget_reported(self, monkeypatch):
         # an oscillation two panels cannot resolve to 1e-12
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
-        r = integrate_log(lambda z: math.log(math.sin(50.0 * z) + 2.0), 0.0, 3.0, rel_tol=1e-12)
-        assert not r.converged
-        assert r.panels_used == 2
-
-    def test_config_validation(self):
-        for rel_tol in (0.0, -1e-10, math.inf, math.nan):
-            with pytest.raises(DomainError, match="rel_tol"):
-                integrate_log(lambda z: 0.0, 0.0, 1.0, rel_tol=rel_tol)
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-12)
+        with pytest.raises(QuadratureError, match="2 panels") as exc:
+            integrate_log(lambda z: math.log(math.sin(50.0 * z) + 2.0), 0.0, 3.0)
+        assert exc.value.result.panels_used == 2
+        assert exc.value.result.err_estimate > 1e-12
 
     def test_deterministic_reruns(self):
         log_f = lambda z: math.sin(3 * z) + z  # noqa: E731
@@ -81,7 +77,6 @@ class TestIntegrate:
 class TestIntegrateLog:
     def test_constant_one(self):
         r = integrate_log(lambda z: 0.0, 0.0, 3.0)
-        assert r.converged
         assert r.value == pytest.approx(math.log(3.0), abs=1e-13)
 
     def test_exponential(self):
@@ -114,7 +109,6 @@ class TestIntegrateLog:
 
     def test_log_zero_integrand(self):
         r = integrate_log(lambda z: -math.inf, 0.0, 1.0)
-        assert r.converged
         assert r.value == -math.inf
 
     def test_plus_inf_rejected(self):
@@ -124,33 +118,39 @@ class TestIntegrateLog:
     def test_empty_interval(self):
         r = integrate_log(lambda z: 1.0, 0.5, 0.5)
         assert r.value == -math.inf
-        assert r.converged
 
-    def test_tolerance_contract_on_linear_value(self):
-        r = integrate_log(lambda z: 500.0 + math.cos(z), 0.0, 6.0, rel_tol=1e-9)
-        assert r.converged
+    def test_tolerance_contract_on_linear_value(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-9)
+        # returning at all means converged: a budget stop raises
+        r = integrate_log(lambda z: 500.0 + math.cos(z), 0.0, 6.0)
         # err_estimate is the relative linear error here
         assert r.err_estimate <= 1e-9
 
 
 class TestFrozenBits:
-    # whole QuadResults pinned to the last bit, including a run that stops at
-    # a panel budget patched down from 4096
+    # whole QuadResults pinned to the last bit, including the partial result
+    # of a run that stops at a panel budget patched down from 4096
     @pytest.mark.parametrize(
         "log_f,a,b,rel_tol,max_panels,want",
         [
             (lambda z: 500.0 + math.cos(z), 0.0, 6.0, 1e-9, 4096,
              "QuadResult(value=501.9734245630688, err_estimate=2.5108527412101143e-11,"
-             " panels_used=4, converged=True)"),
+             " panels_used=4)"),
             (lambda z: -0.5 * z * z, -1.0, 2.0, 1e-10, 4096,
              "QuadResult(value=0.7187722388802102, err_estimate=9.645924937569037e-13,"
-             " panels_used=2, converged=True)"),
+             " panels_used=2)"),
             (lambda z: math.sin(50.0 * z), 0.0, 3.0, 1e-12, 3,
              "QuadResult(value=1.3523163330334809, err_estimate=0.12328255837969035,"
-             " panels_used=3, converged=False)"),
+             " panels_used=3)"),
         ],
         ids=["log-500-cos", "log-half-z2", "log-budget"],
     )
     def test_frozen_result(self, monkeypatch, log_f, a, b, rel_tol, max_panels, want):
+        monkeypatch.setattr(quadrature, "_REL_TOL", rel_tol)
         monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
-        assert repr(integrate_log(log_f, a, b, rel_tol=rel_tol)) == want
+        if max_panels == 4096:
+            assert repr(integrate_log(log_f, a, b)) == want
+        else:
+            with pytest.raises(QuadratureError) as exc:
+                integrate_log(log_f, a, b)
+            assert repr(exc.value.result) == want
