@@ -16,7 +16,7 @@ Every run that writes to a file also writes ``<file>.manifest.json`` with
 the command, all parameter values, the seed and the tool version, so the
 output can be regenerated exactly.  Every input is checked before the
 output is opened, so a usage error writes nothing.  Exit codes: 0 success,
-1 selftest failure, 2 usage error, 3 numerical failure.
+1 selftest failure, 2 usage error, 3 numerical failure, 141 closed stdout.
 
 Every CSV table goes through one writer, a group of rows at a time.  A
 group holds one entry per column: a list of that column's cells (the lists
@@ -36,6 +36,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -395,13 +396,22 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one command; return its exit code (141 as ``ouexit`` on a closed stdout)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # rows still buffered meet a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:
+        if argv is not None:  # in-process callers see it
+            raise
+        # stdout closed (``| head``): 128 + SIGPIPE, and the exit flush writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import special
+from .errors import OuexitError
 from .mfet import ExitProblem, OupParams, mfet_bm, mfet_bounds, mfet_exact
 from .quadrature import integrate_log
 from .simulate import McConfig, Scheme, estimate_mfet
@@ -104,11 +105,14 @@ CHECKS = (
 
 
 def run_selftest():
-    """Run every check; return (all_passed, first_failure_name)."""
+    """Run every check; return (all_passed, first_failure_name).  A raise fails its check."""
     first_failure = None
     print(f"{'check':<24} {'status':<6} detail")
     for name, fn in CHECKS:
-        ok, detail = fn()
+        try:
+            ok, detail = fn()
+        except OuexitError as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         print(f"{name:<24} {'pass' if ok else 'FAIL':<6} {detail}")
         if not ok and first_failure is None:
             first_failure = name

@@ -55,26 +55,26 @@ Chunks and the straggler hand-off: exit times are heavy-tailed (about
 exp(lambda L^2) at small d), so most time steps of a batch have only a few
 paths still running, and every numpy call costs about a microsecond of
 overhead however few paths it carries.  ``_run_paths`` therefore advances
-the live paths a chunk of steps per kernel call: the kernel applies its
-step expression to the chunk's columns in turn, and the driver finds each
-path's first crossing in the chunk with one argmax and drops exited paths
-once per chunk.  A chunk is at most an eighth of the steps already taken,
-so the steps a path takes past its exit, then discarded, stay under an
-eighth of those it needed; past one step it holds at most _CHUNK normals
-over all its paths, so its temporaries stay under glibc's 128 KB mmap
-threshold; and it ends at the end of the normals block and at the horizon.  Paths step in numpy only
-while live paths times normals per step exceeds ``_SCALAR_LOAD``; after
-that each remaining path is finished alone in a scalar Python loop over the
-rest of its pre-drawn normals, drawing further blocks from the path's own
-stream.  Neither regrouping moves a bit: the normals are the same (they
-depend only on seed, path and position); a step evaluates the same
-expression on each value whatever the chunk, and each scheme's scalar form
-evaluates it in the same order (the radial clamp ``y if y > 0.0 else 0.0``
-equals ``np.maximum(y, 0.0)`` on -0.0 too); an exit is the first crossing's
-grid time in whatever chunk it falls; and the full schemes sum |x|^2 with
-numpy over C-contiguous rows of d, stacked (paths, c, d) for a chunk and
-(steps, d) for a scalar run, so its summation order stays numpy's at every
-d (left to right below 8 entries, pairwise from 8).
+the live paths a chunk of steps per kernel call: each scheme is a
+recurrence, run over the chunk's columns of normals (scaled once per
+chunk, except squared-radial's), and the driver finds each path's first
+crossing in the chunk with one argmax and drops exited paths once per
+chunk.  A chunk is at most an eighth of the steps already taken, so the
+steps a path takes past its exit, then discarded, stay under an eighth of
+those it needed; past one step it holds at most _CHUNK normals over all its
+paths, so its temporaries stay under glibc's 128 KB mmap threshold; and it
+ends at the end of the normals block and at the horizon.  Paths step in
+numpy only while live paths times normals per step exceeds
+``_SCALAR_LOAD``; after that each remaining path is finished alone in a
+scalar Python loop over the rest of its pre-drawn normals, drawing further
+blocks from the path's own stream.  Neither regrouping moves a bit: the
+normals are the same (they depend only on seed, path and position); the
+recurrence evaluates the same expression on each value whatever the chunk,
+and each scheme's scalar form evaluates it in the same order (the radial
+clamp ``y if y > 0.0 else 0.0`` equals ``np.maximum(y, 0.0)`` on -0.0 too);
+an exit is the first crossing's grid time in whatever chunk it falls; and
+the full schemes' chunks and scalar runs take |x|^2 from one numpy sum over
+C-contiguous rows of d, so its order is numpy's at every d.
 
 Records: a recorded path keeps its monitored values (|x|^2, rho or y) as
 the chunks and scalar runs produce them, and ``record_path`` maps them to
@@ -109,11 +109,16 @@ else:  # no affinity masks (macOS, Windows)
 
 
 def _new_pool():
-    # threads start on the first submit, so making the pool costs nothing
-    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="ouexit-normals")
+    # threads start on the first submit, so making the pool costs nothing;
+    # a forked child has none of the parent's threads, and a pool it
+    # inherited would queue work that never runs, so it makes its own
+    global _pool
+    _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ouexit-normals")
 
 
-_pool = _new_pool()
+_new_pool()
+if hasattr(os, "register_at_fork"):  # no fork on Windows
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass(frozen=True)
@@ -174,21 +179,30 @@ def _scheme_kernel(problem, cfg):
     """(start, first, step, run, threshold, radius) of the configured scheme.
 
     ``start`` is one path's state, a row of d coordinates or a scalar, with
-    one normal per entry drawn each step.  ``first`` and ``step`` advance a
-    batch by a chunk of c steps: they map (states, zs), with zs shaped
-    (paths, c) + shape and holding each path's next normals in step order,
-    to (states after the chunk, monitored values shaped (paths, c)).
-    ``first`` takes the batch's first step, a one-step chunk.  A path exits
-    once monitored reaches ``threshold``, and ``radius`` maps an array of
-    monitored values to radii.  ``run`` is the scalar form of ``step`` for
-    one path: it maps (state, zs), the path's next normals in step order, to
-    (state, monitored values of the steps it took), stopping at the exit
-    step or after at most ``len(zs)`` steps, with the bits of ``step``.
+    one normal per entry drawn each step.  Each scheme is a recurrence that
+    maps (state, noise terms) to the state after each term, and ``chunk``
+    makes ``first`` and ``step`` from it: they advance a batch by c steps,
+    mapping (states, zs), zs shaped (paths, c) + shape with each path's next
+    normals in step order, to (states after the chunk, monitored values
+    shaped (paths, c)).  ``first`` takes the batch's first step.  A path
+    exits once monitored reaches ``threshold``; ``radius`` maps monitored
+    values to radii.  ``run`` is ``step``'s scalar form for one path: it maps
+    (state, zs) to (state, monitored values of the steps it took), stopping
+    at the exit or after ``len(zs)`` steps, with the bits of ``step``.
     """
     p, x, dt = problem.params, problem.x, cfg.dt
     sqrt_dt = math.sqrt(dt)
     sig_sqdt = p.sigma * sqrt_dt
     big_l2 = problem.L * problem.L
+
+    def chunk(recur, scale=None, monitor=None):
+        # ``recur`` over the chunk's columns of normals times ``scale``, stacked
+        def step(state, zs):
+            ws = zs.swapaxes(0, 1)
+            xs = recur(state, ws if scale is None else scale * ws)
+            rows = xs[0][:, None] if len(xs) == 1 else np.stack(xs, axis=1)
+            return xs[-1], rows if monitor is None else monitor(rows)
+        return step
 
     if cfg.scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT):
         if cfg.scheme is Scheme.FULL_EULER:
@@ -206,46 +220,30 @@ def _scheme_kernel(problem, cfg):
             def recur(c, ws):
                 return [c := decay * c + w for w in ws]
 
-        # ``recur`` takes one coordinate through its noise terms ws: on
-        # arrays for a batch chunk, on floats for a scalar run, so both
-        # forms evaluate the same expression
-        def step(state, zs):
-            xs = recur(state, scale * zs.swapaxes(0, 1))
-            # |x|^2 of every step in one reduction over C-contiguous rows of
-            # d, the order the scalar run uses too
-            rows = xs[0][:, None] if len(xs) == 1 else np.stack(xs, axis=1)
-            return xs[-1], np.add.reduce(rows * rows, axis=2)
+        def norm2(rows):
+            # |x|^2 over C-contiguous rows of d, stacked (paths, c, d) for a
+            # chunk and (steps, d) for a scalar run: numpy's order in both
+            return np.add.reduce(rows * rows, axis=-1)
 
-        def run(state, zs):
-            # |x|^2 summed by numpy over C-contiguous rows of d, in the
-            # batch step's order
+        def run(state, zs):  # ``recur`` on floats, a coordinate at a time
             ws = (scale * zs[:_RUN_STEPS]).T.tolist()
-            xs = np.array([recur(c, col) for c, col in zip(state.tolist(), ws)],
-                          np.float64).T.copy()
-            r2 = np.add.reduce(xs * xs, axis=1)
+            xs = np.array([recur(c, col) for c, col in zip(state.tolist(), ws)]).T.copy()
+            r2 = norm2(xs)
             hit = np.flatnonzero(r2 >= big_l2)
             n = hit[0] + 1 if hit.size else len(r2)
             return xs[n - 1], r2[:n]
 
+        step = chunk(recur, scale, norm2)
         return np.concatenate(([x], np.zeros(p.d - 1))), step, step, run, big_l2, np.sqrt
-
-    def by_column(f):
-        # a chunk of a one-step map, taken column by column
-        def chunk(state, zs):
-            monitored = np.empty(zs.shape)
-            for j in range(zs.shape[1]):
-                state, monitored[:, j] = f(state, zs[:, j])
-            return state, monitored
-        return chunk
 
     s2d = p.sigma * p.sigma * p.d
     two_theta = 2.0 * p.theta
     two_sig_sqdt = 2.0 * p.sigma * sqrt_dt
 
-    def squared_radial(y, z):
-        yp = np.maximum(y, 0.0)
-        y = y + (s2d - two_theta * yp) * dt + two_sig_sqdt * np.sqrt(yp) * z
-        return y, y
+    def squared_radial(y, zs):
+        # unscaled normals: the noise term multiplies 2 sigma sqrt(dt) sqrt(y+) first
+        return [y := y + (s2d - two_theta * (yp := np.maximum(y, 0.0))) * dt
+                + two_sig_sqdt * np.sqrt(yp) * z for z in zs]
 
     if cfg.scheme is Scheme.SQUARED_RADIAL_EULER:
 
@@ -263,20 +261,19 @@ def _scheme_kernel(problem, cfg):
             # not np.maximum, which turns -0.0 into +0.0: the clamp keeps it
             return np.sqrt(np.where(y < 0.0, 0.0, y))
 
-        step = by_column(squared_radial)
+        step = chunk(squared_radial)
         return x * x, step, step, run, big_l2, radius
 
     # radial-euler; the drift is singular at 0, so a start there bootstraps
     half_dm1_s2 = 0.5 * (p.d - 1) * p.sigma * p.sigma
     theta, big_l = p.theta, problem.L
 
-    def radial(rho, z):
-        rho = np.abs(rho + (half_dm1_s2 / rho - theta * rho) * dt + sig_sqdt * z)
-        return rho, rho
+    def radial(rho, ws):
+        return [rho := np.abs(rho + (half_dm1_s2 / rho - theta * rho) * dt + w) for w in ws]
 
-    def bootstrap(rho, z):
-        rho = np.sqrt(np.maximum(squared_radial(rho * rho, z)[0], 0.0))
-        return rho, rho
+    def bootstrap(rho, zs):
+        # a squared-radial step from rho^2, as a radius; only ever one step
+        return [np.sqrt(np.maximum(y, 0.0)) for y in squared_radial(rho * rho, zs)]
 
     def run(rho, zs):
         rho, rhos = float(rho), []
@@ -287,8 +284,8 @@ def _scheme_kernel(problem, cfg):
                 break
         return rho, rhos
 
-    step = by_column(radial)
-    return x, (by_column(bootstrap) if x == 0.0 else step), step, run, big_l, np.asarray
+    step = chunk(radial, sig_sqdt)
+    return x, (chunk(bootstrap) if x == 0.0 else step), step, run, big_l, np.asarray
 
 
 def _to_normals(raw, out):
@@ -321,17 +318,6 @@ def _fill(flat, streams, lo, hi):
             raws = [s.random_raw(c1 - c) for s in group]
             _to_normals(np.stack(raws) if len(raws) > 1 else raws[0],
                         flat[r:r + len(raws), c:c1])
-
-
-def _renew_pool():
-    # a forked child has none of the parent's threads; a pool it inherited
-    # would queue work that never runs
-    global _pool
-    _pool = _new_pool()
-
-
-if hasattr(os, "register_at_fork"):  # no fork on Windows
-    os.register_at_fork(after_in_child=_renew_pool)
 
 
 def _normals(streams, steps, shape):
@@ -372,9 +358,8 @@ def _run_paths(problem, cfg, indices, record=None):
     max_steps = max(1, int(math.floor(cfg.t_max / dt + 1e-9)))
 
     out = np.full(n, math.nan)
-    if record is not None:
-        if n != 1:
-            raise DomainError("recording is a single-path operation")
+    if record is not None and n != 1:
+        raise DomainError("recording is a single-path operation")
     if problem.x >= problem.L:
         # starts on the boundary: no step is taken, so nothing is recorded
         out[:] = 0.0

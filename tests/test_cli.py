@@ -363,8 +363,22 @@ class TestSelftestCommand:
         code = run_cli("selftest")
         out, err = capsys.readouterr()
         assert "all checks passed" not in out
-        assert (code == 1 and "FAILED: substitution-identity" in out
-                or code == 3 and "numerical failure" in err)
+        assert code == 1 and "FAILED: substitution-identity" in out
+
+    def test_a_check_that_raises_is_named(self, capsys, monkeypatch):
+        # bound-chain's mfet_exact runs out of panels and raises; the suite
+        # reports it as that check's failure and runs the rest
+        monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
+        code = run_cli("selftest")
+        out, err = capsys.readouterr()
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
+        assert code == 1
+        assert out.splitlines()[-1] == "FAILED: bound-chain"
+        assert rows == {"neuman-bracket": "pass", "brownian-reduction": "pass",
+                        "bound-chain": "FAIL", "substitution-identity": "FAIL",
+                        "mc-determinism": "pass"}
+        assert "raised QuadratureError: " in out and "within 2 panels" in out
+        assert err == ""
 
     @pytest.mark.parametrize("name,first_case", [
         ("ln_lower_gamma", "d=2, lam=0.5, z=0.5"),
@@ -498,3 +512,18 @@ class TestEntryPoints:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_closed_stdout_ends_the_run_quietly(self):
+        # a reader that stops after two lines, as ``| head -n 2`` does; the
+        # 2.4 MB trace fills the pipe long before the run ends
+        proc = subprocess.Popen([sys.executable, "-m", "ouexit", "trajectories"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        lines = [proc.stdout.readline(), proc.stdout.readline()]
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 141
+        assert lines == [b"d,theta,t,radius,exited\n", b"2,0.7,0.0,0.0,0\n"]
+        assert err == b""

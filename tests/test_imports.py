@@ -36,6 +36,30 @@ def test_exact_route_loads_no_numpy_or_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_binds_record_path_on_first_access(tmp_path):
+    # what a benchmark wrapper relies on: the name resolves in a fresh
+    # interpreter, importing simulate only then, and a wrapper set on the
+    # module is what ``trajectories`` calls
+    code = (
+        "import sys\n"
+        "from ouexit import cli\n"
+        "assert 'ouexit.simulate' not in sys.modules\n"
+        "engine = cli.record_path\n"
+        "assert engine is sys.modules['ouexit.simulate'].record_path\n"
+        "calls = []\n"
+        "def wrapper(*args):\n"
+        "    calls.append(args[0].params.theta)\n"
+        "    return engine(*args)\n"
+        "cli.record_path = wrapper\n"
+        "assert cli.main(['trajectories', '--d', '2', '--output', sys.argv[1]]) == 0\n"
+        "print(calls)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "traces.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0.7, 0.0]"
+
+
 @pytest.mark.parametrize("module,name", [
     *((ouexit, name) for name in _SIMULATE_NAMES),
     *((ouexit.cli, name) for name in ("McConfig", "estimate_mfet", "record_path")),

@@ -52,6 +52,11 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate_log(lambda z: 1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+    def test_nonfinite_limit_rejected(self, a, b):
+        with pytest.raises(DomainError, match="limits must be finite"):
+            integrate_log(lambda z: 0.0, a, b)
+
     def test_nonfinite_sample_raises_with_abscissa(self):
         def log_f(z):
             return math.nan if z > 0.5 else 0.0

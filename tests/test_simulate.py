@@ -215,6 +215,12 @@ class TestEstimateShape:
 
 
 class TestRecords:
+    def test_recording_takes_one_path(self):
+        p = _problem(3, 0.4, 1.5)
+        cfg = McConfig(n_paths=2, dt=1e-2, seed=SEED)
+        with pytest.raises(DomainError, match="single-path"):
+            _run_paths(p, cfg, [0, 1], record=[])
+
     def test_boundary_start_record(self):
         p = _problem(3, 0.4, 1.5, x=1.5)
         rec = record_path(p, McConfig(n_paths=1, dt=1e-2, seed=SEED), 0)
