@@ -43,6 +43,7 @@ used as an independent correctness probe on the computed solution.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import special
@@ -50,6 +51,7 @@ from .errors import DomainError
 from .quadrature import integrate_log
 
 _MAX_EXP = 709.782712893384
+_TINY = sys.float_info.min  # the smallest normal double; below it digits are lost
 
 
 @dataclass(frozen=True)
@@ -67,16 +69,20 @@ class OupParams:
             raise DomainError(f"sigma must be a positive finite real, got {self.sigma!r}")
         if not math.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta!r}")
-        if not 0.0 < self.sigma * self.sigma < math.inf:
+        # a subnormal theta, sigma**2 or lam carries too few digits: lower_exp
+        # turns nan or inf and mfet_exact drifts or fails to converge
+        if 0.0 < abs(self.theta) < _TINY:
+            raise DomainError(f"theta leaves the double range at theta={self.theta!r}")
+        if not _TINY <= self.sigma * self.sigma < math.inf:
             raise DomainError(f"sigma**2 leaves the double range at sigma={self.sigma!r}")
         # sigma**2 * d is the Brownian rate of |X|^2: mfet_bm's divisor, the
         # squared-radial drift and the drift ratio's numerator
         if not self.sigma * self.sigma * self.d < math.inf:
             raise DomainError(f"sigma**2 * d leaves the double range at sigma={self.sigma!r}, "
                               f"d={self.d!r}")
-        # lam shares theta's sign, so both name the same regime
+        # lam shares theta's sign, so both name the same regime, and is normal
         lam = self.lam
-        if not (math.isfinite(lam) and (lam == 0.0) == (self.theta == 0.0)):
+        if not (math.isfinite(lam) and (lam == 0.0 if self.theta == 0.0 else abs(lam) >= _TINY)):
             raise DomainError(f"theta/sigma**2 = {lam!r} leaves the double range at "
                               f"theta={self.theta!r}, sigma={self.sigma!r}")
 

@@ -28,14 +28,18 @@ keyed by (seed, path index); Gaussians come from the inverse normal CDF of
 fixed-position uniforms (a rejection sampler would consume a data-dependent
 number of draws and break reproducibility under regrouping).  Normals are
 drawn in blocks of twice the steps already taken, from _RUN_STEPS up to
-2048 steps and at most _BLOCK_FLOATS normals, so a path that exits early
-draws few it never uses.  The first block stops at twice the Brownian-motion
-exit steps, 2 mfet_bm / dt, but never holds less than one transform piece
-(_PIECE normals over all paths), so a lone path at large d, which exits in
-a few steps, does not draw 256 steps of d normals.  Streams are read in
-order, so block sizes never move a normal to another step.  Every
-aggregate is reduced in path-index order with pairwise summation, so
-estimates are identical however the paths are batched or parallelized.
+2048 steps, so a path that exits early draws few it never uses.  A block
+holds at most 16 transform pieces (_BLOCK_FLOATS = 2**19 normals, 4 MB)
+unless one step alone needs more, and a batch drops its spent block before
+the next is allocated, so one block is live at a time, plus the shorter
+copy that dropping exited paths makes.  The first block stops at twice the
+Brownian-motion exit steps, 2 mfet_bm / dt, but never holds less than one
+transform piece (_PIECE normals over all paths), so a lone path at large
+d, which exits in a few steps, does not draw 256 steps of d normals.
+Streams are read in order, so block sizes never move a normal to another
+step.  Every aggregate is reduced in path-index order with pairwise
+summation, so estimates are identical however the paths are batched or
+parallelized.
 
 Filling a block: ``_normals`` allocates it once and fills it in pieces of
 at most _PIECE normals (one row cut into pieces, or several short rows
@@ -85,6 +89,7 @@ radii have the bits of a value-by-value map.
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -97,11 +102,11 @@ from .mfet import mfet_bm
 from .schemes import Scheme
 
 _U64_MAX = 2**64 - 1
-_BLOCK_FLOATS = 2_000_000
 _SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
 _RUN_STEPS = 256  # steps per scalar run of a full-dimensional path
 _CHUNK = 2**13  # path-normals per batch chunk: 64 KB per temporary
 _PIECE = 2**15  # normals per transform piece: 256 KB per temporary
+_BLOCK_FLOATS = 16 * _PIECE  # normals per block past one step: 4 MB
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:  # no affinity masks (macOS, Windows)
@@ -175,8 +180,11 @@ class PathRecord:
     exited_at: Optional[float]
 
 
+_Kernel = namedtuple("_Kernel", "start first step run threshold radius")
+
+
 def _scheme_kernel(problem, cfg):
-    """(start, first, step, run, threshold, radius) of the configured scheme.
+    """The configured scheme's _Kernel(start, first, step, run, threshold, radius).
 
     ``start`` is one path's state, a row of d coordinates or a scalar, with
     one normal per entry drawn each step.  Each scheme is a recurrence that
@@ -234,7 +242,8 @@ def _scheme_kernel(problem, cfg):
             return xs[n - 1], r2[:n]
 
         step = chunk(recur, scale, norm2)
-        return np.concatenate(([x], np.zeros(p.d - 1))), step, step, run, big_l2, np.sqrt
+        start = np.concatenate(([x], np.zeros(p.d - 1)))
+        return _Kernel(start, step, step, run, big_l2, np.sqrt)
 
     s2d = p.sigma * p.sigma * p.d
     two_theta = 2.0 * p.theta
@@ -262,7 +271,7 @@ def _scheme_kernel(problem, cfg):
             return np.sqrt(np.where(y < 0.0, 0.0, y))
 
         step = chunk(squared_radial)
-        return x * x, step, step, run, big_l2, radius
+        return _Kernel(x * x, step, step, run, big_l2, radius)
 
     # radial-euler; the drift is singular at 0, so a start there bootstraps
     half_dm1_s2 = 0.5 * (p.d - 1) * p.sigma * p.sigma
@@ -285,7 +294,7 @@ def _scheme_kernel(problem, cfg):
         return rho, rhos
 
     step = chunk(radial, sig_sqdt)
-    return x, (chunk(bootstrap) if x == 0.0 else step), step, run, big_l, np.asarray
+    return _Kernel(x, chunk(bootstrap) if x == 0.0 else step, step, run, big_l, np.asarray)
 
 
 def _to_normals(raw, out):
@@ -336,7 +345,12 @@ def _normals(streams, steps, shape):
 
 
 def _block_steps(floats_per_step, taken):
-    """Steps per normals block after ``taken`` steps; see the module docstring."""
+    """Steps per normals block after ``taken`` steps; see the module docstring.
+
+    Twice ``taken``, from _RUN_STEPS up to 2048 steps, and at most
+    _BLOCK_FLOATS (16 transform pieces) over the block's paths, or one step
+    where a single step needs more.
+    """
     return max(1, min(2048, _BLOCK_FLOATS // max(1, floats_per_step),
                       max(_RUN_STEPS, 2 * taken)))
 
@@ -381,6 +395,7 @@ def _run_paths(problem, cfg, indices, record=None):
 
     while k < max_steps and (k == 0 or len(streams) * m > _SCALAR_LOAD):
         if pos == block.shape[1]:
+            del block  # so the spent block is freed before the next is allocated
             block = _normals(streams, _block_steps(n * m, k), shape)
             pos = 0
         # k // 8 keeps the steps taken past an exit under an eighth of those
@@ -466,7 +481,7 @@ def record_path(problem, cfg, path_index):
     t = _run_paths(problem, cfg, [path_index], record=monitored)[0]
     radii = np.array([problem.x])
     if monitored:
-        radius = _scheme_kernel(problem, cfg)[-1]
+        radius = _scheme_kernel(problem, cfg).radius
         radii = np.concatenate((radii, radius(np.concatenate(monitored))))
     return PathRecord(times=np.arange(len(radii)) * cfg.dt, radii=radii,
                       exited_at=None if math.isnan(t) else float(t))

@@ -66,6 +66,15 @@ class TestMfetCommand:
         rows = parse_csv(capsys.readouterr().out)
         assert rows[0]["upper_exp"] == ""
 
+    def test_smallest_normal_theta_still_computes(self, capsys):
+        # just above the smallest normal double the drift is negligible
+        code = run_cli("mfet", "--d", "4", "--L", "4", "--x", "0",
+                       "--sigma", "1", "--theta", "2.3e-308", "--format", "json")
+        assert code == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["mfet_exact"] == pytest.approx(4.0, rel=1e-12)
+        assert rec["lower_exp"] == pytest.approx(4.0, rel=1e-12)
+
     def test_json_round_trips_idempotently(self, capsys):
         run_cli("mfet", "--d", "3", "--L", "2.5", "--x", "0.5",
                 "--sigma", "1.2", "--theta", "0.3", "--format", "json")
@@ -450,6 +459,16 @@ _OUT_OF_RANGE = {
     "mfet --sigma 1e154 --d 1000 --L 1 --x 0 --theta 0": "sigma**2 * d",
     "drift-ratio --sigma 1e154 --d-list 1000": "sigma**2 * d",
     "scaling --d-min 1024 --d-max 1024 --sigma 1e154 --paths 2": "sigma**2 * d",
+    # subnormal inputs: too few digits for the exact route or the bounds
+    "mfet --theta 5e-324 --d 4 --L 4 --x 0 --sigma 1": "theta leaves the double range",
+    "mfet --theta 1e-320 --d 4 --L 4 --x 0 --sigma 1": "theta leaves the double range",
+    "mfet --theta=-1e-310 --d 4 --L 4 --x 0 --sigma 1": "theta leaves the double range",
+    "mfet --theta 1e-312 --sigma 1e-5 --d 4 --L 4 --x 0": "theta leaves the double range",
+    "mfet --sigma 1e-160 --theta 0.5 --d 4 --L 4 --x 0": "sigma**2 leaves the double range",
+    "mfet --sigma 1e10 --theta 1e-300 --d 4 --L 4 --x 0": "theta/sigma**2",
+    "scaling --d-min 2 --d-max 2 --lambda 1e-310 --paths 2": "theta leaves the double range",
+    "trajectories --theta 1e-310": "theta leaves the double range",
+    "drift-ratio --theta 5e-324 --d-list 2": "theta leaves the double range",
 }
 
 

@@ -480,6 +480,12 @@ class TestParamValidation:
         (0.0, 1e200, "sigma"),               # sigma**2 overflows
         (1e250, 1e-100, "theta/sigma**2"),   # lambda overflows
         (1e-300, 1e100, "theta/sigma**2"),   # lambda underflows to 0, theta does not
+        (0.5, 1e-160, "sigma"),              # sigma**2 is subnormal
+        (1e-300, 1e10, "theta/sigma**2"),    # lambda is subnormal
+        (5e-324, 1.0, "theta leaves"),       # theta is subnormal; so is lambda
+        (1e-320, 1.0, "theta leaves"),
+        (-1e-310, 1.0, "theta leaves"),
+        (1e-312, 1e-5, "theta leaves"),      # lambda is normal, theta is not
     ])
     def test_squares_and_ratio_stay_in_double_range(self, theta, sigma, name):
         with pytest.raises(DomainError, match=re.escape(name)):
@@ -493,9 +499,9 @@ class TestParamValidation:
             OupParams(theta=0.0, sigma=1e154, d=1000)
 
     def test_lambda_shares_the_sign_of_theta(self):
-        # a subnormal lambda is kept; only one that rounds to 0 is refused
+        # a tiny normal lambda is kept, with theta's sign
         for theta in (-1e-300, 0.0, 1e-300):
-            lam = OupParams(theta=theta, sigma=1e10, d=4).lam
+            lam = OupParams(theta=theta, sigma=1e3, d=4).lam
             assert (lam > 0, lam < 0) == (theta > 0, theta < 0)
 
     def test_radius_square_must_not_underflow(self):

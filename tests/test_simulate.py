@@ -14,6 +14,7 @@ import queue
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -293,14 +294,14 @@ def chunk_hits(monkeypatch):
     kernel = simulate._scheme_kernel
 
     def spied(problem, cfg):
-        start, first, step, run, threshold, radius = kernel(problem, cfg)
+        k = kernel(problem, cfg)
 
         def spied_step(state, zs):
-            state, monitored = step(state, zs)
-            hits.append(monitored >= threshold)
+            state, monitored = k.step(state, zs)
+            hits.append(monitored >= k.threshold)
             return state, monitored
 
-        return start, first, spied_step, run, threshold, radius
+        return k._replace(step=spied_step)
 
     monkeypatch.setattr(simulate, "_scheme_kernel", spied)
     return hits
@@ -376,8 +377,11 @@ def test_frozen_bits(scheme, x, steps, trace_sha):
 # theta = 0 and theta < 0, and horizons that censor paths part-way through a
 # normals block.  The last two rows, the benchmark's metastable cell (d = 4,
 # 16 paths, exits after 332-7991 steps), were captured before batches took
-# a chunk of steps per kernel call.  Columns: scheme, d, theta, L, x,
-# n_paths, t_max, censored paths, SHA-256 of the exit-time array.
+# a chunk of steps per kernel call.  The last four, two of the benchmark's
+# high-dimensional cells, were captured while a normals block could hold
+# 2,000,000 normals: their first blocks then held 78 and 244 steps of
+# 25,600 and 8,192 normals.  Columns: scheme, d, theta, L, x, n_paths,
+# t_max, censored paths, SHA-256 of the exit-time array.
 FROZEN_BATCHES = [
     ("full-euler", 1, 0.5, 1.0, 0.0, 16, None, 0,
      "f0017f875773c1c1a2c7f1db88553a834a2829c872ebbf98582dde0fabb9c9e2"),
@@ -427,6 +431,14 @@ FROZEN_BATCHES = [
      "a3c0f18773093e2322a17830089fa89614af47606e737d606d84b9665525a344"),
     ("full-exact", 4, 0.5, 2.5, 0.0, 16, None, 0,
      "a3c0f18773093e2322a17830089fa89614af47606e737d606d84b9665525a344"),
+    ("full-euler", 256, 0.5, 4.0, 0.0, 100, None, 0,
+     "af1284ae7658c2bf15ced8965861706e2d644aa4cdd0330fc87e6807457d4f09"),
+    ("full-exact", 256, 0.5, 4.0, 0.0, 100, None, 0,
+     "f48711db81e84dc94eeac403c8e8791045e830a37280a724402dd8b2ad5862c4"),
+    ("full-euler", 1024, 0.5, 24.0, 0.0, 8, None, 0,
+     "ab16cbde11995079768c91ee3e6512ea6a61c6ad6571d480163161516b602c11"),
+    ("full-exact", 1024, 0.5, 24.0, 0.0, 8, None, 0,
+     "ab16cbde11995079768c91ee3e6512ea6a61c6ad6571d480163161516b602c11"),
 ]
 
 
@@ -508,10 +520,15 @@ class _FirstBlock(Exception):
     pass
 
 
+# The ids keep the names these cases had while a block could hold 2,000,000
+# normals: they end in the full schemes' first block of then (78, 19, 256
+# and 244 steps where 16 pieces now give 20, 5, 128 and 64).
 @pytest.mark.parametrize(
     "d,big_l,n,full_steps",
-    [(4, 2.5, 16, 256), (256, 4.0, 100, 78), (1024, 4.0, 100, 19), (256, 12.0, 16, 256),
-     (1024, 24.0, 8, 244)],
+    [(4, 2.5, 16, 256), (256, 4.0, 100, 20), (1024, 4.0, 100, 5), (256, 12.0, 16, 128),
+     (1024, 24.0, 8, 64)],
+    ids=["4-2.5-16-256", "256-4.0-100-78", "1024-4.0-100-19", "256-12.0-16-256",
+         "1024-24.0-8-244"],
 )
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_first_block_of_a_batch(monkeypatch, scheme, d, big_l, n, full_steps):
@@ -529,6 +546,28 @@ def test_first_block_of_a_batch(monkeypatch, scheme, d, big_l, n, full_steps):
         _run_paths(_problem(d, 0.5, big_l), cfg, list(range(n)))
     full = scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT)
     assert seen == [(n, full_steps if full else 256, (d,) if full else ())]
+
+
+@pytest.mark.parametrize("n,d,big_l", [(100, 256, 4.0), (100, 1024, 4.0), (16, 4096, 24.0)])
+def test_one_block_of_at_most_16_pieces_is_live(monkeypatch, use_workers, n, d, big_l):
+    # past one step a block holds at most 16 transform pieces, and a batch
+    # drops its spent block before the next is drawn.  One worker: a pool
+    # thread lets go of its part of a block just after handing back its result
+    use_workers(1)
+    normals = simulate._normals
+    owners = []
+
+    def watched(streams, steps, shape):
+        assert all(owner() is None for owner in owners)
+        block = normals(streams, steps, shape)
+        assert steps == 1 or block.size <= 16 * simulate._PIECE
+        owners.append(weakref.ref(block if block.base is None else block.base))
+        return block
+
+    monkeypatch.setattr(simulate, "_normals", watched)
+    cfg = McConfig(n_paths=n, dt=1e-3, seed=SEED, scheme=Scheme.FULL_EXACT)
+    assert not np.isnan(_run_paths(_problem(d, 0.5, big_l), cfg, list(range(n)))).any()
+    assert len(owners) >= 3
 
 
 @pytest.mark.parametrize("theta", [0.7, 0.0])
