@@ -4,7 +4,7 @@ Three independent routes to the same quantity, cross-validated against each
 other: exact adaptive quadrature of the closed form, elementary two-sided
 bounds, and Monte-Carlo path simulation.
 
-Only the Monte-Carlo route needs numpy and scipy.  Its names are bound on
+Only the Monte-Carlo route needs numpy.  Its names are bound on
 first access (PEP 562), so importing the package and the exact route load
 the standard library alone.
 """

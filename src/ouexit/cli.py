@@ -26,8 +26,9 @@ and the rows stream to the output as they are joined, never held as one
 string, so a long trace costs a few C-level passes, not a call per cell.
 
 Only ``scaling``, ``trajectories`` and ``selftest`` simulate, so only they
-import numpy and scipy; ``mfet`` and ``drift-ratio`` run on the standard
-library alone.
+import numpy; ``mfet`` and ``drift-ratio`` run on the standard library
+alone.  The manifest of a simulating command records numpy's version, as
+the normals' bits are those of numpy's sampler.
 """
 
 import argparse
@@ -65,7 +66,7 @@ _DRIFT_COLUMNS = ("d", "rho", "ratio")
 def _simulate(*names):
     """The named ``simulate`` attributes as this module binds them.
 
-    Imports ``simulate`` (and with it numpy and scipy) on first use.  A
+    Imports ``simulate`` (and with it numpy) on first use.  A
     binding already in place, such as a wrapper set on this module, wins.
     """
     from . import simulate
@@ -144,6 +145,9 @@ def _write_manifest(args, started):
         "started": started,
         "finished": _now(),
     }
+    if manifest["seed"] is not None:
+        # a command that simulates: its normals' bits are those of this numpy
+        manifest["numpy_version"] = sys.modules["numpy"].__version__
     with open(args.output + ".manifest.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

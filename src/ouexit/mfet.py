@@ -103,8 +103,8 @@ class ExitProblem:
     def __post_init__(self):
         if not (math.isfinite(self.L) and self.L > 0):
             raise DomainError(f"ball radius must be a positive finite real, got {self.L!r}")
-        if not self.L * self.L > 0.0:
-            raise DomainError(f"L**2 underflows to 0 at ball radius L={self.L!r}")
+        if self.L * self.L < _TINY:
+            raise DomainError(f"L**2 leaves the double range at ball radius L={self.L!r}")
         if not (math.isfinite(self.x) and 0 <= self.x <= self.L):
             raise DomainError(f"start radius must lie in [0, L], got {self.x!r}")
 

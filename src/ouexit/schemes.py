@@ -1,7 +1,7 @@
 """Names of the Monte-Carlo step schemes; see ``simulate`` for what each does.
 
 Kept apart from ``simulate`` so that listing or checking a scheme name loads
-no numpy or scipy.
+no numpy.
 """
 
 from enum import Enum

@@ -23,37 +23,36 @@ detected exits are biased late and the bias shrinks with dt):
                        exit when y >= L^2.  Per-step cost independent of d.
 
 Determinism contract: the stream of Gaussians for path i is a pure function
-of (seed, i, draw position).  Streams are Philox counter-based generators
-keyed by (seed, path index); Gaussians come from the inverse normal CDF of
-fixed-position uniforms (a rejection sampler would consume a data-dependent
-number of draws and break reproducibility under regrouping).  Normals are
-drawn in blocks of twice the steps already taken, from _RUN_STEPS up to
-2048 steps, so a path that exits early draws few it never uses.  A block
-holds at most 16 transform pieces (_BLOCK_FLOATS = 2**19 normals, 4 MB)
-unless one step alone needs more, and a batch drops its spent block before
-the next is allocated, so one block is live at a time, plus the shorter
-copy that dropping exited paths makes.  The first block stops at twice the
-Brownian-motion exit steps, 2 mfet_bm / dt, but never holds less than one
-transform piece (_PIECE normals over all paths), so a lone path at large
-d, which exits in a few steps, does not draw 256 steps of d normals.
-Streams are read in order, so block sizes never move a normal to another
-step.  Every aggregate is reduced in path-index order with pairwise
-summation, so estimates are identical however the paths are batched or
-parallelized.
+of (seed, i, draw position) for a given numpy version.  Path i owns one
+stream, numpy's ``Generator`` on a Philox counter-based generator keyed by
+(seed, i), and reads it in step order, so its k-th normal depends on nothing
+else, although the ziggurat sampler consumes a data-dependent number of raw
+draws.  NEP 19 keeps Philox's raw bits across numpy versions but not the
+``Generator``'s distributions, so the bits are those of one numpy version.
+Normals are drawn in blocks of twice the steps already taken, from
+_RUN_STEPS up to 2048 steps, so a path that exits early draws few it never
+uses.  A block holds at most 16 pieces (_BLOCK_FLOATS = 2**19 normals,
+4 MB) unless one step alone needs more, and a batch drops its spent block
+before the next is allocated, so one block is live at a time, plus the
+shorter copy that dropping exited paths makes.  The first block stops at
+twice the Brownian-motion exit steps, 2 mfet_bm / dt, but never holds less
+than one piece (_PIECE normals over all paths), so a lone path at large d,
+which exits in a few steps, does not draw 256 steps of d normals.  Streams
+are read in order, so block sizes never move a normal to another step.
+Every aggregate is reduced in path-index order with pairwise summation, so
+estimates are identical however the paths are batched or parallelized.
 
-Filling a block: ``_normals`` allocates it once and fills it in pieces of
-at most _PIECE normals (one row cut into pieces, or several short rows
-together), taking each piece from raw draws to normals in place, so its
-temporaries stay in cache.  A block with two or more streams has its rows
-split over a thread pool with one worker per CPU in the process's affinity
-mask (``taskset`` limits it; a forked child gets a new pool), into at most
-one part per whole piece of the block.  Measured on 2 cores, a split with
-a piece or more per part took 0.6-0.8 of the direct time for every block
-shape tried; with less, 0.6-1.3, a loss for short rows, whose per-stream
-Python calls hold the GIL (Philox, the elementwise maps and ndtri release
-it).  Each row is one stream's own draws written to its own row, by
-elementwise maps, so the bits depend neither on the pieces nor on the pool
-size.
+Filling a block: ``_normals`` allocates it once, and each row's stream
+writes its normals straight into the row, with no transform and no
+temporaries.  A block with two or more streams has its rows split over a
+thread pool with one worker per CPU in the process's affinity mask
+(``taskset`` limits it; a forked child gets a new pool), into at most one
+part per whole piece of the block.  Measured on 2 cores, a split took
+0.6-0.8 of the direct time for rows of 1024 normals or more, but 1.3-2
+times it for 1000-4000 rows of 256, whose per-row Python calls hold the GIL
+between fills (the sampler releases it).  Each row is one stream's draws
+written to its own row, so the bits depend neither on the split nor on the
+pool size.
 
 Chunks and the straggler hand-off: exit times are heavy-tailed (about
 exp(lambda L^2) at small d), so most time steps of a batch have only a few
@@ -95,7 +94,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, EstimationError
 from .mfet import mfet_bm
@@ -105,7 +103,7 @@ _U64_MAX = 2**64 - 1
 _SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
 _RUN_STEPS = 256  # steps per scalar run of a full-dimensional path
 _CHUNK = 2**13  # path-normals per batch chunk: 64 KB per temporary
-_PIECE = 2**15  # normals per transform piece: 256 KB per temporary
+_PIECE = 2**15  # normals per piece, the unit of block sizes and pool parts
 _BLOCK_FLOATS = 16 * _PIECE  # normals per block past one step: 4 MB
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
@@ -297,36 +295,10 @@ def _scheme_kernel(problem, cfg):
     return _Kernel(x, chunk(bootstrap) if x == 0.0 else step, step, run, big_l, np.asarray)
 
 
-def _to_normals(raw, out):
-    """Map raw 64-bit draws to normals in ``out``; ``raw`` is overwritten.
-
-    53-bit uniform centered in (0, 1), then inverse normal CDF: fixed
-    elementwise maps, so each value depends only on its raw draw.  The top
-    53-bit value, (2**53 - 1) + 0.5, rounds to 2**53 and so u to 1.0, where
-    ndtri is +inf; it alone moves, to the double below 1.
-    """
-    raw >>= np.uint64(11)
-    np.add(raw, 0.5, out=out)
-    out *= 2.0**-53
-    np.minimum(out, 1.0 - 2.0**-53, out=out)
-    ndtri(out, out=out)
-
-
 def _fill(flat, streams, lo, hi):
-    """Fill rows lo..hi-1 of ``flat`` from their streams, a piece at a time.
-
-    A piece is one row cut into _PIECE columns, or as many whole short rows
-    as fit in _PIECE normals, so its temporaries stay in cache.
-    """
-    n = flat.shape[1]
-    rows, cols = max(1, _PIECE // n), min(n, _PIECE)
-    for r in range(lo, hi, rows):
-        group = streams[r:min(hi, r + rows)]
-        for c in range(0, n, cols):
-            c1 = min(n, c + cols)
-            raws = [s.random_raw(c1 - c) for s in group]
-            _to_normals(np.stack(raws) if len(raws) > 1 else raws[0],
-                        flat[r:r + len(raws), c:c1])
+    """Fill rows lo..hi-1 of ``flat``, each with its stream's next normals."""
+    for r in range(lo, hi):
+        streams[r].standard_normal(out=flat[r])
 
 
 def _normals(streams, steps, shape):
@@ -348,8 +320,8 @@ def _block_steps(floats_per_step, taken):
     """Steps per normals block after ``taken`` steps; see the module docstring.
 
     Twice ``taken``, from _RUN_STEPS up to 2048 steps, and at most
-    _BLOCK_FLOATS (16 transform pieces) over the block's paths, or one step
-    where a single step needs more.
+    _BLOCK_FLOATS (16 pieces) over the block's paths, or one step where a
+    single step needs more.
     """
     return max(1, min(2048, _BLOCK_FLOATS // max(1, floats_per_step),
                       max(_RUN_STEPS, 2 * taken)))
@@ -383,11 +355,11 @@ def _run_paths(problem, cfg, indices, record=None):
     shape = np.shape(start)
     m = np.size(start)
     state = np.full((n,) + shape, start)
-    streams = [np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64))
+    streams = [np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], np.uint64)))
                for i in indices]
     pos_map = np.arange(n)  # row -> position in ``out``
     # the first block stops at twice the Brownian exit steps, but holds at
-    # least one transform piece; compared before ceil, as mfet_bm may be inf
+    # least one piece; compared before ceil, as mfet_bm may be inf
     steps = _block_steps(n * m, 0)
     cap = max(2.0 * mfet_bm(problem) / dt, _PIECE / (n * m))
     block = _normals(streams, math.ceil(cap) if cap < steps else steps, shape)

@@ -288,7 +288,7 @@ class TestOutputBytes:
     # drift-ratio hashes are the README experiment hashes CI checks
     @pytest.mark.parametrize("argv,sha", [
         (["trajectories"],
-         "52642ed5df69abb5919bd76a30c9c6da2ff7bed9af0b7c969ea949cbd2df84c4"),
+         "b1b257fec370eddd293903b3988dd62f39d1e8c6af67ed9039beb8409e4b4c33"),
         (["drift-ratio", "--rho-max", "3"],
          "6bd532818ed87c47fffa502b5d25199757466e77df0f8a8e461db5722846820f"),
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "0.5"],
@@ -443,6 +443,14 @@ class TestCommonFlags:
         manifest = json.loads((tmp_path / "ratio.csv.manifest.json").read_text())
         assert manifest["seed"] is None
         assert "seed" not in manifest["parameters"]
+        assert "numpy_version" not in manifest
+
+    def test_simulating_manifest_records_numpy_version(self, tmp_path):
+        # the normals come from numpy's sampler, whose bits may change with numpy
+        out = tmp_path / "traces.csv"
+        assert run_cli("trajectories", "--d", "2", "--output", str(out)) == 0
+        manifest = json.loads((tmp_path / "traces.csv.manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
 
 
 # argvs whose parameters leave the double range once squared or divided,
@@ -465,6 +473,7 @@ _OUT_OF_RANGE = {
     "mfet --theta=-1e-310 --d 4 --L 4 --x 0 --sigma 1": "theta leaves the double range",
     "mfet --theta 1e-312 --sigma 1e-5 --d 4 --L 4 --x 0": "theta leaves the double range",
     "mfet --sigma 1e-160 --theta 0.5 --d 4 --L 4 --x 0": "sigma**2 leaves the double range",
+    "mfet --L 1e-160 --d 4 --x 0 --sigma 1 --theta 0.5": "L**2 leaves the double range",
     "mfet --sigma 1e10 --theta 1e-300 --d 4 --L 4 --x 0": "theta/sigma**2",
     "scaling --d-min 2 --d-max 2 --lambda 1e-310 --paths 2": "theta leaves the double range",
     "trajectories --theta 1e-310": "theta leaves the double range",

@@ -1,5 +1,5 @@
-"""Tests for the import boundary: only the Monte-Carlo route loads numpy and
-scipy, and the README's library example imports only public names."""
+"""Tests for the import boundary: only the Monte-Carlo route loads numpy,
+and the README's library example imports only public names."""
 
 import ast
 import re

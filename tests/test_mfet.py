@@ -506,8 +506,9 @@ class TestParamValidation:
 
     def test_radius_square_must_not_underflow(self):
         p = OupParams(theta=0.5, sigma=1.0, d=1)
-        with pytest.raises(DomainError, match="L="):
-            ExitProblem(p, L=1e-300, x=0.0)
+        for big_l in (1e-300, 1e-160):  # L**2 underflows to 0; L**2 is subnormal
+            with pytest.raises(DomainError, match="L="):
+                ExitProblem(p, L=big_l, x=0.0)
         assert ExitProblem(p, L=1e-150, x=0.0).L == 1e-150
 
     def test_lambda_is_derived(self):

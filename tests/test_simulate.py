@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from ouexit import (
     DomainError,
@@ -338,28 +337,41 @@ def test_chunks_keep_the_bits(monkeypatch, chunk_hits, scheme, theta):
 # Exit steps of paths 0-7 and the SHA-256 of path 3's radius trace at every
 # 7th step plus the crossing, per scheme.  They pin the output bits across
 # code changes, which the run-twice determinism tests cannot; x = 0 covers
-# the radial-euler bootstrap.
+# the radial-euler bootstrap.  The frozen tables hold the bits of numpy's
+# standard_normal (captured at numpy 2.4.6), which NEP 19 lets a numpy
+# release change.  Their ids keep the names the rows had while normals came
+# from the inverse normal CDF, and so end in that transform's values.
 FROZEN = [
-    ("full-euler", 0.0, [255, 269, 215, 604, 467, 281, 613, 133],
-     "aa8cba76c189b14376b117c69efe01b8d19e7cc2779263e515c6b38a9360801e"),
-    ("full-euler", 0.5, [258, 540, 82, 530, 254, 66, 637, 133],
-     "830bd4f371714a083905ecf9c2ccb06272ca7521fb48365469fb88280e73b63f"),
-    ("full-exact", 0.0, [255, 269, 215, 604, 467, 281, 613, 133],
-     "31853461e2f2bda5b24ce528903051ba1e84e4de433eba6fa618a3bbcffb7e89"),
-    ("full-exact", 0.5, [258, 540, 82, 530, 254, 66, 642, 133],
-     "88c3e5b4e6386c8f6893651cb6977c4666984ea2fe3e66c3313b33bfa5c27471"),
-    ("radial-euler", 0.0, [350, 432, 322, 200, 255, 128, 516, 600],
-     "387ddc69705f56885cbf1b5cd1c0baa8fdf14149fcd8d6798da45946ff40e0bd"),
-    ("radial-euler", 0.5, [349, 366, 191, 119, 249, 87, 515, 600],
-     "e691427d23714bbd6903845e7957fc6e604cc8e7167abcc8941008d6c961c8a5"),
-    ("squared-radial-euler", 0.0, [350, 432, 322, 307, 255, 128, 515, 600],
-     "4ace94898af14674c171586e8fc9fd0be2caaeca6c6248e8d427f1babbfc0899"),
-    ("squared-radial-euler", 0.5, [343, 366, 190, 119, 254, 93, 513, 600],
-     "5b59e7a84a4b051388c45054d058458a741289c3842792f5e52e1371a15ee68f"),
+    ("full-euler", 0.0, [645, 160, 287, 339, 329, 173, 200, 406],
+     "8407f7b17addea60134534e4b134c98802c6086027463ba747d2baa9c0338cae"),
+    ("full-euler", 0.5, [145, 332, 284, 124, 364, 472, 158, 390],
+     "2cacb2061819878527ec829c1faa3af121c1078e7557711397550d617f8c1bc6"),
+    ("full-exact", 0.0, [645, 160, 287, 339, 329, 173, 200, 406],
+     "10b51e3727e0788f0ba0349f959d40e8e9e1010fc302fb30e356bf551a2dc3b5"),
+    ("full-exact", 0.5, [145, 332, 284, 124, 364, 472, 158, 390],
+     "1ddb9ad5339b0f901f13f23cf52c8bf41dc84f75b8a92366413e44c9cb2ab4c5"),
+    ("radial-euler", 0.0, [309, 803, 933, 312, 3, 118, 523, 158],
+     "f0ec29017354f9c0436753b53857baa1f3ba221680b4ddbc73bdbada86f5d1ac"),
+    ("radial-euler", 0.5, [87, 803, 933, 145, 655, 583, 523, 102],
+     "d232d2e3c582c7d11b0aecb69eadfb24a55eaf5ec325e9c29e6b6202d96ecbe0"),
+    ("squared-radial-euler", 0.0, [309, 803, 935, 313, 657, 457, 523, 132],
+     "465957eeb6820c093ab865396d952d41de3088d4d68b2be9b4d9fd6c12bbe15c"),
+    ("squared-radial-euler", 0.5, [87, 803, 935, 145, 657, 457, 523, 100],
+     "37dfc55bea4371ae173a8f211d5043581d448cddb4dc902abda740d4066f4a4d"),
+]
+FROZEN_IDS = [
+    "full-euler-0.0-steps0-aa8cba76c189b14376b117c69efe01b8d19e7cc2779263e515c6b38a9360801e",
+    "full-euler-0.5-steps1-830bd4f371714a083905ecf9c2ccb06272ca7521fb48365469fb88280e73b63f",
+    "full-exact-0.0-steps2-31853461e2f2bda5b24ce528903051ba1e84e4de433eba6fa618a3bbcffb7e89",
+    "full-exact-0.5-steps3-88c3e5b4e6386c8f6893651cb6977c4666984ea2fe3e66c3313b33bfa5c27471",
+    "radial-euler-0.0-steps4-387ddc69705f56885cbf1b5cd1c0baa8fdf14149fcd8d6798da45946ff40e0bd",
+    "radial-euler-0.5-steps5-e691427d23714bbd6903845e7957fc6e604cc8e7167abcc8941008d6c961c8a5",
+    "squared-radial-euler-0.0-steps6-4ace94898af14674c171586e8fc9fd0be2caaeca6c6248e8d427f1babbfc0899",
+    "squared-radial-euler-0.5-steps7-5b59e7a84a4b051388c45054d058458a741289c3842792f5e52e1371a15ee68f",
 ]
 
 
-@pytest.mark.parametrize("scheme,x,steps,trace_sha", FROZEN)
+@pytest.mark.parametrize("scheme,x,steps,trace_sha", FROZEN, ids=FROZEN_IDS)
 def test_frozen_bits(scheme, x, steps, trace_sha):
     p = _problem(3, 0.5, 1.0, x=x)
     cfg = McConfig(n_paths=8, dt=1e-3, seed=20240611, scheme=scheme)
@@ -372,77 +384,105 @@ def test_frozen_bits(scheme, x, steps, trace_sha):
 
 
 # Batches that cross the hand-off from the numpy batch step to the per-path
-# scalar loop, captured before that loop existed: full schemes at d = 1, 9
-# and 16 (from d = 8 numpy sums |x|^2 pairwise), 64-path radial batches,
-# theta = 0 and theta < 0, and horizons that censor paths part-way through a
-# normals block.  The last two rows, the benchmark's metastable cell (d = 4,
-# 16 paths, exits after 332-7991 steps), were captured before batches took
-# a chunk of steps per kernel call.  The last four, two of the benchmark's
-# high-dimensional cells, were captured while a normals block could hold
-# 2,000,000 normals: their first blocks then held 78 and 244 steps of
-# 25,600 and 8,192 normals.  Columns: scheme, d, theta, L, x, n_paths,
-# t_max, censored paths, SHA-256 of the exit-time array.
+# scalar loop: full schemes at d = 1, 9 and 16 (from d = 8 numpy sums |x|^2
+# pairwise), 64-path radial batches, theta = 0 and theta < 0, and horizons
+# that censor paths part-way through a normals block.  Then the benchmark's
+# metastable cell (d = 4, 16 paths, exits after 407-9608 steps), and two of
+# its high-dimensional cells, whose blocks hit the 16-piece cap.  Columns:
+# scheme, d, theta, L, x, n_paths, t_max, censored paths, SHA-256 of the
+# exit-time array.
 FROZEN_BATCHES = [
     ("full-euler", 1, 0.5, 1.0, 0.0, 16, None, 0,
-     "f0017f875773c1c1a2c7f1db88553a834a2829c872ebbf98582dde0fabb9c9e2"),
+     "c84fc2ed2bb0e72b0b9cc6fac5a00010b72bd5a8c565be976b48a5151dd7fe31"),
     ("full-exact", 1, 0.5, 1.0, 0.0, 16, None, 0,
-     "f0017f875773c1c1a2c7f1db88553a834a2829c872ebbf98582dde0fabb9c9e2"),
+     "c84fc2ed2bb0e72b0b9cc6fac5a00010b72bd5a8c565be976b48a5151dd7fe31"),
     ("full-euler", 9, 0.5, 2.0, 0.0, 16, None, 0,
-     "44a7e937e4b8ef16d395d7939baed9e1c642cd95e24a0f78110c469932d5b071"),
+     "83fae6acee7ed8051f847a9e5c778d0c13cde927d65f430ecb990d74d05e99e5"),
     ("full-exact", 9, 0.5, 2.0, 0.0, 16, None, 0,
-     "44a7e937e4b8ef16d395d7939baed9e1c642cd95e24a0f78110c469932d5b071"),
+     "5a32d4fba48e86d082443d98e62821e4a3a8302b3ad985312b07f792d914618e"),
     ("full-euler", 16, 0.5, 2.0, 0.0, 16, None, 0,
-     "90235b8b230043cd0288de69d89742efb25cebecf263023bd41df76e605bd355"),
+     "f534a6482470eeaa813c6e5305a384dbda63269e63a76f24c3d132ca48bed621"),
     ("full-exact", 16, 0.5, 2.0, 0.0, 16, None, 0,
-     "90235b8b230043cd0288de69d89742efb25cebecf263023bd41df76e605bd355"),
+     "f534a6482470eeaa813c6e5305a384dbda63269e63a76f24c3d132ca48bed621"),
     ("radial-euler", 3, 0.5, 1.5, 0.0, 64, None, 0,
-     "726c152506bfe732fc3209dc1e11d69f635d36250c99c859bfbe55009546ddbb"),
+     "20522b707f13864a36f028d8abb4bba6e2231e4fa2ffb04d29e8bb6650a986c3"),
     ("squared-radial-euler", 3, 0.5, 1.5, 0.0, 64, None, 0,
-     "fbfd76e6574bbd6525d02e9de853a85e0c50371b04b9b5b4e86ea9fe4e10a994"),
+     "6fe4b0d17546f9b2302a5b260a5baa205805485cd2ba0a966928a0bbc0c96ba7"),
     ("full-euler", 3, 0.0, 1.0, 0.3, 8, None, 0,
-     "1c1e5703b3ecbaf0b1bfc614b3190dcf647efe2b0add8ef86ff1dbd30ab62c5c"),
+     "8ddfe30ed6a699c74d1028bbfd70d75b21b02f939fe865c3ebc3040d936469e4"),
     ("full-exact", 3, 0.0, 1.0, 0.3, 8, None, 0,
-     "1c1e5703b3ecbaf0b1bfc614b3190dcf647efe2b0add8ef86ff1dbd30ab62c5c"),
+     "8ddfe30ed6a699c74d1028bbfd70d75b21b02f939fe865c3ebc3040d936469e4"),
     ("radial-euler", 3, 0.0, 1.0, 0.3, 8, None, 0,
-     "4a5eb0f91a3d4554cc615ba9bde1bf5371f653b4101a360a6f4d5f291fc8dc88"),
+     "9be1d6cdef6fb010a78ea9b8c78748ded11d7948729dbfec9e108e6e452fd137"),
     ("squared-radial-euler", 3, 0.0, 1.0, 0.3, 8, None, 0,
-     "cc427923cbf0ce21cb9d9849f2dbb98bbcad71220a5d51b89145e429942ea1c5"),
+     "7f5c6033e5fdc592766a86a05a64f68fb84f6080b391a192c76dee510e0471b6"),
     ("full-euler", 3, -0.5, 1.0, 0.0, 8, None, 0,
-     "409e9f439d4d0c02d0d02f8e5e0471be164659a06389f4478a1478c7f5cb754f"),
+     "a3055d51550c712ee58b712104e72e6f1bcbe7e5debfddcc2eff493e480ea098"),
     ("full-exact", 3, -0.5, 1.0, 0.0, 8, None, 0,
-     "409e9f439d4d0c02d0d02f8e5e0471be164659a06389f4478a1478c7f5cb754f"),
+     "a3055d51550c712ee58b712104e72e6f1bcbe7e5debfddcc2eff493e480ea098"),
     ("radial-euler", 3, -0.5, 1.0, 0.0, 8, None, 0,
-     "fefd7c96c5d6ae99736b2ab1f8de983069ecf9622823387cf4a2e97b76e8df63"),
+     "1495997db3fedb54c7737d746525e11bb56bfd8392b2d565ae628880aced8b49"),
     ("squared-radial-euler", 3, -0.5, 1.0, 0.0, 8, None, 0,
-     "5ca2549131c363a45b581233441df801b647fdd7ae3b9848f5405232a8b26672"),
-    ("full-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 24,
-     "022ecfa6d544eb171785f5688ac1d474314c4edeb57105e604e48c9983317482"),
-    ("full-exact", 4, 0.0, 2.0, 0.0, 40, 0.7, 24,
-     "022ecfa6d544eb171785f5688ac1d474314c4edeb57105e604e48c9983317482"),
+     "2384e563c6fde41da9fc92991bd344322fcf103912d7c740f88a6cf87e8485bb"),
+    ("full-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 31,
+     "12a0b1e670c2826284fbcf856962737f5c6e911d4928718427fb40867ead78d4"),
+    ("full-exact", 4, 0.0, 2.0, 0.0, 40, 0.7, 31,
+     "12a0b1e670c2826284fbcf856962737f5c6e911d4928718427fb40867ead78d4"),
     ("radial-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 30,
-     "265f309953dd2466f2ad32b4d8d25e84af97ed3e2478c6f7cdb914d792d3ccf8"),
+     "99f2fcb6bebf6570e75ef52c137e6637e59d96102108c05f64c5bd738b007738"),
     ("squared-radial-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 30,
-     "add076e94f378edbdf5b6d06146b2d6a4410de3a4a997ec8fd95d89243a9bb2a"),
-    ("full-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 8,
-     "1323ff0f8de8190324de9796065a52579e175d8a9e92588faa280eb9f35f59fb"),
-    ("squared-radial-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 7,
-     "34a31939cfe3ce21315301bcf25730650b550c93c411d46ddef591cee4fb3af0"),
+     "8259d708212bc33bd49bce8da4e66c349e7145b0f48c82ab9af1aa6997394c81"),
+    ("full-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 10,
+     "e2688dbeda0fe0bb76252906ab83abe088e32da7ac0474187ec56a7e2ab4e0d9"),
+    ("squared-radial-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 6,
+     "33a34b5c73a1d98ec7df0d5e0b0f8f0097ee494ca909ae62d69b93b300cd30a5"),
     ("full-euler", 4, 0.5, 2.5, 0.0, 16, None, 0,
-     "a3c0f18773093e2322a17830089fa89614af47606e737d606d84b9665525a344"),
+     "371cce24e756bf925f53dc39d5fc73cf38ab62774e5ea72eb973bf19f02f05f3"),
     ("full-exact", 4, 0.5, 2.5, 0.0, 16, None, 0,
-     "a3c0f18773093e2322a17830089fa89614af47606e737d606d84b9665525a344"),
+     "371cce24e756bf925f53dc39d5fc73cf38ab62774e5ea72eb973bf19f02f05f3"),
     ("full-euler", 256, 0.5, 4.0, 0.0, 100, None, 0,
-     "af1284ae7658c2bf15ced8965861706e2d644aa4cdd0330fc87e6807457d4f09"),
+     "e3094c1b5a22d4df38e59bd0cdbe94d1b12005826bd40974895982ace0e6c3e8"),
     ("full-exact", 256, 0.5, 4.0, 0.0, 100, None, 0,
-     "f48711db81e84dc94eeac403c8e8791045e830a37280a724402dd8b2ad5862c4"),
+     "a04821f3f2ebd4454496072379c1b609bbbb739b5b1b7c009ee2449541d9d349"),
     ("full-euler", 1024, 0.5, 24.0, 0.0, 8, None, 0,
-     "ab16cbde11995079768c91ee3e6512ea6a61c6ad6571d480163161516b602c11"),
+     "cb1c616d307bc61d53ebced5e654139cb48177d653781e9c9662e7bc5c036ab7"),
     ("full-exact", 1024, 0.5, 24.0, 0.0, 8, None, 0,
-     "ab16cbde11995079768c91ee3e6512ea6a61c6ad6571d480163161516b602c11"),
+     "0f9a589ba0fe0af0d53973d51cb7c9e372f812856b4c7d45b18131b96734d75b"),
+]
+FROZEN_BATCH_IDS = [
+    "full-euler-1-0.5-1.0-0.0-16-None-0-f0017f875773c1c1a2c7f1db88553a834a2829c872ebbf98582dde0fabb9c9e2",
+    "full-exact-1-0.5-1.0-0.0-16-None-0-f0017f875773c1c1a2c7f1db88553a834a2829c872ebbf98582dde0fabb9c9e2",
+    "full-euler-9-0.5-2.0-0.0-16-None-0-44a7e937e4b8ef16d395d7939baed9e1c642cd95e24a0f78110c469932d5b071",
+    "full-exact-9-0.5-2.0-0.0-16-None-0-44a7e937e4b8ef16d395d7939baed9e1c642cd95e24a0f78110c469932d5b071",
+    "full-euler-16-0.5-2.0-0.0-16-None-0-90235b8b230043cd0288de69d89742efb25cebecf263023bd41df76e605bd355",
+    "full-exact-16-0.5-2.0-0.0-16-None-0-90235b8b230043cd0288de69d89742efb25cebecf263023bd41df76e605bd355",
+    "radial-euler-3-0.5-1.5-0.0-64-None-0-726c152506bfe732fc3209dc1e11d69f635d36250c99c859bfbe55009546ddbb",
+    "squared-radial-euler-3-0.5-1.5-0.0-64-None-0-fbfd76e6574bbd6525d02e9de853a85e0c50371b04b9b5b4e86ea9fe4e10a994",
+    "full-euler-3-0.0-1.0-0.3-8-None-0-1c1e5703b3ecbaf0b1bfc614b3190dcf647efe2b0add8ef86ff1dbd30ab62c5c",
+    "full-exact-3-0.0-1.0-0.3-8-None-0-1c1e5703b3ecbaf0b1bfc614b3190dcf647efe2b0add8ef86ff1dbd30ab62c5c",
+    "radial-euler-3-0.0-1.0-0.3-8-None-0-4a5eb0f91a3d4554cc615ba9bde1bf5371f653b4101a360a6f4d5f291fc8dc88",
+    "squared-radial-euler-3-0.0-1.0-0.3-8-None-0-cc427923cbf0ce21cb9d9849f2dbb98bbcad71220a5d51b89145e429942ea1c5",
+    "full-euler-3--0.5-1.0-0.0-8-None-0-409e9f439d4d0c02d0d02f8e5e0471be164659a06389f4478a1478c7f5cb754f",
+    "full-exact-3--0.5-1.0-0.0-8-None-0-409e9f439d4d0c02d0d02f8e5e0471be164659a06389f4478a1478c7f5cb754f",
+    "radial-euler-3--0.5-1.0-0.0-8-None-0-fefd7c96c5d6ae99736b2ab1f8de983069ecf9622823387cf4a2e97b76e8df63",
+    "squared-radial-euler-3--0.5-1.0-0.0-8-None-0-5ca2549131c363a45b581233441df801b647fdd7ae3b9848f5405232a8b26672",
+    "full-euler-4-0.0-2.0-0.0-40-0.7-24-022ecfa6d544eb171785f5688ac1d474314c4edeb57105e604e48c9983317482",
+    "full-exact-4-0.0-2.0-0.0-40-0.7-24-022ecfa6d544eb171785f5688ac1d474314c4edeb57105e604e48c9983317482",
+    "radial-euler-4-0.0-2.0-0.0-40-0.7-30-265f309953dd2466f2ad32b4d8d25e84af97ed3e2478c6f7cdb914d792d3ccf8",
+    "squared-radial-euler-4-0.0-2.0-0.0-40-0.7-30-add076e94f378edbdf5b6d06146b2d6a4410de3a4a997ec8fd95d89243a9bb2a",
+    "full-euler-2-0.5-2.0-0.0-12-2.5-8-1323ff0f8de8190324de9796065a52579e175d8a9e92588faa280eb9f35f59fb",
+    "squared-radial-euler-2-0.5-2.0-0.0-12-2.5-7-34a31939cfe3ce21315301bcf25730650b550c93c411d46ddef591cee4fb3af0",
+    "full-euler-4-0.5-2.5-0.0-16-None-0-a3c0f18773093e2322a17830089fa89614af47606e737d606d84b9665525a344",
+    "full-exact-4-0.5-2.5-0.0-16-None-0-a3c0f18773093e2322a17830089fa89614af47606e737d606d84b9665525a344",
+    "full-euler-256-0.5-4.0-0.0-100-None-0-af1284ae7658c2bf15ced8965861706e2d644aa4cdd0330fc87e6807457d4f09",
+    "full-exact-256-0.5-4.0-0.0-100-None-0-f48711db81e84dc94eeac403c8e8791045e830a37280a724402dd8b2ad5862c4",
+    "full-euler-1024-0.5-24.0-0.0-8-None-0-ab16cbde11995079768c91ee3e6512ea6a61c6ad6571d480163161516b602c11",
+    "full-exact-1024-0.5-24.0-0.0-8-None-0-ab16cbde11995079768c91ee3e6512ea6a61c6ad6571d480163161516b602c11",
 ]
 
 
-@pytest.mark.parametrize("scheme,d,theta,big_l,x,n,t_max,censored,sha", FROZEN_BATCHES)
+@pytest.mark.parametrize("scheme,d,theta,big_l,x,n,t_max,censored,sha", FROZEN_BATCHES,
+                         ids=FROZEN_BATCH_IDS)
 def test_frozen_batch_bits(scheme, d, theta, big_l, x, n, t_max, censored, sha):
     p = _problem(d, theta, big_l, x=x)
     cfg = McConfig(n_paths=n, dt=1e-3, seed=20240611, scheme=scheme, t_max=t_max)
@@ -456,16 +496,24 @@ def test_frozen_batch_bits(scheme, d, theta, big_l, x, n, t_max, censored, sha):
 # the times followed by the radii.  A lone d = 1000 path stays in numpy
 # batch chunks, as its load exceeds _SCALAR_LOAD.
 FROZEN_RECORDS = [
-    (2, 0.7, 62.996, "8d654417f9ef241e39fcd49e85e04ab71ad3116ade3fbbd58d25109accfca531"),
-    (2, 0.0, 4.065, "2edfae014f58003663bc7a2afdae27f009b60af862fc871a341e6e1d3edf7233"),
-    (10, 0.7, 0.961, "2a0e80dcc6fdd438e7c16357c0d34b9662dd80292da7064fa6366321a05a68f1"),
-    (10, 0.0, 0.774, "71dddc85b17249e411baa9586b6965701f968462fe211ae611b682b6c529a2c2"),
-    (1000, 0.7, 0.007, "2782f3fb71d3427eddb012b54912821cea0dad0acaf9a3453c2d89b22216d3d0"),
-    (1000, 0.0, 0.007, "cd7621d10e8e6b6782f9b0253b02fbba5d72e64c4d5a69d922b25c2a54a6871d"),
+    (2, 0.7, 27.94, "41bbaa23c208e5d30593caab84af9c794ccd08be274017b549eb2c9393f63165"),
+    (2, 0.0, 3.835, "61b9e1a6340144a7da6677014036dd7e017a82e4ad5cc937c14e012e9dcc8a5e"),
+    (10, 0.7, 0.498, "1d9153dd6294a7fa09ece71c055a98828857c85b33c0ac7bef6ff6260f8e44e7"),
+    (10, 0.0, 0.34500000000000003, "d138b598b026d7665859cc0449694a87a4907c99417530348b606a4876010178"),
+    (1000, 0.7, 0.007, "116328f9412d92c316d7fe6f7030b3bdf60ffc2e29fcf8a2b6800961e6120046"),
+    (1000, 0.0, 0.007, "33bd44f610b680664977e6697f0996ae98de19322fe1f29b6278a49043664790"),
+]
+FROZEN_RECORD_IDS = [
+    "2-0.7-62.996-8d654417f9ef241e39fcd49e85e04ab71ad3116ade3fbbd58d25109accfca531",
+    "2-0.0-4.065-2edfae014f58003663bc7a2afdae27f009b60af862fc871a341e6e1d3edf7233",
+    "10-0.7-0.961-2a0e80dcc6fdd438e7c16357c0d34b9662dd80292da7064fa6366321a05a68f1",
+    "10-0.0-0.774-71dddc85b17249e411baa9586b6965701f968462fe211ae611b682b6c529a2c2",
+    "1000-0.7-0.007-2782f3fb71d3427eddb012b54912821cea0dad0acaf9a3453c2d89b22216d3d0",
+    "1000-0.0-0.007-cd7621d10e8e6b6782f9b0253b02fbba5d72e64c4d5a69d922b25c2a54a6871d",
 ]
 
 
-@pytest.mark.parametrize("d,theta,exited_at,sha", FROZEN_RECORDS)
+@pytest.mark.parametrize("d,theta,exited_at,sha", FROZEN_RECORDS, ids=FROZEN_RECORD_IDS)
 def test_frozen_record_bits(d, theta, exited_at, sha):
     cfg = McConfig(n_paths=1, dt=1e-3, seed=123456789, scheme=Scheme.FULL_EULER)
     rec = record_path(_problem(d, theta, 2.5), cfg, 0)
@@ -533,7 +581,7 @@ class _FirstBlock(Exception):
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_first_block_of_a_batch(monkeypatch, scheme, d, big_l, n, full_steps):
     # the benchmark's MC cells: twice the Brownian exit steps and one
-    # transform piece both exceed the usual first block, so it keeps its size
+    # piece both exceed the usual first block, so it keeps its size
     seen = []
 
     def first(streams, steps, shape):
@@ -550,7 +598,7 @@ def test_first_block_of_a_batch(monkeypatch, scheme, d, big_l, n, full_steps):
 
 @pytest.mark.parametrize("n,d,big_l", [(100, 256, 4.0), (100, 1024, 4.0), (16, 4096, 24.0)])
 def test_one_block_of_at_most_16_pieces_is_live(monkeypatch, use_workers, n, d, big_l):
-    # past one step a block holds at most 16 transform pieces, and a batch
+    # past one step a block holds at most 16 pieces, and a batch
     # drops its spent block before the next is drawn.  One worker: a pool
     # thread lets go of its part of a block just after handing back its result
     use_workers(1)
@@ -587,30 +635,15 @@ def test_lone_high_dimensional_path_draws_one_piece(monkeypatch, theta):
     assert drawn == [33]  # 33k normals
 
 
-def test_top_raw_draws_give_finite_normals():
-    # the largest 53-bit value rounds to u = 1.0, where ndtri is +inf; it
-    # maps to the double below 1 instead, and the smallest stays finite too
-    class Raws:
-        def random_raw(self, n):
-            return np.array([2**64 - 1, (2**53 - 1) << 11, 0], dtype=np.uint64)
-
-    z = simulate._normals([Raws()], 3, ())[0]
-    assert np.isfinite(z).all()
-    assert z[0] == z[1] == pytest.approx(8.2, abs=0.05)
-    assert z[2] == pytest.approx(-8.3, abs=0.05)
-
-
 def _one_shot_normals(streams, steps, shape):
-    # the reference: every raw draw of the block at once, then each
-    # elementwise map over the whole block
-    raws = np.stack([s.random_raw(steps * math.prod(shape)) for s in streams])
-    u = ((raws >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    np.minimum(u, 1.0 - 2.0**-53, out=u)
-    return ndtri(u).reshape((len(streams), steps) + shape)
+    # the reference: each stream's normals for the whole block in one call
+    z = np.stack([s.standard_normal(steps * math.prod(shape)) for s in streams])
+    return z.reshape((len(streams), steps) + shape)
 
 
 def _streams(n, seed=SEED):
-    return [np.random.Philox(key=np.array([seed, i], dtype=np.uint64)) for i in range(n)]
+    return [np.random.Generator(np.random.Philox(key=np.array([seed, i], np.uint64)))
+            for i in range(n)]
 
 
 @pytest.fixture
@@ -630,9 +663,9 @@ def use_workers(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("n,steps,shape", [
-    (16, 256, (4,)),                        # mc-metastable's first block: one piece
+    (16, 256, (4,)),                        # mc-metastable's first block: one part
     (7, 19, (1024,)),                       # 4 pieces; 7 rows split unevenly
-    (1, 3 * simulate._PIECE + 5, ()),        # one row of 3 whole pieces and a part
+    (1, 3 * simulate._PIECE + 5, ()),        # one row of 3 whole pieces: one part
     (3, 2 * simulate._PIECE + 1, ()),
 ])
 def test_normals_match_one_shot_transform(use_workers, workers, n, steps, shape):
@@ -697,17 +730,19 @@ def test_forked_child_gets_its_own_pool(use_workers):
     assert got == parent
 
 
-def test_mc_route_does_not_import_scipy_signal():
-    # importing scipy.signal roughly triples the package's import time and
-    # doubles its memory, so the MC route must keep to scipy.special
+def test_mc_route_runs_without_scipy():
+    # the MC route needs numpy alone: with scipy unimportable, every scheme
+    # and the trajectories command run, and no scipy module is loaded
     code = (
         "import sys\n"
-        "from ouexit import ExitProblem, McConfig, OupParams, Scheme, estimate_mfet\n"
+        "sys.modules['scipy'] = None\n"
+        "from ouexit import ExitProblem, McConfig, OupParams, Scheme, cli, estimate_mfet\n"
         "p = ExitProblem(OupParams(theta=0.5, sigma=1.0, d=3), L=1.0, x=0.0)\n"
         "for s in Scheme:\n"
         "    estimate_mfet(p, McConfig(n_paths=40, dt=1e-3, seed=1, scheme=s))\n"
-        "print('scipy.signal' in sys.modules)\n"
+        "assert cli.main(['trajectories']) == 0\n"
+        "print([m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
