@@ -105,6 +105,13 @@ class ExitProblem:
             raise DomainError(f"ball radius must be a positive finite real, got {self.L!r}")
         if self.L * self.L < _TINY:
             raise DomainError(f"L**2 leaves the double range at ball radius L={self.L!r}")
+        # L**2 / (sigma**2 d) is the Brownian value, which bounds E tau (from
+        # below for theta > 0, above for theta < 0); a subnormal one has too
+        # few digits, and mfet_exact came out above its own upper_mixed
+        p = self.params
+        if self.L * self.L / (p.sigma * p.sigma * p.d) < _TINY:
+            raise DomainError(f"L**2 / (sigma**2 * d) leaves the double range at ball radius "
+                              f"L={self.L!r}, sigma={p.sigma!r}, d={p.d!r}")
         if not (math.isfinite(self.x) and 0 <= self.x <= self.L):
             raise DomainError(f"start radius must lie in [0, L], got {self.x!r}")
 

@@ -51,6 +51,8 @@ _WG = (
 
 # Flattened 15-node layout, left to right; Gauss nodes sit at odd positions.
 # The Gauss weight is 0.0 at the others, an exact zero that changes no bit.
+# One fused pass over all 15 costs less than a separate pass over the 7
+# Gauss nodes, which needs the exponentials kept in a list.
 _NODES = tuple([-t for t in _XGK[:7]] + [0.0] + [t for t in reversed(_XGK[:7])])
 _WK = tuple(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
 _WG_AT_NODES = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
@@ -86,23 +88,25 @@ def _panel(log_f, lo, hi):
     """
     center = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
+    inf = math.inf
     lfs = []
     for t in _NODES:
         y = log_f(center + halfw * t)
-        if not math.isfinite(y) and y != -math.inf:
+        if not y < inf:  # NaN or +inf
             raise EvaluationError("log-integrand returned a non-finite value", center + halfw * t)
         lfs.append(y)
     m = max(lfs)
-    if m == -math.inf:
-        return -math.inf, -math.inf
+    if m == -inf:
+        return -inf, -inf
+    exp = math.exp
     kron = 0.0
     gauss = 0.0
     for wk, wg, y in zip(_WK, _WG_AT_NODES, lfs):
-        e = math.exp(y - m)
+        e = exp(y - m)
         kron += wk * e
         gauss += wg * e
     err = halfw * abs(kron - gauss)
-    log_err = m + math.log(err) if err > 0.0 else -math.inf
+    log_err = m + math.log(err) if err > 0.0 else -inf
     return m + math.log(halfw * kron), log_err
 
 

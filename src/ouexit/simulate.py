@@ -44,15 +44,16 @@ estimates are identical however the paths are batched or parallelized.
 
 Filling a block: ``_normals`` allocates it once, and each row's stream
 writes its normals straight into the row, with no transform and no
-temporaries.  A block with two or more streams has its rows split over a
-thread pool with one worker per CPU in the process's affinity mask
-(``taskset`` limits it; a forked child gets a new pool), into at most one
-part per whole piece of the block.  Measured on 2 cores, a split took
-0.6-0.8 of the direct time for rows of 1024 normals or more, but 1.3-2
-times it for 1000-4000 rows of 256, whose per-row Python calls hold the GIL
-between fills (the sampler releases it).  Each row is one stream's draws
-written to its own row, so the bits depend neither on the split nor on the
-pool size.
+temporaries.  A block with two or more streams, in rows of at least
+_SPLIT_ROW normals, has its rows split over a thread pool with one worker
+per CPU in the process's affinity mask (``taskset`` limits it; a forked
+child gets a new pool), into at most one part per whole piece of the block.
+Measured on 2 cores for 1000-4000 rows, a split took a median 0.75-0.85 of
+the direct time for rows of 448-640 normals (0.6 at 2048), but 1.0-1.15
+times it at 384 and 1.3-1.8 times it at 256-320: each row's Python call
+holds the GIL between fills (the sampler releases it), so short rows
+leave little to overlap.  Each row is one stream's draws written to its
+own row, so the bits depend neither on the split nor on the pool size.
 
 Chunks and the straggler hand-off: exit times are heavy-tailed (about
 exp(lambda L^2) at small d), so most time steps of a batch have only a few
@@ -104,6 +105,7 @@ _SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
 _RUN_STEPS = 256  # steps per scalar run of a full-dimensional path
 _CHUNK = 2**13  # path-normals per batch chunk: 64 KB per temporary
 _PIECE = 2**15  # normals per piece, the unit of block sizes and pool parts
+_SPLIT_ROW = 512  # normals per row below which a block is filled without the pool
 _BLOCK_FLOATS = 16 * _PIECE  # normals per block past one step: 4 MB
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
@@ -304,9 +306,11 @@ def _fill(flat, streams, lo, hi):
 def _normals(streams, steps, shape):
     """The next ``steps`` normals of each stream, shaped (paths, steps) + shape."""
     n = len(streams)
-    flat = np.empty((n, steps * math.prod(shape)))
-    # at least one piece per part; see the module docstring
-    parts = min(_WORKERS, n, flat.size // _PIECE)
+    row = steps * math.prod(shape)
+    flat = np.empty((n, row))
+    # at least one piece per part, and rows long enough to gain from the
+    # split; see the module docstring
+    parts = min(_WORKERS, n, flat.size // _PIECE) if row >= _SPLIT_ROW else 1
     if parts < 2:
         _fill(flat, streams, 0, n)
     else:

@@ -14,7 +14,16 @@ continued-fraction pieces (never as log(exp(...))).
 Evaluation follows the classic split: power series for x < a + 1,
 Lentz continued fraction for the complementary function otherwise.
 ln_kummer_sum gives the companion integral of t**(a-1) * exp(+t) over
-[0, y], divided by y**a: a series of positive terms.
+[0, y], divided by y**a: a series of positive terms.  Every term of the
+gamma series is positive too, so both series stop at the first term below
+_TOL times the running sum, with no abs().
+
+The exact route calls ln_lower_gamma and ln_kummer_sum at every quadrature
+node, so an argument pair of plain floats already in range (a positive and
+finite, x nonnegative and finite) is taken as it is.  Every other pair
+(ints, numpy scalars, NaN, inf, negatives, non-numbers) goes through
+_check_args, which converts it to floats or raises DomainError, so an int
+pair has the float pair's bits and every rejection keeps its message.
 """
 
 import math
@@ -54,11 +63,12 @@ def _series_log_sum(a, x):
     term = 1.0 / a
     total = term
     ap = a
+    tol = _TOL
     for _ in range(_max_iter(a)):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _TOL:
+        if term < total * tol:  # every term is positive
             return math.log(total)
     raise ConvergenceError(
         f"lower-gamma series did not converge for a={a!r}, x={x!r}"
@@ -72,7 +82,8 @@ def ln_kummer_sum(a, y):
     the largest, near n0 = floor(y), in units of it: O(sqrt(y)) terms, none
     over- or underflowing; fails loudly after _max_iter(y) steps.
     """
-    a, y = _check_args(a, y)
+    if not (type(a) is type(y) is float and 0.0 < a < math.inf and 0.0 <= y < math.inf):
+        a, y = _check_args(a, y)
     n0 = math.floor(y)
     log_peak = -math.log(a + n0)
     if n0 > 0:
@@ -82,8 +93,9 @@ def ln_kummer_sum(a, y):
         n, m = n0 + k, n0 - k
         up *= y / n * (a + n - 1.0) / (a + n)
         down = down * (m + 1.0) / y * (a + m + 1.0) / (a + m) if m >= 0 else 0.0
-        total += up + down
-        if up + down < total * _TOL:
+        step = up + down
+        total += step
+        if step < total * _TOL:
             return log_peak + math.log(total)
     raise ConvergenceError(f"Kummer series did not converge for a={a!r}, y={y!r}")
 
@@ -95,23 +107,25 @@ def _contfrac_factor(a, x):
     regularized upper function; reliable for x >= a + 1 (and somewhat below,
     which the branch-consistency tests exercise).
     """
+    tiny, tol = _TINY, _TOL
+    neg_tiny, neg_tol = -tiny, -tol  # negated once, not per comparison
     b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
+    c = 1.0 / tiny
+    d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
     for i in range(1, _max_iter(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
+        if neg_tiny < d < tiny:
+            d = tiny
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if neg_tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _TOL:
+        if neg_tol < delta - 1.0 < tol:
             return h
     raise ConvergenceError(
         f"upper-gamma continued fraction did not converge for a={a!r}, x={x!r}"
@@ -131,7 +145,8 @@ def ln_lower_gamma(a, x):
     2**19 (checked against mpmath at 5e5), which direct evaluation of lig
     would not survive.
     """
-    a, x = _check_args(a, x)
+    if not (type(a) is type(x) is float and 0.0 < a < math.inf and 0.0 <= x < math.inf):
+        a, x = _check_args(a, x)
     if x == 0.0:
         return -math.inf
     if x < a + 1.0:

@@ -474,6 +474,7 @@ _OUT_OF_RANGE = {
     "mfet --theta 1e-312 --sigma 1e-5 --d 4 --L 4 --x 0": "theta leaves the double range",
     "mfet --sigma 1e-160 --theta 0.5 --d 4 --L 4 --x 0": "sigma**2 leaves the double range",
     "mfet --L 1e-160 --d 4 --x 0 --sigma 1 --theta 0.5": "L**2 leaves the double range",
+    "mfet --d 4 --L 1.5e-154 --x 0 --sigma 1 --theta 0.5": "L**2 / (sigma**2 * d) leaves the double range",
     "mfet --sigma 1e10 --theta 1e-300 --d 4 --L 4 --x 0": "theta/sigma**2",
     "scaling --d-min 2 --d-max 2 --lambda 1e-310 --paths 2": "theta leaves the double range",
     "trajectories --theta 1e-310": "theta leaves the double range",

@@ -10,6 +10,7 @@ asymptotics and, for lam < 0, an mpmath quadrature of the Kummer-function
 form of the inner integral.
 """
 
+import hashlib
 import math
 import random
 import re
@@ -19,11 +20,13 @@ import numpy as np
 import pytest
 
 import ouexit.mfet
+from ouexit import special
 from ouexit.mfet import _MAX_EXP, _ln_peak_term, _outer_log_integrand
 from ouexit.quadrature import integrate_log
 from ouexit import (
     DomainError,
     ExitProblem,
+    OuexitError,
     OupParams,
     QuadratureError,
     asymptotic_ratio,
@@ -69,6 +72,43 @@ def mfet_nested_simpson(d, lam, sigma, big_l, n=1000):
 
 def _problem(d, lam, big_l, x=0.0, sigma=1.0):
     return ExitProblem(OupParams(theta=lam * sigma * sigma, sigma=sigma, d=d), L=big_l, x=x)
+
+
+def _pin_sweep(seed, n):
+    # every lam regime in turn (0, < 0, > 0 and a large ball of radius about
+    # sqrt(d/lam), whose integrand crosses the series/continued-fraction
+    # switch of ln_lower_gamma), d log-uniform on 1..65536; lam > 0 reaches
+    # lam L^2 = 2000, past the decided overflow at small d
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    out = []
+    for i in range(n):
+        d, sigma = round(log_uniform(1, 65536)), log_uniform(0.5, 2.0)
+        kind = i % 4
+        if kind == 3:
+            lam = log_uniform(0.05, 2.0)
+            big_l = math.sqrt(d / lam) * rng.uniform(0.5, 1.5)
+        else:
+            lam = (0.0, -log_uniform(0.01, 5.0), log_uniform(0.01, 5.0))[kind]
+            big_l = log_uniform(0.2, 20.0 if kind == 2 else 6.0)
+        x = 0.0 if rng.random() < 0.25 else big_l * rng.uniform(0.0, 0.999)
+        out.append(_problem(d, lam, big_l, x=x, sigma=sigma))
+    return out
+
+
+def _digest(calls):
+    """SHA-256 over repr of each call's value, or of the error it raised."""
+    h = hashlib.sha256()
+    for fn, *args in calls:
+        try:
+            out = fn(*args)
+        except OuexitError as exc:  # the error and its message are pinned too
+            out = exc
+        h.update(repr(out).encode() + b"\n")
+    return h.hexdigest()
 
 
 class TestExactFormula:
@@ -135,6 +175,31 @@ class TestExactFormula:
         # values of every lam regime (> 0, < 0 and 0) pinned to the last bit
         p = ExitProblem(OupParams(theta=theta, sigma=sigma, d=d), L=big_l, x=x)
         assert repr(mfet_exact(p)) == want
+
+    def test_bits_over_a_broad_sweep(self):
+        # mfet_exact, mfet_bounds and the incomplete-gamma pieces they rest
+        # on, pinned to the last bit (errors included) over a seeded sweep:
+        # ln_lower_gamma just below, at and above the switch x = a + 1 for
+        # a up to 2**15, and ln_kummer_sum for y up to 1e4
+        rng = random.Random(20804029)
+        problems = _pin_sweep(20804029, 400)
+        shapes = [math.exp(rng.uniform(math.log(0.5), math.log(2.0**15))) for _ in range(60)]
+        gamma = [(special.ln_lower_gamma, a, (a + 1.0) * f)
+                 for a in shapes for f in (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.1, 3.0)]
+        kummer = [(special.ln_kummer_sum, a, math.exp(rng.uniform(math.log(1e-6), math.log(1e4))))
+                  for a in shapes for _ in range(4)]
+        got = {
+            "mfet_exact": _digest([(mfet_exact, p) for p in problems]),
+            "mfet_bounds": _digest([(mfet_bounds, p) for p in problems]),
+            "ln_lower_gamma": _digest(gamma),
+            "ln_kummer_sum": _digest(kummer),
+        }
+        assert got == {
+            "mfet_exact": "ce3bc2a59e569f596a137b41ad91a839d54a2b552c6b80dfcc9e69338c85758a",
+            "mfet_bounds": "52b8213c458025c8c898b71eedcf13713465a2e1048f2eba0d198c5a560f6505",
+            "ln_lower_gamma": "0a2aaf9b5a6ff11efe8a8b1a903cfa87a35ec522c03fee1d983a4db62a302eb0",
+            "ln_kummer_sum": "9a09f6e112daacae7b2b0b1544be3f13d549320cf8bcd3fafd1f16d415d32243",
+        }
 
     def test_brownian_limit_both_signs(self):
         for d in (1, 4, 64, 1024):
@@ -510,6 +575,10 @@ class TestParamValidation:
             with pytest.raises(DomainError, match="L="):
                 ExitProblem(p, L=big_l, x=0.0)
         assert ExitProblem(p, L=1e-150, x=0.0).L == 1e-150
+        # L**2 is normal, but the Brownian value L**2 / (sigma**2 d) is not:
+        # mfet_exact came out above its own upper_mixed
+        with pytest.raises(DomainError, match=re.escape("L**2 / (sigma**2 * d) leaves the double range")):
+            ExitProblem(OupParams(theta=0.5, sigma=1.0, d=4), L=1.5e-154, x=0.0)
 
     def test_lambda_is_derived(self):
         p = OupParams(theta=0.5, sigma=2.0, d=3)

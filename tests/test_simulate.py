@@ -667,6 +667,7 @@ def use_workers(monkeypatch):
     (7, 19, (1024,)),                       # 4 pieces; 7 rows split unevenly
     (1, 3 * simulate._PIECE + 5, ()),        # one row of 3 whole pieces: one part
     (3, 2 * simulate._PIECE + 1, ()),
+    (1000, 256, ()),                        # 7 pieces of short rows: one part
 ])
 def test_normals_match_one_shot_transform(use_workers, workers, n, steps, shape):
     use_workers(workers)
@@ -679,6 +680,19 @@ def test_normals_match_one_shot_transform(use_workers, workers, n, steps, shape)
     simulate._normals(streams, steps, shape)
     assert (simulate._normals(streams, 2, shape).tobytes()
             == _one_shot_normals(ref, 2, shape).tobytes())
+
+
+def test_short_rows_are_filled_without_the_pool(use_workers, monkeypatch):
+    # split over the pool, rows under _SPLIT_ROW normals took longer than
+    # one direct fill, so such a block makes no submit however many pieces
+    use_workers(2)
+    submits = []
+    submit = simulate._pool.submit
+    monkeypatch.setattr(simulate._pool, "submit", lambda *args: submits.append(args) or submit(*args))
+    simulate._normals(_streams(1000), 256, ())
+    assert submits == []
+    simulate._normals(_streams(128), simulate._SPLIT_ROW, ())  # 2 pieces
+    assert len(submits) == 2
 
 
 def _highdim_estimate():

@@ -117,12 +117,16 @@ class TestRegLowerGamma:
             ln_lower_gamma(1e5, 1e5 + 10.0)
 
     def test_rejects_bad_args(self):
-        with pytest.raises(DomainError):
-            ln_lower_gamma(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            ln_lower_gamma(1.0, -0.5)
-        with pytest.raises(DomainError):
-            ln_lower_gamma(1.0, math.nan)
+        # only in-range plain floats skip the argument check, so every other
+        # input meets it and its message
+        for a, x, msg in ((-1.0, 1.0, "shape"), (1.0, -0.5, "argument"),
+                          (1.0, math.nan, "argument"), (1.0, math.inf, "argument"),
+                          (1.0, "2.0", "argument"), (None, 1.0, "shape")):
+            with pytest.raises(DomainError, match=msg):
+                ln_lower_gamma(a, x)
+        # ints and numpy floats are converted, and take the float call's bits
+        for a, x in ((3, 2), (3, 7), (np.float64(3.0), np.float64(2.0))):
+            assert repr(ln_lower_gamma(a, x)) == repr(ln_lower_gamma(float(a), float(x)))
 
     @given(
         a=st.sampled_from([0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0]),
@@ -192,9 +196,11 @@ class TestLnKummerSum:
             assert special.ln_kummer_sum(a, 0.0) == -math.log(a)
 
     def test_rejects_bad_args(self):
-        for a, y in ((1.0, -0.5), (0.0, 1.0), (-2.0, 1.0), (1.0, math.inf)):
+        for a, y in ((1.0, -0.5), (0.0, 1.0), (-2.0, 1.0), (1.0, math.inf), (math.nan, 1.0)):
             with pytest.raises(DomainError):
                 special.ln_kummer_sum(a, y)
+        for a, y in ((2, 20), (np.float64(2.0), np.float64(20.0))):
+            assert repr(special.ln_kummer_sum(a, y)) == repr(special.ln_kummer_sum(float(a), float(y)))
 
     def test_cap_is_a_loud_error(self, monkeypatch):
         # the sum needs about 8.6 sqrt(y) terms on each side of its peak; a
