@@ -103,12 +103,14 @@ class ExitProblem:
     def __post_init__(self):
         if not (math.isfinite(self.L) and self.L > 0):
             raise DomainError(f"ball radius must be a positive finite real, got {self.L!r}")
-        if self.L * self.L < _TINY:
+        p = self.params
+        # an L**2 that overflows makes E tau inf for theta >= 0, which
+        # mfet_exact decides; for theta < 0 the Kummer sum needs it finite
+        if self.L * self.L < _TINY or (self.L * self.L == math.inf and p.theta < 0):
             raise DomainError(f"L**2 leaves the double range at ball radius L={self.L!r}")
         # L**2 / (sigma**2 d) is the Brownian value, which bounds E tau (from
         # below for theta > 0, above for theta < 0); a subnormal one has too
         # few digits, and mfet_exact came out above its own upper_mixed
-        p = self.params
         if self.L * self.L / (p.sigma * p.sigma * p.d) < _TINY:
             raise DomainError(f"L**2 / (sigma**2 * d) leaves the double range at ball radius "
                               f"L={self.L!r}, sigma={p.sigma!r}, d={p.d!r}")

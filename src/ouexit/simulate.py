@@ -59,29 +59,45 @@ Chunks and the straggler hand-off: exit times are heavy-tailed (about
 exp(lambda L^2) at small d), so most time steps of a batch have only a few
 paths still running, and every numpy call costs about a microsecond of
 overhead however few paths it carries.  ``_run_paths`` therefore advances
-the live paths a chunk of steps per kernel call: each scheme is a
-recurrence, run over the chunk's columns of normals (scaled once per
-chunk, except squared-radial's), and the driver finds each path's first
+the live paths a chunk of steps per kernel call, finds each path's first
 crossing in the chunk with one argmax and drops exited paths once per
-chunk.  A chunk is at most an eighth of the steps already taken, so the
-steps a path takes past its exit, then discarded, stay under an eighth of
-those it needed; past one step it holds at most _CHUNK normals over all its
-paths, so its temporaries stay under glibc's 128 KB mmap threshold; and it
-ends at the end of the normals block and at the horizon.  Paths step in
-numpy only while live paths times normals per step exceeds
-``_SCALAR_LOAD``; after that each remaining path is finished alone in a
-scalar Python loop over the rest of its pre-drawn normals, drawing further
+chunk.  A chunk is at most an eighth of the steps already taken,
+so the steps a path takes past its exit, then discarded, stay under an
+eighth of those it needed; past one step it holds at most _CHUNK normals
+over all its paths, so its temporaries stay under glibc's 128 KB mmap
+threshold; and it ends at the end of the normals block and at the horizon.
+Paths step in numpy only while live paths times normals per step exceeds
+``_SCALAR_LOAD``; after that each remaining path is finished alone by the
+kernel's ``run`` over the rest of its pre-drawn normals, drawing further
 blocks from the path's own stream.  Neither regrouping moves a bit: the
-normals are the same (they depend only on seed, path and position); the
-recurrence evaluates the same expression on each value whatever the chunk,
-and each scheme's scalar form evaluates it in the same order (the radial
-clamp ``y if y > 0.0 else 0.0`` equals ``np.maximum(y, 0.0)`` on -0.0 too);
-an exit is the first crossing's grid time in whatever chunk it falls; and
-the full schemes' chunks and scalar runs take |x|^2 from one numpy sum over
-C-contiguous rows of d, so its order is numpy's at every d.
+normals are the same (they depend only on seed, path and position), and
+each scheme's state after step k depends only on its normals up to k.
+The radial schemes run their recurrence over the chunk's columns of
+normals (scaled once per chunk, except squared-radial's), and their
+``run`` is a Python loop over floats that evaluates the same expressions
+in the same order (the radial clamp ``y if y > 0.0 else 0.0`` equals
+``np.maximum(y, 0.0)`` on -0.0 too).
+
+The full schemes' running sum: both are x <- a x + w with w = scale z
+(a = 1 - theta dt for full-euler, exp(-theta dt) for full-exact), a linear
+recurrence that a rescaled frame turns into a prefix sum (Blelloch 1990,
+CMU-CS-90-190), so a chunk or a run is a fixed number of numpy calls.  A
+path's steps fall in periods of K steps anchored at multiples of K of its
+step count k, never at a chunk, block or hand-off boundary.  At a period's
+start the state u becomes a**K u; its j-th step adds (scale a**(K-j)) z to
+u, and x = u / a**(K-j), so x = u at j = K.  The powers come from repeated
+multiplication, never pow.  The sums are strictly sequential
+(``_running_sum``), so x after step k depends on k and the normals alone;
+at theta = 0 every factor is 1.0 and the sum is x + w itself.  |x|^2 is one
+numpy sum over C-contiguous rows of d, taken on x, never on u, so its order
+is numpy's at every d.  K is _PERIOD (2048) unless |ln|a|| K would exceed
+_SPAN (64), and then the largest K within it, at least 1.  Every factor
+thus lies within e**+-64: |x| stays below about L, whose square
+``ExitProblem`` keeps a normal double (L < e**355), so |u| < e**419 and the
+scaled sums stay inside the double range.
 
 Records: a recorded path keeps its monitored values (|x|^2, rho or y) as
-the chunks and scalar runs produce them, and ``record_path`` maps them to
+the chunks and runs produce them, and ``record_path`` maps them to
 radii in one call of the kernel's elementwise array ``radius`` after the
 run (sqrt, identity, or sqrt of y clamped at 0 with -0.0 kept), so the
 radii have the bits of a value-by-value map.
@@ -102,8 +118,10 @@ from .schemes import Scheme
 
 _U64_MAX = 2**64 - 1
 _SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
-_RUN_STEPS = 256  # steps per scalar run of a full-dimensional path
+_RUN_STEPS = 256  # steps per normals block until twice the steps taken is more
 _CHUNK = 2**13  # path-normals per batch chunk: 64 KB per temporary
+_PERIOD = 2048  # steps per period of the full schemes' running sum, at most
+_SPAN = 64.0  # |ln|a|| times the steps of a period, at most: factors within e**+-64
 _PIECE = 2**15  # normals per piece, the unit of block sizes and pool parts
 _SPLIT_ROW = 512  # normals per row below which a block is filled without the pool
 _BLOCK_FLOATS = 16 * _PIECE  # normals per block past one step: 4 MB
@@ -187,63 +205,77 @@ def _scheme_kernel(problem, cfg):
     """The configured scheme's _Kernel(start, first, step, run, threshold, radius).
 
     ``start`` is one path's state, a row of d coordinates or a scalar, with
-    one normal per entry drawn each step.  Each scheme is a recurrence that
-    maps (state, noise terms) to the state after each term, and ``chunk``
-    makes ``first`` and ``step`` from it: they advance a batch by c steps,
-    mapping (states, zs), zs shaped (paths, c) + shape with each path's next
-    normals in step order, to (states after the chunk, monitored values
-    shaped (paths, c)).  ``first`` takes the batch's first step.  A path
-    exits once monitored reaches ``threshold``; ``radius`` maps monitored
-    values to radii.  ``run`` is ``step``'s scalar form for one path: it maps
-    (state, zs) to (state, monitored values of the steps it took), stopping
-    at the exit or after ``len(zs)`` steps, with the bits of ``step``.
+    one normal per entry drawn each step.  ``first`` and ``step`` advance a
+    batch by c steps, mapping (states, zs, k), zs shaped (paths, c) + shape
+    with each path's next normals in step order and k the steps the paths
+    have taken, to (states after the chunk, monitored values shaped
+    (paths, c)).  ``first`` takes the batch's first step.  A path exits once
+    monitored reaches ``threshold``; ``radius`` maps monitored values to
+    radii.  ``run`` is ``step`` for one path: it maps (state, zs, k) to
+    (state, monitored values of the steps it took), stopping at the exit or
+    after ``len(zs)`` steps, with the bits of ``step``.  The radial schemes'
+    ``run`` is a Python loop over floats; the full schemes' state is the
+    running sum u of the module docstring.
     """
     p, x, dt = problem.params, problem.x, cfg.dt
     sqrt_dt = math.sqrt(dt)
     sig_sqdt = p.sigma * sqrt_dt
     big_l2 = problem.L * problem.L
 
-    def chunk(recur, scale=None, monitor=None):
+    def chunk(recur, scale=None):
         # ``recur`` over the chunk's columns of normals times ``scale``, stacked
-        def step(state, zs):
+        def step(state, zs, k):
             ws = zs.swapaxes(0, 1)
             xs = recur(state, ws if scale is None else scale * ws)
-            rows = xs[0][:, None] if len(xs) == 1 else np.stack(xs, axis=1)
-            return xs[-1], rows if monitor is None else monitor(rows)
+            return xs[-1], xs[0][:, None] if len(xs) == 1 else np.stack(xs, axis=1)
         return step
 
     if cfg.scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT):
+        # x <- a x + w with w = scale z, as a running sum; see the module docstring
         if cfg.scheme is Scheme.FULL_EULER:
-            theta_dt, scale = p.theta * dt, sig_sqdt
-
-            def recur(c, ws):
-                return [c := c - theta_dt * c + w for w in ws]
+            a, scale = 1.0 - p.theta * dt, sig_sqdt
         else:
-            decay = math.exp(-p.theta * dt)
+            a = math.exp(-p.theta * dt)
             if p.theta == 0.0:
                 scale = sig_sqdt
             else:
                 scale = p.sigma * math.sqrt(-math.expm1(-2.0 * p.theta * dt) / (2.0 * p.theta))
+        ln_a = abs(math.log(abs(a))) if a else math.inf
+        period = _PERIOD if ln_a * _PERIOD <= _SPAN else max(1, int(_SPAN / ln_a))
+        # a**0 .. a**K by repeated multiplication (accumulate is sequential);
+        # by a step's position i = 0 .. K-1 in its period, scale a**(K-1-i)
+        # weighs its noise term and 1 / a**(K-1-i) maps the sum to its state
+        powers = np.multiply.accumulate(np.concatenate(([1.0], np.full(period, a))))
+        weights = (scale * powers[-2::-1])[:, None]
+        factors = (1.0 / powers[-2::-1])[:, None]
+        a_period = powers[-1]
 
-            def recur(c, ws):
-                return [c := decay * c + w for w in ws]
+        def advance(u, zs, k):
+            # the sums u after ``zs``, (..., c, d) of the next normals from
+            # step k, and |x|^2 after each step, (..., c), taken on x, not u
+            xs = np.empty(zs.shape)
+            t, c = 0, zs.shape[-2]
+            while t < c:
+                i = (k + t) % period
+                n = min(c - t, period - i)
+                seg = xs[..., t:t + n, :]
+                np.multiply(zs[..., t:t + n, :], weights[i:i + n], out=seg)
+                if i == 0:
+                    u = a_period * u
+                seg[..., 0, :] += u
+                _running_sum(seg)
+                u = seg[..., -1, :].copy()
+                seg *= factors[i:i + n]
+                t += n
+            return u, np.add.reduce(xs * xs, axis=-1)
 
-        def norm2(rows):
-            # |x|^2 over C-contiguous rows of d, stacked (paths, c, d) for a
-            # chunk and (steps, d) for a scalar run: numpy's order in both
-            return np.add.reduce(rows * rows, axis=-1)
-
-        def run(state, zs):  # ``recur`` on floats, a coordinate at a time
-            ws = (scale * zs[:_RUN_STEPS]).T.tolist()
-            xs = np.array([recur(c, col) for c, col in zip(state.tolist(), ws)]).T.copy()
-            r2 = norm2(xs)
+        def run(u, zs, k):
+            u, r2 = advance(u, zs, k)
             hit = np.flatnonzero(r2 >= big_l2)
-            n = hit[0] + 1 if hit.size else len(r2)
-            return xs[n - 1], r2[:n]
+            return u, r2[:hit[0] + 1] if hit.size else r2
 
-        step = chunk(recur, scale, norm2)
         start = np.concatenate(([x], np.zeros(p.d - 1)))
-        return _Kernel(start, step, step, run, big_l2, np.sqrt)
+        return _Kernel(start, advance, advance, run, big_l2, np.sqrt)
 
     s2d = p.sigma * p.sigma * p.d
     two_theta = 2.0 * p.theta
@@ -256,7 +288,7 @@ def _scheme_kernel(problem, cfg):
 
     if cfg.scheme is Scheme.SQUARED_RADIAL_EULER:
 
-        def run(y, zs):
+        def run(y, zs, k):
             y, ys, sqrt = float(y), [], math.sqrt
             for z in zs.tolist():
                 yp = y if y > 0.0 else 0.0  # np.maximum's bits, -0.0 included
@@ -284,7 +316,7 @@ def _scheme_kernel(problem, cfg):
         # a squared-radial step from rho^2, as a radius; only ever one step
         return [np.sqrt(np.maximum(y, 0.0)) for y in squared_radial(rho * rho, zs)]
 
-    def run(rho, zs):
+    def run(rho, zs, k):
         rho, rhos = float(rho), []
         for z in zs.tolist():
             rho = abs(rho + (half_dm1_s2 / rho - theta * rho) * dt + sig_sqdt * z)
@@ -295,6 +327,22 @@ def _scheme_kernel(problem, cfg):
 
     step = chunk(radial, sig_sqdt)
     return _Kernel(x, chunk(bootstrap) if x == 0.0 else step, step, run, big_l, np.asarray)
+
+
+def _running_sum(xs):
+    """Sum ``xs``, shaped (..., steps, entries), in place along its steps.
+
+    Both forms add strictly in step order, so they give the same bits.
+    ``np.add.accumulate`` takes 4-13 ns per element, a column-by-column
+    ``np.add`` about 1.5 ns plus a call's 1-2 us per column: measured on a
+    2-core VM, the two broke even at 1024 lanes (entries per step over all
+    paths).
+    """
+    if xs[..., 0, :].size < 1024:
+        np.add.accumulate(xs, axis=-2, out=xs)
+    else:
+        for j in range(1, xs.shape[-2]):
+            np.add(xs[..., j - 1, :], xs[..., j, :], out=xs[..., j, :])
 
 
 def _fill(flat, streams, lo, hi):
@@ -336,12 +384,12 @@ def _run_paths(problem, cfg, indices, record=None):
 
     Returns an array aligned with ``indices`` holding the exit grid time, or
     NaN for paths censored at the horizon.  When ``record`` is a list it
-    collects the monitored values of every step, as array slices and
-    scalar-run outputs (single-path runs only).  Live paths advance together
-    in numpy, a chunk of steps per kernel call, while their load exceeds
+    collects the monitored values of every step, as chunk slices and run
+    outputs (single-path runs only).  Live paths advance together in numpy,
+    a chunk of steps per kernel call, while their load exceeds
     ``_SCALAR_LOAD`` (the first step always does), then each is finished
-    alone by the scheme's scalar ``run``; see the module docstring for why
-    the bits do not change.
+    alone by the kernel's ``run``; every kernel call is given the steps
+    taken.  See the module docstring for why the bits do not change.
     """
     n = len(indices)
     dt = cfg.dt
@@ -378,7 +426,7 @@ def _run_paths(problem, cfg, indices, record=None):
         # before it, and makes the first chunk one step
         c = min(block.shape[1] - pos, max_steps - k, max(1, k // 8),
                 max(1, _CHUNK // (len(streams) * m)))
-        state, monitored = (first if k == 0 else step)(state, block[:, pos:pos + c])
+        state, monitored = (first if k == 0 else step)(state, block[:, pos:pos + c], k)
         hit = monitored >= threshold
         exited = hit[:, 0] if c == 1 else hit.any(axis=1)
         if record is not None:
@@ -402,7 +450,7 @@ def _run_paths(problem, cfg, indices, record=None):
         while j < max_steps:
             if not len(zs):
                 zs = _normals([stream], _block_steps(m, j), shape)[0]
-            s, monitored = run(s, zs[:max_steps - j])
+            s, monitored = run(s, zs[:max_steps - j], j)
             if record is not None:
                 record.append(monitored)
             j += len(monitored)

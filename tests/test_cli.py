@@ -288,7 +288,7 @@ class TestOutputBytes:
     # drift-ratio hashes are the README experiment hashes CI checks
     @pytest.mark.parametrize("argv,sha", [
         (["trajectories"],
-         "b1b257fec370eddd293903b3988dd62f39d1e8c6af67ed9039beb8409e4b4c33"),
+         "d7494a8264d36d355356d6582205826a2a78062b350c75b49fb9c404b479e6a0"),
         (["drift-ratio", "--rho-max", "3"],
          "6bd532818ed87c47fffa502b5d25199757466e77df0f8a8e461db5722846820f"),
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "0.5"],
@@ -474,6 +474,8 @@ _OUT_OF_RANGE = {
     "mfet --theta 1e-312 --sigma 1e-5 --d 4 --L 4 --x 0": "theta leaves the double range",
     "mfet --sigma 1e-160 --theta 0.5 --d 4 --L 4 --x 0": "sigma**2 leaves the double range",
     "mfet --L 1e-160 --d 4 --x 0 --sigma 1 --theta 0.5": "L**2 leaves the double range",
+    # L**2 overflows where E tau is finite
+    "mfet --d 4 --L 1e200 --x 0 --sigma 1 --theta=-0.5": "L**2 leaves the double range",
     "mfet --d 4 --L 1.5e-154 --x 0 --sigma 1 --theta 0.5": "L**2 / (sigma**2 * d) leaves the double range",
     "mfet --sigma 1e10 --theta 1e-300 --d 4 --L 4 --x 0": "theta/sigma**2",
     "scaling --d-min 2 --d-max 2 --lambda 1e-310 --paths 2": "theta leaves the double range",

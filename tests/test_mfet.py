@@ -580,6 +580,16 @@ class TestParamValidation:
         with pytest.raises(DomainError, match=re.escape("L**2 / (sigma**2 * d) leaves the double range")):
             ExitProblem(OupParams(theta=0.5, sigma=1.0, d=4), L=1.5e-154, x=0.0)
 
+    def test_radius_square_must_not_overflow_where_e_tau_is_finite(self):
+        # theta < 0 keeps E tau finite, and its Kummer sum refused an inf
+        # L**2 without naming it; theta >= 0 makes E tau inf, which
+        # mfet_exact decides
+        with pytest.raises(DomainError, match=re.escape("L**2 leaves the double range at ball radius L=1e+200")):
+            ExitProblem(OupParams(theta=-0.5, sigma=1.0, d=4), L=1e200, x=0.0)
+        for theta in (0.0, 0.5):
+            p = ExitProblem(OupParams(theta=theta, sigma=1.0, d=4), L=1e200, x=0.0)
+            assert mfet_exact(p) == math.inf
+
     def test_lambda_is_derived(self):
         p = OupParams(theta=0.5, sigma=2.0, d=3)
         assert p.lam == 0.125

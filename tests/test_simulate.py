@@ -295,8 +295,8 @@ def chunk_hits(monkeypatch):
     def spied(problem, cfg):
         k = kernel(problem, cfg)
 
-        def spied_step(state, zs):
-            state, monitored = k.step(state, zs)
+        def spied_step(state, zs, steps):
+            state, monitored = k.step(state, zs, steps)
             hits.append(monitored >= k.threshold)
             return state, monitored
 
@@ -334,6 +334,89 @@ def test_chunks_keep_the_bits(monkeypatch, chunk_hits, scheme, theta):
         assert ref.radii.tobytes() == rec.radii.tobytes()
 
 
+@pytest.mark.parametrize("scheme", [Scheme.FULL_EULER, Scheme.FULL_EXACT])
+def test_chunks_keep_the_bits_across_periods(monkeypatch, chunk_hits, scheme):
+    # theta dt = 0.299 gives the running sum periods of 180 (full-euler)
+    # and 214 (full-exact) steps: batch chunks straddle a period boundary
+    # and start on one, lone-path runs cross them, and every exit time and
+    # record keeps the bits of one-step chunks
+    theta, dt = 299.0, 1e-3
+    a = 1.0 - theta * dt if scheme is Scheme.FULL_EULER else math.exp(-theta * dt)
+    period = int(simulate._SPAN / abs(math.log(a)))
+    assert period == (180 if scheme is Scheme.FULL_EULER else 214)
+    p = _problem(8, theta, 0.21)
+    cfg = McConfig(n_paths=64, dt=dt, seed=SEED, scheme=scheme, t_max=0.437)
+    chunked = _run_paths(p, cfg, list(range(64)))
+    assert np.isnan(chunked).any() and not np.isnan(chunked).all()
+    assert any(h.shape[1] > 1 and h[:, :-1].any() for h in chunk_hits)
+    widths = np.array([h.shape[1] for h in chunk_hits])
+    starts = 1 + np.cumsum(widths) - widths
+    assert 1 + widths.sum() == 437
+    assert (starts % period == 0).any() and (starts % period + widths > period).any()
+    # a censored d = 64 record takes all 437 steps in batch chunks
+    rec_p = _problem(64, theta, 0.6)
+    rec = record_path(rec_p, cfg, 0)
+    assert rec.exited_at is None
+    monkeypatch.setattr(simulate, "_CHUNK", 1)
+    chunk_hits.clear()
+    assert _run_paths(p, cfg, list(range(64))).tobytes() == chunked.tobytes()
+    assert {h.shape[1] for h in chunk_hits} == {1}
+    assert record_path(rec_p, cfg, 0).radii.tobytes() == rec.radii.tobytes()
+    # every path finished alone after its first step, in runs of whole blocks
+    monkeypatch.setattr(simulate, "_SCALAR_LOAD", 10**9)
+    chunk_hits.clear()
+    assert _run_paths(p, cfg, list(range(64))).tobytes() == chunked.tobytes()
+    assert chunk_hits == []
+
+
+@pytest.mark.parametrize("big_l", [1e-150, 1e150])
+@pytest.mark.parametrize("theta", [0.5, -0.5, 900.0])
+@pytest.mark.parametrize("scheme", [Scheme.FULL_EULER, Scheme.FULL_EXACT])
+def test_running_sum_tracks_the_plain_recurrence(scheme, theta, big_l):
+    # |x|^2 from the rescaled running sum against x <- a x + w in float64,
+    # over 20,000 steps in chunks of up to 3,000 that cross periods (2048
+    # steps, or 27 and 71 at theta dt = 0.9).  sigma = L keeps the path at
+    # the scale of L, so both ends of the double range are exercised;
+    # theta < 0 gets sigma = L / 1000, as its path grows e**10-fold
+    d, steps, dt = 4, 20_000, 1e-3
+    sigma = big_l if theta > 0 else 1e-3 * big_l
+    kernel = simulate._scheme_kernel(_problem(d, theta, big_l, x=0.1 * big_l, sigma=sigma),
+                                     McConfig(n_paths=1, dt=dt, scheme=scheme))
+    rng = np.random.default_rng(5)
+    zs = rng.standard_normal((1, steps, d))
+    u, k, r2 = kernel.start[None], 0, []
+    while k < steps:
+        c = min(steps - k, int(rng.integers(1, 3000)))
+        u, monitored = kernel.step(u, zs[:, k:k + c], k)
+        r2.append(monitored[0])
+        k += c
+    if scheme is Scheme.FULL_EULER:
+        a, scale = 1.0 - theta * dt, sigma * math.sqrt(dt)
+    else:
+        a = math.exp(-theta * dt)
+        scale = sigma * math.sqrt(-math.expm1(-2.0 * theta * dt) / (2.0 * theta))
+    x, ref = kernel.start.copy(), np.empty(steps)
+    for t in range(steps):
+        x = a * x + scale * zs[0, t]
+        ref[t] = x @ x
+    assert np.all(np.isfinite(ref)) and ref.min() > 1e-306
+    np.testing.assert_allclose(np.concatenate(r2), ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(16, 200, 4), (7, 9, 100), (3, 40, 1024), (1, 500, 2048)])
+def test_running_sum_forms_give_the_same_bits(shape):
+    # np.add.accumulate for rows under 1024 lanes, an np.add per column
+    # from there: both add strictly in step order, on either side of the switch
+    rng = np.random.default_rng(11)
+    xs = rng.standard_normal(shape) * np.logspace(-8, 8, shape[-2])[:, None]
+    cols = xs.copy()
+    for j in range(1, shape[-2]):
+        cols[..., j, :] += cols[..., j - 1, :]
+    got = xs.copy()
+    simulate._running_sum(got)
+    assert got.tobytes() == np.add.accumulate(xs, axis=-2).tobytes() == cols.tobytes()
+
+
 # Exit steps of paths 0-7 and the SHA-256 of path 3's radius trace at every
 # 7th step plus the crossing, per scheme.  They pin the output bits across
 # code changes, which the run-twice determinism tests cannot; x = 0 covers
@@ -343,13 +426,13 @@ def test_chunks_keep_the_bits(monkeypatch, chunk_hits, scheme, theta):
 # from the inverse normal CDF, and so end in that transform's values.
 FROZEN = [
     ("full-euler", 0.0, [645, 160, 287, 339, 329, 173, 200, 406],
-     "8407f7b17addea60134534e4b134c98802c6086027463ba747d2baa9c0338cae"),
+     "12a56ef81b813c14bccde17f3473df1a7ee9b96ea795fbec52bafedd1972688d"),
     ("full-euler", 0.5, [145, 332, 284, 124, 364, 472, 158, 390],
-     "2cacb2061819878527ec829c1faa3af121c1078e7557711397550d617f8c1bc6"),
+     "e1086d32fc2c1bb8e3aec9b5f0b5205492875f0b3815ae3ac4194e5eac5ded05"),
     ("full-exact", 0.0, [645, 160, 287, 339, 329, 173, 200, 406],
-     "10b51e3727e0788f0ba0349f959d40e8e9e1010fc302fb30e356bf551a2dc3b5"),
+     "1720a40c896a34b1b4cedd8688e66da8138e0ffa7ac6bbc4facb79245e5caaab"),
     ("full-exact", 0.5, [145, 332, 284, 124, 364, 472, 158, 390],
-     "1ddb9ad5339b0f901f13f23cf52c8bf41dc84f75b8a92366413e44c9cb2ab4c5"),
+     "cec9cd8237fd04fa6e8ac80b1ec57f409a238af070ab8c6b46b37c86aeff2ffe"),
     ("radial-euler", 0.0, [309, 803, 933, 312, 3, 118, 523, 158],
      "f0ec29017354f9c0436753b53857baa1f3ba221680b4ddbc73bdbada86f5d1ac"),
     ("radial-euler", 0.5, [87, 803, 933, 145, 655, 583, 523, 102],
@@ -496,11 +579,11 @@ def test_frozen_batch_bits(scheme, d, theta, big_l, x, n, t_max, censored, sha):
 # the times followed by the radii.  A lone d = 1000 path stays in numpy
 # batch chunks, as its load exceeds _SCALAR_LOAD.
 FROZEN_RECORDS = [
-    (2, 0.7, 27.94, "41bbaa23c208e5d30593caab84af9c794ccd08be274017b549eb2c9393f63165"),
+    (2, 0.7, 27.94, "cb045320443699bb55f5e9b73459f83e502c1bef041b84d119e3f5bc2542e961"),
     (2, 0.0, 3.835, "61b9e1a6340144a7da6677014036dd7e017a82e4ad5cc937c14e012e9dcc8a5e"),
-    (10, 0.7, 0.498, "1d9153dd6294a7fa09ece71c055a98828857c85b33c0ac7bef6ff6260f8e44e7"),
+    (10, 0.7, 0.498, "3c157085b2ae99f16656856630fbcef89ce6ae1ad1c3204ae16cfb4c329428b5"),
     (10, 0.0, 0.34500000000000003, "d138b598b026d7665859cc0449694a87a4907c99417530348b606a4876010178"),
-    (1000, 0.7, 0.007, "116328f9412d92c316d7fe6f7030b3bdf60ffc2e29fcf8a2b6800961e6120046"),
+    (1000, 0.7, 0.007, "e9062c058b53ae9a94f3a37012c7d83165debb875848b479f92a43343543d071"),
     (1000, 0.0, 0.007, "33bd44f610b680664977e6697f0996ae98de19322fe1f29b6278a49043664790"),
 ]
 FROZEN_RECORD_IDS = [
