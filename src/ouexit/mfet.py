@@ -16,19 +16,22 @@ single integral,
 
 For lam <= 0 the inner integral is (z^d/d) M(d/2, d/2+1, -lam z^2) (DLMF
 13.2.2, 8.5.1), a Kummer series of positive terms, exactly z^d/d at lam = 0.
-Either way one quadrature gives E tau, in log space: the linear integrand
-overflows doubles for d beyond a few hundred.  integrate_log raises
-QuadratureError when its panel budget runs out, so no caller here checks.
+Either form gives E tau by one quadrature, in log space: the linear
+integrand overflows doubles for d beyond a few hundred.  integrate_log
+raises QuadratureError when its panel budget runs out, so no caller here
+checks.
 
 Kummer's transformation (DLMF 13.2.39) integrated term by term gives, with
 y = lam L^2 and b = d/2 + 1,
 
     E tau = (L^2/(sigma^2 d)) * sum_{n>=0} y^n (1 - (x/L)^(2n+2)) / ((n+1) (b)_n).
 
-For lam > 0 every term is positive, so any one term is a lower bound on
-E tau.  mfet_exact takes the largest, in O(1), and returns inf without
-integrating when its log, less a rounding slack, exceeds 709.78: the
-quadrature would end in inf there too (or fail on the way).
+For lam >= 0 every term is positive, so any one term is a lower bound on
+E tau, and the sum needs no quadrature.  mfet_exact takes the largest term,
+in O(1), and returns inf when its log, less a rounding slack, exceeds
+709.78; otherwise it sums the series outward from that term.  Only lam < 0
+integrates.  The lam > 0 integrand stays for avp_residual and as the
+selftest's independent reference.
 
 Also here: the Brownian-motion closed form (L^2-x^2)/(sigma^2 d), the
 two-sided closed-form bounds obtained by pushing the Neuman inequalities
@@ -47,10 +50,14 @@ import sys
 from dataclasses import dataclass
 
 from . import special
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .quadrature import integrate_log
 
 _MAX_EXP = 709.782712893384
+# the positive series (_sum_from_peak): each side stops once its rest is
+# below _SERIES_TOL of the running total, and fails past _MAX_TERMS terms
+_SERIES_TOL = 1e-17
+_MAX_TERMS = 2**22
 _TINY = sys.float_info.min  # the smallest normal double; below it digits are lost
 
 
@@ -164,7 +171,7 @@ def _outer_log_integrand(params):
 
 
 def _ln_peak_term(problem):
-    """(n, ln t_n, slack) for the largest term t_n of the lam > 0 series.
+    """(n, ln t_n, slack) for the largest term t_n of the lam >= 0 series.
 
     t_n = (L^2/(sigma^2 d)) y^n (1 - (x/L)^(2n+2)) / ((n+1) (b)_n), with
     y = lam L^2 and b = d/2 + 1 (module docstring).  Past the factor in x,
@@ -210,26 +217,122 @@ def _ln_peak_term(problem):
     return n, math.fsum(parts) + math.log(f), slack
 
 
-def mfet_exact(problem):
-    """Exact mean first-exit time, by adaptive quadrature of the closed form.
+def _binet(z):
+    """Binet's function lgamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2.
 
-    One quadrature for every lam (exact at lam = 0).  Returns exactly 0 when
-    the start radius sits on the boundary and inf once ln E tau exceeds
-    709.78.  For lam > 0, inf is decided before integrating when the
-    largest term of the positive series (module docstring), a lower bound
-    on E tau, is already past 709.78 after its rounding slack; only
-    problems inside that slack reach the quadrature and overflow there.
+    Its asymptotic series to the z**-13 term for z >= 10, where the next
+    term is below 3e-17; lgamma directly below, where nothing above 22
+    cancels.
+    """
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - 0.5 * math.log(2.0 * math.pi)
+    u = 1.0 / (z * z)
+    return (1 / 12 - u * (1 / 360 - u * (1 / 1260 - u * (1 / 1680 - u * (
+        1 / 1188 - u * (691 / 360360 - u / 156)))))) / z
+
+
+def _sum_from_peak(problem, n0):
+    """E tau for lam >= 0 as the positive series, summed outward from term n0.
+
+    With g_n = (L^2/(sigma^2 d)) y^n / ((n+1) (b)_n), the terms are
+    t_n = g_n f_n, f_n = 1 - (x/L)^(2n+2) (module docstring).  g_(n+1)/g_n
+    = y(n+1)/((n+2)(b+n)) < y/(b+n) =: Q, and Q falls with n, so once
+    Q < 1 every later term sums to at most g_n Q/(1-Q); each side stops
+    where its rest is below _SERIES_TOL of the running total, the down side
+    bounding its rest, from n down to 0, by n max(g_n, g_0).  f_n is
+    -expm1((2n+2) ln(x/L)) with ln(x/L) = log1p((x-L)/L), exact in x - L
+    for x >= L/2, and 1 where x/L rounds to 0.
+
+    The sum is taken in units of g_n0 and stays linear wherever it reaches
+    n = 0, whose g_0 = L^2/(sigma^2 d) then scales it: always for n0 = 0 (y
+    below about b + 2 sqrt(b-1), most problems), so lam = 0 gives the
+    Brownian value to rounding.  A log round trip would cost about
+    |ln E tau| ulps.  Where g_0 is negligible the sum is scaled by ln g_n0,
+    formed without the cancellation of lgamma(b+n) - lgamma(b):
+
+        ln (b)_n - n ln y = (b - 1/2) log1p(n/b) + n log1p((b+n-y)/y) - n
+                            + binet(b+n) - binet(b).
+
+    Either way E tau is as exact as y = lam L^2 itself: its condition
+    number in y is the mean index of the terms, about n0.
+
+    ConvergenceError past _MAX_TERMS terms a side, which only y near or past
+    b with d past about 2**38 needs (about 9 sqrt(y) terms a side).
+    """
+    p = problem.params
+    big_l = problem.L
+    y = p.lam * big_l * big_l
+    b = 0.5 * p.d + 1.0
+    r = (problem.x - big_l) / big_l
+    ln_s = math.log1p(r) if r > -1.0 else 0.0  # ln(x/L); 0 flags f_n = 1
+    tol = _SERIES_TOL
+
+    total = -math.expm1((2.0 * n0 + 2.0) * ln_s) if ln_s else 1.0
+    terms = [total]
+    g, n = 1.0, n0
+    for _ in range(_MAX_TERMS):
+        g *= y * (n + 1.0) / ((n + 2.0) * (b + n))
+        n += 1.0
+        t = g * -math.expm1((2.0 * n + 2.0) * ln_s) if ln_s else g
+        terms.append(t)
+        total += t
+        if t < tol * total:
+            q = y / (b + n)
+            if g * q < (1.0 - q) * tol * total:
+                break
+    else:
+        raise ConvergenceError(f"positive series did not converge within {_MAX_TERMS} terms "
+                               f"for y={y!r}, b={b!r}")
+    ln_rise, scale = 0.0, 1.0  # ln g_n0 - ln g_0, and g_0/g_n0 once the sum reaches n = 0
+    if n0:
+        ln_rise = -math.log(n0 + 1.0) - math.fsum([
+            (b - 0.5) * math.log1p(n0 / b), n0 * math.log1p((b + n0 - y) / y), -n0,
+            _binet(b + n0), -_binet(b)])
+        g0 = math.exp(-ln_rise)
+        g, n = 1.0, n0
+        for _ in range(min(int(n0), _MAX_TERMS)):
+            g *= (n + 1.0) * (b + n - 1.0) / (y * n)
+            n -= 1.0
+            t = g * -math.expm1((2.0 * n + 2.0) * ln_s) if ln_s else g
+            terms.append(t)
+            total += t
+            if t < tol * total and n * max(g, g0) < tol * total:
+                break
+        else:
+            if n > 0.0:
+                raise ConvergenceError(f"positive series did not converge within {_MAX_TERMS} "
+                                       f"terms for y={y!r}, b={b!r}")
+        scale = g if n == 0.0 else 0.0
+    total = math.fsum(terms)
+    c = big_l * big_l / (p.sigma * p.sigma * p.d)
+    if scale and c < math.inf:
+        return c * (total / scale)
+    ln_c = 2.0 * math.log(big_l) - math.log(p.sigma * p.sigma * p.d)
+    return special.exp_saturating(math.fsum([ln_c, ln_rise, math.log(total)]))
+
+
+def mfet_exact(problem):
+    """Exact mean first-exit time: the positive series for lam >= 0, a quadrature below.
+
+    Returns exactly 0 when the start radius sits on the boundary and inf
+    once ln E tau exceeds 709.78.  For lam >= 0, E tau is the series of
+    positive terms in the module docstring, summed outward from its
+    largest term (_sum_from_peak), and the Brownian value to rounding at
+    lam = 0; inf is decided first, in O(1), when that largest term, a lower
+    bound on E tau, is already past 709.78 after its rounding slack.  For
+    lam < 0 it is one log-space quadrature of the Kummer integrand, and
     QuadratureError (carrying the partial result) from integrate_log
     passes through if the panel budget is exhausted.
     """
     if problem.x == problem.L:
         return 0.0
-    if problem.params.lam > 0:
-        _, ln_term, slack = _ln_peak_term(problem)
-        if ln_term - slack > _MAX_EXP:
-            return math.inf
-    log_f = _outer_log_integrand(problem.params)
-    return special.exp_saturating(integrate_log(log_f, problem.x, problem.L).value)
+    if problem.params.lam < 0:
+        log_f = _outer_log_integrand(problem.params)
+        return special.exp_saturating(integrate_log(log_f, problem.x, problem.L).value)
+    n, ln_term, slack = _ln_peak_term(problem)
+    if ln_term - slack > _MAX_EXP:
+        return math.inf
+    return _sum_from_peak(problem, n)
 
 
 def mfet_bm(problem):

@@ -2,7 +2,8 @@
 
 Re-derives the package's key invariants at runtime: the elementary bracket
 on the incomplete gamma, the Brownian reduction of the exact formula, the
-closed-form bound chain, the radial integral against its incomplete-gamma
+closed-form bound chain, the lam > 0 series against the quadrature of the
+single-integral form, the radial integral against its incomplete-gamma
 (lam > 0) and Kummer-series (lam < 0) forms, and Monte-Carlo determinism.
 Everything is checked against independently computed quantities, so a
 corrupted build fails loudly with the name of the first broken invariant.
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import special
 from .errors import OuexitError
-from .mfet import ExitProblem, OupParams, mfet_bm, mfet_bounds, mfet_exact
+from .mfet import ExitProblem, OupParams, _outer_log_integrand, mfet_bm, mfet_bounds, mfet_exact
 from .quadrature import integrate_log
 from .simulate import McConfig, Scheme, estimate_mfet
 
@@ -48,24 +49,41 @@ def check_brownian_reduction():
     return True, "exact formula reduces to the Brownian value"
 
 
-def check_bound_chain():
-    """lower_bm <= lower_exp <= mfet_exact <= upper_mixed <= upper_exp."""
+def _chain_grid():
+    """The lam > 0 problems of the bound chain, each with its label."""
     for d in (1, 4, 64, 1024):
         for lam in (0.5, 2.0):
             for big_l, x in ((4.0, 0.0), (2.0, 1.0)):
                 prob = ExitProblem(OupParams(theta=lam, sigma=1.0, d=d), L=big_l, x=x)
-                b = mfet_bounds(prob)
-                mid = mfet_exact(prob)
-                slack = 1e-8 * mid
-                chain = (
-                    b.lower_bm <= b.lower_exp + 1e-13 * b.lower_exp
-                    and b.lower_exp <= mid + slack
-                    and mid <= b.upper_mixed + slack
-                    and b.upper_mixed <= b.upper_exp * (1 + 1e-13)
-                )
-                if not chain:
-                    return False, f"chain broken at d={d}, lam={lam}, (L,x)=({big_l},{x})"
+                yield prob, f"d={d}, lam={lam}, (L,x)=({big_l},{x})"
+
+
+def check_bound_chain():
+    """lower_bm <= lower_exp <= mfet_exact <= upper_mixed <= upper_exp."""
+    for prob, label in _chain_grid():
+        b = mfet_bounds(prob)
+        mid = mfet_exact(prob)
+        slack = 1e-8 * mid
+        chain = (
+            b.lower_bm <= b.lower_exp + 1e-13 * b.lower_exp
+            and b.lower_exp <= mid + slack
+            and mid <= b.upper_mixed + slack
+            and b.upper_mixed <= b.upper_exp * (1 + 1e-13)
+        )
+        if not chain:
+            return False, f"chain broken at {label}"
     return True, "bound chain holds"
+
+
+def check_series_vs_quadrature():
+    """mfet_exact (the positive series) equals the lam > 0 quadrature to 1e-9 relative."""
+    for prob, label in _chain_grid():
+        series = mfet_exact(prob)
+        log_f = _outer_log_integrand(prob.params)
+        quad = math.exp(integrate_log(log_f, prob.x, prob.L).value)
+        if abs(series - quad) > 1e-9 * quad:
+            return False, f"{label}: {series} vs {quad}"
+    return True, "series matches the quadrature"
 
 
 def check_substitution_identity():
@@ -99,6 +117,7 @@ CHECKS = (
     ("neuman-bracket", check_neuman_bracket),
     ("brownian-reduction", check_brownian_reduction),
     ("bound-chain", check_bound_chain),
+    ("series-vs-quadrature", check_series_vs_quadrature),
     ("substitution-identity", check_substitution_identity),
     ("mc-determinism", check_mc_determinism),
 )

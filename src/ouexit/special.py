@@ -18,8 +18,9 @@ ln_kummer_sum gives the companion integral of t**(a-1) * exp(+t) over
 gamma series is positive too, so both series stop at the first term below
 _TOL times the running sum, with no abs().
 
-The exact route calls ln_lower_gamma and ln_kummer_sum at every quadrature
-node, so an argument pair of plain floats already in range (a positive and
+The quadratures call them at every node (ln_kummer_sum for lam < 0 in
+mfet_exact, ln_lower_gamma for lam > 0 in avp_residual and the selftest),
+so an argument pair of plain floats already in range (a positive and
 finite, x nonnegative and finite) is taken as it is.  Every other pair
 (ints, numpy scalars, NaN, inf, negatives, non-numbers) goes through
 _check_args, which converts it to floats or raises DomainError, so an int
@@ -36,6 +37,10 @@ from .errors import ConvergenceError, DomainError
 # series needs about 9.5 sqrt(a) terms, so the cap grows with sqrt(a).
 _TOL = 1e-16
 _MAX_ITER = 500
+# The Kummer sum takes about 9 sqrt(y) steps, 0.2 s a call at this y on a
+# 2-core VM; past it ln_kummer_sum raises ConvergenceError at once, where
+# the sum would not end (y up to 1.8e308 passes every argument check)
+_KUMMER_Y_MAX = 2.0**30
 
 _TINY = 1e-300
 
@@ -80,10 +85,15 @@ def ln_kummer_sum(a, y):
 
     All terms are positive.  They are summed outward in both directions from
     the largest, near n0 = floor(y), in units of it: O(sqrt(y)) terms, none
-    over- or underflowing; fails loudly after _max_iter(y) steps.
+    over- or underflowing; fails loudly after _max_iter(y) steps, and at
+    once for y past _KUMMER_Y_MAX (2**30), where a call would take 0.2 s
+    or more.
     """
-    if not (type(a) is type(y) is float and 0.0 < a < math.inf and 0.0 <= y < math.inf):
+    if not (type(a) is type(y) is float and 0.0 < a < math.inf and 0.0 <= y <= _KUMMER_Y_MAX):
         a, y = _check_args(a, y)
+        if y > _KUMMER_Y_MAX:
+            raise ConvergenceError(f"Kummer series not summed for a={a!r}, y={y!r}: past "
+                                   f"y={_KUMMER_Y_MAX!r} it needs about 9*sqrt(y) terms")
     n0 = math.floor(y)
     log_peak = -math.log(a + n0)
     if n0 > 0:

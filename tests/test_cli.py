@@ -92,11 +92,24 @@ class TestMfetCommand:
         def starved(log_f, a, b):
             raise QuadratureError("quadrature did not converge", QuadResult(0.0, 1.0, 1))
 
+        # theta < 0: only that regime still integrates
         monkeypatch.setattr(ouexit.mfet, "integrate_log", starved)
         code = run_cli("mfet", "--d", "1", "--L", "4", "--x", "0",
-                       "--sigma", "1", "--theta", "2")
+                       "--sigma", "1", "--theta", "-2")
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("big_l,theta", [("1e154", "-0.5"), ("1e150", "-1e10")])
+    def test_kummer_sum_past_its_range_is_exit_3_at_once(self, big_l, theta):
+        # lam L^2 up to 1e305: the Kummer sum would need about 9 sqrt(y)
+        # terms and never returned; it refuses y past 2**30 instead
+        proc = subprocess.run(
+            [sys.executable, "-m", "ouexit", "mfet", "--d", "4", "--L", big_l, "--x", "0",
+             "--sigma", "1", f"--theta={theta}"],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: Kummer series not summed")
 
     @pytest.mark.parametrize("command", ["mfet", "mfet --format json"])
     def test_overflowing_exact_value_is_numerical_failure(self, command, tmp_path, capsys):
@@ -292,7 +305,7 @@ class TestOutputBytes:
         (["drift-ratio", "--rho-max", "3"],
          "6bd532818ed87c47fffa502b5d25199757466e77df0f8a8e461db5722846820f"),
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "0.5"],
-         "0adcfe561f13e3d332b3ed82daeb1dd2bc92f8650dea01559b47a2aebac14247"),
+         "4f1fb04fb4cf8853afb8af6c3a40180c99aa1b2429bba462fd39d16dfaf42d8d"),
         # transient: the four bound cells are empty
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "-0.5"],
          "5878c79e3dc389e6f511556f98d87d371f9427a4c437f4222f4554e2b9fc875f"),
@@ -375,19 +388,34 @@ class TestSelftestCommand:
         assert code == 1 and "FAILED: substitution-identity" in out
 
     def test_a_check_that_raises_is_named(self, capsys, monkeypatch):
-        # bound-chain's mfet_exact runs out of panels and raises; the suite
-        # reports it as that check's failure and runs the rest
+        # series-vs-quadrature's quadrature runs out of panels and raises;
+        # the suite reports it as that check's failure and runs the rest
         monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
         code = run_cli("selftest")
         out, err = capsys.readouterr()
         rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
         assert code == 1
-        assert out.splitlines()[-1] == "FAILED: bound-chain"
+        assert out.splitlines()[-1] == "FAILED: series-vs-quadrature"
         assert rows == {"neuman-bracket": "pass", "brownian-reduction": "pass",
-                        "bound-chain": "FAIL", "substitution-identity": "FAIL",
-                        "mc-determinism": "pass"}
+                        "bound-chain": "pass", "series-vs-quadrature": "FAIL",
+                        "substitution-identity": "FAIL", "mc-determinism": "pass"}
         assert "raised QuadratureError: " in out and "within 2 panels" in out
         assert err == ""
+
+    @pytest.mark.parametrize("shift,first", [(1e-8, "series-vs-quadrature"),
+                                             (0.05, "brownian-reduction")])
+    def test_corrupted_series_fails_its_check(self, capsys, monkeypatch, shift, first):
+        # a series off by 1e-8 in its log passes the other checks' looser
+        # tolerances; at 0.05 the Brownian reduction fails first
+        honest = ouexit.mfet._sum_from_peak
+        monkeypatch.setattr(ouexit.mfet, "_sum_from_peak",
+                            lambda prob, n: honest(prob, n) * math.exp(shift))
+        code = run_cli("selftest")
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
+        assert code == 1
+        assert out.splitlines()[-1] == f"FAILED: {first}"
+        assert rows["series-vs-quadrature"] == "FAIL"
 
     @pytest.mark.parametrize("name,first_case", [
         ("ln_lower_gamma", "d=2, lam=0.5, z=0.5"),

@@ -7,7 +7,9 @@ integral is rescaled by t = z*s so the awkward z**(1-d) outer weight cancels
 analytically and both integrands are smooth; usable for moderate dimensions.
 The log-space code paths at large d are exercised against closed forms,
 asymptotics and, for lam < 0, an mpmath quadrature of the Kummer-function
-form of the inner integral.
+form of the inner integral.  For lam >= 0, where mfet_exact sums the
+positive series, a 40-digit mpmath sum of that series and the package's
+own quadrature of the single-integral form are the references.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from ouexit import special
 from ouexit.mfet import _MAX_EXP, _ln_peak_term, _outer_log_integrand
 from ouexit.quadrature import integrate_log
 from ouexit import (
+    ConvergenceError,
     DomainError,
     ExitProblem,
     OuexitError,
@@ -149,6 +152,12 @@ class TestExactFormula:
             )
         assert mfet_exact(_problem(d, lam, big_l)) == pytest.approx(float(want), rel=1e-9)
 
+    def test_strongly_transient_case_keeps_its_bits(self):
+        # theta = -1000, L = 100: the Kummer sum runs up to y = 1e7, inside
+        # the range it sums (y <= 2**30)
+        p = _problem(4, -1000.0, 100.0)
+        assert repr(mfet_exact(p)) == "0.007847655708267835"
+
     @pytest.mark.parametrize("d", [1, 2, 4, 64, 1024, 65536])
     def test_brownian_case_is_exact(self, d):
         # at lam = 0 the Kummer series is its first term, so only the
@@ -161,14 +170,14 @@ class TestExactFormula:
         "theta,sigma,d,big_l,x,want",
         [
             (0.5, 1.0, 1, 2.0, 0.0, "9.003204832458149"),
-            (2.0, 1.0, 4096, 4.0, 0.0, "0.0039370738718925834"),
-            (0.7, 1.0, 4, 3.0, 1.2, "14.722911462790865"),
-            (0.5, 1.3, 3, 2.0, 0.5, "0.9777145580543194"),
-            (0.5, 1.0, 1024, 22.6, 3.0, "0.6809427858438515"),
+            (2.0, 1.0, 4096, 4.0, 0.0, "0.003937073871891772"),
+            (0.7, 1.0, 4, 3.0, 1.2, "14.722911462790872"),
+            (0.5, 1.3, 3, 2.0, 0.5, "0.9777145580543198"),
+            (0.5, 1.0, 1024, 22.6, 3.0, "0.6809427858438467"),
             (0.5, 1.0, 65536, 300.0, 0.0, "inf"),
             (-0.5, 1.0, 3, 2.0, 0.0, "0.9510546421746636"),
             (-2.0, 1.0, 1024, 5.0, 0.0, "0.02329623573924573"),
-            (0.0, 1.3, 8, 2.0, 1.0, "0.22189349112426035"),
+            (0.0, 1.3, 8, 2.0, 1.0, "0.22189349112426032"),
         ],
     )
     def test_frozen_bits(self, theta, sigma, d, big_l, x, want):
@@ -195,7 +204,7 @@ class TestExactFormula:
             "ln_kummer_sum": _digest(kummer),
         }
         assert got == {
-            "mfet_exact": "ce3bc2a59e569f596a137b41ad91a839d54a2b552c6b80dfcc9e69338c85758a",
+            "mfet_exact": "d0bb643920f44b0e8ca3d7b5e3f7562d0d03342ebe937e3fdff046dc460f9f5a",
             "mfet_bounds": "52b8213c458025c8c898b71eedcf13713465a2e1048f2eba0d198c5a560f6505",
             "ln_lower_gamma": "0a2aaf9b5a6ff11efe8a8b1a903cfa87a35ec522c03fee1d983a4db62a302eb0",
             "ln_kummer_sum": "9a09f6e112daacae7b2b0b1544be3f13d549320cf8bcd3fafd1f16d415d32243",
@@ -246,10 +255,11 @@ class TestExactFormula:
                     assert float(direct) == pytest.approx(via, rel=1e-10)
 
     def test_panel_exhaustion_raises_with_partial_result(self, monkeypatch):
+        # lam < 0: only that regime still integrates
         monkeypatch.setattr(ouexit.quadrature, "_REL_TOL", 1e-13)
         monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
         with pytest.raises(QuadratureError) as exc:
-            mfet_exact(_problem(1, 2.0, 4.0))
+            mfet_exact(_problem(1, -2.0, 4.0))
         assert exc.value.result.err_estimate > 1e-13
         assert exc.value.result.panels_used == 2
 
@@ -362,6 +372,106 @@ class TestDecidedOverflow:
                 assert mfet_exact(p) == math.inf
             near += 705.0 <= res.value <= 715.0
         assert decided >= 100 and near >= 100
+
+
+def _mp_mfet(problem):
+    """E tau for lam >= 0: the positive series summed from n = 0 at 40 digits.
+
+    Taken from the exact theta/sigma^2, L and x of the problem; the rest of
+    each sum is below 1e-40 of the total once y < (b+n)/2.
+    """
+    with mpmath.workdps(40):
+        p = problem.params
+        s2 = mpmath.mpf(p.sigma) ** 2
+        big_l = mpmath.mpf(problem.L)
+        y = mpmath.mpf(p.theta) / s2 * big_l**2
+        b = mpmath.mpf(p.d) / 2 + 1
+        s = (mpmath.mpf(problem.x) / big_l) ** 2
+        total, g, n, s_pow = 0, mpmath.mpf(1), 0, s
+        while True:
+            t = g * (1 - s_pow)
+            total += t
+            if 2 * y < b + n and t < total * mpmath.mpf(10) ** -40:
+                return big_l**2 / (s2 * p.d) * total
+            g *= y * (n + 1) / ((n + 2) * (b + n))
+            n, s_pow = n + 1, s_pow * s
+
+
+def _chain_holds(problem, value):
+    b = mfet_bounds(problem)
+    slack = 1e-8 * value
+    return b.lower_exp <= value + slack and value <= b.upper_mixed + slack
+
+
+class TestPositiveSeries:
+    """mfet_exact for lam >= 0: the series summed outward from its peak term."""
+
+    def test_matches_mpmath_on_the_sweep(self):
+        # the pinned sweep's first 100 problems: 66 finite lam >= 0 values,
+        # 6 of them with their peak term past n = 0
+        problems = [p for p in _pin_sweep(20804029, 100) if p.params.lam >= 0]
+        checked = 0
+        for p in problems:
+            got = mfet_exact(p)
+            if got == math.inf:
+                continue
+            want = _mp_mfet(p)
+            assert abs(got - want) <= 1e-12 * want, p
+            checked += 1
+        assert checked == 66
+
+    def test_matches_the_quadrature_on_the_sweep(self):
+        checked = 0
+        for p in _pin_sweep(20804029, 400):
+            if p.params.lam <= 0 or p.x == p.L:
+                continue
+            got = mfet_exact(p)
+            if got == math.inf:
+                continue
+            quad = math.exp(integrate_log(_outer_log_integrand(p.params), p.x, p.L).value)
+            assert got == pytest.approx(quad, rel=2e-10), p
+            checked += 1
+        assert checked == 173
+
+    def test_corrupted_series_breaks_the_bound_chain(self, monkeypatch):
+        # the sensitivity a check on the bound chain alone has to a series
+        # 5% off: large d pinches the bracket to well under 5%
+        problems = [p for p in _pin_sweep(20804029, 400) if p.params.lam > 0]
+        values = [mfet_exact(p) for p in problems]
+        assert all(_chain_holds(p, v) for p, v in zip(problems, values) if v < math.inf)
+        honest = ouexit.mfet._sum_from_peak
+        monkeypatch.setattr(ouexit.mfet, "_sum_from_peak",
+                            lambda prob, n: honest(prob, n) * math.exp(0.05))
+        broken = [p for p in problems if not _chain_holds(p, mfet_exact(p))]
+        assert broken
+
+    @pytest.mark.parametrize("d", [2**24, 2**40, 2**60])
+    def test_huge_dimension_against_mpmath_and_the_bounds(self, d):
+        # the README precision grid; the quadrature lost digits here, from
+        # the cancellation of (1-d) ln z against ln_lower_gamma(d/2, lam z^2)
+        for lam in (0.5, 2.0):
+            for y in (0.01, 1.0, 100.0, 1e4):
+                big_l = math.sqrt(y / lam)
+                for x in (0.0, big_l / 2):
+                    p = _problem(d, lam, big_l, x=x)
+                    got = mfet_exact(p)
+                    assert abs(got - _mp_mfet(p)) <= 1e-12 * got, p
+                    assert _chain_holds(p, got), p
+
+    def test_peak_past_zero_sums_both_sides(self):
+        # y = 3b: the largest term is near n = 2b, and the terms below it
+        # matter as much as those above
+        p = _problem(64, 0.5, math.sqrt(6.0 * 33.0), x=2.0)
+        n, _, _ = _ln_peak_term(p)
+        assert n > 60
+        assert mfet_exact(p) == pytest.approx(float(_mp_mfet(p)), rel=1e-13)
+
+    def test_runaway_series_raises(self, monkeypatch):
+        # a cap on the terms, so a bug cannot hang the loop; no admissible
+        # problem needs more than 2**22 terms a side below d = 2**38
+        monkeypatch.setattr(ouexit.mfet, "_MAX_TERMS", 10)
+        with pytest.raises(ConvergenceError, match="within 10 terms"):
+            mfet_exact(_problem(64, 0.5, 8.0))
 
 
 class TestBrownianClosedForm:

@@ -8,6 +8,7 @@ lam <= 0 exit time, are checked against mpmath at 40 digits.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -208,6 +209,15 @@ class TestLnKummerSum:
         monkeypatch.setattr(special, "_max_iter", lambda a: 50)
         with pytest.raises(ConvergenceError):
             special.ln_kummer_sum(2.0, 1e5)
+
+    @pytest.mark.parametrize("y", [2.0**30 * (1 + 2**-52), 1e20, 1.7e308])
+    def test_refuses_y_past_its_range_at_once(self, y):
+        # about 9 sqrt(y) terms: 0.2 s at y = 2**30, and never ending at
+        # 1e300, which passes every argument check
+        started = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="Kummer series not summed"):
+            special.ln_kummer_sum(2.0, y)
+        assert time.perf_counter() - started < 0.1
 
 
 class TestNeumanBounds:
