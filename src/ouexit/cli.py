@@ -14,8 +14,9 @@ selftest      built-in invariant suite; exit code 1 on the first violation.
 
 Every run that writes to a file also writes ``<file>.manifest.json`` with
 the command, all parameter values, the seed and the tool version, so the
-output can be regenerated exactly.  Every input is checked before the
-output is opened, so a usage error writes nothing.  Exit codes: 0 success,
+output can be regenerated exactly.  Every input, and the size of each MC
+cell, is checked before the output is opened, so a usage error (exit 2)
+or a cell too large to run (exit 3) writes nothing.  Exit codes: 0 success,
 1 selftest failure, 2 usage error, 3 numerical failure, 141 closed stdout.
 
 Every CSV table goes through one writer, a group of rows at a time.  A
@@ -47,8 +48,6 @@ from .mfet import ExitProblem, OupParams, drift_ratio, mfet_bm, mfet_bounds, mfe
 from .schemes import Scheme
 
 DEFAULT_SEED = 123456789
-_D_CAP = 2**20
-_MAX_PATH_STEPS = 2**40  # expected MC cost past which a scaling cell is refused
 
 _MFET_COLUMNS = (
     "d", "L", "x", "sigma", "theta", "lambda", "regime",
@@ -169,13 +168,6 @@ def _write_table(args, started, columns, row_groups):
     return 0
 
 
-def _check_dimension(d, allow_huge):
-    if d > _D_CAP and not allow_huge:
-        raise DomainError(
-            f"d={d} exceeds the CLI cap of 2**20; pass --allow-huge-d to override"
-        )
-
-
 def _parse_int_list(text):
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -184,6 +176,18 @@ def _parse_int_list(text):
     if not values:
         raise DomainError(f"expected a comma-separated integer list, got {text!r}")
     return values
+
+
+def _check_mc_cost(d, cfg, exact=0.0):
+    """Exit 3 for an MC cell past 2**27 normals a step (paths x d in the full schemes,
+    paths in the radial ones: 1 GiB an array) or 2**40 over its exact / dt steps."""
+    per_path = d if cfg.scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT) else 1
+    if cfg.n_paths * per_path > 2**27:
+        raise OuexitError(f"cell d={d}: one step holds {cfg.n_paths * per_path} normals, past 2**27")
+    steps = cfg.n_paths * exact / cfg.dt
+    if steps * per_path > 2**40:
+        raise OuexitError(f"cell d={d}: about {steps:.3g} path-steps (paths x mfet_exact / dt) "
+                          f"of {per_path} normals each exceed the limit of 2**40 normals")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,6 @@ def _exact_fields(prob):
 
 def cmd_mfet(args):
     started = _now()
-    _check_dimension(args.d, args.allow_huge_d)
     params = OupParams(theta=args.theta, sigma=args.sigma, d=args.d)
     prob = ExitProblem(params=params, L=args.L, x=args.x)
     exact, bm, bounds = _exact_fields(prob)
@@ -247,7 +250,6 @@ def cmd_scaling(args):
         raise DomainError("--d-min and --d-max must be powers of two")
     if args.d_min > args.d_max:
         raise DomainError("--d-min must not exceed --d-max")
-    _check_dimension(args.d_max, args.allow_huge_d)
     McConfig, estimate_mfet = _simulate("McConfig", "estimate_mfet")
     started = _now()
     cells = []  # (problem, MC config, exact-value columns) for every d before any output
@@ -264,10 +266,7 @@ def cmd_scaling(args):
         cells.append((prob, cfg, row))
         d *= 2
     for _, cfg, (d, exact, *_) in cells:  # after every usage check
-        cost = cfg.n_paths * exact / cfg.dt
-        if cost > _MAX_PATH_STEPS:
-            raise OuexitError(f"cell d={d}: about {cost:.3g} path-steps "
-                              "(paths x mfet_exact / dt) exceed the limit of 2**40")
+        _check_mc_cost(d, cfg, exact)
 
     def groups():
         for prob, cfg, row in cells:
@@ -286,10 +285,11 @@ def cmd_trajectories(args):
     cfg = McConfig(n_paths=1, dt=args.dt, seed=args.seed, scheme=Scheme.FULL_EULER)
     problems = []  # the coupled (theta, 0) pair per dimension
     for d in _parse_int_list(args.d):
-        _check_dimension(d, args.allow_huge_d)
         for theta in (args.theta, 0.0):
             params = OupParams(theta=theta, sigma=args.sigma, d=d)
             problems.append(ExitProblem(params=params, L=args.L, x=0.0))
+    for prob in problems[::2]:  # after every usage check
+        _check_mc_cost(prob.params.d, cfg)
 
     def groups():
         for prob in problems:
@@ -346,7 +346,6 @@ def _build_parser():
         "--format": dict(choices=("csv", "json"), default="csv"),
         "--output": dict(help="output path (default stdout)"),
         "--seed": dict(type=int, default=DEFAULT_SEED),
-        "--allow-huge-d": dict(action="store_true", help="lift the d <= 2**20 cap"),
     }
 
     def add_common(sp, *flags):  # only the flags the subcommand reads
@@ -359,7 +358,7 @@ def _build_parser():
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--sigma", type=float, required=True)
     sp.add_argument("--theta", type=float, required=True)
-    add_common(sp, "--format", "--output", "--allow-huge-d")
+    add_common(sp, "--format", "--output")
     sp.set_defaults(func=cmd_mfet)
 
     sp = sub.add_parser("scaling", help="bounds and MC estimates over doubling dimensions")
@@ -373,7 +372,7 @@ def _build_parser():
     sp.add_argument("--dt", type=float, default=0.001)
     sp.add_argument("--scheme", choices=[s.value for s in Scheme],
                     default=Scheme.SQUARED_RADIAL_EULER.value)
-    add_common(sp, "--output", "--seed", "--allow-huge-d")
+    add_common(sp, "--output", "--seed")
     sp.set_defaults(func=cmd_scaling)
 
     sp = sub.add_parser("trajectories", help="coupled OUP/BM radius traces")
@@ -382,7 +381,7 @@ def _build_parser():
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--theta", type=float, default=0.7)
     sp.add_argument("--dt", type=float, default=0.001)
-    add_common(sp, "--output", "--seed", "--allow-huge-d")
+    add_common(sp, "--output", "--seed")
     sp.set_defaults(func=cmd_trajectories)
 
     sp = sub.add_parser("drift-ratio", help="squared-radial drift relative to the driftless case")

@@ -72,6 +72,10 @@ class OupParams:
     def __post_init__(self):
         if not (isinstance(self.d, int) and self.d >= 1):
             raise DomainError(f"dimension must be an integer >= 1, got {self.d!r}")
+        # an int past the largest double has no float value (OverflowError)
+        if self.d > sys.float_info.max:
+            raise DomainError(f"dimension d leaves the double range: a {self.d.bit_length()}-bit "
+                              "integer")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"sigma must be a positive finite real, got {self.sigma!r}")
         if not math.isfinite(self.theta):
@@ -351,7 +355,9 @@ def mfet_bounds(problem):
                   * (exp(2 lam L^2/(d+2)) - exp(2 lam x^2/(d+2)))
     lower_bm    = (L^2 - x^2) / (sigma^2 d)
 
-    Exponentials beyond double range come back as inf rather than raising.
+    Exponentials beyond double range come back as inf rather than raising;
+    a divisor that overflows is divided out one factor at a time, so an
+    upper bound never underflows to 0.
     """
     p = problem.params
     lam = p.lam
@@ -366,8 +372,13 @@ def mfet_bounds(problem):
     g = 2.0 * lam / (d + 2.0)
     diff_inner = _exp_diff(g * x2, g * l2)
 
-    upper_mixed = (2.0 / (s2 * d * (d + 2.0))) * (diff_full / lam + 0.5 * d * (l2 - x2))
-    upper_exp = diff_full / (p.theta * d)
+    scale = s2 * d * (d + 2.0)
+    if scale < math.inf:
+        upper_mixed = (2.0 / scale) * (diff_full / lam + 0.5 * d * (l2 - x2))
+    else:  # 2 / scale would be 0, below E tau: divide by one factor at a time
+        upper_mixed = (2.0 * diff_full / lam / (d + 2.0) + d / (d + 2.0) * (l2 - x2)) / (s2 * d)
+    theta_d = p.theta * d
+    upper_exp = diff_full / theta_d if theta_d < math.inf else diff_full / p.theta / d
     lower_exp = (1.0 + 2.0 / d) / (2.0 * lam * s2) * diff_inner
     lower_bm = (l2 - x2) / (s2 * d)
     return MfetBounds(

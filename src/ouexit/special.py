@@ -6,8 +6,8 @@ Everything is built around the lower incomplete gamma integral
 
 its logarithm ln_lower_gamma, and the elementary two-sided Neuman bounds
 on lig.  The exit-time formulas downstream need lig at shape parameters
-d/2 up to 2**19 (the CLI's default dimension cap), where the value over-
-or underflows doubles by thousands of orders of magnitude, so it is
+d/2 for every dimension d, large ones included, where the value over- or
+underflows doubles by thousands of orders of magnitude, so it is
 represented by its logarithm, assembled directly from the series or
 continued-fraction pieces (never as log(exp(...))).
 

@@ -131,13 +131,9 @@ class TestMfetCommand:
         assert "overflows the double range" in capsys.readouterr().err
         assert time.perf_counter() - started < 1.0
 
-    def test_dimension_cap_with_override(self, capsys):
+    def test_huge_dimension_needs_no_flag(self, capsys):
         code = run_cli("mfet", "--d", str(2**21), "--L", "2", "--x", "0",
-                       "--sigma", "1", "--theta", "0")
-        assert code == 2
-        capsys.readouterr()
-        code = run_cli("mfet", "--d", str(2**21), "--L", "2", "--x", "0",
-                       "--sigma", "1", "--theta", "0", "--allow-huge-d", "--format", "json")
+                       "--sigma", "1", "--theta", "0", "--format", "json")
         assert code == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["mfet_exact"] == rec["mfet_bm"] == 4.0 / 2**21
@@ -188,6 +184,16 @@ class TestScalingCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: cell d=2: about 1.86e+14 path-steps")
         assert list(tmp_path.iterdir()) == []
+
+    def test_largest_cell_the_old_dimension_cap_admitted_still_runs(self, monkeypatch, capsys):
+        # 100 paths x 2**20 normals a step is within 2**27; the estimate is
+        # stubbed, as the real run needs several GB
+        est = type("Est", (), {"mean": 1.0, "std_err": 0.0, "n_censored": 0})
+        monkeypatch.setattr(ouexit.cli, "estimate_mfet", lambda prob, cfg: est, raising=False)
+        code = run_cli("scaling", "--scheme", "full-exact", "--d-min", str(2**20),
+                       "--d-max", str(2**20))
+        assert code == 0
+        assert parse_csv(capsys.readouterr().out)[0]["d"] == str(2**20)
 
     def test_non_power_of_two_rejected(self, capsys):
         assert run_cli("scaling", "--d-min", "3", "--d-max", "8") == 2
@@ -241,6 +247,35 @@ class TestTrajectoriesCommand:
         assert [(r["theta"], r["t"]) for r in rows if r["exited"] == "1"] == [
             ("0.7", "0.002"), ("0.0", "0.002")]
         assert all(r["exited"] == "0" for r in rows if r["t"] != "0.002")
+
+
+class TestMcCellTooLarge:
+    @pytest.mark.parametrize("argv,first", [
+        (f"trajectories --d 2,{2**40}", f"cell d={2**40}: one step holds {2**40} normals"),
+        (f"scaling --scheme full-exact --d-min {2**21} --d-max {2**21}",
+         f"cell d={2**21}: one step holds {100 * 2**21} normals"),
+        (f"scaling --d-min 1 --d-max 1 --paths {2**27 + 1}",
+         f"cell d=1: one step holds {2**27 + 1} normals"),
+        # 2**40 counts normals: 1.5e6 path-steps, but of 2**20 normals each
+        (f"scaling --scheme full-euler --d-min {2**20} --d-max {2**20} --paths 1 --dt 1e-11",
+         f"cell d={2**20}: about 1.53e+06 path-steps (paths x mfet_exact / dt) of {2**20}"),
+    ], ids=["trajectories", "scaling-full", "scaling-radial", "scaling-normals"])
+    def test_is_refused_at_once_and_writes_nothing(self, argv, first, tmp_path, capsys):
+        # a step past 2**27 normals (1 GiB an array), or a run past 2**40:
+        # refused before any output or array exists
+        out = tmp_path / "t.csv"
+        start = time.monotonic()
+        assert run_cli(*argv.split(), "--output", str(out)) == 3
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().err.startswith(f"numerical failure: {first}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trajectories_past_the_old_dimension_cap_runs(self, capsys):
+        # one path at d = 2**21: a step holds 2**21 normals, 16 MB
+        assert run_cli("trajectories", "--d", str(2**21), "--L", "0.01") == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert {r["d"] for r in rows} == {str(2**21)}
+        assert [r["theta"] for r in rows if r["exited"] == "1"] == ["0.7", "0.0"]
 
 
 class TestTrajectoriesPreset:
@@ -449,6 +484,9 @@ class TestCommonFlags:
         ("trajectories", "--threads 2"),
         ("drift-ratio", "--threads 2"),
         ("selftest", "--threads 2"),
+        ("mfet", "--allow-huge-d"),
+        ("scaling", "--allow-huge-d"),
+        ("trajectories", "--allow-huge-d"),
         ("drift-ratio", "--allow-huge-d"),
         ("selftest", "--allow-huge-d"),
         ("selftest", "--output out.txt"),
@@ -509,6 +547,11 @@ _OUT_OF_RANGE = {
     "scaling --d-min 2 --d-max 2 --lambda 1e-310 --paths 2": "theta leaves the double range",
     "trajectories --theta 1e-310": "theta leaves the double range",
     "drift-ratio --theta 5e-324 --d-list 2": "theta leaves the double range",
+    # a dimension past the largest double, which raised OverflowError
+    f"drift-ratio --d-list 2,{10**309}": "dimension d leaves the double range",
+    f"mfet --d {10**309} --L 1 --x 0 --sigma 1 --theta 0.5": "dimension d leaves the double range",
+    f"scaling --d-min {2**1024} --d-max {2**1024}": "dimension d leaves the double range",
+    f"trajectories --d 2,{10**309}": "dimension d leaves the double range",
 }
 
 

@@ -375,10 +375,12 @@ class TestDecidedOverflow:
 
 
 def _mp_mfet(problem):
-    """E tau for lam >= 0: the positive series summed from n = 0 at 40 digits.
+    """E tau: the series summed from n = 0 at 40 digits.
 
     Taken from the exact theta/sigma^2, L and x of the problem; the rest of
-    each sum is below 1e-40 of the total once y < (b+n)/2.
+    each sum is below 1e-40 of the total once y < (b+n)/2.  For lam < 0 the
+    terms alternate, so the sum stops on their size, and it cancels unless
+    |y| is small against b.
     """
     with mpmath.workdps(40):
         p = problem.params
@@ -391,7 +393,7 @@ def _mp_mfet(problem):
         while True:
             t = g * (1 - s_pow)
             total += t
-            if 2 * y < b + n and t < total * mpmath.mpf(10) ** -40:
+            if 2 * y < b + n and abs(t) < abs(total) * mpmath.mpf(10) ** -40:
                 return big_l**2 / (s2 * p.d) * total
             g *= y * (n + 1) / ((n + 2) * (b + n))
             n, s_pow = n + 1, s_pow * s
@@ -447,16 +449,22 @@ class TestPositiveSeries:
 
     @pytest.mark.parametrize("d", [2**24, 2**40, 2**60])
     def test_huge_dimension_against_mpmath_and_the_bounds(self, d):
-        # the README precision grid; the quadrature lost digits here, from
-        # the cancellation of (1-d) ln z against ln_lower_gamma(d/2, lam z^2)
-        for lam in (0.5, 2.0):
+        # the README precision grid; the lam > 0 quadrature lost digits here,
+        # from the cancellation of (1-d) ln z against ln_lower_gamma(d/2,
+        # lam z^2).  lam < 0 still integrates, to its 1e-10 tolerance, and
+        # stays below the Brownian value
+        for lam in (0.5, 2.0, -0.5, -2.0):
             for y in (0.01, 1.0, 100.0, 1e4):
-                big_l = math.sqrt(y / lam)
+                big_l = math.sqrt(y / abs(lam))
                 for x in (0.0, big_l / 2):
                     p = _problem(d, lam, big_l, x=x)
                     got = mfet_exact(p)
-                    assert abs(got - _mp_mfet(p)) <= 1e-12 * got, p
-                    assert _chain_holds(p, got), p
+                    rel = 1e-12 if lam > 0 else 1e-10
+                    assert abs(got - _mp_mfet(p)) <= rel * got, p
+                    if lam > 0:
+                        assert _chain_holds(p, got), p
+                    else:
+                        assert got <= mfet_bm(p) * (1.0 + 1e-10), p
 
     def test_peak_past_zero_sums_both_sides(self):
         # y = 3b: the largest term is near n = 2b, and the terms below it
@@ -509,6 +517,20 @@ class TestBounds:
         assert b.upper_exp == math.inf
         assert b.upper_mixed == math.inf
         assert math.isfinite(b.lower_bm)
+
+    @pytest.mark.parametrize("d,big_l,x,sigma,theta", [
+        (4, 3.0, 0.0, 3.1622776601683795e153, 5e306),  # sigma**2 d (d+2) overflows
+        (2**600, 4.0, 2.0, 1.0, 0.5),                  # d (d+2) overflows
+        (4, 2.0, 0.0, 2.5e307**0.5, 5e307),            # theta d overflows
+    ])
+    def test_upper_bounds_do_not_underflow(self, d, big_l, x, sigma, theta):
+        # 2 / (sigma**2 d (d+2)) and 1 / (theta d) were 0, so upper_mixed
+        # (and upper_exp) came out 0.0, below E tau
+        p = ExitProblem(OupParams(theta=theta, sigma=sigma, d=d), L=big_l, x=x)
+        got = mfet_exact(p)
+        b = mfet_bounds(p)
+        assert _chain_holds(p, got)
+        assert 0.0 < b.upper_mixed <= b.upper_exp
 
     def test_chain_ordering_on_grid(self):
         for d in (1, 2, 16, 256, 4096):
@@ -638,6 +660,14 @@ class TestParamValidation:
     def test_bad_dimension(self):
         with pytest.raises(DomainError):
             OupParams(theta=0.1, sigma=1.0, d=0)
+
+    def test_dimension_stays_in_double_range(self):
+        # an int past the largest double raised OverflowError in sigma**2 * d;
+        # the largest one that converts is still a dimension
+        assert OupParams(theta=0.0, sigma=1e-100, d=2**1024 - 2**971).d == 2**1024 - 2**971
+        for d in (2**1024 - 2**970, 10**400):
+            with pytest.raises(DomainError, match="dimension d leaves the double range"):
+                OupParams(theta=0.5, sigma=1.0, d=d)
 
     def test_bad_sigma(self):
         with pytest.raises(DomainError):
