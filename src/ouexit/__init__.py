@@ -31,7 +31,7 @@ from .mfet import (
 )
 from .quadrature import QuadResult, integrate_log
 from .schemes import Scheme
-from .special import ln_lower_gamma, neuman_log_bounds
+from .special import ln_lower_gamma
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "mfet_bm",
     "mfet_bounds",
     "mfet_exact",
-    "neuman_log_bounds",
     "record_path",
     "__version__",
 ]

@@ -12,14 +12,11 @@ integral collapses to a lower incomplete gamma and the whole thing becomes a
 single integral,
 
     E tau = (1/(lam^(d/2) sigma^2)) * int_x^L z^(1-d) exp(lam z^2)
-                                      * lig(d/2, lam z^2) dz.
+                                      * lig(d/2, lam z^2) dz,
 
-For lam <= 0 the inner integral is (z^d/d) M(d/2, d/2+1, -lam z^2) (DLMF
-13.2.2, 8.5.1), a Kummer series of positive terms, exactly z^d/d at lam = 0.
-Either form gives E tau by one quadrature, in log space: the linear
-integrand overflows doubles for d beyond a few hundred.  integrate_log
-raises QuadratureError when its panel budget runs out, so no caller here
-checks.
+through which the closed-form bounds below are derived.  For lam <= 0 the
+inner integral is (z^d/d) M(d/2, d/2+1, -lam z^2) (DLMF 13.2.2, 8.5.1), a
+Kummer series of positive terms, exactly z^d/d at lam = 0.
 
 Kummer's transformation (DLMF 13.2.39) integrated term by term gives, with
 y = lam L^2 and b = d/2 + 1,
@@ -30,8 +27,10 @@ For lam >= 0 every term is positive, so any one term is a lower bound on
 E tau, and the sum needs no quadrature.  mfet_exact takes the largest term,
 in O(1), and returns inf when its log, less a rounding slack, exceeds
 709.78; otherwise it sums the series outward from that term.  Only lam < 0
-integrates.  The lam > 0 integrand stays for avp_residual and as the
-selftest's independent reference.
+integrates: one quadrature of the Kummer form, in log space, since the
+linear integrand overflows doubles for d beyond a few hundred.
+integrate_log raises QuadratureError when its panel budget runs out, so no
+caller here checks.
 
 Also here: the Brownian-motion closed form (L^2-x^2)/(sigma^2 d), the
 two-sided closed-form bounds obtained by pushing the Neuman inequalities
@@ -147,35 +146,26 @@ def _exp_diff(lo, hi):
 
 
 def _outer_log_integrand(params):
-    """log f(z), the log of the outer integrand with constants folded in:
+    """log f(z), the log of the lam < 0 outer integrand with constants folded in:
 
-        lam > 0:  (1-d) ln z + lam z^2 + ln lig(d/2, lam z^2) - (d/2) ln lam - 2 ln sigma
-        lam <= 0: ln z + lam z^2 + ln_kummer_sum(d/2, -lam z^2) - 2 ln sigma
+        ln z + lam z^2 + ln_kummer_sum(d/2, -lam z^2) - 2 ln sigma
 
     so that the integral of exp(log f) over [x, L] is the mean exit time
     itself (keeping the constant inside keeps the linear value of the
     quadrature at the scale the tolerances refer to).
     """
     lam = params.lam
-    d = params.d
-    a = 0.5 * d
+    a = 0.5 * params.d
     log_s2 = 2.0 * math.log(params.sigma)
-    if lam <= 0:
-        def log_f(z):
-            return math.log(z) + lam * z * z + special.ln_kummer_sum(a, -lam * z * z) - log_s2
-
-        return log_f
-    log_c = -a * math.log(lam) - log_s2
 
     def log_f(z):
-        u = lam * z * z
-        return (1.0 - d) * math.log(z) + u + special.ln_lower_gamma(a, u) + log_c
+        return math.log(z) + lam * z * z + special.ln_kummer_sum(a, -lam * z * z) - log_s2
 
     return log_f
 
 
 def _ln_peak_term(problem):
-    """(n, ln t_n, slack) for the largest term t_n of the lam >= 0 series.
+    """(n, ln t_n, slack, ln g_n - ln g_0) for the largest term t_n of the lam >= 0 series.
 
     t_n = (L^2/(sigma^2 d)) y^n (1 - (x/L)^(2n+2)) / ((n+1) (b)_n), with
     y = lam L^2 and b = d/2 + 1 (module docstring).  Past the factor in x,
@@ -186,17 +176,23 @@ def _ln_peak_term(problem):
     never rigour.  n stops at 2**52, where it is still an exact float, and
     is 0 for b past 2**52.
 
-    ln t_n is exact to within ``slack``: lgamma is not correctly rounded
-    and ln (b)_n = lgamma(b+n) - lgamma(b) cancels, so the slack scales
-    with every log added up, not with their sum.  A start factor that
-    rounds to 0 (x next to L) gives ln t_n = -inf, no bound; y = inf
-    (lam L^2 past the double range) gives ln t_n = inf.
+    With g_n = (L^2/(sigma^2 d)) y^n / ((n+1) (b)_n), so t_n = g_n times
+    the factor in x, ln g_n - ln g_0 is formed without the cancellation of
+    lgamma(b+n) - lgamma(b), from Binet's function (_binet):
+
+        ln (b)_n - n ln y = (b - 1/2) log1p(n/b) + n log1p((b+n-y)/y) - n
+                            + binet(b+n) - binet(b).
+
+    _sum_from_peak scales its sum by it.  ln t_n is exact to within
+    ``slack``, which scales with every log added up, not with their sum.
+    A start factor that rounds to 0 (x next to L) gives ln t_n = -inf, no
+    bound; y = inf (lam L^2 past the double range) gives ln t_n = inf.
     """
     p = problem.params
     big_l = problem.L
     y = p.lam * big_l * big_l
     if y == math.inf:
-        return math.inf, math.inf, 0.0
+        return math.inf, math.inf, 0.0, math.inf
     b = 0.5 * p.d + 1.0
     n = 0.0
     # larger root of n^2 + (b+2-y) n + (2b-y) = 0; its discriminant
@@ -204,21 +200,24 @@ def _ln_peak_term(problem):
     # negative (no rise anywhere) unless y - b >= 2 sqrt(b-1), where the
     # root is above -1
     gap, w = y - b, 2.0 * math.sqrt(b - 1.0)
-    if gap >= w and b < 2.0**52:  # so lgamma(b + n) stays far from overflow
+    if gap >= w and b < 2.0**52:
         root = 0.5 * (gap - 2.0) + 0.5 * math.sqrt(gap - w) * math.sqrt(gap + w)
         n = min(float(math.ceil(root)), 2.0**52)
     ln_c = 2.0 * math.log(big_l) - math.log(p.sigma * p.sigma * p.d)
-    parts = [ln_c, -math.log(n + 1.0)]
+    ln_rise, abs_logs = 0.0, abs(ln_c)
     if n:
-        parts += [n * math.log(y), -math.lgamma(b + n), math.lgamma(b)]
-    slack = 1e-9 * (math.fsum(map(abs, parts)) + 1.0)
+        pochhammer = [(b - 0.5) * math.log1p(n / b), n * math.log1p((b + n - y) / y), -n,
+                      _binet(b + n), -_binet(b)]
+        ln_rise = -math.log(n + 1.0) - math.fsum(pochhammer)
+        abs_logs += math.log(n + 1.0) + math.fsum(map(abs, pochhammer))
+    slack = 1e-9 * (abs_logs + 1.0)
     # 1 - (x/L)^(2n+2) with ln(x/L) = log1p(r): x - L is exact where x/L
     # nears 1 (x >= L/2); the factor is 1 where x/L rounds to 0
     r = (problem.x - big_l) / big_l
     f = -math.expm1((2.0 * n + 2.0) * math.log1p(r)) if r > -1.0 else 1.0
     if not f > 0.0:
-        return n, -math.inf, slack
-    return n, math.fsum(parts) + math.log(f), slack
+        return n, -math.inf, slack, ln_rise
+    return n, ln_c + ln_rise + math.log(f), slack, ln_rise
 
 
 def _binet(z):
@@ -235,7 +234,7 @@ def _binet(z):
         1 / 1188 - u * (691 / 360360 - u / 156)))))) / z
 
 
-def _sum_from_peak(problem, n0):
+def _sum_from_peak(problem, n0, ln_rise):
     """E tau for lam >= 0 as the positive series, summed outward from term n0.
 
     With g_n = (L^2/(sigma^2 d)) y^n / ((n+1) (b)_n), the terms are
@@ -251,12 +250,8 @@ def _sum_from_peak(problem, n0):
     n = 0, whose g_0 = L^2/(sigma^2 d) then scales it: always for n0 = 0 (y
     below about b + 2 sqrt(b-1), most problems), so lam = 0 gives the
     Brownian value to rounding.  A log round trip would cost about
-    |ln E tau| ulps.  Where g_0 is negligible the sum is scaled by ln g_n0,
-    formed without the cancellation of lgamma(b+n) - lgamma(b):
-
-        ln (b)_n - n ln y = (b - 1/2) log1p(n/b) + n log1p((b+n-y)/y) - n
-                            + binet(b+n) - binet(b).
-
+    |ln E tau| ulps.  Where g_0 is negligible the sum is scaled by ln g_n0
+    = ln g_0 + ln_rise, with ln_rise = ln g_n0 - ln g_0 from _ln_peak_term.
     Either way E tau is as exact as y = lam L^2 itself: its condition
     number in y is the mean index of the terms, about n0.
 
@@ -287,11 +282,8 @@ def _sum_from_peak(problem, n0):
     else:
         raise ConvergenceError(f"positive series did not converge within {_MAX_TERMS} terms "
                                f"for y={y!r}, b={b!r}")
-    ln_rise, scale = 0.0, 1.0  # ln g_n0 - ln g_0, and g_0/g_n0 once the sum reaches n = 0
+    scale = 1.0  # g_0/g_n0 once the sum reaches n = 0
     if n0:
-        ln_rise = -math.log(n0 + 1.0) - math.fsum([
-            (b - 0.5) * math.log1p(n0 / b), n0 * math.log1p((b + n0 - y) / y), -n0,
-            _binet(b + n0), -_binet(b)])
         g0 = math.exp(-ln_rise)
         g, n = 1.0, n0
         for _ in range(min(int(n0), _MAX_TERMS)):
@@ -333,10 +325,10 @@ def mfet_exact(problem):
     if problem.params.lam < 0:
         log_f = _outer_log_integrand(problem.params)
         return special.exp_saturating(integrate_log(log_f, problem.x, problem.L).value)
-    n, ln_term, slack = _ln_peak_term(problem)
+    n, ln_term, slack, ln_rise = _ln_peak_term(problem)
     if ln_term - slack > _MAX_EXP:
         return math.inf
-    return _sum_from_peak(problem, n)
+    return _sum_from_peak(problem, n, ln_rise)
 
 
 def mfet_bm(problem):
@@ -422,10 +414,9 @@ def avp_residual(problem, x_eval, h=None):
     at x = x_eval, with u', u'' by the fourth-order central differences on
     the five nodes x, x +- h/2, x +- h (h defaults to 1e-3 * L).  Near 0 for
     the true solution; the leftover is the O(h^4) stencil truncation plus
-    the quadrature and rounding noise floor.
+    the rounding of the four exit times below.
 
-    The derivatives are assembled from four short integrals of the outer
-    integrand, with k = h/2:
+    The derivatives are assembled from four differences of u, with k = h/2:
 
         A1 = u(x-h) - u(x-k),  A2 = u(x-k) - u(x),
         B1 = u(x) - u(x+k),    B2 = u(x+k) - u(x+h),
@@ -433,9 +424,12 @@ def avp_residual(problem, x_eval, h=None):
         u''(x) ~ (15 (A2 - B1) + (B2 - A1)) / (12 k^2),
         u'(x)  ~ (A1 + B2 - 7 (A2 + B1)) / (12 k).
 
-    This is algebraically the same five-point stencil on u but avoids the
-    catastrophic cancellation of differencing nearly equal quadrature
-    results.  A stencil that leaves the double range (an integral, or a
+    By the strong Markov property u(x1) - u(x2), for x1 < x2, is the mean
+    time to exit the ball of radius x2 from x1, so each difference is one
+    mfet_exact call on a sub-ball: the probe checks the route mfet_exact
+    takes (the positive series for lam >= 0, the quadrature below), and
+    avoids the catastrophic cancellation of differencing nearly equal
+    exit times.  A stencil that leaves the double range (an exit time, or a
     sum of them, past 1.8e308) is a DomainError.
     """
     if h is None:
@@ -445,14 +439,12 @@ def avp_residual(problem, x_eval, h=None):
             f"need 0 < x_eval-h and x_eval+h < L, got x_eval={x_eval!r}, h={h!r}"
         )
     p = problem.params
-    log_f = _outer_log_integrand(p)
     k = 0.5 * h
 
     nodes = (x_eval - h, x_eval - k, x_eval, x_eval + k, x_eval + h)
     # a1, a2, b1, b2 as in the docstring; an inf among them makes d2u,
     # and so the residual, non-finite
-    a1, a2, b1, b2 = (special.exp_saturating(integrate_log(log_f, lo, hi).value)
-                      for lo, hi in zip(nodes, nodes[1:]))
+    a1, a2, b1, b2 = (mfet_exact(ExitProblem(p, L=hi, x=lo)) for lo, hi in zip(nodes, nodes[1:]))
 
     d2u = (15.0 * (a2 - b1) + (b2 - a1)) / (12.0 * k * k)
     d1u = (a1 + b2 - 7.0 * (a2 + b1)) / (12.0 * k)

@@ -1,39 +1,74 @@
 """Built-in cross-validation suite behind the ``selftest`` CLI command.
 
-Re-derives the package's key invariants at runtime: the elementary bracket
-on the incomplete gamma, the Brownian reduction of the exact formula, the
-closed-form bound chain, the lam > 0 series against the quadrature of the
-single-integral form, the radial integral against its incomplete-gamma
-(lam > 0) and Kummer-series (lam < 0) forms, and Monte-Carlo determinism.
-Everything is checked against independently computed quantities, so a
-corrupted build fails loudly with the name of the first broken invariant.
+Re-derives the package's key invariants at runtime: mfet_exact and
+ln_lower_gamma against the committed table of 40-digit mpmath values
+(reference_values.csv, written by tests/test_reference_values.py), the
+Brownian reduction of the exact formula, the closed-form bound chain, the
+radial integral against its incomplete-gamma (lam > 0) and Kummer-series
+(lam < 0) forms, and Monte-Carlo determinism.  Everything is checked
+against independently computed quantities, so a corrupted build fails
+loudly with the name of the first broken invariant.  Only mc-determinism
+needs numpy; the rest run on the standard library.
 """
 
+import csv
 import math
-
-import numpy as np
+from pathlib import Path
 
 from . import special
 from .errors import OuexitError
-from .mfet import ExitProblem, OupParams, _outer_log_integrand, mfet_bm, mfet_bounds, mfet_exact
+from .mfet import ExitProblem, OupParams, mfet_bm, mfet_bounds, mfet_exact
 from .quadrature import integrate_log
-from .simulate import McConfig, Scheme, estimate_mfet
+
+# one row per value: function, its arguments (floats as float.hex, d as an
+# integer; mfet_exact takes theta sigma d L x, ln_lower_gamma a x) and the
+# decimal reference
+_TABLE = Path(__file__).with_name("reference_values.csv")
 
 
-def _log_grid(lo, hi, n):
-    return np.exp(np.linspace(math.log(lo), math.log(hi), n))
+def _reference_call(name, arguments):
+    """(function, its arguments) of one table row; ValueError (DomainError among them) if malformed."""
+    words = arguments.split()
+    if name == "mfet_exact" and len(words) == 5:
+        theta, sigma, big_l, x = (float.fromhex(words[i]) for i in (0, 1, 3, 4))
+        params = OupParams(theta=theta, sigma=sigma, d=int(words[2]))
+        return mfet_exact, (ExitProblem(params, L=big_l, x=x),)
+    if name == "ln_lower_gamma" and len(words) == 2:
+        return special.ln_lower_gamma, tuple(map(float.fromhex, words))
+    raise ValueError(f"unknown function or argument count: {name!r}")
 
 
-def check_neuman_bracket():
-    """lower <= lig(a, x) <= upper on the sampling grid, compared in log space."""
-    for a in (0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0):
-        for x in _log_grid(1e-6, 1e4, 40):
-            lo, hi = special.neuman_log_bounds(a, float(x))
-            lg = special.ln_lower_gamma(a, float(x))
-            slack = 4e-15 * (1.0 + abs(lg))
-            if not (lo <= lg + slack and lg <= hi + slack):
-                return False, f"violated at a={a}, x={x:.6g}: {lo} <= {lg} <= {hi}"
-    return True, "bracket holds on the full grid"
+def check_reference_values():
+    """mfet_exact and ln_lower_gamma match every row of the committed mpmath table.
+
+    Each to its route's contract: 1e-12 relative for the lam >= 0 series,
+    the quadrature's 1e-10 relative for lam < 0, and 1e-12 of max(1, |ln lig|)
+    for ln_lower_gamma.
+    """
+    try:
+        with open(_TABLE, newline="") as f:
+            rows = list(csv.reader(f))
+    except (OSError, ValueError, csv.Error) as exc:
+        return False, f"reference table {_TABLE} not read: {exc}"
+    if rows[:1] != [["function", "arguments", "reference"]]:
+        return False, f"{_TABLE.name} line 1 is not the header"
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            name, arguments, reference = row
+            want = float(reference)
+            fn, args = _reference_call(name, arguments)
+            if not math.isfinite(want):
+                raise ValueError(f"reference {want!r}")
+        except ValueError:
+            return False, f"{_TABLE.name} line {line} is malformed: {row!r}"
+        if fn is mfet_exact:
+            tol = (1e-12 if args[0].params.theta >= 0 else 1e-10) * abs(want)
+        else:
+            tol = 1e-12 * max(1.0, abs(want))
+        got = fn(*args)
+        if not abs(got - want) <= tol:
+            return False, f"{name}({', '.join(map(repr, args))}) = {got!r}, reference {want!r}"
+    return True, f"{len(rows) - 1} values match their 40-digit references"
 
 
 def check_brownian_reduction():
@@ -49,18 +84,12 @@ def check_brownian_reduction():
     return True, "exact formula reduces to the Brownian value"
 
 
-def _chain_grid():
-    """The lam > 0 problems of the bound chain, each with its label."""
-    for d in (1, 4, 64, 1024):
-        for lam in (0.5, 2.0):
-            for big_l, x in ((4.0, 0.0), (2.0, 1.0)):
-                prob = ExitProblem(OupParams(theta=lam, sigma=1.0, d=d), L=big_l, x=x)
-                yield prob, f"d={d}, lam={lam}, (L,x)=({big_l},{x})"
-
-
 def check_bound_chain():
     """lower_bm <= lower_exp <= mfet_exact <= upper_mixed <= upper_exp."""
-    for prob, label in _chain_grid():
+    cases = [(d, lam, big_l, x) for d in (1, 4, 64, 1024) for lam in (0.5, 2.0)
+             for big_l, x in ((4.0, 0.0), (2.0, 1.0))]
+    for d, lam, big_l, x in cases:
+        prob = ExitProblem(OupParams(theta=lam, sigma=1.0, d=d), L=big_l, x=x)
         b = mfet_bounds(prob)
         mid = mfet_exact(prob)
         slack = 1e-8 * mid
@@ -71,19 +100,8 @@ def check_bound_chain():
             and b.upper_mixed <= b.upper_exp * (1 + 1e-13)
         )
         if not chain:
-            return False, f"chain broken at {label}"
+            return False, f"chain broken at d={d}, lam={lam}, (L,x)=({big_l},{x})"
     return True, "bound chain holds"
-
-
-def check_series_vs_quadrature():
-    """mfet_exact (the positive series) equals the lam > 0 quadrature to 1e-9 relative."""
-    for prob, label in _chain_grid():
-        series = mfet_exact(prob)
-        log_f = _outer_log_integrand(prob.params)
-        quad = math.exp(integrate_log(log_f, prob.x, prob.L).value)
-        if abs(series - quad) > 1e-9 * quad:
-            return False, f"{label}: {series} vs {quad}"
-    return True, "series matches the quadrature"
 
 
 def check_substitution_identity():
@@ -103,6 +121,8 @@ def check_substitution_identity():
 
 def check_mc_determinism():
     """Two identical estimate runs produce bitwise-identical results."""
+    from .simulate import McConfig, Scheme, estimate_mfet
+
     prob = ExitProblem(OupParams(theta=0.0, sigma=1.0, d=8), L=2.0, x=0.0)
     cfg = McConfig(n_paths=128, dt=1e-3, seed=20240817,
                    scheme=Scheme.SQUARED_RADIAL_EULER)
@@ -114,10 +134,9 @@ def check_mc_determinism():
 
 
 CHECKS = (
-    ("neuman-bracket", check_neuman_bracket),
+    ("reference-values", check_reference_values),
     ("brownian-reduction", check_brownian_reduction),
     ("bound-chain", check_bound_chain),
-    ("series-vs-quadrature", check_series_vs_quadrature),
     ("substitution-identity", check_substitution_identity),
     ("mc-determinism", check_mc_determinism),
 )

@@ -4,12 +4,12 @@ Everything is built around the lower incomplete gamma integral
 
     lig(a, x) = integral of t**(a-1) * exp(-t) over t in [0, x],
 
-its logarithm ln_lower_gamma, and the elementary two-sided Neuman bounds
-on lig.  The exit-time formulas downstream need lig at shape parameters
-d/2 for every dimension d, large ones included, where the value over- or
-underflows doubles by thousands of orders of magnitude, so it is
-represented by its logarithm, assembled directly from the series or
-continued-fraction pieces (never as log(exp(...))).
+and its logarithm ln_lower_gamma.  For lam > 0 the radial integral of the
+exit-time formula is lig at shape d/2 for every dimension d, large ones
+included, where the value over- or underflows doubles by thousands of
+orders of magnitude, so it is represented by its logarithm, assembled
+directly from the series or continued-fraction pieces (never as
+log(exp(...))).
 
 Evaluation follows the classic split: power series for x < a + 1,
 Lentz continued fraction for the complementary function otherwise.
@@ -18,10 +18,9 @@ ln_kummer_sum gives the companion integral of t**(a-1) * exp(+t) over
 gamma series is positive too, so both series stop at the first term below
 _TOL times the running sum, with no abs().
 
-The quadratures call them at every node (ln_kummer_sum for lam < 0 in
-mfet_exact, ln_lower_gamma for lam > 0 in avp_residual and the selftest),
-so an argument pair of plain floats already in range (a positive and
-finite, x nonnegative and finite) is taken as it is.  Every other pair
+The lam < 0 quadrature of mfet_exact calls ln_kummer_sum at every node,
+so both functions take an argument pair of plain floats already in range (a positive and
+finite, x nonnegative and finite) as it is.  Every other pair
 (ints, numpy scalars, NaN, inf, negatives, non-numbers) goes through
 _check_args, which converts it to floats or raises DomainError, so an int
 pair has the float pair's bits and every rejection keeps its message.
@@ -163,25 +162,6 @@ def ln_lower_gamma(a, x):
         return a * math.log(x) - x + _series_log_sum(a, x)
     q = math.exp(_log_q_contfrac(a, x))
     return math.lgamma(a) + math.log1p(-q)
-
-
-def neuman_log_bounds(a, x):
-    """log of the Neuman two-sided bounds on lig(a, x).
-
-    lower: a*ln x - ln a - a*x/(a+1)
-    upper: a*ln x - ln a - ln(a+1) + ln(1 + a*exp(-x))
-
-    Returned as logs so callers can compare against ln_lower_gamma at
-    arguments where the linear values overflow.  Both are -inf at x = 0.
-    """
-    a, x = _check_args(a, x)
-    if x == 0.0:
-        return -math.inf, -math.inf
-    lx = a * math.log(x) - math.log(a)
-    lo = lx - a * x / (a + 1.0)
-    # a*exp(-x) <= a, never overflows for admissible a
-    hi = lx - math.log(a + 1.0) + math.log1p(a * math.exp(-x))
-    return lo, hi
 
 
 def exp_saturating(v):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import ouexit.mfet
 from ouexit import (
     ExitProblem,
     OupParams,
@@ -21,7 +22,6 @@ from ouexit import (
     mfet_bm,
     mfet_bounds,
     mfet_exact,
-    neuman_log_bounds,
 )
 from ouexit.cli import main as cli_main
 
@@ -104,11 +104,17 @@ def test_criterion_4_scaling_reproduction(tmp_path):
 def test_criterion_5_gamma_bracket_grid():
     """Neuman lower <= lig(a, x) <= Neuman upper at the 7 x 40 grid, compared
     in log space (linear values overflow at the grid corners) with ulp-scale
-    slack only."""
+    slack only.  The bounds:
+
+        lower: a ln x - ln a - a x/(a+1)
+        upper: a ln x - ln a - ln(a+1) + ln(1 + a exp(-x))
+    """
     for a in (0.5, 1.0, 2.5, 5.0, 10.0, 50.0, 500.0):
-        for x in np.geomspace(1e-6, 1e4, 40):
-            lo, hi = neuman_log_bounds(a, float(x))
-            lg = ln_lower_gamma(a, float(x))
+        for x in map(float, np.geomspace(1e-6, 1e4, 40)):
+            lx = a * math.log(x) - math.log(a)
+            lo = lx - a * x / (a + 1.0)
+            hi = lx - math.log(a + 1.0) + math.log1p(a * math.exp(-x))
+            lg = ln_lower_gamma(a, x)
             slack = 4e-15 * (1.0 + abs(lg))
             assert lo <= lg + slack, (a, x)
             assert lg <= hi + slack, (a, x)
@@ -140,11 +146,12 @@ def test_criterion_7_ode_residual():
     """|residual| <= 1e-3 on the lam > 0 grid at x_eval = L/2, h = 1e-3 L;
     <= 1e-4 for the lam = 0 closed form.
 
-    The probe is fourth order: its leftover at h = 1e-3 L is the O(h^4)
-    stencil truncation plus quadrature noise.  That stays inside the budget
-    even at the strongly mean-reverting corner lam = 2, L >= 2.5, small d,
-    where the solution's derivatives sit at the exp(lam L^2) scale.  The h^4
-    scaling of the leftover is asserted in test_mfet.
+    The probe differences the exit times mfet_exact returns, on sub-balls,
+    and is fourth order: its leftover at h = 1e-3 L is the O(h^4) stencil
+    truncation plus rounding.  That stays inside the budget even at the
+    strongly mean-reverting corner lam = 2, L >= 2.5, small d, where the
+    solution's derivatives sit at the exp(lam L^2) scale.  The h^4 scaling
+    of the leftover is asserted in test_mfet.
     """
     violations = []
     for d in DIMS:
@@ -164,6 +171,20 @@ def test_criterion_7_ode_residual():
         f"(fourth-order probe, O(h^4) leftover at h = 1e-3*L): {violations}"
     )
     print("criterion 7 (ODE residual): PASS")
+
+
+def test_criterion_7_sees_a_corrupted_series(monkeypatch):
+    """A series 5% off, exp(0.05) times the true E tau, breaks the ODE at
+    every lam > 0 grid point of criterion 7: u' and u'' scale with it, the
+    forcing 2/sigma^2 does not, so the residual is about -0.1."""
+    honest = ouexit.mfet._sum_from_peak
+    monkeypatch.setattr(ouexit.mfet, "_sum_from_peak",
+                        lambda *args: honest(*args) * math.exp(0.05))
+    for d in DIMS:
+        for lam in LAMBDAS:
+            for big_l, _x in GEOMETRIES:
+                r = avp_residual(_problem(d, lam, big_l), x_eval=big_l / 2.0, h=1e-3 * big_l)
+                assert abs(r) > 1e-3, (d, lam, big_l, r)
 
 
 def test_criterion_8_byte_determinism(tmp_path):

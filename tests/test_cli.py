@@ -403,13 +403,16 @@ class TestSelftestCommand:
         assert elapsed < 60.0
         assert "all checks passed" in out
 
-    def test_corrupted_gamma_names_the_bracket_invariant(self, capsys, monkeypatch):
-        honest = ouexit.special.ln_lower_gamma
-        monkeypatch.setattr(ouexit.special, "ln_lower_gamma", lambda a, x: honest(a, x) + 0.05)
+    @pytest.mark.parametrize("name,shift", [("ln_lower_gamma", 0.05),
+                                            ("ln_lower_gamma", 1e-9),
+                                            ("ln_kummer_sum", 1e-9)])
+    def test_corrupted_gamma_names_the_reference_check(self, capsys, monkeypatch, name, shift):
+        honest = getattr(ouexit.special, name)
+        monkeypatch.setattr(ouexit.special, name, lambda a, x: honest(a, x) + shift)
         code = run_cli("selftest")
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAILED: neuman-bracket" in out
+        assert out.splitlines()[-1] == "FAILED: reference-values"
 
     def test_starved_quadrature_is_not_a_pass(self, capsys, monkeypatch):
         # two panels leave 10 of the substitution identity's 24 integrals
@@ -423,34 +426,60 @@ class TestSelftestCommand:
         assert code == 1 and "FAILED: substitution-identity" in out
 
     def test_a_check_that_raises_is_named(self, capsys, monkeypatch):
-        # series-vs-quadrature's quadrature runs out of panels and raises;
+        # a theta < 0 row of reference-values runs out of panels and raises;
         # the suite reports it as that check's failure and runs the rest
         monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
         code = run_cli("selftest")
         out, err = capsys.readouterr()
         rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
         assert code == 1
-        assert out.splitlines()[-1] == "FAILED: series-vs-quadrature"
-        assert rows == {"neuman-bracket": "pass", "brownian-reduction": "pass",
-                        "bound-chain": "pass", "series-vs-quadrature": "FAIL",
-                        "substitution-identity": "FAIL", "mc-determinism": "pass"}
+        assert out.splitlines()[-1] == "FAILED: reference-values"
+        assert rows == {"reference-values": "FAIL", "brownian-reduction": "pass",
+                        "bound-chain": "pass", "substitution-identity": "FAIL",
+                        "mc-determinism": "pass"}
         assert "raised QuadratureError: " in out and "within 2 panels" in out
         assert err == ""
 
-    @pytest.mark.parametrize("shift,first", [(1e-8, "series-vs-quadrature"),
-                                             (0.05, "brownian-reduction")])
-    def test_corrupted_series_fails_its_check(self, capsys, monkeypatch, shift, first):
-        # a series off by 1e-8 in its log passes the other checks' looser
-        # tolerances; at 0.05 the Brownian reduction fails first
+    @pytest.mark.parametrize("shift,failing", [(1e-10, "reference-values"),
+                                               (0.05, "brownian-reduction")])
+    def test_corrupted_series_fails_its_check(self, capsys, monkeypatch, shift, failing):
+        # a series off by 1e-10 in its log fails only the reference values;
+        # at 0.05 the Brownian reduction and the bound chain fail too
         honest = ouexit.mfet._sum_from_peak
         monkeypatch.setattr(ouexit.mfet, "_sum_from_peak",
-                            lambda prob, n: honest(prob, n) * math.exp(shift))
+                            lambda *args: honest(*args) * math.exp(shift))
         code = run_cli("selftest")
         out = capsys.readouterr().out
         rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
         assert code == 1
-        assert out.splitlines()[-1] == f"FAILED: {first}"
-        assert rows["series-vs-quadrature"] == "FAIL"
+        assert out.splitlines()[-1] == "FAILED: reference-values"
+        assert rows["reference-values"] == rows[failing] == "FAIL"
+        if shift < 1e-9:
+            assert list(rows.values()).count("FAIL") == 1
+
+    @pytest.mark.parametrize("content,detail", [
+        (None, "not read"),
+        ("function,arguments,reference\nmfet_exact,0x1p-1 0x1p+0 four 0x1p+2 0x0p+0,66.2\n",
+         "line 2 is malformed"),
+        ("function,arguments,reference\nln_lower_gamma,0x1p+0 0x1p+0\n", "line 2 is malformed"),
+        ("function,arguments,reference\nmfet_exact,0x1p-1 0x1p+0 4 0x1p+1 0x1p+2,1.0\n",
+         "line 2 is malformed"),
+        ("function,arguments,reference\nln_lower_gamma,0x1p+0 0x1p+0,inf\n",
+         "line 2 is malformed"),
+        ("fn,args,ref\n", "line 1 is not the header"),
+    ], ids=["missing", "bad-integer", "short-row", "x-past-L", "infinite-reference", "header"])
+    def test_unreadable_table_is_a_named_failure(self, capsys, monkeypatch, tmp_path,
+                                                 content, detail):
+        table = tmp_path / "reference_values.csv"
+        if content is not None:
+            table.write_text(content)
+        monkeypatch.setattr(selftest, "_TABLE", table)
+        code = run_cli("selftest")
+        out, err = capsys.readouterr()
+        row = next(line for line in out.splitlines() if line.startswith("reference-values"))
+        assert code == 1 and err == ""
+        assert row.split()[1] == "FAIL" and detail in row
+        assert out.splitlines()[-1] == "FAILED: reference-values"
 
     @pytest.mark.parametrize("name,first_case", [
         ("ln_lower_gamma", "d=2, lam=0.5, z=0.5"),

@@ -36,6 +36,22 @@ def test_exact_route_loads_no_numpy_or_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_reference_check_runs_on_the_standard_library():
+    # selftest imports numpy only inside mc-determinism; with numpy blocked,
+    # as on an interpreter without it, the reference table still checks
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ouexit import selftest\n"
+        "ok, detail = selftest.check_reference_values()\n"
+        "assert ok, detail\n"
+        "print('ouexit.simulate' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_binds_record_path_on_first_access(tmp_path):
     # what a benchmark wrapper relies on: the name resolves in a fresh
     # interpreter, importing simulate only then, and a wrapper set on the
@@ -71,7 +87,7 @@ def test_simulate_names_are_the_engines_own(module, name):
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from ouexit import *", namespace)
-    assert len(ouexit.__all__) == 26
+    assert len(ouexit.__all__) == 25
     assert all(namespace[name] is getattr(ouexit, name) for name in ouexit.__all__)
 
 

@@ -8,8 +8,9 @@ analytically and both integrands are smooth; usable for moderate dimensions.
 The log-space code paths at large d are exercised against closed forms,
 asymptotics and, for lam < 0, an mpmath quadrature of the Kummer-function
 form of the inner integral.  For lam >= 0, where mfet_exact sums the
-positive series, a 40-digit mpmath sum of that series and the package's
-own quadrature of the single-integral form are the references.
+positive series, a 40-digit mpmath sum of that series and a quadrature of
+the single-integral form, built here from ln_lower_gamma, are the
+references.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ import pytest
 
 import ouexit.mfet
 from ouexit import special
-from ouexit.mfet import _MAX_EXP, _ln_peak_term, _outer_log_integrand
+from ouexit.mfet import _MAX_EXP, _ln_peak_term
 from ouexit.quadrature import integrate_log
 from ouexit import (
     ConvergenceError,
@@ -100,6 +101,23 @@ def _pin_sweep(seed, n):
         x = 0.0 if rng.random() < 0.25 else big_l * rng.uniform(0.0, 0.999)
         out.append(_problem(d, lam, big_l, x=x, sigma=sigma))
     return out
+
+
+def _single_integral(problem):
+    """ln E tau for lam > 0 by the package quadrature of the single-integral form
+
+        E tau = int_x^L z^(1-d) exp(lam z^2) lig(d/2, lam z^2) dz / (lam^(d/2) sigma^2),
+
+    independent of the positive series that mfet_exact sums."""
+    p = problem.params
+    lam, a = p.lam, 0.5 * p.d
+    log_c = -a * math.log(lam) - 2.0 * math.log(p.sigma)
+
+    def log_f(z):
+        u = lam * z * z
+        return (1.0 - p.d) * math.log(z) + u + special.ln_lower_gamma(a, u) + log_c
+
+    return integrate_log(log_f, problem.x, problem.L).value
 
 
 def _digest(calls):
@@ -348,7 +366,7 @@ class TestDecidedOverflow:
             for frac, sigma in ((0.0, 1.0), (0.5, 0.7), (1.0 - 1e-9, 1.3)):
                 big_l = math.sqrt(y / 0.5)
                 p = _problem(d, 0.5, big_l, x=frac * big_l, sigma=sigma)
-                n, ln_term, slack = _ln_peak_term(p)
+                n, ln_term, slack, _ = _ln_peak_term(p)
                 want = _mp_ln_term(p, n)
                 assert slack < 0.1
                 assert abs(ln_term - want) <= slack
@@ -361,16 +379,15 @@ class TestDecidedOverflow:
         problems += _near_threshold_problems(5, 150)
         decided, near = 0, 0
         for p in problems:
-            _, ln_term, slack = _ln_peak_term(p)
-            # raises unless converged
-            res = integrate_log(_outer_log_integrand(p.params), p.x, p.L)
+            _, ln_term, slack, _ = _ln_peak_term(p)
+            ln_mfet = _single_integral(p)  # raises unless converged
             # a lower bound on ln E tau, and inf only where E tau overflows
-            assert ln_term - slack <= res.value, p
+            assert ln_term - slack <= ln_mfet, p
             if ln_term - slack > _MAX_EXP:
                 decided += 1
-                assert res.value > 709.78, p
+                assert ln_mfet > 709.78, p
                 assert mfet_exact(p) == math.inf
-            near += 705.0 <= res.value <= 715.0
+            near += 705.0 <= ln_mfet <= 715.0
         assert decided >= 100 and near >= 100
 
 
@@ -430,7 +447,7 @@ class TestPositiveSeries:
             got = mfet_exact(p)
             if got == math.inf:
                 continue
-            quad = math.exp(integrate_log(_outer_log_integrand(p.params), p.x, p.L).value)
+            quad = math.exp(_single_integral(p))
             assert got == pytest.approx(quad, rel=2e-10), p
             checked += 1
         assert checked == 173
@@ -443,7 +460,7 @@ class TestPositiveSeries:
         assert all(_chain_holds(p, v) for p, v in zip(problems, values) if v < math.inf)
         honest = ouexit.mfet._sum_from_peak
         monkeypatch.setattr(ouexit.mfet, "_sum_from_peak",
-                            lambda prob, n: honest(prob, n) * math.exp(0.05))
+                            lambda *args: honest(*args) * math.exp(0.05))
         broken = [p for p in problems if not _chain_holds(p, mfet_exact(p))]
         assert broken
 
@@ -470,7 +487,7 @@ class TestPositiveSeries:
         # y = 3b: the largest term is near n = 2b, and the terms below it
         # matter as much as those above
         p = _problem(64, 0.5, math.sqrt(6.0 * 33.0), x=2.0)
-        n, _, _ = _ln_peak_term(p)
+        n, *_ = _ln_peak_term(p)
         assert n > 60
         assert mfet_exact(p) == pytest.approx(float(_mp_mfet(p)), rel=1e-13)
 
@@ -605,7 +622,7 @@ class TestDriftRatio:
 class TestOdeResidual:
     def test_brownian_case_only_quadrature_noise(self):
         # the Brownian solution is quadratic, so the stencil is exact and
-        # the residual is pure quadrature noise
+        # the residual is the rounding of the four series values
         p = _problem(3, 0.0, 2.0)
         assert abs(avp_residual(p, x_eval=1.0, h=1e-3)) <= 1e-4
 
@@ -639,6 +656,19 @@ class TestOdeResidual:
             p = _problem(d, lam, big_l)
             r = avp_residual(p, x_eval=big_l / 2.0, h=1e-3 * big_l)
             assert abs(r) / 2.0 < 5e-4
+
+    def test_transient_bits_over_a_seeded_sweep(self):
+        # for lam < 0 each sub-ball exit time is one quadrature of the
+        # Kummer integrand: the residuals keep the bits they had when the
+        # probe integrated that integrand itself
+        rng = random.Random(20804029)
+        calls = []
+        for _ in range(60):
+            d, sigma = round(math.exp(rng.uniform(0.0, math.log(65536)))), rng.uniform(0.5, 2.0)
+            lam, big_l = -math.exp(rng.uniform(math.log(0.01), math.log(5.0))), rng.uniform(0.2, 6.0)
+            p = _problem(d, lam, big_l, sigma=sigma)
+            calls.append((avp_residual, p, big_l * rng.uniform(0.05, 0.95), 1e-3 * big_l))
+        assert _digest(calls) == "f2949b8544d97a72239fb092bc6c8e55f46b97b11f97c0fea7b7bc4caa2d4597"
 
     def test_step_validation(self):
         p = _problem(2, 0.5, 2.0)

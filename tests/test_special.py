@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ouexit import ConvergenceError, DomainError, ln_lower_gamma, neuman_log_bounds, special
+from ouexit import ConvergenceError, DomainError, ln_lower_gamma, special
 from ouexit.special import _log_q_contfrac, _series_log_sum
 
 
@@ -220,9 +220,25 @@ class TestLnKummerSum:
         assert time.perf_counter() - started < 0.1
 
 
+def neuman_log_bounds(a, x):
+    """log of Neuman's two-sided bounds on lig(a, x), for x > 0:
+
+        lower: a ln x - ln a - a x/(a+1)
+        upper: a ln x - ln a - ln(a+1) + ln(1 + a exp(-x))
+    """
+    lx = a * math.log(x) - math.log(a)
+    return lx - a * x / (a + 1.0), lx - math.log(a + 1.0) + math.log1p(a * math.exp(-x))
+
+
 class TestNeumanBounds:
+    """ln_lower_gamma inside Neuman's elementary bracket."""
+
     def test_vanish_at_zero(self):
-        assert neuman_log_bounds(1.0, 0.0) == (-math.inf, -math.inf)
+        # the empty integral is -inf; just above 0 lig and both bounds come
+        # down to x**a / a
+        assert ln_lower_gamma(1.0, 0.0) == -math.inf
+        want = ln_lower_gamma(1.0, 1e-300)
+        assert all(v == pytest.approx(want, rel=1e-15) for v in neuman_log_bounds(1.0, 1e-300))
 
     def test_direct_arithmetic_at_one(self):
         lo, hi = neuman_log_bounds(1.0, 1.0)
@@ -235,6 +251,7 @@ class TestNeumanBounds:
         lo, hi = neuman_log_bounds(5.0, 3.0)
         oracle = simpson_lower_gamma(5.0, 3.0)
         assert lo <= math.log(oracle) <= hi
+        assert lo <= ln_lower_gamma(5.0, 3.0) <= hi
 
     def test_log_bracket_on_grid(self):
         # the log-space version must hold at ulp-level slack over the whole
@@ -246,7 +263,3 @@ class TestNeumanBounds:
                 slack = 4e-15 * (1.0 + abs(lg))
                 assert lo <= lg + slack
                 assert lg <= hi + slack
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(DomainError):
-            neuman_log_bounds(0.0, 1.0)
