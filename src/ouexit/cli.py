@@ -45,7 +45,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .errors import DomainError, OuexitError
 from .mfet import ExitProblem, OupParams, drift_ratio, mfet_bm, mfet_bounds, mfet_exact
-from .schemes import Scheme
+from .schemes import FULL_DIMENSIONAL, Scheme
 
 DEFAULT_SEED = 123456789
 
@@ -65,10 +65,16 @@ _DRIFT_COLUMNS = ("d", "rho", "ratio")
 def _simulate(*names):
     """The named ``simulate`` attributes as this module binds them.
 
-    Imports ``simulate`` (and with it numpy) on first use.  A
-    binding already in place, such as a wrapper set on this module, wins.
+    Imports ``simulate`` (and with it numpy) on first use; a missing numpy
+    is a usage error.  A binding already in place, such as a wrapper set on
+    this module, wins.
     """
-    from . import simulate
+    try:
+        from . import simulate
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise DomainError(f"this command simulates, which needs numpy: {exc}") from None
 
     return [globals().setdefault(name, getattr(simulate, name)) for name in names]
 
@@ -181,7 +187,7 @@ def _parse_int_list(text):
 def _check_mc_cost(d, cfg, exact=0.0):
     """Exit 3 for an MC cell past 2**27 normals a step (paths x d in the full schemes,
     paths in the radial ones: 1 GiB an array) or 2**40 over its exact / dt steps."""
-    per_path = d if cfg.scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT) else 1
+    per_path = d if cfg.scheme in FULL_DIMENSIONAL else 1
     if cfg.n_paths * per_path > 2**27:
         raise OuexitError(f"cell d={d}: one step holds {cfg.n_paths * per_path} normals, past 2**27")
     steps = cfg.n_paths * exact / cfg.dt

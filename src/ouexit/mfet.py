@@ -372,12 +372,11 @@ def mfet_bounds(problem):
     theta_d = p.theta * d
     upper_exp = diff_full / theta_d if theta_d < math.inf else diff_full / p.theta / d
     lower_exp = (1.0 + 2.0 / d) / (2.0 * lam * s2) * diff_inner
-    lower_bm = (l2 - x2) / (s2 * d)
     return MfetBounds(
         upper_mixed=upper_mixed,
         upper_exp=upper_exp,
         lower_exp=lower_exp,
-        lower_bm=lower_bm,
+        lower_bm=mfet_bm(problem),
     )
 
 

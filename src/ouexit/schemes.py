@@ -12,3 +12,8 @@ class Scheme(str, Enum):
     FULL_EXACT = "full-exact"
     RADIAL_EULER = "radial-euler"
     SQUARED_RADIAL_EULER = "squared-radial-euler"
+
+
+# the schemes that move all d coordinates, drawing d normals per path-step;
+# the radial ones move one radius and draw one
+FULL_DIMENSIONAL = (Scheme.FULL_EULER, Scheme.FULL_EXACT)

@@ -96,11 +96,10 @@ thus lies within e**+-64: |x| stays below about L, whose square
 ``ExitProblem`` keeps a normal double (L < e**355), so |u| < e**419 and the
 scaled sums stay inside the double range.
 
-Records: a recorded path keeps its monitored values (|x|^2, rho or y) as
-the chunks and runs produce them, and ``record_path`` maps them to
-radii in one call of the kernel's elementwise array ``radius`` after the
-run (sqrt, identity, or sqrt of y clamped at 0 with -0.0 kept), so the
-radii have the bits of a value-by-value map.
+Records: a recorded path maps its monitored values (|x|^2, rho or y) to
+radii as the chunks and runs produce them, with the kernel's elementwise
+array ``radius`` (sqrt, identity, or sqrt of y clamped at 0 with -0.0
+kept), so the radii have the bits of a value-by-value map.
 """
 
 import math
@@ -114,7 +113,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .mfet import mfet_bm
-from .schemes import Scheme
+from .schemes import FULL_DIMENSIONAL, Scheme
 
 _U64_MAX = 2**64 - 1
 _SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
@@ -230,7 +229,7 @@ def _scheme_kernel(problem, cfg):
             return xs[-1], xs[0][:, None] if len(xs) == 1 else np.stack(xs, axis=1)
         return step
 
-    if cfg.scheme in (Scheme.FULL_EULER, Scheme.FULL_EXACT):
+    if cfg.scheme in FULL_DIMENSIONAL:
         # x <- a x + w with w = scale z, as a running sum; see the module docstring
         if cfg.scheme is Scheme.FULL_EULER:
             a, scale = 1.0 - p.theta * dt, sig_sqdt
@@ -384,12 +383,13 @@ def _run_paths(problem, cfg, indices, record=None):
 
     Returns an array aligned with ``indices`` holding the exit grid time, or
     NaN for paths censored at the horizon.  When ``record`` is a list it
-    collects the monitored values of every step, as chunk slices and run
-    outputs (single-path runs only).  Live paths advance together in numpy,
-    a chunk of steps per kernel call, while their load exceeds
-    ``_SCALAR_LOAD`` (the first step always does), then each is finished
-    alone by the kernel's ``run``; every kernel call is given the steps
-    taken.  See the module docstring for why the bits do not change.
+    collects the radius after every step, as the kernel's ``radius`` of
+    each chunk slice and run output (single-path runs only).  Live paths
+    advance together in numpy, a chunk of steps per kernel call, while
+    their load exceeds ``_SCALAR_LOAD`` (the first step always does), then
+    each is finished alone by the kernel's ``run``; every kernel call is
+    given the steps taken.  See the module docstring for why the bits do
+    not change.
     """
     n = len(indices)
     dt = cfg.dt
@@ -403,7 +403,7 @@ def _run_paths(problem, cfg, indices, record=None):
         out[:] = 0.0
         return out
 
-    start, first, step, run, threshold, _ = _scheme_kernel(problem, cfg)
+    start, first, step, run, threshold, radius = _scheme_kernel(problem, cfg)
     shape = np.shape(start)
     m = np.size(start)
     state = np.full((n,) + shape, start)
@@ -431,7 +431,7 @@ def _run_paths(problem, cfg, indices, record=None):
         exited = hit[:, 0] if c == 1 else hit.any(axis=1)
         if record is not None:
             upto = hit[0].argmax() + 1 if exited[0] else c
-            record.append(monitored[0, :upto])
+            record.append(radius(monitored[0, :upto]))
         k += c
         pos += c
         if exited.any():
@@ -452,7 +452,7 @@ def _run_paths(problem, cfg, indices, record=None):
                 zs = _normals([stream], _block_steps(m, j), shape)[0]
             s, monitored = run(s, zs[:max_steps - j], j)
             if record is not None:
-                record.append(monitored)
+                record.append(radius(np.asarray(monitored)))
             j += len(monitored)
             if monitored[-1] >= threshold:
                 out[pos_map[row]] = j * dt
@@ -501,11 +501,8 @@ def record_path(problem, cfg, path_index):
     """Run one path; keep its radius at the start and after every step."""
     if not (isinstance(path_index, int) and 0 <= path_index < cfg.n_paths):
         raise DomainError(f"path_index must lie in [0, n_paths), got {path_index!r}")
-    monitored = []
-    t = _run_paths(problem, cfg, [path_index], record=monitored)[0]
-    radii = np.array([problem.x])
-    if monitored:
-        radius = _scheme_kernel(problem, cfg).radius
-        radii = np.concatenate((radii, radius(np.concatenate(monitored))))
+    slices = []
+    t = _run_paths(problem, cfg, [path_index], record=slices)[0]
+    radii = np.concatenate(([problem.x], *slices))
     return PathRecord(times=np.arange(len(radii)) * cfg.dt, radii=radii,
                       exited_at=None if math.isnan(t) else float(t))

@@ -4,12 +4,12 @@ Everything is built around the lower incomplete gamma integral
 
     lig(a, x) = integral of t**(a-1) * exp(-t) over t in [0, x],
 
-and its logarithm ln_lower_gamma.  For lam > 0 the radial integral of the
-exit-time formula is lig at shape d/2 for every dimension d, large ones
-included, where the value over- or underflows doubles by thousands of
-orders of magnitude, so it is represented by its logarithm, assembled
-directly from the series or continued-fraction pieces (never as
-log(exp(...))).
+and its logarithm ln_lower_gamma, a public function that selftest checks
+against its reference table (mfet_exact sums a positive series for
+lam >= 0 and integrates no incomplete gamma).  At large shapes lig over-
+or underflows doubles by thousands of orders of magnitude, so it is
+represented by its logarithm, assembled directly from the series or
+continued-fraction pieces (never as log(exp(...))).
 
 Evaluation follows the classic split: power series for x < a + 1,
 Lentz continued fraction for the complementary function otherwise.
@@ -19,11 +19,11 @@ gamma series is positive too, so both series stop at the first term below
 _TOL times the running sum, with no abs().
 
 The lam < 0 quadrature of mfet_exact calls ln_kummer_sum at every node,
-so both functions take an argument pair of plain floats already in range (a positive and
-finite, x nonnegative and finite) as it is.  Every other pair
-(ints, numpy scalars, NaN, inf, negatives, non-numbers) goes through
-_check_args, which converts it to floats or raises DomainError, so an int
-pair has the float pair's bits and every rejection keeps its message.
+so it takes a pair of plain floats already in range (a positive and
+finite, y in [0, _KUMMER_Y_MAX]) as it is.  Every other pair, and every
+pair given to ln_lower_gamma, goes through _check_args, which converts it
+to floats or raises DomainError, so an int pair has the float pair's bits
+and every rejection keeps its message.
 """
 
 import math
@@ -154,8 +154,7 @@ def ln_lower_gamma(a, x):
     2**19 (checked against mpmath at 5e5), which direct evaluation of lig
     would not survive.
     """
-    if not (type(a) is type(x) is float and 0.0 < a < math.inf and 0.0 <= x < math.inf):
-        a, x = _check_args(a, x)
+    a, x = _check_args(a, x)
     if x == 0.0:
         return -math.inf
     if x < a + 1.0:

@@ -414,17 +414,6 @@ class TestSelftestCommand:
         assert code == 1
         assert out.splitlines()[-1] == "FAILED: reference-values"
 
-    def test_starved_quadrature_is_not_a_pass(self, capsys, monkeypatch):
-        # two panels leave 10 of the substitution identity's 24 integrals
-        # unconverged; the other checks would stop the suite before it
-        monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
-        monkeypatch.setattr(selftest, "CHECKS", [c for c in selftest.CHECKS
-                                                 if c[0] == "substitution-identity"])
-        code = run_cli("selftest")
-        out, err = capsys.readouterr()
-        assert "all checks passed" not in out
-        assert code == 1 and "FAILED: substitution-identity" in out
-
     def test_a_check_that_raises_is_named(self, capsys, monkeypatch):
         # a theta < 0 row of reference-values runs out of panels and raises;
         # the suite reports it as that check's failure and runs the rest
@@ -435,8 +424,7 @@ class TestSelftestCommand:
         assert code == 1
         assert out.splitlines()[-1] == "FAILED: reference-values"
         assert rows == {"reference-values": "FAIL", "brownian-reduction": "pass",
-                        "bound-chain": "pass", "substitution-identity": "FAIL",
-                        "mc-determinism": "pass"}
+                        "bound-chain": "pass", "mc-determinism": "pass"}
         assert "raised QuadratureError: " in out and "within 2 panels" in out
         assert err == ""
 
@@ -480,17 +468,6 @@ class TestSelftestCommand:
         assert code == 1 and err == ""
         assert row.split()[1] == "FAIL" and detail in row
         assert out.splitlines()[-1] == "FAILED: reference-values"
-
-    @pytest.mark.parametrize("name,first_case", [
-        ("ln_lower_gamma", "d=2, lam=0.5, z=0.5"),
-        ("ln_kummer_sum", "d=2, lam=-0.5, z=0.5"),
-    ])
-    def test_substitution_identity_sees_a_1e9_corruption(self, monkeypatch, name, first_case):
-        honest = getattr(ouexit.special, name)
-        monkeypatch.setattr(ouexit.special, name, lambda a, x: honest(a, x) + 1e-9)
-        ok, detail = selftest.check_substitution_identity()
-        assert ok is False
-        assert detail.startswith(first_case + ":")
 
 
 _VALID_ARGV = {

@@ -36,20 +36,31 @@ def test_exact_route_loads_no_numpy_or_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_reference_check_runs_on_the_standard_library():
+def test_reference_check_runs_on_the_standard_library(tmp_path):
     # selftest imports numpy only inside mc-determinism; with numpy blocked,
-    # as on an interpreter without it, the reference table still checks
+    # as on an interpreter without it, the reference table still checks,
+    # selftest fails mc-determinism by name and the simulating commands are
+    # usage errors that write nothing
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "sys.modules['numpy'] = None\n"
-        "from ouexit import selftest\n"
+        "from ouexit import cli, selftest\n"
         "ok, detail = selftest.check_reference_values()\n"
         "assert ok, detail\n"
+        "assert cli.main(['selftest']) == 1\n"
+        "for command in ('trajectories', 'scaling'):\n"
+        "    out = os.path.join(sys.argv[1], command + '.csv')\n"
+        "    assert cli.main([command, '--output', out]) == 2\n"
+        "    assert not os.listdir(sys.argv[1])\n"
         "print('ouexit.simulate' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-2:] == ["FAILED: mc-determinism", "False"]
+    assert "raised ModuleNotFoundError" in proc.stdout
+    assert proc.stderr.splitlines() == ["error: this command simulates, which needs numpy: "
+                                        "import of numpy halted; None in sys.modules"] * 2
 
 
 def test_cli_binds_record_path_on_first_access(tmp_path):

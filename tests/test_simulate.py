@@ -34,6 +34,7 @@ from ouexit import (
     record_path,
 )
 from ouexit import simulate
+from ouexit.schemes import FULL_DIMENSIONAL
 from ouexit.simulate import _run_paths
 
 SEED = 123456789
@@ -619,7 +620,7 @@ def test_vector_radius_matches_the_scalar_map(scheme):
     rng = np.random.default_rng(7)
     values = np.concatenate(([-0.0, 0.0, 5e-324, 1e-300, 6.25, math.nextafter(6.25, 0.0)],
                              rng.random(200) * 10.0, rng.random(20) * 1e-300))
-    if "full" not in scheme:  # |x|^2 is never below zero; the radial values may be
+    if scheme not in FULL_DIMENSIONAL:  # |x|^2 is never below zero; the radial values may be
         values = np.concatenate(([-1e-300, -5e-324, -2.5], values))
     cfg = McConfig(n_paths=1, dt=1e-3, seed=SEED, scheme=scheme)
     radius = simulate._scheme_kernel(_problem(3, 0.5, 2.5), cfg)[-1]
@@ -628,6 +629,15 @@ def test_vector_radius_matches_the_scalar_map(scheme):
     if scheme is Scheme.SQUARED_RADIAL_EULER:
         # max(-0.0, 0.0) is -0.0, and so is its square root; np.maximum would give +0.0
         assert math.copysign(1.0, radius(np.array([-0.0]))[0]) == -1.0
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_layout_fact_matches_the_kernel(scheme):
+    # cli's MC cost check reads FULL_DIMENSIONAL for the normals a path draws per step
+    d = 3
+    cfg = McConfig(n_paths=1, dt=1e-3, seed=SEED, scheme=scheme)
+    start = simulate._scheme_kernel(_problem(d, 0.5, 2.5), cfg).start
+    assert np.size(start) == (d if scheme in FULL_DIMENSIONAL else 1)
 
 
 def test_early_exit_draws_few_normals(monkeypatch):
