@@ -151,8 +151,10 @@ def _write_manifest(args, started):
         "finished": _now(),
     }
     if manifest["seed"] is not None:
-        # a command that simulates: its normals' bits are those of this numpy
+        # a command that simulates: its normals' bits are those of this
+        # numpy's sampler on SFC64 streams
         manifest["numpy_version"] = sys.modules["numpy"].__version__
+        manifest["bit_generator"] = "SFC64"
     with open(args.output + ".manifest.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -24,11 +24,18 @@ detected exits are biased late and the bias shrinks with dt):
 
 Determinism contract: the stream of Gaussians for path i is a pure function
 of (seed, i, draw position) for a given numpy version.  Path i owns one
-stream, numpy's ``Generator`` on a Philox counter-based generator keyed by
-(seed, i), and reads it in step order, so its k-th normal depends on nothing
-else, although the ziggurat sampler consumes a data-dependent number of raw
-draws.  NEP 19 keeps Philox's raw bits across numpy versions but not the
-``Generator``'s distributions, so the bits are those of one numpy version.
+stream, numpy's ``Generator`` on an SFC64 generator seeded by
+``SeedSequence(seed, spawn_key=(i, 0))``, and reads it in step order, so its
+k-th normal depends on nothing else, although the ziggurat sampler consumes
+a data-dependent number of raw draws.  The key's 0 names the normals, so a
+later kind of draw can take (i, 1) without moving them.  This is the
+per-substream seeding NEP 19 recommends for parallel streams; SeedSequence
+hashes distinct (seed, i) to unrelated states.  NEP 19 keeps SeedSequence's
+and SFC64's raw bits across numpy versions but not the ``Generator``'s
+distributions, so the bits are those of one numpy version.  SFC64 fills a
+row about a quarter faster than the Philox streams it replaced: 19-21
+against 26-28 ns per normal at the benchmark's block shapes (2-core VM,
+numpy 2.4.6).
 Normals are drawn in blocks of twice the steps already taken, from
 _RUN_STEPS up to 2048 steps, so a path that exits early draws few it never
 uses.  A block holds at most 16 pieces (_BLOCK_FLOATS = 2**19 normals,
@@ -378,6 +385,11 @@ def _block_steps(floats_per_step, taken):
                       max(_RUN_STEPS, 2 * taken)))
 
 
+def _stream(seed, index):
+    """Path ``index``'s stream of normals; see the module docstring."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(index, 0))))
+
+
 def _run_paths(problem, cfg, indices, record=None):
     """Advance the given paths to exit or the horizon; return grid exit times.
 
@@ -407,8 +419,7 @@ def _run_paths(problem, cfg, indices, record=None):
     shape = np.shape(start)
     m = np.size(start)
     state = np.full((n,) + shape, start)
-    streams = [np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], np.uint64)))
-               for i in indices]
+    streams = [_stream(cfg.seed, i) for i in indices]
     pos_map = np.arange(n)  # row -> position in ``out``
     # the first block stops at twice the Brownian exit steps, but holds at
     # least one piece; compared before ceil, as mfet_bm may be inf

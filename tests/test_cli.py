@@ -18,7 +18,7 @@ from ouexit import selftest
 from ouexit.cli import main
 from ouexit.errors import QuadratureError
 from ouexit.quadrature import QuadResult
-from ouexit.simulate import PathRecord
+from ouexit.simulate import PathRecord, _stream
 
 
 def run_cli(*argv):
@@ -336,7 +336,7 @@ class TestOutputBytes:
     # drift-ratio hashes are the README experiment hashes CI checks
     @pytest.mark.parametrize("argv,sha", [
         (["trajectories"],
-         "d7494a8264d36d355356d6582205826a2a78062b350c75b49fb9c404b479e6a0"),
+         "e79e01541e1cea8d740decfcd2420af3e4ea0608153a8f6db2ea9d7c5e7f04b5"),
         (["drift-ratio", "--rho-max", "3"],
          "6bd532818ed87c47fffa502b5d25199757466e77df0f8a8e461db5722846820f"),
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "0.5"],
@@ -515,14 +515,17 @@ class TestCommonFlags:
         manifest = json.loads((tmp_path / "ratio.csv.manifest.json").read_text())
         assert manifest["seed"] is None
         assert "seed" not in manifest["parameters"]
-        assert "numpy_version" not in manifest
+        assert "numpy_version" not in manifest and "bit_generator" not in manifest
 
     def test_simulating_manifest_records_numpy_version(self, tmp_path):
-        # the normals come from numpy's sampler, whose bits may change with numpy
+        # the normals come from numpy's sampler, whose bits may change with
+        # numpy, on the streams' bit generator
         out = tmp_path / "traces.csv"
         assert run_cli("trajectories", "--d", "2", "--output", str(out)) == 0
         manifest = json.loads((tmp_path / "traces.csv.manifest.json").read_text())
         assert manifest["numpy_version"] == np.__version__
+        bits = type(_stream(0, 0).bit_generator).__name__
+        assert manifest["bit_generator"] == bits == "SFC64"
 
 
 # argvs whose parameters leave the double range once squared or divided,

@@ -340,13 +340,15 @@ def test_chunks_keep_the_bits_across_periods(monkeypatch, chunk_hits, scheme):
     # theta dt = 0.299 gives the running sum periods of 180 (full-euler)
     # and 214 (full-exact) steps: batch chunks straddle a period boundary
     # and start on one, lone-path runs cross them, and every exit time and
-    # record keeps the bits of one-step chunks
+    # record keeps the bits of one-step chunks.  Chunk starts follow the
+    # exits, so the seed decides whether one falls on a period boundary:
+    # at seed 0 one does for both schemes (few seeds give full-exact one)
     theta, dt = 299.0, 1e-3
     a = 1.0 - theta * dt if scheme is Scheme.FULL_EULER else math.exp(-theta * dt)
     period = int(simulate._SPAN / abs(math.log(a)))
     assert period == (180 if scheme is Scheme.FULL_EULER else 214)
     p = _problem(8, theta, 0.21)
-    cfg = McConfig(n_paths=64, dt=dt, seed=SEED, scheme=scheme, t_max=0.437)
+    cfg = McConfig(n_paths=64, dt=dt, seed=0, scheme=scheme, t_max=0.437)
     chunked = _run_paths(p, cfg, list(range(64)))
     assert np.isnan(chunked).any() and not np.isnan(chunked).all()
     assert any(h.shape[1] > 1 and h[:, :-1].any() for h in chunk_hits)
@@ -422,26 +424,27 @@ def test_running_sum_forms_give_the_same_bits(shape):
 # 7th step plus the crossing, per scheme.  They pin the output bits across
 # code changes, which the run-twice determinism tests cannot; x = 0 covers
 # the radial-euler bootstrap.  The frozen tables hold the bits of numpy's
-# standard_normal (captured at numpy 2.4.6), which NEP 19 lets a numpy
-# release change.  Their ids keep the names the rows had while normals came
-# from the inverse normal CDF, and so end in that transform's values.
+# standard_normal on the per-path SFC64 streams (captured at numpy 2.4.6),
+# which NEP 19 lets a numpy release change.  Their ids keep the names the
+# rows had while normals came from the inverse normal CDF, and so end in
+# that transform's values.
 FROZEN = [
-    ("full-euler", 0.0, [645, 160, 287, 339, 329, 173, 200, 406],
-     "12a56ef81b813c14bccde17f3473df1a7ee9b96ea795fbec52bafedd1972688d"),
-    ("full-euler", 0.5, [145, 332, 284, 124, 364, 472, 158, 390],
-     "e1086d32fc2c1bb8e3aec9b5f0b5205492875f0b3815ae3ac4194e5eac5ded05"),
-    ("full-exact", 0.0, [645, 160, 287, 339, 329, 173, 200, 406],
-     "1720a40c896a34b1b4cedd8688e66da8138e0ffa7ac6bbc4facb79245e5caaab"),
-    ("full-exact", 0.5, [145, 332, 284, 124, 364, 472, 158, 390],
-     "cec9cd8237fd04fa6e8ac80b1ec57f409a238af070ab8c6b46b37c86aeff2ffe"),
-    ("radial-euler", 0.0, [309, 803, 933, 312, 3, 118, 523, 158],
-     "f0ec29017354f9c0436753b53857baa1f3ba221680b4ddbc73bdbada86f5d1ac"),
-    ("radial-euler", 0.5, [87, 803, 933, 145, 655, 583, 523, 102],
-     "d232d2e3c582c7d11b0aecb69eadfb24a55eaf5ec325e9c29e6b6202d96ecbe0"),
-    ("squared-radial-euler", 0.0, [309, 803, 935, 313, 657, 457, 523, 132],
-     "465957eeb6820c093ab865396d952d41de3088d4d68b2be9b4d9fd6c12bbe15c"),
-    ("squared-radial-euler", 0.5, [87, 803, 935, 145, 657, 457, 523, 100],
-     "37dfc55bea4371ae173a8f211d5043581d448cddb4dc902abda740d4066f4a4d"),
+    ("full-euler", 0.0, [887, 162, 360, 339, 221, 197, 321, 501],
+     "e29afaafa0759f36297f7c3c271ef4e3e13f2f0e4c6ce1df401d417bbba04294"),
+    ("full-euler", 0.5, [752, 108, 350, 306, 243, 189, 246, 193],
+     "ff2ac020a3f59c241cf89ab9542382f597186dbdfb3562914c0e503d97621d02"),
+    ("full-exact", 0.0, [887, 162, 360, 339, 221, 197, 321, 501],
+     "ba88b93a724dec7c157b84618b24d60cea97c03b6fadc6ee985dd2873bbc3782"),
+    ("full-exact", 0.5, [752, 108, 350, 306, 243, 189, 246, 193],
+     "4b12160851bdae034ebecafb326593788937d2e9f4e6b6c4597a4b422c85df83"),
+    ("radial-euler", 0.0, [346, 601, 324, 149, 122, 134, 220, 309],
+     "1d7fcc2b2e55fac13881de31a140cac457954dacdae13739e162c1a35b21dc48"),
+    ("radial-euler", 0.5, [98, 364, 324, 152, 69, 55, 188, 280],
+     "aa419240a4c08da059414259a330a9ab1abf6f9f4d9a8650b68ef39a08482691"),
+    ("squared-radial-euler", 0.0, [342, 602, 324, 411, 122, 136, 223, 309],
+     "b6c667be47bf840cf06fb4100b1b1b3f29347b410941dcb1ac63ff111352d595"),
+    ("squared-radial-euler", 0.5, [97, 364, 324, 152, 70, 55, 189, 280],
+     "d5621011727672b3c2b695908a30e4768da893d69cdf10f84f65a4bbd8c2f21f"),
 ]
 FROZEN_IDS = [
     "full-euler-0.0-steps0-aa8cba76c189b14376b117c69efe01b8d19e7cc2779263e515c6b38a9360801e",
@@ -471,67 +474,67 @@ def test_frozen_bits(scheme, x, steps, trace_sha):
 # scalar loop: full schemes at d = 1, 9 and 16 (from d = 8 numpy sums |x|^2
 # pairwise), 64-path radial batches, theta = 0 and theta < 0, and horizons
 # that censor paths part-way through a normals block.  Then the benchmark's
-# metastable cell (d = 4, 16 paths, exits after 407-9608 steps), and two of
+# metastable cell (d = 4, 16 paths, exits after 900-8080 steps), and two of
 # its high-dimensional cells, whose blocks hit the 16-piece cap.  Columns:
 # scheme, d, theta, L, x, n_paths, t_max, censored paths, SHA-256 of the
 # exit-time array.
 FROZEN_BATCHES = [
     ("full-euler", 1, 0.5, 1.0, 0.0, 16, None, 0,
-     "c84fc2ed2bb0e72b0b9cc6fac5a00010b72bd5a8c565be976b48a5151dd7fe31"),
+     "85d1addbdfde39bda6136d226b799e3fd59ebd56f12efabcd1c647b2328a89fa"),
     ("full-exact", 1, 0.5, 1.0, 0.0, 16, None, 0,
-     "c84fc2ed2bb0e72b0b9cc6fac5a00010b72bd5a8c565be976b48a5151dd7fe31"),
+     "85d1addbdfde39bda6136d226b799e3fd59ebd56f12efabcd1c647b2328a89fa"),
     ("full-euler", 9, 0.5, 2.0, 0.0, 16, None, 0,
-     "83fae6acee7ed8051f847a9e5c778d0c13cde927d65f430ecb990d74d05e99e5"),
+     "bd56aff7c3b04163b36176751cabcb7c0d97fca7c861cc83de605ae948b0ca16"),
     ("full-exact", 9, 0.5, 2.0, 0.0, 16, None, 0,
-     "5a32d4fba48e86d082443d98e62821e4a3a8302b3ad985312b07f792d914618e"),
+     "d08f1aa39ccb9a7cab998f48ffc7c3f03b2c5cad8857247088408eaadba54a06"),
     ("full-euler", 16, 0.5, 2.0, 0.0, 16, None, 0,
-     "f534a6482470eeaa813c6e5305a384dbda63269e63a76f24c3d132ca48bed621"),
+     "55aa14e919465aca38d57005ef7d85905c5bc756d3156882c28f6bef3a25cba8"),
     ("full-exact", 16, 0.5, 2.0, 0.0, 16, None, 0,
-     "f534a6482470eeaa813c6e5305a384dbda63269e63a76f24c3d132ca48bed621"),
+     "55aa14e919465aca38d57005ef7d85905c5bc756d3156882c28f6bef3a25cba8"),
     ("radial-euler", 3, 0.5, 1.5, 0.0, 64, None, 0,
-     "20522b707f13864a36f028d8abb4bba6e2231e4fa2ffb04d29e8bb6650a986c3"),
+     "fc0f941c8d834fead19ab56673bfe047d6aa329a77586f2db108b6991c7f333d"),
     ("squared-radial-euler", 3, 0.5, 1.5, 0.0, 64, None, 0,
-     "6fe4b0d17546f9b2302a5b260a5baa205805485cd2ba0a966928a0bbc0c96ba7"),
+     "73899f4bb299e86b440e327cda71b6ebd39ae157ae7a64eafe0c73c6a8d94fa3"),
     ("full-euler", 3, 0.0, 1.0, 0.3, 8, None, 0,
-     "8ddfe30ed6a699c74d1028bbfd70d75b21b02f939fe865c3ebc3040d936469e4"),
+     "48c2a229d641a1bb8459c17094e6400cfb1d99043f6737abbf4f7cfc1b7337ba"),
     ("full-exact", 3, 0.0, 1.0, 0.3, 8, None, 0,
-     "8ddfe30ed6a699c74d1028bbfd70d75b21b02f939fe865c3ebc3040d936469e4"),
+     "48c2a229d641a1bb8459c17094e6400cfb1d99043f6737abbf4f7cfc1b7337ba"),
     ("radial-euler", 3, 0.0, 1.0, 0.3, 8, None, 0,
-     "9be1d6cdef6fb010a78ea9b8c78748ded11d7948729dbfec9e108e6e452fd137"),
+     "1a7249ec562efb2a7c4d513b680b580dc25a022b3e52468ad31546d4fb912e44"),
     ("squared-radial-euler", 3, 0.0, 1.0, 0.3, 8, None, 0,
-     "7f5c6033e5fdc592766a86a05a64f68fb84f6080b391a192c76dee510e0471b6"),
+     "d3929d8e21fae2a4fd6b658e4870fdcae5291f98462d486af6fd7d1d07ac78ac"),
     ("full-euler", 3, -0.5, 1.0, 0.0, 8, None, 0,
-     "a3055d51550c712ee58b712104e72e6f1bcbe7e5debfddcc2eff493e480ea098"),
+     "b2b3a93bd1aed5d5775453d2252e066086286bccf2057cda014fad7215d1c252"),
     ("full-exact", 3, -0.5, 1.0, 0.0, 8, None, 0,
-     "a3055d51550c712ee58b712104e72e6f1bcbe7e5debfddcc2eff493e480ea098"),
+     "b2b3a93bd1aed5d5775453d2252e066086286bccf2057cda014fad7215d1c252"),
     ("radial-euler", 3, -0.5, 1.0, 0.0, 8, None, 0,
-     "1495997db3fedb54c7737d746525e11bb56bfd8392b2d565ae628880aced8b49"),
+     "16cf09a8017881118f7ca1dbd19a5274093315ba4c92ee30c29acf0bca4af214"),
     ("squared-radial-euler", 3, -0.5, 1.0, 0.0, 8, None, 0,
-     "2384e563c6fde41da9fc92991bd344322fcf103912d7c740f88a6cf87e8485bb"),
+     "b546e97abf854e741c91eb03991bc0dcc3939e3de8fde8ea770a30492410bd45"),
     ("full-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 31,
-     "12a0b1e670c2826284fbcf856962737f5c6e911d4928718427fb40867ead78d4"),
+     "b46b73dcee97f2f5e104230f5af7ba6c816dcb2dffab028f9c68173baa6deb76"),
     ("full-exact", 4, 0.0, 2.0, 0.0, 40, 0.7, 31,
-     "12a0b1e670c2826284fbcf856962737f5c6e911d4928718427fb40867ead78d4"),
-    ("radial-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 30,
-     "99f2fcb6bebf6570e75ef52c137e6637e59d96102108c05f64c5bd738b007738"),
-    ("squared-radial-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 30,
-     "8259d708212bc33bd49bce8da4e66c349e7145b0f48c82ab9af1aa6997394c81"),
-    ("full-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 10,
-     "e2688dbeda0fe0bb76252906ab83abe088e32da7ac0474187ec56a7e2ab4e0d9"),
+     "b46b73dcee97f2f5e104230f5af7ba6c816dcb2dffab028f9c68173baa6deb76"),
+    ("radial-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 23,
+     "23c86fc6ad7e1d01f9d07e68d2ab685a6277464888f981f5844a7528e82a8f25"),
+    ("squared-radial-euler", 4, 0.0, 2.0, 0.0, 40, 0.7, 23,
+     "f87c19c70374feaff05f6cf3feb54eb97594eb7d313d4df92d6bf1e37d708158"),
+    ("full-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 4,
+     "c5b18ff670038063ed9f6c8dcbea9b6182b79018a19443577144f8faad7a50d6"),
     ("squared-radial-euler", 2, 0.5, 2.0, 0.0, 12, 2.5, 6,
-     "33a34b5c73a1d98ec7df0d5e0b0f8f0097ee494ca909ae62d69b93b300cd30a5"),
+     "8a2d09b72c185a9928ba6e6dd93cd5f8dc55aa3706465886fac5bf3453e1ab08"),
     ("full-euler", 4, 0.5, 2.5, 0.0, 16, None, 0,
-     "371cce24e756bf925f53dc39d5fc73cf38ab62774e5ea72eb973bf19f02f05f3"),
+     "b40cf84aee6a94f083a36e02d89f02735de5d370597048313dc8c6423039c4c0"),
     ("full-exact", 4, 0.5, 2.5, 0.0, 16, None, 0,
-     "371cce24e756bf925f53dc39d5fc73cf38ab62774e5ea72eb973bf19f02f05f3"),
+     "b40cf84aee6a94f083a36e02d89f02735de5d370597048313dc8c6423039c4c0"),
     ("full-euler", 256, 0.5, 4.0, 0.0, 100, None, 0,
-     "e3094c1b5a22d4df38e59bd0cdbe94d1b12005826bd40974895982ace0e6c3e8"),
+     "8464bb9fbb4c2b05971f204e29327dd6436f3f8c5ab28ec2e7419c4cd26051de"),
     ("full-exact", 256, 0.5, 4.0, 0.0, 100, None, 0,
-     "a04821f3f2ebd4454496072379c1b609bbbb739b5b1b7c009ee2449541d9d349"),
+     "66872fef2acbeccc21ac98da9bc4b0cb377cae480144a0f3196b5dee9092fa85"),
     ("full-euler", 1024, 0.5, 24.0, 0.0, 8, None, 0,
-     "cb1c616d307bc61d53ebced5e654139cb48177d653781e9c9662e7bc5c036ab7"),
+     "9810633ba1389c4436a936cdc2be824d90b97041efc4a1998547619052e1a409"),
     ("full-exact", 1024, 0.5, 24.0, 0.0, 8, None, 0,
-     "0f9a589ba0fe0af0d53973d51cb7c9e372f812856b4c7d45b18131b96734d75b"),
+     "9ebc342e170c51c0e0f433319c222c7029ec2b7cddbe22249ec1934753334403"),
 ]
 FROZEN_BATCH_IDS = [
     "full-euler-1-0.5-1.0-0.0-16-None-0-f0017f875773c1c1a2c7f1db88553a834a2829c872ebbf98582dde0fabb9c9e2",
@@ -580,12 +583,12 @@ def test_frozen_batch_bits(scheme, d, theta, big_l, x, n, t_max, censored, sha):
 # the times followed by the radii.  A lone d = 1000 path stays in numpy
 # batch chunks, as its load exceeds _SCALAR_LOAD.
 FROZEN_RECORDS = [
-    (2, 0.7, 27.94, "cb045320443699bb55f5e9b73459f83e502c1bef041b84d119e3f5bc2542e961"),
-    (2, 0.0, 3.835, "61b9e1a6340144a7da6677014036dd7e017a82e4ad5cc937c14e012e9dcc8a5e"),
-    (10, 0.7, 0.498, "3c157085b2ae99f16656856630fbcef89ce6ae1ad1c3204ae16cfb4c329428b5"),
-    (10, 0.0, 0.34500000000000003, "d138b598b026d7665859cc0449694a87a4907c99417530348b606a4876010178"),
-    (1000, 0.7, 0.007, "e9062c058b53ae9a94f3a37012c7d83165debb875848b479f92a43343543d071"),
-    (1000, 0.0, 0.007, "33bd44f610b680664977e6697f0996ae98de19322fe1f29b6278a49043664790"),
+    (2, 0.7, 39.873, "3142727905b992b802a6d3bca49dfd8d6ae165ec20d6d9ee1f92dd09f1fc8f3a"),
+    (2, 0.0, 13.084, "c1626ca5ca1cb1f346b7a27eb8f793bf18291085ef9a5d2c149d34a1202fb8d5"),
+    (10, 0.7, 0.675, "28f71419cdd17d63d6ad99698a7105be1e0a97c06182969a0a737f4bbe4e2679"),
+    (10, 0.0, 0.40800000000000003, "59d560fa937f6e3320163825c530ddeccf5e764aae45186b6eb8410166310b96"),
+    (1000, 0.7, 0.007, "e9d6f4a2912767c299019926801093db6c628dbf6657f196d0d774de45e4506b"),
+    (1000, 0.0, 0.007, "f2a14f4ba71692ed647539eb76283084feb5b98fa530a9af88f26983091e4679"),
 ]
 FROZEN_RECORD_IDS = [
     "2-0.7-62.996-8d654417f9ef241e39fcd49e85e04ab71ad3116ade3fbbd58d25109accfca531",
@@ -735,8 +738,43 @@ def _one_shot_normals(streams, steps, shape):
 
 
 def _streams(n, seed=SEED):
-    return [np.random.Generator(np.random.Philox(key=np.array([seed, i], np.uint64)))
-            for i in range(n)]
+    return [simulate._stream(seed, i) for i in range(n)]
+
+
+def _contract_stream(seed, i):
+    # the determinism contract's stream for path i, built independently
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i, 0))))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_paths_read_their_contract_streams(monkeypatch, seed):
+    # at both ends of McConfig's seed range, a batch's first block holds each
+    # path's first normals, and a lone path's blocks are its stream in order
+    blocks = []
+    normals = simulate._normals
+
+    def kept(streams, steps, shape):
+        blocks.append(normals(streams, steps, shape).reshape(len(streams), -1))
+        return blocks[-1].reshape((len(streams), steps) + shape)
+
+    monkeypatch.setattr(simulate, "_normals", kept)
+    p = _problem(3, 0.5, 1.0)
+    cfg = McConfig(n_paths=8, dt=1e-3, seed=seed, scheme=Scheme.FULL_EULER)
+    indices = [0, 1, 7]
+    _run_paths(p, cfg, indices)
+    for row, i in zip(blocks[0], indices):
+        assert row.tobytes() == _contract_stream(seed, i).standard_normal(row.size).tobytes()
+    blocks.clear()
+    _run_paths(p, cfg, [5])
+    assert len(blocks) >= 2
+    drawn = np.concatenate([b[0] for b in blocks])
+    assert drawn.tobytes() == _contract_stream(seed, 5).standard_normal(drawn.size).tobytes()
+
+
+def test_distinct_seeds_and_paths_draw_distinct_normals():
+    firsts = {simulate._normals([simulate._stream(seed, i)], 64, ()).tobytes()
+              for seed in (0, 1, 2**64 - 1) for i in (0, 1, 2**32)}
+    assert len(firsts) == 9
 
 
 @pytest.fixture
