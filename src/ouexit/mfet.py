@@ -14,9 +14,7 @@ single integral,
     E tau = (1/(lam^(d/2) sigma^2)) * int_x^L z^(1-d) exp(lam z^2)
                                       * lig(d/2, lam z^2) dz,
 
-through which the closed-form bounds below are derived.  For lam <= 0 the
-inner integral is (z^d/d) M(d/2, d/2+1, -lam z^2) (DLMF 13.2.2, 8.5.1), a
-Kummer series of positive terms, exactly z^d/d at lam = 0.
+through which the closed-form bounds below are derived.
 
 Kummer's transformation (DLMF 13.2.39) integrated term by term gives, with
 y = lam L^2 and b = d/2 + 1,
@@ -26,11 +24,18 @@ y = lam L^2 and b = d/2 + 1,
 For lam >= 0 every term is positive, so any one term is a lower bound on
 E tau, and the sum needs no quadrature.  mfet_exact takes the largest term,
 in O(1), and returns inf when its log, less a rounding slack, exceeds
-709.78; otherwise it sums the series outward from that term.  Only lam < 0
-integrates: one quadrature of the Kummer form, in log space, since the
-linear integrand overflows doubles for d beyond a few hundred.
-integrate_log raises QuadratureError when its panel budget runs out, so no
-caller here checks.
+709.78; otherwise it sums the series outward from that term.
+
+For lam < 0 (mu = -lam, a = d/2) the inner integral is (z^d/d) M(a, a+1,
+mu z^2) (DLMF 13.2.2, 8.5.1).  With M(a, a+1, w) = a int_0^1 t^(a-1) e^(w t) dt
+(DLMF 13.4.1) and the two integrals swapped, s = 1 - t, A = mu x^2 and
+D = mu (L^2 - x^2):
+
+    E tau = (1/(2 sigma^2 mu)) int_0^1 t^(a-1) e^(-A s) (1 - e^(-D s)) / s dt,
+
+one integral of a bounded elementary function, which mfet_exact takes in
+log space (_transient_log_integrand).  integrate_log raises QuadratureError
+when its panel budget runs out, so no caller here checks.
 
 Also here: the Brownian-motion closed form (L^2-x^2)/(sigma^2 d), the
 two-sided closed-form bounds obtained by pushing the Neuman inequalities
@@ -58,6 +63,10 @@ _MAX_EXP = 709.782712893384
 _SERIES_TOL = 1e-17
 _MAX_TERMS = 2**22
 _TINY = sys.float_info.min  # the smallest normal double; below it digits are lost
+# the lam < 0 integral's substitution, knee and cut (_transient_log_integrand)
+_K = 6.0
+_KNEE = 3.0
+_CUT = 40.0
 
 
 @dataclass(frozen=True)
@@ -114,8 +123,8 @@ class ExitProblem:
         if not (math.isfinite(self.L) and self.L > 0):
             raise DomainError(f"ball radius must be a positive finite real, got {self.L!r}")
         p = self.params
-        # an L**2 that overflows makes E tau inf for theta >= 0, which
-        # mfet_exact decides; for theta < 0 the Kummer sum needs it finite
+        # an L**2 that overflows makes E tau inf for theta >= 0, which mfet_exact
+        # decides; for theta < 0 it makes mfet_bm, E tau's upper bound, inf or nan
         if self.L * self.L < _TINY or (self.L * self.L == math.inf and p.theta < 0):
             raise DomainError(f"L**2 leaves the double range at ball radius L={self.L!r}")
         # L**2 / (sigma**2 d) is the Brownian value, which bounds E tau (from
@@ -145,23 +154,54 @@ def _exp_diff(lo, hi):
     return math.exp(lo) * math.expm1(hi - lo)
 
 
-def _outer_log_integrand(params):
-    """log f(z), the log of the lam < 0 outer integrand with constants folded in:
+def _softplus(z):
+    """ln(1 + e^z) for every z, -inf and past the double range of e^z included."""
+    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
 
-        ln z + lam z^2 + ln_kummer_sum(d/2, -lam z^2) - 2 ln sigma
 
-    so that the integral of exp(log f) over [x, L] is the mean exit time
-    itself (keeping the constant inside keeps the linear value of the
-    quadrature at the scale the tolerances refer to).
+def _transient_log_integrand(problem):
+    """(log f, X, ln scale): E tau = exp(ln scale) * int_0^X exp(log f(xi)) dxi, for lam < 0.
+
+    The t-integral of the module docstring in w = 1 - t^(a/_K), a polynomial
+    t^(a-1) dt = k (1-w)^(_K-1) dw with k = _K/a, then in xi with w = w0
+    (e^xi - 1): linear below the knee s0 = k w0 = _KNEE/(mu L^2) (w0 <= e^30),
+    logarithmic over the up to ln(mu L^2) e-folds of s above it, and cut
+    where w = 1 or A s = _CUT (e^-_CUT = 4e-18).  Sizes scaled by mu are
+    logs relative to mu L^2, so nothing overflows.  f is divided by Jensen's
+    lower bound J = ln((a + mu L^2)/(a + mu x^2)) on the t-integral, so its
+    integral is at least 1 and the absolute tolerance never decides.
     """
-    lam = params.lam
-    a = 0.5 * params.d
-    log_s2 = 2.0 * math.log(params.sigma)
+    p = problem.params
+    big_l, x = problem.L, problem.x
+    a = 0.5 * p.d
+    k = _K / a
+    # ln(a/(mu L^2)), ln(A/(mu L^2)) and ln(D/(mu L^2)), with L - x exact near L;
+    # an x/L that rounds to 0 leaves A s below 1e-30, as x = 0 does
+    ln_a = math.log(a) - math.log(-p.lam) - 2.0 * math.log(big_l)
+    ln_big_a = 2.0 * math.log(x / big_l) if x / big_l > 0.0 else -math.inf
+    ln_d = math.log((big_l - x) / big_l) + math.log1p(x / big_l)
+    r = ln_d - max(ln_a, ln_big_a) - math.log1p(math.exp(-abs(ln_a - ln_big_a)))  # ln(D/(a+A))
+    ln_j = r if r < -40.0 else math.log(_softplus(r))  # ln log1p(e^r), to 2e-18
+    ln_w0 = min(math.log(_KNEE / _K) + ln_a, 30.0)
+    ln_s0 = math.log(_K) + ln_w0 - ln_a  # ln(s0 mu L^2)
+    alpha, delta = ln_s0 + ln_big_a, ln_s0 + ln_d  # ln(A s0), ln(D s0)
+    # s >= min(k, 1) w, so w = w0 (e^X - 1) reaches 1, or A s = _CUT
+    upper = _softplus(min(-ln_w0, math.log(_CUT) - alpha + max(math.log(k), 0.0)))
+    log, exp, expm1, log1p = math.log, math.exp, math.expm1, math.log1p
 
-    def log_f(z):
-        return math.log(z) + lam * z * z + special.ln_kummer_sum(a, -lam * z * z) - log_s2
+    def log_f(xi):
+        e1 = -expm1(-xi)
+        w = exp(max(ln_w0 + xi, -40.0)) * e1  # below e^-40, g/w and s/(k g) are 1
+        g = -log1p(-w)
+        u = max(k * g, 1e-300)  # no 0/0 where k g underflows, at d near the double range
+        q = log(e1 * -expm1(-u) / u * g / w)  # ln(s/s0) - xi
+        if alpha + xi + q > 709.0:  # e^(-A s) < e^(-8e307)
+            return -math.inf
+        ds = delta + xi + q  # ln(D s): ln(1 - e^(-D s)) is ds below -40, 0.0 above 4
+        ln_rise = ds if ds < -40.0 else (0.0 if ds > 4.0 else log(-expm1(-exp(ds))))
+        return ln_rise - q - (_K - 1.0) * g - exp(alpha + xi + q) - ln_j
 
-    return log_f
+    return log_f, upper, ln_j - math.log(2.0) - math.log(-p.theta)
 
 
 def _ln_peak_term(problem):
@@ -316,15 +356,15 @@ def mfet_exact(problem):
     largest term (_sum_from_peak), and the Brownian value to rounding at
     lam = 0; inf is decided first, in O(1), when that largest term, a lower
     bound on E tau, is already past 709.78 after its rounding slack.  For
-    lam < 0 it is one log-space quadrature of the Kummer integrand, and
+    lam < 0 it is one log-space quadrature (_transient_log_integrand), and
     QuadratureError (carrying the partial result) from integrate_log
     passes through if the panel budget is exhausted.
     """
     if problem.x == problem.L:
         return 0.0
     if problem.params.lam < 0:
-        log_f = _outer_log_integrand(problem.params)
-        return special.exp_saturating(integrate_log(log_f, problem.x, problem.L).value)
+        log_f, upper, ln_scale = _transient_log_integrand(problem)
+        return special.exp_saturating(integrate_log(log_f, 0.0, upper).value + ln_scale)
     n, ln_term, slack, ln_rise = _ln_peak_term(problem)
     if ln_term - slack > _MAX_EXP:
         return math.inf

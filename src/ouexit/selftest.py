@@ -40,9 +40,8 @@ def _reference_call(name, arguments):
 def check_reference_values():
     """mfet_exact and ln_lower_gamma match every row of the committed mpmath table.
 
-    Each to its route's contract: 1e-12 relative for the lam >= 0 series,
-    the quadrature's 1e-10 relative for lam < 0, and 1e-12 of max(1, |ln lig|)
-    for ln_lower_gamma.
+    mfet_exact to 1e-12 relative, for every sign of lam, and ln_lower_gamma
+    to 1e-12 of max(1, |ln lig|).
     """
     try:
         with open(_TABLE, newline="") as f:
@@ -60,10 +59,7 @@ def check_reference_values():
                 raise ValueError(f"reference {want!r}")
         except ValueError:
             return False, f"{_TABLE.name} line {line} is malformed: {row!r}"
-        if fn is mfet_exact:
-            tol = (1e-12 if args[0].params.theta >= 0 else 1e-10) * abs(want)
-        else:
-            tol = 1e-12 * max(1.0, abs(want))
+        tol = 1e-12 * (abs(want) if fn is mfet_exact else max(1.0, abs(want)))
         got = fn(*args)
         if not abs(got - want) <= tol:
             return False, f"{name}({', '.join(map(repr, args))}) = {got!r}, reference {want!r}"

@@ -12,17 +12,12 @@ represented by its logarithm, assembled directly from the series or
 continued-fraction pieces (never as log(exp(...))).
 
 Evaluation follows the classic split: power series for x < a + 1,
-Lentz continued fraction for the complementary function otherwise.
-ln_kummer_sum gives the companion integral of t**(a-1) * exp(+t) over
-[0, y], divided by y**a: a series of positive terms.  Every term of the
-gamma series is positive too, so both series stop at the first term below
-_TOL times the running sum, with no abs().
+Lentz continued fraction for the complementary function otherwise.  Every
+term of the series is positive, so it stops at the first term below _TOL
+times the running sum, with no abs().
 
-The lam < 0 quadrature of mfet_exact calls ln_kummer_sum at every node,
-so it takes a pair of plain floats already in range (a positive and
-finite, y in [0, _KUMMER_Y_MAX]) as it is.  Every other pair, and every
-pair given to ln_lower_gamma, goes through _check_args, which converts it
-to floats or raises DomainError, so an int pair has the float pair's bits
+Every pair given to ln_lower_gamma goes through _check_args, which converts
+it to floats or raises DomainError, so an int pair has the float pair's bits
 and every rejection keeps its message.
 """
 
@@ -30,16 +25,12 @@ import math
 
 from .errors import ConvergenceError, DomainError
 
-# Iteration policy (gamma series, continued fraction, Kummer sum): stop when
-# the running term falls below _TOL relative to the sum, fail loudly after
-# _max_iter(a) terms rather than return a silent partial sum.  Near x = a the
-# series needs about 9.5 sqrt(a) terms, so the cap grows with sqrt(a).
+# Iteration policy (gamma series, continued fraction): stop when the running
+# term falls below _TOL relative to the sum, fail loudly after _max_iter(a)
+# terms rather than return a silent partial sum.  Near x = a the series needs
+# about 9.5 sqrt(a) terms, so the cap grows with sqrt(a).
 _TOL = 1e-16
 _MAX_ITER = 500
-# The Kummer sum takes about 9 sqrt(y) steps, 0.2 s a call at this y on a
-# 2-core VM; past it ln_kummer_sum raises ConvergenceError at once, where
-# the sum would not end (y up to 1.8e308 passes every argument check)
-_KUMMER_Y_MAX = 2.0**30
 
 _TINY = 1e-300
 
@@ -77,36 +68,6 @@ def _series_log_sum(a, x):
     raise ConvergenceError(
         f"lower-gamma series did not converge for a={a!r}, x={x!r}"
     )
-
-
-def ln_kummer_sum(a, y):
-    """log of sum_{n>=0} y**n / (n! * (a+n)) = log(M(a, a+1, y) / a), for y >= 0.
-
-    All terms are positive.  They are summed outward in both directions from
-    the largest, near n0 = floor(y), in units of it: O(sqrt(y)) terms, none
-    over- or underflowing; fails loudly after _max_iter(y) steps, and at
-    once for y past _KUMMER_Y_MAX (2**30), where a call would take 0.2 s
-    or more.
-    """
-    if not (type(a) is type(y) is float and 0.0 < a < math.inf and 0.0 <= y <= _KUMMER_Y_MAX):
-        a, y = _check_args(a, y)
-        if y > _KUMMER_Y_MAX:
-            raise ConvergenceError(f"Kummer series not summed for a={a!r}, y={y!r}: past "
-                                   f"y={_KUMMER_Y_MAX!r} it needs about 9*sqrt(y) terms")
-    n0 = math.floor(y)
-    log_peak = -math.log(a + n0)
-    if n0 > 0:
-        log_peak += n0 * math.log(y) - math.lgamma(n0 + 1.0)
-    total = up = down = 1.0  # terms n0 + k and n0 - k over term n0
-    for k in range(1, _max_iter(y) + 1):
-        n, m = n0 + k, n0 - k
-        up *= y / n * (a + n - 1.0) / (a + n)
-        down = down * (m + 1.0) / y * (a + m + 1.0) / (a + m) if m >= 0 else 0.0
-        step = up + down
-        total += step
-        if step < total * _TOL:
-            return log_peak + math.log(total)
-    raise ConvergenceError(f"Kummer series did not converge for a={a!r}, y={y!r}")
 
 
 def _contfrac_factor(a, x):

@@ -100,16 +100,19 @@ class TestMfetCommand:
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("big_l,theta", [("1e154", "-0.5"), ("1e150", "-1e10")])
-    def test_kummer_sum_past_its_range_is_exit_3_at_once(self, big_l, theta):
-        # lam L^2 up to 1e305: the Kummer sum would need about 9 sqrt(y)
-        # terms and never returned; it refuses y past 2**30 instead
+    def test_huge_transient_ball_is_a_finite_value(self, big_l, theta):
+        # |lam| L^2 = 5e307 and 1e310, the second past the double range: a
+        # value within 5 s, inside the bounds
+        # ln(1 + |lam| L^2 / 2) <= 2 |theta| E tau <= ln(1 + |lam| L^2)
         proc = subprocess.run(
             [sys.executable, "-m", "ouexit", "mfet", "--d", "4", "--L", big_l, "--x", "0",
-             "--sigma", "1", f"--theta={theta}"],
+             "--sigma", "1", f"--theta={theta}", "--format", "json"],
             capture_output=True, text=True, timeout=5,
         )
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("numerical failure: Kummer series not summed")
+        assert proc.returncode == 0
+        scaled = -2.0 * float(theta) * json.loads(proc.stdout)["mfet_exact"]
+        ln_lam_l2 = math.log(-float(theta)) + 2.0 * math.log(float(big_l))
+        assert ln_lam_l2 - math.log(2.0) <= scaled <= ln_lam_l2 * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("command", ["mfet", "mfet --format json"])
     def test_overflowing_exact_value_is_numerical_failure(self, command, tmp_path, capsys):
@@ -343,7 +346,7 @@ class TestOutputBytes:
          "4f1fb04fb4cf8853afb8af6c3a40180c99aa1b2429bba462fd39d16dfaf42d8d"),
         # transient: the four bound cells are empty
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "-0.5"],
-         "5878c79e3dc389e6f511556f98d87d371f9427a4c437f4222f4554e2b9fc875f"),
+         "314a9037e5ff5543d38b9905f65c95d8e7fcff82b89ba9689ca0564e016180d0"),
     ], ids=["trajectories", "drift-ratio-inside", "mfet-recurrent", "mfet-transient"])
     def test_csv_keeps_its_bytes(self, argv, sha, capsys):
         assert main(argv) == 0
@@ -404,11 +407,25 @@ class TestSelftestCommand:
         assert "all checks passed" in out
 
     @pytest.mark.parametrize("name,shift", [("ln_lower_gamma", 0.05),
-                                            ("ln_lower_gamma", 1e-9),
-                                            ("ln_kummer_sum", 1e-9)])
+                                            ("ln_lower_gamma", 1e-9)])
     def test_corrupted_gamma_names_the_reference_check(self, capsys, monkeypatch, name, shift):
         honest = getattr(ouexit.special, name)
         monkeypatch.setattr(ouexit.special, name, lambda a, x: honest(a, x) + shift)
+        code = run_cli("selftest")
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.splitlines()[-1] == "FAILED: reference-values"
+
+    def test_corrupted_transient_integrand_names_the_reference_check(self, capsys, monkeypatch):
+        # a lam < 0 log-integrand off by 1e-11 moves E tau by 1e-11: past
+        # the 1e-12 that every mfet_exact row of the table is held to
+        honest = ouexit.mfet._transient_log_integrand
+
+        def corrupted(problem):
+            log_f, upper, ln_scale = honest(problem)
+            return (lambda xi: log_f(xi) + 1e-11), upper, ln_scale
+
+        monkeypatch.setattr(ouexit.mfet, "_transient_log_integrand", corrupted)
         code = run_cli("selftest")
         out = capsys.readouterr().out
         assert code == 1
