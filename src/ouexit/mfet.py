@@ -39,10 +39,11 @@ when its panel budget runs out, so no caller here checks.
 
 Also here: the Brownian-motion closed form (L^2-x^2)/(sigma^2 d), the
 two-sided closed-form bounds obtained by pushing the Neuman inequalities
-through the single-integral form (valid for theta > 0), the ratio to the
-Brownian value (which tends to 1 as d grows, for any theta >= 0), the drift
-ratio of the squared radial process against its Brownian counterpart, and a
-finite-difference residual of the exit-time ODE
+through the single-integral form (valid for theta > 0), each the Brownian
+value times one factor, the ratio to the Brownian value (which tends to 1 as
+d grows, for any theta >= 0), the drift ratio of the squared radial process
+against its Brownian counterpart, and a finite-difference residual of the
+exit-time ODE
 
     u'' = [2 lam x - (d-1)/x] u' - 2/sigma^2,   u(L) = 0,
 
@@ -127,14 +128,15 @@ class ExitProblem:
         # decides; for theta < 0 it makes mfet_bm, E tau's upper bound, inf or nan
         if self.L * self.L < _TINY or (self.L * self.L == math.inf and p.theta < 0):
             raise DomainError(f"L**2 leaves the double range at ball radius L={self.L!r}")
-        # L**2 / (sigma**2 d) is the Brownian value, which bounds E tau (from
-        # below for theta > 0, above for theta < 0); a subnormal one has too
-        # few digits, and mfet_exact came out above its own upper_mixed
-        if self.L * self.L / (p.sigma * p.sigma * p.d) < _TINY:
-            raise DomainError(f"L**2 / (sigma**2 * d) leaves the double range at ball radius "
-                              f"L={self.L!r}, sigma={p.sigma!r}, d={p.d!r}")
         if not (math.isfinite(self.x) and 0 <= self.x <= self.L):
             raise DomainError(f"start radius must lie in [0, L], got {self.x!r}")
+        # the Brownian value mfet_bm bounds E tau (from below for theta > 0,
+        # above for theta < 0); a subnormal one has too few digits, and
+        # mfet_exact came out above its own upper_mixed
+        if self.x < self.L and mfet_bm(self) < _TINY:
+            name = "(L**2 - x**2)" if self.x else "L**2"
+            raise DomainError(f"{name} / (sigma**2 * d) leaves the double range at ball radius "
+                              f"L={self.L!r}, x={self.x!r}, sigma={p.sigma!r}, d={p.d!r}")
 
 
 @dataclass(frozen=True)
@@ -145,13 +147,6 @@ class MfetBounds:
     upper_exp: float
     lower_exp: float
     lower_bm: float
-
-
-def _exp_diff(lo, hi):
-    """exp(hi) - exp(lo) for hi >= lo, cancellation-safe; inf on overflow."""
-    if hi > _MAX_EXP:
-        return math.inf
-    return math.exp(lo) * math.expm1(hi - lo)
 
 
 def _softplus(z):
@@ -213,8 +208,7 @@ def _ln_peak_term(problem):
     (n+2)(b+n) < y(n+1) and fall after the larger root of that quadratic:
     n is that root rounded up, or 0 if it has no positive root.  Any n
     gives a lower bound on E tau, so rounding in the root costs tightness,
-    never rigour.  n stops at 2**52, where it is still an exact float, and
-    is 0 for b past 2**52.
+    never rigour.  n stops at 2**52, where it is still an exact float.
 
     With g_n = (L^2/(sigma^2 d)) y^n / ((n+1) (b)_n), so t_n = g_n times
     the factor in x, ln g_n - ln g_0 is formed without the cancellation of
@@ -240,7 +234,7 @@ def _ln_peak_term(problem):
     # negative (no rise anywhere) unless y - b >= 2 sqrt(b-1), where the
     # root is above -1
     gap, w = y - b, 2.0 * math.sqrt(b - 1.0)
-    if gap >= w and b < 2.0**52:
+    if gap >= w:
         root = 0.5 * (gap - 2.0) + 0.5 * math.sqrt(gap - w) * math.sqrt(gap + w)
         n = min(float(math.ceil(root)), 2.0**52)
     ln_c = 2.0 * math.log(big_l) - math.log(p.sigma * p.sigma * p.d)
@@ -372,51 +366,55 @@ def mfet_exact(problem):
 
 
 def mfet_bm(problem):
-    """Brownian-motion mean exit time (L^2 - x^2) / (sigma^2 d); theta is ignored."""
+    """Brownian-motion mean exit time D/(sigma^2 d), D = (L - x)(L + x); theta is ignored."""
     p = problem.params
-    return (problem.L * problem.L - problem.x * problem.x) / (p.sigma * p.sigma * p.d)
+    return (problem.L - problem.x) * (problem.L + problem.x) / (p.sigma * p.sigma * p.d)
+
+
+def _mean_exp(problem, r):
+    """phi(r) = e^(r x^2) expm1(r D)/(r D), D = (L - x)(L + x): the mean of e^(r u) on [x^2, L^2].
+
+    1 at r D = 0 and inf past the double range; past r D = 709.78, where
+    expm1 overflows and -expm1(-r D) rounds to 1, e^(r x^2 + r D)/(r D).
+    """
+    big_l, x = problem.L, problem.x
+    x2, rd = x * x, r * ((big_l - x) * (big_l + x))
+    if rd > _MAX_EXP:
+        return special.exp_saturating(r * x2 + rd - math.log(rd)) if rd < math.inf else math.inf
+    return special.exp_saturating(r * x2) * (math.expm1(rd) / rd if rd else 1.0)
 
 
 def mfet_bounds(problem):
     """Closed-form two-sided bounds on the mean exit time, for theta > 0.
 
-    upper_mixed = 2/(sigma^2 d (d+2)) * ( (exp(lam L^2) - exp(lam x^2))/lam
-                                          + (d/2)(L^2 - x^2) )
-    upper_exp   = (exp(lam L^2) - exp(lam x^2)) / (theta d)
-    lower_exp   = (1 + 2/d)/(2 lam sigma^2)
-                  * (exp(2 lam L^2/(d+2)) - exp(2 lam x^2/(d+2)))
-    lower_bm    = (L^2 - x^2) / (sigma^2 d)
+    Each is the Brownian value lower_bm = mfet_bm = D/(sigma^2 d), D = L^2 - x^2,
+    times one factor: with w = 2/(d+2) and phi(r) the mean of e^(r u) over
+    u uniform on [x^2, L^2] (_mean_exp), the paper's
 
-    Exponentials beyond double range come back as inf rather than raising;
-    a divisor that overflows is divided out one factor at a time, so an
-    upper bound never underflows to 0.
+        upper_exp   = (e^(lam L^2) - e^(lam x^2)) / (theta d)        = lower_bm phi(lam)
+        upper_mixed = (d lower_bm + 2 upper_exp) / (d+2)             = lower_bm (1 - w + w phi(lam))
+        lower_exp   = (e^(w lam L^2) - e^(w lam x^2)) / (w theta d)  = lower_bm phi(w lam)
+
+    phi(0) = 1, and phi rises with r and is convex, so lower_bm <= lower_exp
+    <= upper_mixed <= upper_exp (the middle link to rounding: its sides agree
+    to second order in w lam L^2), and w -> 0 pinches both ends to lower_bm
+    as d grows.  A factor past the double range makes its bounds inf; a
+    start on the boundary gives four zeros.
     """
     p = problem.params
     lam = p.lam
     if lam <= 0:
         raise DomainError("bounds require theta > 0 (positively recurrent regime)")
-    d = p.d
-    s2 = p.sigma * p.sigma
-    l2 = problem.L * problem.L
-    x2 = problem.x * problem.x
-
-    diff_full = _exp_diff(lam * x2, lam * l2)
-    g = 2.0 * lam / (d + 2.0)
-    diff_inner = _exp_diff(g * x2, g * l2)
-
-    scale = s2 * d * (d + 2.0)
-    if scale < math.inf:
-        upper_mixed = (2.0 / scale) * (diff_full / lam + 0.5 * d * (l2 - x2))
-    else:  # 2 / scale would be 0, below E tau: divide by one factor at a time
-        upper_mixed = (2.0 * diff_full / lam / (d + 2.0) + d / (d + 2.0) * (l2 - x2)) / (s2 * d)
-    theta_d = p.theta * d
-    upper_exp = diff_full / theta_d if theta_d < math.inf else diff_full / p.theta / d
-    lower_exp = (1.0 + 2.0 / d) / (2.0 * lam * s2) * diff_inner
+    if problem.x == problem.L:
+        return MfetBounds(upper_mixed=0.0, upper_exp=0.0, lower_exp=0.0, lower_bm=0.0)
+    lower_bm = mfet_bm(problem)
+    w = 2.0 / (p.d + 2.0)
+    phi = _mean_exp(problem, lam)
     return MfetBounds(
-        upper_mixed=upper_mixed,
-        upper_exp=upper_exp,
-        lower_exp=lower_exp,
-        lower_bm=mfet_bm(problem),
+        upper_mixed=lower_bm * (1.0 + w * (phi - 1.0)),
+        upper_exp=lower_bm * phi,
+        lower_exp=lower_bm * _mean_exp(problem, w * lam),
+        lower_bm=lower_bm,
     )
 
 

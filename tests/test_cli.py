@@ -343,7 +343,7 @@ class TestOutputBytes:
         (["drift-ratio", "--rho-max", "3"],
          "6bd532818ed87c47fffa502b5d25199757466e77df0f8a8e461db5722846820f"),
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "0.5"],
-         "4f1fb04fb4cf8853afb8af6c3a40180c99aa1b2429bba462fd39d16dfaf42d8d"),
+         "9cd25157da1adef9a6f0680636e39d4ec32d267832fb176f3ef478b5a4e85882"),
         # transient: the four bound cells are empty
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "-0.5"],
          "314a9037e5ff5543d38b9905f65c95d8e7fcff82b89ba9689ca0564e016180d0"),

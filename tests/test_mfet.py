@@ -18,6 +18,7 @@ import math
 import random
 import re
 import time
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -225,7 +226,7 @@ class TestExactFormula:
         }
         assert got == {
             "mfet_exact": "e0f9a04f379b755a649d853e2d5e3ae8f34eaed6d7b3210368f2a65d129f9f63",
-            "mfet_bounds": "52b8213c458025c8c898b71eedcf13713465a2e1048f2eba0d198c5a560f6505",
+            "mfet_bounds": "9c3e32482e79efe0e10b8a4348b54251d9401e57b4459f52d7ea781b42ccd23c",
             "ln_lower_gamma": "0a2aaf9b5a6ff11efe8a8b1a903cfa87a35ec522c03fee1d983a4db62a302eb0",
         }
 
@@ -386,6 +387,28 @@ class TestDecidedOverflow:
                     # a local maximum of the terms
                     assert want >= max(_mp_ln_term(p, n - 1), _mp_ln_term(p, n + 1))
 
+    def test_huge_shape_overflow_is_decided_at_once(self):
+        # lam > 0 over d = 1..2**60, lam on e^+-30, sigma = 1, L on e^+-10 and
+        # x at 0, U L or L (1 - 1e-6 U).  On seven, b = d/2 + 1 is past 2**52
+        # and ln E tau past 1e16: the peak term decides inf at once, where
+        # summing to the term cap took about a second and then raised
+        rng = random.Random(2024)
+        problems = []
+        for i in range(3000):
+            d = round(math.exp(rng.uniform(0.0, 60.0 * math.log(2.0))))
+            lam, big_l = math.exp(rng.uniform(-30.0, 30.0)), math.exp(rng.uniform(-10.0, 10.0))
+            u = rng.random()
+            problems.append(_problem(d, lam, big_l, x=(0.0, u * big_l, big_l * (1.0 - 1e-6 * u))[i % 3]))
+        huge = 0
+        for p in problems:
+            t0 = time.perf_counter()
+            got = mfet_exact(p)
+            assert time.perf_counter() - t0 < 0.1, p
+            if got < math.inf:
+                assert _chain_holds(p, got), p
+            huge += got == math.inf and p.params.d / 2 + 1 >= 2.0**52
+        assert huge == 7
+
     def test_bound_never_fires_on_a_finite_value(self):
         problems = [p for seed in (11, 23, 37) for p in _sampled_problems(seed, 700)]
         problems += _near_threshold_problems(5, 150)
@@ -527,12 +550,6 @@ def _transient_sweep(seed, n):
     return out
 
 
-def _brownian(problem):
-    """(L^2 - x^2)/(sigma^2 d), without mfet_bm's cancellation of L^2 - x^2 near x = L."""
-    p = problem.params
-    return (problem.L - problem.x) * (problem.L + problem.x) / (p.sigma * p.sigma * p.d)
-
-
 class TestTransientBracket:
     """lam < 0: the log bounds on 2 sigma^2 mu E tau, and the Brownian value, with no mpmath.
 
@@ -550,14 +567,14 @@ class TestTransientBracket:
             assert math.log1p(big_d / (a + big_a)) <= scaled * (1.0 + 1e-12), p
             if p.params.d >= 3:
                 assert scaled <= math.log1p(big_d / (a - 1.0 + big_a)) * (1.0 + 1e-12), p
-            assert got <= _brownian(p) * (1.0 + 1e-12), p
+            assert got <= mfet_bm(p) * (1.0 + 1e-12), p
 
     def test_brownian_limit(self):
         # mu L^2 = 1e-20: E tau is the Brownian value to 1e-20, less rounding
         for p in _transient_sweep(20260611, 120):
             q = p.params
             near = _problem(q.d, -1e-20 / (p.L * p.L), p.L, x=p.x, sigma=q.sigma)
-            assert mfet_exact(near) == pytest.approx(_brownian(near), rel=1e-12), near
+            assert mfet_exact(near) == pytest.approx(mfet_bm(near), rel=1e-12), near
 
 
 class TestBrownianClosedForm:
@@ -568,8 +585,68 @@ class TestBrownianClosedForm:
     def test_boundary_start(self):
         assert mfet_bm(_problem(7, 0.9, 1.25, x=1.25)) == 0.0
 
+    def test_no_cancellation_near_the_boundary(self):
+        # (L - x)(L + x) is exact here; L*L - x*x lost the 2**-60 in x*x
+        assert mfet_bm(_problem(1, 0.0, 1.0, x=1.0 - 2.0**-30)) == 2.0**-29 - 2.0**-60
+
     def test_theta_is_ignored(self):
         assert mfet_bm(_problem(4, 5.0, 2.0)) == mfet_bm(_problem(4, 0.0, 2.0))
+
+
+def _mp_bounds(problem):
+    """(upper_mixed, upper_exp, lower_exp, lower_bm) at 60 digits, from the paper's four formulas.
+
+    e^(r L^2) - e^(r x^2) is taken as e^(r x^2) expm1(r D), D = L^2 - x^2,
+    which mpmath forms without cancellation at every r D.
+    """
+    with mpmath.workdps(60):
+        p = problem.params
+        theta, s2, d = mpmath.mpf(p.theta), mpmath.mpf(p.sigma) ** 2, mpmath.mpf(p.d)
+        lam, x2 = theta / s2, mpmath.mpf(problem.x) ** 2
+        big_d = mpmath.mpf(problem.L) ** 2 - x2
+        diff = mpmath.exp(lam * x2) * mpmath.expm1(lam * big_d)
+        g = 2 * lam / (d + 2)
+        return (2 / (s2 * d * (d + 2)) * (diff / lam + d / 2 * big_d),
+                diff / (theta * d),
+                (1 + 2 / d) / (2 * lam * s2) * mpmath.exp(g * x2) * mpmath.expm1(g * big_d),
+                big_d / (s2 * d))
+
+
+def _extreme_sweep(seed, n):
+    # lam > 0 problems over the double range: d log-uniform on 1..1e300, lam
+    # on e^+-300, sigma on e^+-20, L on e^+-50, and x at 0, U L or L (1 - 1e-9 U);
+    # the draws ExitProblem refuses are skipped
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        d = round(math.exp(rng.uniform(0.0, math.log(1e300))))
+        lam, sigma, big_l = (math.exp(rng.uniform(-h, h)) for h in (300.0, 20.0, 50.0))
+        u = rng.random()
+        x = (0.0, u * big_l, big_l * (1.0 - 1e-9 * u))[i % 3]
+        try:
+            out.append(_problem(d, lam, big_l, x=x, sigma=sigma))
+        except DomainError:
+            pass
+    return out
+
+
+def _worst_scaled_error(problems):
+    """The largest relative error of a bound over 1 + r L^2, in units of 2**-53.
+
+    r is the bound's rate: lam for the upper bounds, 2 lam/(d+2) for
+    lower_exp, 0 for lower_bm.  Rounding lam = theta/sigma^2 moves
+    e^(r L^2) by r L^2 of its relative rounding, so that much is the
+    inputs' share, not the formula's.  Measured: at most 4.9 over the
+    pinned, extreme and benchmark sweeps.
+    """
+    worst = 0.0
+    for p in problems:
+        lam, l2 = p.params.lam, p.L * p.L
+        rates = (lam, lam, 2.0 * lam / (p.params.d + 2.0), 0.0)
+        for r, got, ref in zip(rates, astuple(mfet_bounds(p)), _mp_bounds(p)):
+            if got < math.inf:
+                worst = max(worst, float(abs(got - ref) / ref) / ((1.0 + r * l2) * 2.0**-53))
+    return worst
 
 
 class TestBounds:
@@ -609,6 +686,50 @@ class TestBounds:
         b = mfet_bounds(p)
         assert _chain_holds(p, got)
         assert 0.0 < b.upper_mixed <= b.upper_exp
+
+    def test_pinned_overflow_problem_is_finite(self):
+        # lam L^2 = 706.3 < 709.78 with lam < 1: e^(lam L^2)/lam overflows,
+        # upper_mixed does not
+        p = ExitProblem(OupParams(theta=0.03564128512650495, sigma=0.8209532881324187, d=2377),
+                        L=115.81965166239306, x=0.0)
+        b = mfet_bounds(p)
+        for got, ref in zip(astuple(b), _mp_bounds(p)):
+            assert math.isfinite(got)
+            assert abs(got - ref) <= 1e-13 * ref
+        assert b.lower_exp <= mfet_exact(p) <= b.upper_mixed
+
+    def test_past_the_double_range_in_lam_d_is_inf_not_nan(self):
+        # lam (L^2 - x^2) = 1e320 is inf, and so is its log
+        b = mfet_bounds(ExitProblem(OupParams(theta=1e300, sigma=1.0, d=4), L=1e10, x=0.0))
+        assert (b.upper_mixed, b.upper_exp, b.lower_exp) == (math.inf, math.inf, math.inf)
+        assert b.lower_bm == 2.5e19
+
+    def test_accuracy_on_the_pinned_sweep(self):
+        problems = [p for p in _pin_sweep(20804029, 400) if p.params.lam > 0 and p.x < p.L]
+        assert len(problems) == 200
+        assert _worst_scaled_error(problems) <= 6.0
+
+    def test_chain_over_the_double_range(self):
+        # lower_bm <= lower_exp and upper_mixed <= upper_exp exactly (phi >= 1,
+        # 1 - w + w phi <= phi); the middle link's two sides agree to second
+        # order in w lam L^2, and 193k draws broke it by at most 2 ulp.  No
+        # value is nan, and one is inf only where r L^2 passes 709.78 at its
+        # rate r, where e^(r L^2) in the four formulas is inf too.  Every
+        # tenth draw is checked against mpmath
+        problems = _extreme_sweep(7, 6000)
+        assert len(problems) > 5500
+        for p in problems:
+            b = mfet_bounds(p)
+            assert not any(map(math.isnan, astuple(b))), p
+            assert b.lower_bm <= b.lower_exp, p
+            assert b.lower_exp <= b.upper_mixed + 2.0 * math.ulp(b.upper_mixed), p
+            assert b.upper_mixed <= b.upper_exp, p
+            lam, l2 = p.params.lam, p.L * p.L
+            if b.upper_exp == math.inf:
+                assert lam * l2 > _MAX_EXP, p
+            if b.lower_exp == math.inf:
+                assert 2.0 * lam / (p.params.d + 2.0) * l2 > _MAX_EXP, p
+        assert _worst_scaled_error(problems[::10]) <= 6.0
 
     def test_chain_ordering_on_grid(self):
         for d in (1, 2, 16, 256, 4096):
@@ -809,6 +930,15 @@ class TestParamValidation:
         # mfet_exact came out above its own upper_mixed
         with pytest.raises(DomainError, match=re.escape("L**2 / (sigma**2 * d) leaves the double range")):
             ExitProblem(OupParams(theta=0.5, sigma=1.0, d=4), L=1.5e-154, x=0.0)
+
+    def test_brownian_value_from_the_start_must_not_underflow(self):
+        # L**2 / (sigma**2 d) is normal, but (L - x)(L + x) / (sigma**2 d) is
+        # not: mfet_exact gave 9.21946e-319, 1.5e-6 from mpmath
+        p = OupParams(theta=-5.35256235907503e186, sigma=6.070914263239435e54, d=63777619)
+        big_l = 3.327200555988594e-95
+        with pytest.raises(DomainError, match=re.escape("(L**2 - x**2) / (sigma**2 * d) leaves the double range")):
+            ExitProblem(p, L=big_l, x=3.327200555985337e-95)
+        assert mfet_exact(ExitProblem(p, L=big_l, x=big_l)) == 0.0
 
     def test_radius_square_must_not_overflow_where_e_tau_is_finite(self):
         # theta < 0 keeps E tau finite, but mfet_bm, its upper bound, would
