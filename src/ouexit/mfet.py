@@ -124,8 +124,9 @@ class ExitProblem:
         if not (math.isfinite(self.L) and self.L > 0):
             raise DomainError(f"ball radius must be a positive finite real, got {self.L!r}")
         p = self.params
-        # an L**2 that overflows makes E tau inf for theta >= 0, which mfet_exact
-        # decides; for theta < 0 it makes mfet_bm, E tau's upper bound, inf or nan
+        # an L**2 past the double range is admitted for theta >= 0, where
+        # mfet_bm and the series' scale L**2/(sigma**2 d) are formed without
+        # it; refused for theta < 0, where mfet_bm, E tau's upper bound, can be inf
         if self.L * self.L < _TINY or (self.L * self.L == math.inf and p.theta < 0):
             raise DomainError(f"L**2 leaves the double range at ball radius L={self.L!r}")
         if not (math.isfinite(self.x) and 0 <= self.x <= self.L):
@@ -200,33 +201,33 @@ def _transient_log_integrand(problem):
 
 
 def _ln_peak_term(problem):
-    """(n, ln t_n, slack, ln g_n - ln g_0) for the largest term t_n of the lam >= 0 series.
+    """(ln t_n, slack, scales) for the largest term t_n of the lam >= 0 series.
 
-    t_n = (L^2/(sigma^2 d)) y^n (1 - (x/L)^(2n+2)) / ((n+1) (b)_n), with
-    y = lam L^2 and b = d/2 + 1 (module docstring).  Past the factor in x,
+    t_n = c y^n f_n / ((n+1) (b)_n), with c = L^2/(sigma^2 d), y = lam L^2,
+    b = d/2 + 1 and f_n = 1 - (x/L)^(2n+2) (module docstring).  Past f_n,
     t_(n+1)/t_n = y(n+1)/((n+2)(b+n)), so the terms rise while
     (n+2)(b+n) < y(n+1) and fall after the larger root of that quadratic:
     n is that root rounded up, or 0 if it has no positive root.  Any n
     gives a lower bound on E tau, so rounding in the root costs tightness,
     never rigour.  n stops at 2**52, where it is still an exact float.
 
-    With g_n = (L^2/(sigma^2 d)) y^n / ((n+1) (b)_n), so t_n = g_n times
-    the factor in x, ln g_n - ln g_0 is formed without the cancellation of
+    With g_n = c y^n / ((n+1) (b)_n), so t_n = g_n f_n, ln_rise =
+    ln g_n - ln g_0 is formed without the cancellation of
     lgamma(b+n) - lgamma(b), from Binet's function (_binet):
 
         ln (b)_n - n ln y = (b - 1/2) log1p(n/b) + n log1p((b+n-y)/y) - n
                             + binet(b+n) - binet(b).
 
-    _sum_from_peak scales its sum by it.  ln t_n is exact to within
-    ``slack``, which scales with every log added up, not with their sum.
-    A start factor that rounds to 0 (x next to L) gives ln t_n = -inf, no
-    bound; y = inf (lam L^2 past the double range) gives ln t_n = inf.
+    ln t_n is exact to within ``slack``, which scales with every log added
+    up, not with their sum.  scales = (n, ln_rise, y, b, ln(x/L), f_n, c,
+    ln c) are _sum_from_peak's arguments; y = inf (lam L^2 past the double
+    range) gives ln t_n = inf and no scales.
     """
     p = problem.params
     big_l = problem.L
     y = p.lam * big_l * big_l
     if y == math.inf:
-        return math.inf, math.inf, 0.0, math.inf
+        return math.inf, 0.0, None
     b = 0.5 * p.d + 1.0
     n = 0.0
     # larger root of n^2 + (b+2-y) n + (2b-y) = 0; its discriminant
@@ -237,21 +238,24 @@ def _ln_peak_term(problem):
     if gap >= w:
         root = 0.5 * (gap - 2.0) + 0.5 * math.sqrt(gap - w) * math.sqrt(gap + w)
         n = min(float(math.ceil(root)), 2.0**52)
-    ln_c = 2.0 * math.log(big_l) - math.log(p.sigma * p.sigma * p.d)
+    s2d = p.sigma * p.sigma * p.d
+    ln_c = 2.0 * math.log(big_l) - math.log(s2d)
     ln_rise, abs_logs = 0.0, abs(ln_c)
     if n:
-        pochhammer = [(b - 0.5) * math.log1p(n / b), n * math.log1p((b + n - y) / y), -n,
-                      _binet(b + n), -_binet(b)]
+        # where n stops at 2**52, (b+n-y)/y can round to -1: log((b+n)/y) there
+        ln_q = math.log1p((b + n - y) / y) if b + n > 0.5 * y else math.log((b + n) / y)
+        pochhammer = [(b - 0.5) * math.log1p(n / b), n * ln_q, -n, _binet(b + n), -_binet(b)]
         ln_rise = -math.log(n + 1.0) - math.fsum(pochhammer)
         abs_logs += math.log(n + 1.0) + math.fsum(map(abs, pochhammer))
     slack = 1e-9 * (abs_logs + 1.0)
-    # 1 - (x/L)^(2n+2) with ln(x/L) = log1p(r): x - L is exact where x/L
-    # nears 1 (x >= L/2); the factor is 1 where x/L rounds to 0
+    # ln(x/L) = log1p((x-L)/L), with x - L exact where x/L nears 1 (x >= L/2);
+    # 0 flags an x/L that rounds to 0, where every f_n is 1.  x < L, so f_n > 0
     r = (problem.x - big_l) / big_l
-    f = -math.expm1((2.0 * n + 2.0) * math.log1p(r)) if r > -1.0 else 1.0
-    if not f > 0.0:
-        return n, -math.inf, slack, ln_rise
-    return n, ln_c + ln_rise + math.log(f), slack, ln_rise
+    ln_s = math.log1p(r) if r > -1.0 else 0.0
+    f = -math.expm1((2.0 * n + 2.0) * ln_s) if ln_s else 1.0
+    # mfet_bm at x = 0: L (L/(sigma^2 d)) only where L^2 overflows
+    c = big_l * big_l / s2d if big_l * big_l < math.inf else big_l * (big_l / s2d)
+    return ln_c + ln_rise + math.log(f), slack, (n, ln_rise, y, b, ln_s, f, c, ln_c)
 
 
 def _binet(z):
@@ -268,40 +272,27 @@ def _binet(z):
         1 / 1188 - u * (691 / 360360 - u / 156)))))) / z
 
 
-def _sum_from_peak(problem, n0, ln_rise):
+def _sum_from_peak(n0, ln_rise, y, b, ln_s, f0, c, ln_c):
     """E tau for lam >= 0 as the positive series, summed outward from term n0.
 
-    With g_n = (L^2/(sigma^2 d)) y^n / ((n+1) (b)_n), the terms are
-    t_n = g_n f_n, f_n = 1 - (x/L)^(2n+2) (module docstring).  g_(n+1)/g_n
-    = y(n+1)/((n+2)(b+n)) < y/(b+n) =: Q, and Q falls with n, so once
-    Q < 1 every later term sums to at most g_n Q/(1-Q); each side stops
-    where its rest is below _SERIES_TOL of the running total, the down side
-    bounding its rest, from n down to 0, by n max(g_n, g_0).  f_n is
-    -expm1((2n+2) ln(x/L)) with ln(x/L) = log1p((x-L)/L), exact in x - L
-    for x >= L/2, and 1 where x/L rounds to 0.
+    Takes _ln_peak_term's scales.  g_(n+1)/g_n = y(n+1)/((n+2)(b+n))
+    < y/(b+n) =: Q, and Q falls with n, so once Q < 1 every later term sums
+    to at most g_n Q/(1-Q); each side stops where its rest is below
+    _SERIES_TOL of the running total, the down side bounding its rest, from
+    n down to 0, by n max(g_n, g_0).
 
     The sum is taken in units of g_n0 and stays linear wherever it reaches
-    n = 0, whose g_0 = L^2/(sigma^2 d) then scales it: always for n0 = 0 (y
-    below about b + 2 sqrt(b-1), most problems), so lam = 0 gives the
-    Brownian value to rounding.  A log round trip would cost about
-    |ln E tau| ulps.  Where g_0 is negligible the sum is scaled by ln g_n0
-    = ln g_0 + ln_rise, with ln_rise = ln g_n0 - ln g_0 from _ln_peak_term.
-    Either way E tau is as exact as y = lam L^2 itself: its condition
-    number in y is the mean index of the terms, about n0.
+    n = 0, whose g_0 = c then scales it: always for n0 = 0 (y below about
+    b + 2 sqrt(b-1), most problems), so lam = 0 gives the Brownian value to
+    rounding.  A log round trip would cost about |ln E tau| ulps.  Where
+    g_0 is negligible, or c overflows, the sum is scaled by ln g_n0 =
+    ln c + ln_rise.  Either way E tau is as exact as y = lam L^2 itself:
+    its condition number in y is the mean index of the terms, about n0.
 
     ConvergenceError past _MAX_TERMS terms a side, which only y near or past
     b with d past about 2**38 needs (about 9 sqrt(y) terms a side).
     """
-    p = problem.params
-    big_l = problem.L
-    y = p.lam * big_l * big_l
-    b = 0.5 * p.d + 1.0
-    r = (problem.x - big_l) / big_l
-    ln_s = math.log1p(r) if r > -1.0 else 0.0  # ln(x/L); 0 flags f_n = 1
-    tol = _SERIES_TOL
-
-    total = -math.expm1((2.0 * n0 + 2.0) * ln_s) if ln_s else 1.0
-    terms = [total]
+    tol, total, terms = _SERIES_TOL, f0, [f0]
     g, n = 1.0, n0
     for _ in range(_MAX_TERMS):
         g *= y * (n + 1.0) / ((n + 2.0) * (b + n))
@@ -334,54 +325,55 @@ def _sum_from_peak(problem, n0, ln_rise):
                                        f"terms for y={y!r}, b={b!r}")
         scale = g if n == 0.0 else 0.0
     total = math.fsum(terms)
-    c = big_l * big_l / (p.sigma * p.sigma * p.d)
     if scale and c < math.inf:
         return c * (total / scale)
-    ln_c = 2.0 * math.log(big_l) - math.log(p.sigma * p.sigma * p.d)
     return special.exp_saturating(math.fsum([ln_c, ln_rise, math.log(total)]))
 
 
 def mfet_exact(problem):
     """Exact mean first-exit time: the positive series for lam >= 0, a quadrature below.
 
-    Returns exactly 0 when the start radius sits on the boundary and inf
-    once ln E tau exceeds 709.78.  For lam >= 0, E tau is the series of
-    positive terms in the module docstring, summed outward from its
-    largest term (_sum_from_peak), and the Brownian value to rounding at
-    lam = 0; inf is decided first, in O(1), when that largest term, a lower
-    bound on E tau, is already past 709.78 after its rounding slack.  For
-    lam < 0 it is one log-space quadrature (_transient_log_integrand), and
-    QuadratureError (carrying the partial result) from integrate_log
-    passes through if the panel budget is exhausted.
+    Exactly 0 when the start radius sits on the boundary, and inf once
+    ln E tau exceeds 709.78 (module docstring).
     """
     if problem.x == problem.L:
         return 0.0
     if problem.params.lam < 0:
         log_f, upper, ln_scale = _transient_log_integrand(problem)
         return special.exp_saturating(integrate_log(log_f, 0.0, upper).value + ln_scale)
-    n, ln_term, slack, ln_rise = _ln_peak_term(problem)
+    ln_term, slack, scales = _ln_peak_term(problem)
     if ln_term - slack > _MAX_EXP:
         return math.inf
-    return _sum_from_peak(problem, n, ln_rise)
+    return _sum_from_peak(*scales)
 
 
 def mfet_bm(problem):
-    """Brownian-motion mean exit time D/(sigma^2 d), D = (L - x)(L + x); theta is ignored."""
+    """Brownian-motion mean exit time D/(sigma^2 d), D = (L - x)(L + x); theta is ignored.
+
+    (L - x)((L + x)/(sigma^2 d)) only where D overflows, so no other bit moves.
+    """
     p = problem.params
-    return (problem.L - problem.x) * (problem.L + problem.x) / (p.sigma * p.sigma * p.d)
+    big_l, x, s2d = problem.L, problem.x, p.sigma * p.sigma * p.d
+    big_d = (big_l - x) * (big_l + x)
+    return big_d / s2d if big_d < math.inf else (big_l - x) * ((big_l + x) / s2d)
 
 
 def _mean_exp(problem, r):
-    """phi(r) = e^(r x^2) expm1(r D)/(r D), D = (L - x)(L + x): the mean of e^(r u) on [x^2, L^2].
+    """(a, m) with e^a m = phi(r) = e^(r x^2) expm1(r D)/(r D), D = (L - x)(L + x).
 
-    1 at r D = 0 and inf past the double range; past r D = 709.78, where
-    expm1 overflows and -expm1(-r D) rounds to 1, e^(r x^2 + r D)/(r D).
+    phi(r) is the mean of e^(r u) on [x^2, L^2]: 1 at r D = 0 and inf past
+    the double range.  Past r D = 709.78, where expm1 overflows and
+    -expm1(-r D) rounds to 1, a = r x^2 + r D - ln(r D) and m = 1.  (r x) x
+    and (r (L - x)) (L + x) only where x^2 or D overflows, where an r that
+    underflowed to 0 gives 0 inf = nan.
     """
     big_l, x = problem.L, problem.x
-    x2, rd = x * x, r * ((big_l - x) * (big_l + x))
+    x2, big_d = x * x, (big_l - x) * (big_l + x)
+    rx2 = r * x2 if x2 < math.inf else r * x * x
+    rd = r * big_d if big_d < math.inf else r * (big_l - x) * (big_l + x)
     if rd > _MAX_EXP:
-        return special.exp_saturating(r * x2 + rd - math.log(rd)) if rd < math.inf else math.inf
-    return special.exp_saturating(r * x2) * (math.expm1(rd) / rd if rd else 1.0)
+        return (rx2 + rd - math.log(rd) if rd < math.inf else math.inf), 1.0
+    return rx2, (math.expm1(rd) / rd if rd else 1.0)
 
 
 def mfet_bounds(problem):
@@ -398,8 +390,8 @@ def mfet_bounds(problem):
     phi(0) = 1, and phi rises with r and is convex, so lower_bm <= lower_exp
     <= upper_mixed <= upper_exp (the middle link to rounding: its sides agree
     to second order in w lam L^2), and w -> 0 pinches both ends to lower_bm
-    as d grows.  A factor past the double range makes its bounds inf; a
-    start on the boundary gives four zeros.
+    as d grows.  Where a factor overflows, its bound is taken in log space,
+    inf only past the double range; a start on the boundary gives four zeros.
     """
     p = problem.params
     lam = p.lam
@@ -409,13 +401,19 @@ def mfet_bounds(problem):
         return MfetBounds(upper_mixed=0.0, upper_exp=0.0, lower_exp=0.0, lower_bm=0.0)
     lower_bm = mfet_bm(problem)
     w = 2.0 / (p.d + 2.0)
-    phi = _mean_exp(problem, lam)
-    return MfetBounds(
-        upper_mixed=lower_bm * (1.0 + w * (phi - 1.0)),
-        upper_exp=lower_bm * phi,
-        lower_exp=lower_bm * _mean_exp(problem, w * lam),
-        lower_bm=lower_bm,
-    )
+    (a, m), (lo_a, lo_m) = _mean_exp(problem, lam), _mean_exp(problem, w * lam)
+    phi, low = special.exp_saturating(a) * m, special.exp_saturating(lo_a) * lo_m
+    upper_mixed, upper_exp = lower_bm * (1.0 + w * (phi - 1.0)), lower_bm * phi
+    lower_exp = lower_bm * low
+    # where a factor overflows, its bound in log space, with ln phi = a + ln m
+    # and ln(1 - w + w phi) = c + softplus(ln w + ln phi - c), c = ln(1 - w)
+    if phi == math.inf:
+        ln_bm, ln_phi, c = math.log(lower_bm), a + math.log(m), math.log1p(-w)
+        upper_mixed = special.exp_saturating(ln_bm + c + _softplus(math.log(w) + ln_phi - c))
+        upper_exp = special.exp_saturating(ln_bm + ln_phi)
+    if low == math.inf:
+        lower_exp = special.exp_saturating(math.log(lower_bm) + lo_a + math.log(lo_m))
+    return MfetBounds(upper_mixed, upper_exp, lower_exp, lower_bm)
 
 
 def asymptotic_ratio(problem):

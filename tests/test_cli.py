@@ -134,6 +134,30 @@ class TestMfetCommand:
         assert "overflows the double range" in capsys.readouterr().err
         assert time.perf_counter() - started < 1.0
 
+    def test_peak_index_at_its_cap_is_numerical_failure(self):
+        # lambda L^2 = 1e32: the peak index stops at 2**52, where
+        # (b + n - y)/y rounds to -1; exit 3, not a math domain error
+        proc = subprocess.run(
+            [sys.executable, "-m", "ouexit", "mfet", "--d", "4", "--L", "1e16", "--x", "0",
+             "--sigma", "1", "--theta", "1"],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 3
+        assert "overflows the double range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_square_at_huge_dimension_is_finite(self, capsys):
+        # L^2 = 1e400 and d = 1e308: E tau = L^2/d = 1e92, and 2 lam/(d+2)
+        # underflows to 0, which made lower_exp 0 inf = NaN
+        code = run_cli("mfet", "--d", str(10**308), "--L", "1e200", "--x", "0", "--sigma", "1",
+                       "--theta", "1e-300", "--format", "json")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "NaN" not in out
+        rec = json.loads(out)
+        assert rec["mfet_exact"] == rec["mfet_bm"] == rec["lower_exp"] == 1e92
+        assert rec["ratio"] == 1.0
+
     def test_huge_dimension_needs_no_flag(self, capsys):
         code = run_cli("mfet", "--d", str(2**21), "--L", "2", "--x", "0",
                        "--sigma", "1", "--theta", "0", "--format", "json")

@@ -17,6 +17,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 import time
 from dataclasses import astuple
 
@@ -349,7 +350,7 @@ def _near_threshold_problems(seed, n):
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             big_l = math.exp(mid)
-            if _ln_peak_term(_problem(d, lam, big_l, x=frac * big_l, sigma=sigma))[1] < target:
+            if _ln_peak_term(_problem(d, lam, big_l, x=frac * big_l, sigma=sigma))[0] < target:
                 lo = mid
             else:
                 hi = mid
@@ -361,10 +362,11 @@ def _near_threshold_problems(seed, n):
 class TestDecidedOverflow:
     """mfet_exact's inf from the peak term of the positive series."""
 
-    @pytest.mark.parametrize("big_l", [1e4, 1e200])
+    @pytest.mark.parametrize("big_l", [1e4, 1e16, 1e200])
     def test_overflow_is_decided_without_integrating(self, monkeypatch, big_l):
         # L = 1e4: the quadrature gives up (QuadratureError) after seconds;
-        # L = 1e200: lam L^2 is inf, which ln_lower_gamma refuses
+        # L = 1e16: the peak index stops at 2**52, where (b + n - y)/y
+        # rounds to -1; L = 1e200: lam L^2 is inf, which ln_lower_gamma refuses
         def refuse(*args, **kwargs):
             raise AssertionError("integrated an overflowing problem")
 
@@ -379,7 +381,7 @@ class TestDecidedOverflow:
             for frac, sigma in ((0.0, 1.0), (0.5, 0.7), (1.0 - 1e-9, 1.3)):
                 big_l = math.sqrt(y / 0.5)
                 p = _problem(d, 0.5, big_l, x=frac * big_l, sigma=sigma)
-                n, ln_term, slack, _ = _ln_peak_term(p)
+                ln_term, slack, (n, *_) = _ln_peak_term(p)
                 want = _mp_ln_term(p, n)
                 assert slack < 0.1
                 assert abs(ln_term - want) <= slack
@@ -414,7 +416,7 @@ class TestDecidedOverflow:
         problems += _near_threshold_problems(5, 150)
         decided, near = 0, 0
         for p in problems:
-            _, ln_term, slack, _ = _ln_peak_term(p)
+            ln_term, slack, _ = _ln_peak_term(p)
             ln_mfet = _single_integral(p)  # raises unless converged
             # a lower bound on ln E tau, and inf only where E tau overflows
             assert ln_term - slack <= ln_mfet, p
@@ -521,7 +523,7 @@ class TestPositiveSeries:
         # y = 3b: the largest term is near n = 2b, and the terms below it
         # matter as much as those above
         p = _problem(64, 0.5, math.sqrt(6.0 * 33.0), x=2.0)
-        n, *_ = _ln_peak_term(p)
+        n = _ln_peak_term(p)[2][0]
         assert n > 60
         assert mfet_exact(p) == pytest.approx(float(_mp_mfet(p)), rel=1e-13)
 
@@ -592,6 +594,13 @@ class TestBrownianClosedForm:
     def test_theta_is_ignored(self):
         assert mfet_bm(_problem(4, 5.0, 2.0)) == mfet_bm(_problem(4, 0.0, 2.0))
 
+    def test_overflowing_square_gives_the_finite_value(self):
+        # L^2 = 1e400 overflows, L^2/(sigma^2 d) = 1e92 does not; the series
+        # scales by the same L^2/(sigma^2 d), in place of a log round trip
+        p = ExitProblem(OupParams(theta=0.0, sigma=1.0, d=10**308), L=1e200, x=0.0)
+        for got in (mfet_bm(p), mfet_exact(p)):
+            assert abs(got - 1e92) <= math.ulp(1e92)
+
 
 def _mp_bounds(problem):
     """(upper_mixed, upper_exp, lower_exp, lower_bm) at 60 digits, from the paper's four formulas.
@@ -637,7 +646,8 @@ def _worst_scaled_error(problems):
     lower_exp, 0 for lower_bm.  Rounding lam = theta/sigma^2 moves
     e^(r L^2) by r L^2 of its relative rounding, so that much is the
     inputs' share, not the formula's.  Measured: at most 4.9 over the
-    pinned, extreme and benchmark sweeps.
+    pinned, extreme and benchmark sweeps.  A bound that is inf where
+    mpmath's value is inside the double range counts as an infinite error.
     """
     worst = 0.0
     for p in problems:
@@ -646,6 +656,8 @@ def _worst_scaled_error(problems):
         for r, got, ref in zip(rates, astuple(mfet_bounds(p)), _mp_bounds(p)):
             if got < math.inf:
                 worst = max(worst, float(abs(got - ref) / ref) / ((1.0 + r * l2) * 2.0**-53))
+            elif ref < (1.0 - 1e-12) * sys.float_info.max:
+                return math.inf
     return worst
 
 
@@ -698,6 +710,23 @@ class TestBounds:
             assert abs(got - ref) <= 1e-13 * ref
         assert b.lower_exp <= mfet_exact(p) <= b.upper_mixed
 
+    def test_overflowing_factor_with_a_tiny_brownian_value_is_finite(self):
+        # lam L^2 = 905: phi(lam) overflows, lower_bm phi(lam) does not
+        p = ExitProblem(OupParams(theta=3.5260124211101914e-24, sigma=4721858.773235677,
+                                  d=int(3.881102954795816e124)),
+                        L=7.56856609063883e19, x=1.1422548499390847e19)
+        assert _worst_scaled_error([p]) <= 6.0
+        b = mfet_bounds(p)
+        assert b.upper_mixed == pytest.approx(1.0176e168, rel=1e-4)
+        assert b.upper_exp == pytest.approx(1.9746e292, rel=1e-4)
+
+    def test_underflowed_rate_with_an_overflowing_square_is_not_nan(self):
+        # w lam = 2e-608 is 0 and D = 1e400 is inf: (w lam (L - x))(L + x) is 0
+        p = ExitProblem(OupParams(theta=1e-300, sigma=1.0, d=10**308), L=1e200, x=0.0)
+        b = mfet_bounds(p)
+        assert (b.upper_mixed, b.upper_exp) == (math.inf, math.inf)
+        assert b.lower_exp == b.lower_bm == mfet_bm(p)
+
     def test_past_the_double_range_in_lam_d_is_inf_not_nan(self):
         # lam (L^2 - x^2) = 1e320 is inf, and so is its log
         b = mfet_bounds(ExitProblem(OupParams(theta=1e300, sigma=1.0, d=4), L=1e10, x=0.0))
@@ -739,6 +768,50 @@ class TestBounds:
                     assert b.lower_bm <= b.lower_exp * (1 + 1e-13)
                     assert b.lower_exp <= b.upper_mixed * (1 + 1e-13)
                     assert b.upper_mixed <= b.upper_exp * (1 + 1e-13)
+
+
+def _admitted_sweep(seed, n):
+    # problems over the whole admitted double range: d log-uniform on
+    # 1..1e300, lam = +-e^U(-690, 690) or 0, sigma = e^U(-150, 150),
+    # L = e^U(-300, 700), x at 0, U L or L (1 - 1e-9 U) in turn, and theta =
+    # lam sigma^2; the draws ExitProblem refuses are skipped
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        d = round(math.exp(rng.uniform(0.0, math.log(1e300))))
+        lam = rng.choice((-1.0, 0.0, 1.0)) * math.exp(rng.uniform(-690.0, 690.0))
+        sigma, big_l = math.exp(rng.uniform(-150.0, 150.0)), math.exp(rng.uniform(-300.0, 700.0))
+        u = rng.random()
+        x = (0.0, u * big_l, big_l * (1.0 - 1e-9 * u))[i % 3]
+        try:
+            out.append(_problem(d, lam, big_l, x=x, sigma=sigma))
+        except DomainError:
+            pass
+    return out
+
+
+class TestAdmittedRange:
+    """Every admitted problem: mfet_exact gives a value or ConvergenceError, and
+    mfet_bm and the bounds are inf only past the double range, never nan."""
+
+    def test_sweep_over_the_double_range(self):
+        problems = _admitted_sweep(2, 5000)
+        assert len(problems) > 3000
+        positive = []
+        for p in problems:
+            t0 = time.perf_counter()
+            try:
+                mfet_exact(p)
+            except ConvergenceError:
+                pass
+            assert time.perf_counter() - t0 < 0.1, p
+            if mfet_bm(p) == math.inf:
+                s2d = p.params.sigma * p.params.sigma * p.params.d
+                assert math.log(p.L - p.x) + math.log(p.L + p.x) - math.log(s2d) > _MAX_EXP, p
+            if p.params.lam > 0:
+                assert not any(map(math.isnan, astuple(mfet_bounds(p)))), p
+                positive.append(p)
+        assert _worst_scaled_error(positive[::10]) <= 6.0
 
 
 class TestAsymptoticRatio:

@@ -335,14 +335,23 @@ def test_chunks_keep_the_bits(monkeypatch, chunk_hits, scheme, theta):
         assert ref.radii.tobytes() == rec.radii.tobytes()
 
 
+class _Width(int):
+    """A _CHUNK that caps each batch chunk at its own value, whatever the live load."""
+
+    def __floordiv__(self, load):
+        return int(self)
+
+
 @pytest.mark.parametrize("scheme", [Scheme.FULL_EULER, Scheme.FULL_EXACT])
 def test_chunks_keep_the_bits_across_periods(monkeypatch, chunk_hits, scheme):
     # theta dt = 0.299 gives the running sum periods of 180 (full-euler)
     # and 214 (full-exact) steps: batch chunks straddle a period boundary
     # and start on one, lone-path runs cross them, and every exit time and
-    # record keeps the bits of one-step chunks.  Chunk starts follow the
-    # exits, so the seed decides whether one falls on a period boundary:
-    # at seed 0 one does for both schemes (few seeds give full-exact one)
+    # record keeps the bits of one-step chunks.  Chunks of at most 9 steps,
+    # however many paths are live, fix the chunk starts apart from the
+    # exits: 72 + 9j after the ramp reaches 180, and 320 + 9j after the
+    # block boundary at 320 reaches 428 = 2 * 214
+    monkeypatch.setattr(simulate, "_CHUNK", _Width(9))
     theta, dt = 299.0, 1e-3
     a = 1.0 - theta * dt if scheme is Scheme.FULL_EULER else math.exp(-theta * dt)
     period = int(simulate._SPAN / abs(math.log(a)))
