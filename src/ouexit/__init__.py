@@ -31,7 +31,6 @@ from .mfet import (
 )
 from .quadrature import QuadResult, integrate_log
 from .schemes import Scheme
-from .special import ln_lower_gamma
 
 __version__ = "0.1.0"
 
@@ -67,7 +66,6 @@ __all__ = [
     "drift_ratio",
     "estimate_mfet",
     "integrate_log",
-    "ln_lower_gamma",
     "mfet_bm",
     "mfet_bounds",
     "mfet_exact",

@@ -54,7 +54,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import special
 from .errors import ConvergenceError, DomainError
 from .quadrature import integrate_log
 
@@ -153,6 +152,14 @@ class MfetBounds:
 def _softplus(z):
     """ln(1 + e^z) for every z, -inf and past the double range of e^z included."""
     return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+
+
+def _exp_saturating(v):
+    """exp(v), or inf where math.exp would overflow (exp(-inf) is 0.0 already)."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def _transient_log_integrand(problem):
@@ -327,7 +334,7 @@ def _sum_from_peak(n0, ln_rise, y, b, ln_s, f0, c, ln_c):
     total = math.fsum(terms)
     if scale and c < math.inf:
         return c * (total / scale)
-    return special.exp_saturating(math.fsum([ln_c, ln_rise, math.log(total)]))
+    return _exp_saturating(math.fsum([ln_c, ln_rise, math.log(total)]))
 
 
 def mfet_exact(problem):
@@ -340,7 +347,7 @@ def mfet_exact(problem):
         return 0.0
     if problem.params.lam < 0:
         log_f, upper, ln_scale = _transient_log_integrand(problem)
-        return special.exp_saturating(integrate_log(log_f, 0.0, upper).value + ln_scale)
+        return _exp_saturating(integrate_log(log_f, 0.0, upper).value + ln_scale)
     ln_term, slack, scales = _ln_peak_term(problem)
     if ln_term - slack > _MAX_EXP:
         return math.inf
@@ -402,17 +409,17 @@ def mfet_bounds(problem):
     lower_bm = mfet_bm(problem)
     w = 2.0 / (p.d + 2.0)
     (a, m), (lo_a, lo_m) = _mean_exp(problem, lam), _mean_exp(problem, w * lam)
-    phi, low = special.exp_saturating(a) * m, special.exp_saturating(lo_a) * lo_m
+    phi, low = _exp_saturating(a) * m, _exp_saturating(lo_a) * lo_m
     upper_mixed, upper_exp = lower_bm * (1.0 + w * (phi - 1.0)), lower_bm * phi
     lower_exp = lower_bm * low
     # where a factor overflows, its bound in log space, with ln phi = a + ln m
     # and ln(1 - w + w phi) = c + softplus(ln w + ln phi - c), c = ln(1 - w)
     if phi == math.inf:
         ln_bm, ln_phi, c = math.log(lower_bm), a + math.log(m), math.log1p(-w)
-        upper_mixed = special.exp_saturating(ln_bm + c + _softplus(math.log(w) + ln_phi - c))
-        upper_exp = special.exp_saturating(ln_bm + ln_phi)
+        upper_mixed = _exp_saturating(ln_bm + c + _softplus(math.log(w) + ln_phi - c))
+        upper_exp = _exp_saturating(ln_bm + ln_phi)
     if low == math.inf:
-        lower_exp = special.exp_saturating(math.log(lower_bm) + lo_a + math.log(lo_m))
+        lower_exp = _exp_saturating(math.log(lower_bm) + lo_a + math.log(lo_m))
     return MfetBounds(upper_mixed, upper_exp, lower_exp, lower_bm)
 
 

@@ -1,10 +1,10 @@
 """Built-in cross-validation suite behind the ``selftest`` CLI command.
 
 Re-derives the package's key invariants at runtime, in four checks:
-mfet_exact and ln_lower_gamma against the committed table of 40-digit
-mpmath values (reference_values.csv, written by
-tests/test_reference_values.py), the Brownian reduction of the exact
-formula, the closed-form bound chain, and Monte-Carlo determinism.
+mfet_exact against the committed table of 40-digit mpmath values
+(reference_values.csv, written by tests/test_reference_values.py), the
+Brownian reduction of the exact formula, the closed-form bound chain, and
+Monte-Carlo determinism.
 Everything is checked against independently computed quantities, so a
 corrupted build fails loudly with the name of the first broken invariant.
 A check that raises fails with the error as its detail.  Only
@@ -16,33 +16,24 @@ import csv
 import math
 from pathlib import Path
 
-from . import special
 from .mfet import ExitProblem, OupParams, mfet_bm, mfet_bounds, mfet_exact
 
-# one row per value: function, its arguments (floats as float.hex, d as an
-# integer; mfet_exact takes theta sigma d L x, ln_lower_gamma a x) and the
-# decimal reference
+# one row per value: function (mfet_exact), its arguments theta sigma d L x
+# (floats as float.hex, d as an integer) and the decimal reference
 _TABLE = Path(__file__).with_name("reference_values.csv")
 
 
-def _reference_call(name, arguments):
-    """(function, its arguments) of one table row; ValueError (DomainError among them) if malformed."""
+def _reference_problem(name, arguments):
+    """The ExitProblem of one table row; ValueError (DomainError among them) if malformed."""
     words = arguments.split()
-    if name == "mfet_exact" and len(words) == 5:
-        theta, sigma, big_l, x = (float.fromhex(words[i]) for i in (0, 1, 3, 4))
-        params = OupParams(theta=theta, sigma=sigma, d=int(words[2]))
-        return mfet_exact, (ExitProblem(params, L=big_l, x=x),)
-    if name == "ln_lower_gamma" and len(words) == 2:
-        return special.ln_lower_gamma, tuple(map(float.fromhex, words))
-    raise ValueError(f"unknown function or argument count: {name!r}")
+    if name != "mfet_exact" or len(words) != 5:
+        raise ValueError(f"unknown function or argument count: {name!r}")
+    theta, sigma, big_l, x = (float.fromhex(words[i]) for i in (0, 1, 3, 4))
+    return ExitProblem(OupParams(theta=theta, sigma=sigma, d=int(words[2])), L=big_l, x=x)
 
 
 def check_reference_values():
-    """mfet_exact and ln_lower_gamma match every row of the committed mpmath table.
-
-    mfet_exact to 1e-12 relative, for every sign of lam, and ln_lower_gamma
-    to 1e-12 of max(1, |ln lig|).
-    """
+    """mfet_exact matches every row of the committed mpmath table to 1e-12 relative."""
     try:
         with open(_TABLE, newline="") as f:
             rows = list(csv.reader(f))
@@ -54,15 +45,14 @@ def check_reference_values():
         try:
             name, arguments, reference = row
             want = float(reference)
-            fn, args = _reference_call(name, arguments)
+            problem = _reference_problem(name, arguments)
             if not math.isfinite(want):
                 raise ValueError(f"reference {want!r}")
         except ValueError:
             return False, f"{_TABLE.name} line {line} is malformed: {row!r}"
-        tol = 1e-12 * (abs(want) if fn is mfet_exact else max(1.0, abs(want)))
-        got = fn(*args)
-        if not abs(got - want) <= tol:
-            return False, f"{name}({', '.join(map(repr, args))}) = {got!r}, reference {want!r}"
+        got = mfet_exact(problem)
+        if not abs(got - want) <= 1e-12 * abs(want):
+            return False, f"mfet_exact({problem!r}) = {got!r}, reference {want!r}"
     return True, f"{len(rows) - 1} values match their 40-digit references"
 
 

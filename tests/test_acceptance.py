@@ -18,12 +18,12 @@ from ouexit import (
     OupParams,
     asymptotic_ratio,
     avp_residual,
-    ln_lower_gamma,
     mfet_bm,
     mfet_bounds,
     mfet_exact,
 )
 from ouexit.cli import main as cli_main
+from ouexit.special import ln_lower_gamma
 
 DIMS = [2**k for k in range(13)]  # 1 .. 4096
 LAMBDAS = [0.1, 0.5, 0.7, 2.0]

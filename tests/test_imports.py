@@ -1,5 +1,7 @@
-"""Tests for the import boundary: only the Monte-Carlo route loads numpy,
-and the README's library example imports only public names."""
+"""Tests for the import boundary: only the Monte-Carlo route loads numpy, no
+route loads the incomplete gamma (ouexit.special, which only the tests and
+the benchmark harness use), and the README's library example imports only
+public names."""
 
 import ast
 import re
@@ -20,7 +22,7 @@ def test_exact_route_loads_no_numpy_or_scipy():
     code = (
         "import sys\n"
         "import ouexit\n"
-        "from ouexit import cli\n"
+        "from ouexit import cli, selftest\n"
         "p = ouexit.ExitProblem(ouexit.OupParams(theta=0.5, sigma=1.0, d=4), L=4.0, x=0.0)\n"
         "ouexit.mfet_exact(p)\n"
         "ouexit.mfet_bounds(p)\n"
@@ -29,7 +31,11 @@ def test_exact_route_loads_no_numpy_or_scipy():
         "    assert cli.main(['mfet', '--d', '4', '--L', '4', '--x', '0', '--sigma', '1',\n"
         "                     '--theta', theta, '--format', 'json']) == 0\n"
         "assert cli.main(['drift-ratio', '--theta', '0.7']) == 0\n"
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
+        "checks = dict(selftest.CHECKS)\n"
+        "for name in ('reference-values', 'brownian-reduction', 'bound-chain'):\n"
+        "    assert checks[name]()[0], name\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}\n"
+        "             | set(sys.modules) & {'ouexit.special'}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -98,7 +104,7 @@ def test_simulate_names_are_the_engines_own(module, name):
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from ouexit import *", namespace)
-    assert len(ouexit.__all__) == 25
+    assert len(ouexit.__all__) == 24
     assert all(namespace[name] is getattr(ouexit, name) for name in ouexit.__all__)
 
 

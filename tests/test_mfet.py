@@ -814,6 +814,94 @@ class TestAdmittedRange:
         assert _worst_scaled_error(positive[::10]) <= 6.0
 
 
+def _identity_sweep(seed, n):
+    # (problem, x2, c, k) over every sign of lam: d log-uniform on 1..2**60,
+    # |lam| on e^+-30, L on e^+-10 or within e^+-3 of sqrt(d/|lam|), x at 0,
+    # U L or L (1 - 1e-6 U) in turn, x2 = x + (L - x) U(0.1, 0.9), and exact
+    # factors c = 2^(-8..8), k = 2^(-6..6); the draws ExitProblem refuses
+    # are skipped
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        d = round(math.exp(rng.uniform(0.0, math.log(2.0**60))))
+        lam = (-1.0, 0.0, 1.0, -1.0, 1.0)[i % 5] * math.exp(rng.uniform(-30.0, 30.0))
+        sigma = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        if lam and rng.random() < 0.5:
+            big_l = math.sqrt(d / abs(lam)) * math.exp(rng.uniform(-3.0, 3.0))
+        else:
+            big_l = math.exp(rng.uniform(-10.0, 10.0))
+        u = rng.random()
+        x = (0.0, u * big_l, big_l * (1.0 - 1e-6 * u))[i % 3]
+        x2 = x + (big_l - x) * rng.uniform(0.1, 0.9)
+        c, k = 2.0 ** rng.randint(-8, 8), 2.0 ** rng.randint(-6, 6)
+        try:
+            out.append((_problem(d, lam, big_l, x=x, sigma=sigma), x2, c, k))
+        except DomainError:
+            pass
+    return out
+
+
+class TestExitTimeIdentities:
+    """Three exact identities of E tau = u(x), with no reference value:
+
+    - strong Markov additivity: u(x) = E_x tau_x2 + u(x2) for x < x2 < L;
+    - space scaling: (sigma, L, x) -> (c sigma, c L, c x) leaves E tau unchanged;
+    - time scaling: (theta, sigma) -> (k^2 theta, k sigma) divides E tau by k^2.
+
+    c and k are powers of 2, so the scaled inputs are exact.  Gates are
+    about twice the worst relative error measured over 43,500 draws
+    (_identity_sweep seeds 1-13 x 3000, and the exact-grid benchmark's
+    problems at seeds 11/23/37 x 1500): additivity 1.4e-12 for lam < 0,
+    where a sub-ball's quadrature was 2.0e-12 from mpmath, and 2.3e-13 for
+    lam >= 0; space 5.7e-14; time 1.1e-13.
+    """
+
+    # identity: (gate for lam < 0, gate for lam >= 0)
+    GATES = {"additivity": (3e-12, 5e-13), "space": (1.2e-13, 1.2e-13), "time": (2.5e-13, 2.5e-13)}
+
+    def _breaches(self, cases):
+        """(identities some case breaks, cases with every value finite, per sign of lam)."""
+        broken, finite = set(), {"lam < 0": 0, "lam >= 0": 0}
+        for p, x2, c, k in cases:
+            q = p.params
+            u = mfet_exact(p)
+            sides = {
+                "additivity": mfet_exact(ExitProblem(q, L=x2, x=p.x))
+                + mfet_exact(ExitProblem(q, L=p.L, x=x2)),
+                "space": mfet_exact(ExitProblem(OupParams(q.theta, c * q.sigma, q.d),
+                                                L=c * p.L, x=c * p.x)),
+                "time": k * k * mfet_exact(ExitProblem(OupParams(k * k * q.theta, k * q.sigma, q.d),
+                                                       L=p.L, x=p.x)),
+            }
+            if not (0.0 < u < math.inf and max(sides.values()) < math.inf):
+                continue
+            finite["lam < 0" if q.lam < 0 else "lam >= 0"] += 1
+            broken.update(name for name, v in sides.items()
+                          if not abs(v - u) <= self.GATES[name][q.lam >= 0] * u)
+        return broken, finite
+
+    def test_identities_hold_over_a_seeded_sweep(self):
+        broken, finite = self._breaches(_identity_sweep(20261019, 1000))
+        assert broken == set()
+        assert min(finite.values()) >= 300, finite
+
+    @pytest.mark.parametrize("corruption,breaks", [("series", {"additivity"}),
+                                                   ("lam", {"space", "time"})],
+                             ids=["series", "lam"])
+    def test_a_corruption_breaks_its_identity(self, monkeypatch, corruption, breaks):
+        # the positive series off by 1e-9 lam L^2 moves a sub-ball apart from
+        # its ball, but keeps lam L^2, so both scalings; lam = theta /
+        # sigma^(2 + 1e-9) moves both scalings, but every sub-ball alike
+        if corruption == "series":
+            honest = ouexit.mfet._sum_from_peak
+            monkeypatch.setattr(ouexit.mfet, "_sum_from_peak",
+                                lambda *scales: honest(*scales) * (1.0 + 1e-9 * scales[2]))
+        else:
+            monkeypatch.setattr(OupParams, "lam",
+                                property(lambda self: self.theta / self.sigma ** (2.0 + 1e-9)))
+        assert self._breaches(_identity_sweep(20261019, 1000))[0] == breaks
+
+
 class TestAsymptoticRatio:
     def test_brownian_case_is_one(self):
         p = _problem(8, 1e-12, 2.0, x=0.5)

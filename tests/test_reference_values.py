@@ -1,16 +1,14 @@
 """The committed reference table behind ``ouexit selftest``, and its generator.
 
-src/ouexit/reference_values.csv holds mfet_exact problems and
-ln_lower_gamma points, inputs as float.hex (d as an integer), with a
-decimal reference from mpmath at 40 digits.  E tau comes from the closed
-form
+src/ouexit/reference_values.csv holds mfet_exact problems, inputs as
+float.hex (d as an integer), with a decimal reference from mpmath at 40
+digits.  E tau comes from the closed form
 
     E_x tau = u0(L) - u0(x),   u0(r) = r^2/(sigma^2 d) 2F2(1, 1; 2, d/2+1; lam r^2),
 
 with lam = theta/sigma^2 taken from the exact inputs: the series of
 mfet.py written as a hypergeometric function, evaluated by mpmath.hyp2f2,
-which shares nothing with the package's series or quadrature.  ln lig
-comes from mpmath.gammainc.
+which shares nothing with the package's series or quadrature.
 
 Run ``python tests/test_reference_values.py`` to write the table again.
 The test below recomputes every row at 40 and at 60 digits, so a row whose
@@ -89,21 +87,6 @@ def _mfet_problems():
     ]
 
 
-def _gamma_points():
-    """(a, x): small and large shapes, below, at and above the series /
-    continued-fraction switch x = a + 1, and far into the tail."""
-    return [
-        (0.5, 1e-6), (0.5, 1.0), (0.5, 30.0),
-        (1.0, 1.0), (1.0, 1e-3),
-        (2.5, 0.1), (2.5, 3.5), (2.5, 20.0),
-        (10.0, 5.0), (10.0, 11.0), (10.0, 40.0),
-        (50.0, 25.0), (50.0, 51.0), (50.0, 200.0),
-        (500.0, 499.0), (500.0, 501.0), (500.0, 600.0),
-        (2.0**15, 2.0**15), (2.0**15, 1.1 * (2.0**15 + 1.0)),
-        (5e5, 5e5), (7.3, 1e-4),
-    ]
-
-
 def mp_mfet(theta, sigma, d, big_l, x):
     """E tau at the working precision, from the 2F2 closed form."""
     lam = mpmath.mpf(theta) / mpmath.mpf(sigma) ** 2
@@ -118,26 +101,18 @@ def mp_mfet(theta, sigma, d, big_l, x):
     return u0(big_l) - u0(x)
 
 
-def mp_ln_lower_gamma(a, x):
-    """ln lig(a, x) at the working precision."""
-    return mpmath.log(mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(x)))
-
-
 def _rows():
-    """(function, arguments as stored, mpmath evaluator, its arguments)."""
+    """(arguments as stored, arguments) of every mfet_exact row."""
     for args in _mfet_problems():
-        stored = " ".join(str(v) if isinstance(v, int) else float(v).hex() for v in args)
-        yield "mfet_exact", stored, mp_mfet, args
-    for args in _gamma_points():
-        yield "ln_lower_gamma", " ".join(float(v).hex() for v in args), mp_ln_lower_gamma, args
+        yield " ".join(str(v) if isinstance(v, int) else float(v).hex() for v in args), args
 
 
 def write_table(path=TABLE):
     with mpmath.workdps(40), open(path, "w", newline="") as f:
         out = csv.writer(f, lineterminator="\n")
         out.writerow(HEADER)
-        for name, stored, fn, args in _rows():
-            out.writerow([name, stored, mpmath.nstr(fn(*args), DIGITS)])
+        for stored, args in _rows():
+            out.writerow(["mfet_exact", stored, mpmath.nstr(mp_mfet(*args), DIGITS)])
 
 
 def test_table_is_the_generators_output_at_40_and_60_digits():
@@ -145,13 +120,12 @@ def test_table_is_the_generators_output_at_40_and_60_digits():
         rows = list(csv.reader(f))
     assert rows[0] == HEADER
     expected = list(_rows())
-    assert [row[:2] for row in rows[1:]] == [[name, stored] for name, stored, _, _ in expected]
-    kinds = [name for name, *_ in expected]
-    assert kinds.count("mfet_exact") >= 45 and kinds.count("ln_lower_gamma") >= 20
-    for row, (_, _, fn, args) in zip(rows[1:], expected):
+    assert [row[:2] for row in rows[1:]] == [["mfet_exact", stored] for stored, _ in expected]
+    assert len(expected) >= 45
+    for row, (_, args) in zip(rows[1:], expected):
         for dps in (40, 60):
             with mpmath.workdps(dps):
-                want = fn(*args)
+                want = mp_mfet(*args)
                 # DIGITS significant digits round to within 5e-20 of the value
                 assert abs(mpmath.mpf(row[2]) - want) <= mpmath.mpf(1e-19) * abs(want), (row, dps)
 
