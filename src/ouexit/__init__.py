@@ -29,7 +29,6 @@ from .mfet import (
     mfet_bounds,
     mfet_exact,
 )
-from .quadrature import QuadResult, integrate_log
 from .schemes import Scheme
 
 __version__ = "0.1.0"
@@ -58,14 +57,12 @@ __all__ = [
     "OuexitError",
     "OupParams",
     "PathRecord",
-    "QuadResult",
     "QuadratureError",
     "Scheme",
     "asymptotic_ratio",
     "avp_residual",
     "drift_ratio",
     "estimate_mfet",
-    "integrate_log",
     "mfet_bm",
     "mfet_bounds",
     "mfet_exact",

@@ -172,7 +172,7 @@ def _transient_log_integrand(problem):
     where w = 1 or A s = _CUT (e^-_CUT = 4e-18).  Sizes scaled by mu are
     logs relative to mu L^2, so nothing overflows.  f is divided by Jensen's
     lower bound J = ln((a + mu L^2)/(a + mu x^2)) on the t-integral, so its
-    integral is at least 1 and the absolute tolerance never decides.
+    integral is at least 1; integrate_log's relative tolerance alone decides.
     """
     p = problem.params
     big_l, x = problem.L, problem.x

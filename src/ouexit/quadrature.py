@@ -1,24 +1,24 @@
-"""Deterministic adaptive quadrature, in log space, over finite intervals.
+"""Deterministic adaptive quadrature, in log space, for mfet_exact's lam < 0 route.
 
 ``integrate_log`` takes the integrand as its logarithm and returns the log
-of the integral.  Each panel applies one fixed-order nested rule (15-point
+of the integral over [a, b], a < b both finite, which the caller
+guarantees.  Each panel applies one fixed-order nested rule (15-point
 Kronrod with the embedded 7-point Gauss rule for the error estimate) after
 subtracting its largest log-sample (log-sum-exp discipline), so integrands
 spanning thousands of orders of magnitude integrate without overflow.  The
-worst panel is bisected until the tolerance, interpreted on the linear
-value, is met; a run the panel budget stops raises QuadratureError
-carrying its partial result.  Neither is an argument.  No randomness
-anywhere, so results are bit-reproducible across runs.
+worst panel is bisected until the relative tolerance alone, interpreted on
+the linear value, is met; a run the panel budget stops raises
+QuadratureError carrying its partial result.  Neither is an argument.  No
+randomness anywhere, so results are bit-reproducible across runs.
 
 All rule nodes are interior points, so endpoints are never sampled; an
 integrand with a removable 0*inf ambiguity at an endpoint is fine.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, EvaluationError, QuadratureError
+from .errors import EvaluationError, QuadratureError
 
 # 15-point Kronrod nodes/weights on [-1, 1] with the embedded 7-point Gauss
 # weights (QUADPACK dqk15 constants).
@@ -59,9 +59,8 @@ _WG_AT_NODES = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
                 0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
 
 
-# Tolerances and panel budget of the adaptive loop.
+# Relative tolerance and panel budget of the adaptive loop.
 _REL_TOL = 1e-10
-_ABS_TOL = 1e-14
 _MAX_PANELS = 4096
 
 
@@ -118,50 +117,37 @@ def _logsumexp(values):
 
 
 def integrate_log(log_f, a, b):
-    """log of the integral of exp(log_f) over [a, b].
+    """log of the integral of exp(log_f) over [a, b], a < b both finite.
 
     ``log_f`` may return -inf (log-zero); +inf or NaN is an evaluation
     error.  Convergence is judged on the linear value: the result is
-    converged when err <= max(_ABS_TOL, _REL_TOL * value) would hold after
-    exponentiating, checked without leaving log space.  Otherwise the worst
-    panel is bisected; a run still unconverged at _MAX_PANELS panels raises
+    converged when err <= _REL_TOL * value would hold after exponentiating,
+    checked without leaving log space.  Otherwise the worst panel is
+    bisected; a run still unconverged at _MAX_PANELS panels raises
     QuadratureError with the partial QuadResult as ``result``.
     """
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration limits must be finite, got [{a!r}, {b!r}]")
-    if a > b:
-        raise DomainError(f"integration limits must satisfy a <= b, got [{a!r}, {b!r}]")
-    if a == b:
-        return QuadResult(-math.inf, 0.0, 0)
-
-    log_abs_tol, log_rel_tol = math.log(_ABS_TOL), math.log(_REL_TOL)
-    val, err = _panel(log_f, a, b)
-    # heap entries: (-log_err, tiebreak, lo, hi, log_value, log_err)
-    counter = 0
-    heap = [(-err, counter, a, b, val, err)]
+    log_rel_tol = math.log(_REL_TOL)
+    # (lo, hi, log_value, log_err) in the order the panels were made
+    panels = [(a, b, *_panel(log_f, a, b))]
     while True:
-        log_total = _logsumexp([p[4] for p in heap])
-        log_err = _logsumexp([p[5] for p in heap])
-        converged = log_err <= max(log_abs_tol, log_rel_tol + log_total)
-        if converged or len(heap) >= _MAX_PANELS:
-            res = QuadResult(log_total, _rel_err_of_log(log_err, log_total), len(heap))
+        log_total = _logsumexp([p[2] for p in panels])
+        log_err = _logsumexp([p[3] for p in panels])
+        converged = log_err <= log_rel_tol + log_total
+        if converged or len(panels) >= _MAX_PANELS:
+            res = QuadResult(log_total, _rel_err_of_log(log_err, log_total), len(panels))
             if converged:
                 return res
             raise QuadratureError(f"quadrature did not converge within {_MAX_PANELS} panels", res)
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        # the first panel of largest error: ties go to the earliest made
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        lo, hi, _, _ = panels.pop(worst)
         mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            v, e = _panel(log_f, sub_lo, sub_hi)
-            counter += 1
-            heapq.heappush(heap, (-e, counter, sub_lo, sub_hi, v, e))
+        panels += [(lo, mid, *_panel(log_f, lo, mid)), (mid, hi, *_panel(log_f, mid, hi))]
 
 
 def _rel_err_of_log(log_err, log_val):
     """Estimated absolute error of the log value (= relative linear error)."""
     if log_err == -math.inf:
         return 0.0
-    if log_val == -math.inf:
-        return math.inf
     d = log_err - log_val
     return math.exp(d) if d < 700.0 else math.inf

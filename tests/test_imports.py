@@ -104,7 +104,7 @@ def test_simulate_names_are_the_engines_own(module, name):
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from ouexit import *", namespace)
-    assert len(ouexit.__all__) == 24
+    assert len(ouexit.__all__) == 22
     assert all(namespace[name] is getattr(ouexit, name) for name in ouexit.__all__)
 
 

@@ -44,11 +44,6 @@ from ouexit import (
     mfet_exact,
 )
 
-# nested-Simpson oracle value for d=2, theta=0.7, sigma=1, L=2.5, x=0,
-# divided by the Brownian value 3.125 (regression constant, n=10^3 panels;
-# stable to ~1e-11 against the cumulative-Simpson variant)
-RATIO_D2_THETA07 = 5.37085738835
-
 
 def _simpson_weights(n_nodes):
     w = np.full(n_nodes, 2.0)
@@ -183,6 +178,22 @@ class TestExactFormula:
             mfet_exact(p)
             best = min(best, time.perf_counter() - start)
         assert best < 0.05
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: lam < 0 at the 1e-10 tolerance "
+                                           "can miss mpmath by 2e-12 past the benchmark's ranges")
+    def test_huge_transient_problem_within_1e12_of_mpmath(self):
+        # x = 0, mu L^2 ~ 4.9e11, a ~ 5.9e9: E tau = int_0^1 (1-s)^(a-1)
+        # (1 - e^(-D s))/s ds / (2 sigma^2 mu), breakpoints at the scales
+        # 1/D and 1/a where the integrand turns
+        theta, sigma, d, big_l = -734272293.5701274, 0.6201275539498549, 11725461664, 15.97516403442484
+        with mpmath.workdps(40):
+            mu = -mpmath.mpf(theta) / mpmath.mpf(sigma) ** 2
+            a, big_d = mpmath.mpf(d) / 2, mu * mpmath.mpf(big_l) ** 2
+            want = mpmath.quad(lambda s: (1 - s) ** (a - 1) * -mpmath.expm1(-big_d * s) / s,
+                               [0, 1 / big_d, 1 / a, 10 / a, 100 / a, 1000 / a, mpmath.mpf("1e-3"), 1])
+            want /= 2 * mpmath.mpf(sigma) ** 2 * mu
+        got = mfet_exact(ExitProblem(OupParams(theta=theta, sigma=sigma, d=d), L=big_l, x=0.0))
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 64, 1024, 65536])
     def test_brownian_case_is_exact(self, d):
@@ -907,11 +918,6 @@ class TestAsymptoticRatio:
         p = _problem(8, 1e-12, 2.0, x=0.5)
         assert asymptotic_ratio(p) == pytest.approx(1.0, rel=1e-6)
 
-    def test_desk_scale_pincer(self):
-        got = asymptotic_ratio(_problem(1024, 0.5, 2.0))
-        upper = (6.389056098930649 + 1024.0) / 1026.0
-        assert 1.0 <= got <= upper
-
     def test_small_dimension_materially_above_one(self):
         got = asymptotic_ratio(_problem(2, 0.5, 2.0))
         want = mfet_nested_simpson(2, 0.5, 1.0, 2.0) / 2.0
@@ -1113,7 +1119,3 @@ class TestParamValidation:
     def test_lambda_is_derived(self):
         p = OupParams(theta=0.5, sigma=2.0, d=3)
         assert p.lam == 0.125
-
-    def test_frozen_regression_ratio(self):
-        got = asymptotic_ratio(_problem(2, 0.7, 2.5))
-        assert got == pytest.approx(RATIO_D2_THETA07, rel=1e-8)

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ouexit import DomainError, EvaluationError, QuadratureError, integrate_log, quadrature
+from ouexit import EvaluationError, QuadratureError, quadrature
+from ouexit.quadrature import integrate_log
 
 
 class TestIntegrate:
     """The integrator's contract on ordinary integrands: closed forms, the
-    error estimate, the tolerance, argument checks, the budget, reruns."""
+    error estimate, the tolerance, the budget, reruns."""
 
     def test_polynomial_exactness(self):
         r = integrate_log(math.log, 0.0, 2.0)
-        assert abs(math.exp(r.value) - 2.0) <= quadrature._ABS_TOL
+        assert abs(math.exp(r.value) - 2.0) <= 1e-14
 
     def test_exponential(self):
         r = integrate_log(lambda z: -z, 0.0, 3.0)
@@ -42,20 +43,7 @@ class TestIntegrate:
         monkeypatch.setattr(quadrature, "_REL_TOL", 1e-8)
         # returning at all means converged: a budget stop raises
         r = integrate_log(lambda z: math.log(math.sin(z) ** 2 + 0.1), 0.0, 10.0)
-        assert r.err_estimate <= max(quadrature._ABS_TOL / math.exp(r.value), 1e-8)
-
-    def test_empty_interval(self):
-        r = integrate_log(lambda z: 1.0, 1.5, 1.5)
-        assert (r.value, r.err_estimate, r.panels_used) == (-math.inf, 0.0, 0)
-
-    def test_reversed_interval_rejected(self):
-        with pytest.raises(DomainError):
-            integrate_log(lambda z: 1.0, 2.0, 1.0)
-
-    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
-    def test_nonfinite_limit_rejected(self, a, b):
-        with pytest.raises(DomainError, match="limits must be finite"):
-            integrate_log(lambda z: 0.0, a, b)
+        assert r.err_estimate <= 1e-8
 
     def test_nonfinite_sample_raises_with_abscissa(self):
         def log_f(z):
@@ -119,10 +107,6 @@ class TestIntegrateLog:
     def test_plus_inf_rejected(self):
         with pytest.raises(EvaluationError):
             integrate_log(lambda z: math.inf, 0.0, 1.0)
-
-    def test_empty_interval(self):
-        r = integrate_log(lambda z: 1.0, 0.5, 0.5)
-        assert r.value == -math.inf
 
     def test_tolerance_contract_on_linear_value(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_REL_TOL", 1e-9)

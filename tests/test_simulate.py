@@ -434,9 +434,7 @@ def test_running_sum_forms_give_the_same_bits(shape):
 # code changes, which the run-twice determinism tests cannot; x = 0 covers
 # the radial-euler bootstrap.  The frozen tables hold the bits of numpy's
 # standard_normal on the per-path SFC64 streams (captured at numpy 2.4.6),
-# which NEP 19 lets a numpy release change.  Their ids keep the names the
-# rows had while normals came from the inverse normal CDF, and so end in
-# that transform's values.
+# which NEP 19 lets a numpy release change.
 FROZEN = [
     ("full-euler", 0.0, [887, 162, 360, 339, 221, 197, 321, 501],
      "e29afaafa0759f36297f7c3c271ef4e3e13f2f0e4c6ce1df401d417bbba04294"),
@@ -455,19 +453,10 @@ FROZEN = [
     ("squared-radial-euler", 0.5, [97, 364, 324, 152, 70, 55, 189, 280],
      "d5621011727672b3c2b695908a30e4768da893d69cdf10f84f65a4bbd8c2f21f"),
 ]
-FROZEN_IDS = [
-    "full-euler-0.0-steps0-aa8cba76c189b14376b117c69efe01b8d19e7cc2779263e515c6b38a9360801e",
-    "full-euler-0.5-steps1-830bd4f371714a083905ecf9c2ccb06272ca7521fb48365469fb88280e73b63f",
-    "full-exact-0.0-steps2-31853461e2f2bda5b24ce528903051ba1e84e4de433eba6fa618a3bbcffb7e89",
-    "full-exact-0.5-steps3-88c3e5b4e6386c8f6893651cb6977c4666984ea2fe3e66c3313b33bfa5c27471",
-    "radial-euler-0.0-steps4-387ddc69705f56885cbf1b5cd1c0baa8fdf14149fcd8d6798da45946ff40e0bd",
-    "radial-euler-0.5-steps5-e691427d23714bbd6903845e7957fc6e604cc8e7167abcc8941008d6c961c8a5",
-    "squared-radial-euler-0.0-steps6-4ace94898af14674c171586e8fc9fd0be2caaeca6c6248e8d427f1babbfc0899",
-    "squared-radial-euler-0.5-steps7-5b59e7a84a4b051388c45054d058458a741289c3842792f5e52e1371a15ee68f",
-]
 
 
-@pytest.mark.parametrize("scheme,x,steps,trace_sha", FROZEN, ids=FROZEN_IDS)
+@pytest.mark.parametrize("scheme,x,steps,trace_sha", FROZEN,
+                         ids=[f"{scheme}-x{x}" for scheme, x, *_ in FROZEN])
 def test_frozen_bits(scheme, x, steps, trace_sha):
     p = _problem(3, 0.5, 1.0, x=x)
     cfg = McConfig(n_paths=8, dt=1e-3, seed=20240611, scheme=scheme)
