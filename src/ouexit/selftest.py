@@ -18,16 +18,16 @@ from pathlib import Path
 
 from .mfet import ExitProblem, OupParams, mfet_bm, mfet_bounds, mfet_exact
 
-# one row per value: function (mfet_exact), its arguments theta sigma d L x
-# (floats as float.hex, d as an integer) and the decimal reference
+# one row per mfet_exact value: its arguments theta sigma d L x (floats as
+# float.hex, d as an integer) and the decimal reference
 _TABLE = Path(__file__).with_name("reference_values.csv")
 
 
-def _reference_problem(name, arguments):
+def _reference_problem(arguments):
     """The ExitProblem of one table row; ValueError (DomainError among them) if malformed."""
     words = arguments.split()
-    if name != "mfet_exact" or len(words) != 5:
-        raise ValueError(f"unknown function or argument count: {name!r}")
+    if len(words) != 5:
+        raise ValueError(f"argument count {len(words)}")
     theta, sigma, big_l, x = (float.fromhex(words[i]) for i in (0, 1, 3, 4))
     return ExitProblem(OupParams(theta=theta, sigma=sigma, d=int(words[2])), L=big_l, x=x)
 
@@ -39,13 +39,13 @@ def check_reference_values():
             rows = list(csv.reader(f))
     except (OSError, ValueError, csv.Error) as exc:
         return False, f"reference table {_TABLE} not read: {exc}"
-    if rows[:1] != [["function", "arguments", "reference"]]:
+    if rows[:1] != [["arguments", "reference"]]:
         return False, f"{_TABLE.name} line 1 is not the header"
     for line, row in enumerate(rows[1:], start=2):
         try:
-            name, arguments, reference = row
+            arguments, reference = row
             want = float(reference)
-            problem = _reference_problem(name, arguments)
+            problem = _reference_problem(arguments)
             if not math.isfinite(want):
                 raise ValueError(f"reference {want!r}")
         except ValueError:

@@ -477,20 +477,12 @@ class TestSelftestCommand:
 
     @pytest.mark.parametrize("content,detail", [
         (None, "not read"),
-        ("function,arguments,reference\nmfet_exact,0x1p-1 0x1p+0 four 0x1p+2 0x0p+0,66.2\n",
-         "line 2 is malformed"),
-        ("function,arguments,reference\nmfet_exact,0x1p-1 0x1p+0 4 0x1p+2 0x0p+0\n",
-         "line 2 is malformed"),
-        ("function,arguments,reference\nmfet_exact,0x1p-1 0x1p+0 4 0x1p+1 0x1p+2,1.0\n",
-         "line 2 is malformed"),
-        ("function,arguments,reference\nmfet_exact,0x1p-1 0x1p+0 4 0x1p+2 0x0p+0,inf\n",
-         "line 2 is malformed"),
-        # ln lig(1, 1): a function reference-values does not check
-        ("function,arguments,reference\nln_lower_gamma,0x1p+0 0x1p+0,-0.45867514538708189\n",
-         "line 2 is malformed"),
-        ("fn,args,ref\n", "line 1 is not the header"),
-    ], ids=["missing", "bad-integer", "short-row", "x-past-L", "infinite-reference",
-            "unknown-function", "header"])
+        ("arguments,reference\n0x1p-1 0x1p+0 four 0x1p+2 0x0p+0,66.2\n", "line 2 is malformed"),
+        ("arguments,reference\n0x1p-1 0x1p+0 4 0x1p+2 0x0p+0\n", "line 2 is malformed"),
+        ("arguments,reference\n0x1p-1 0x1p+0 4 0x1p+1 0x1p+2,1.0\n", "line 2 is malformed"),
+        ("arguments,reference\n0x1p-1 0x1p+0 4 0x1p+2 0x0p+0,inf\n", "line 2 is malformed"),
+        ("args,ref\n", "line 1 is not the header"),
+    ], ids=["missing", "bad-integer", "short-row", "x-past-L", "infinite-reference", "header"])
     def test_unreadable_table_is_a_named_failure(self, capsys, monkeypatch, tmp_path,
                                                  content, detail):
         table = tmp_path / "reference_values.csv"

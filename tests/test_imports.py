@@ -1,7 +1,7 @@
-"""Tests for the import boundary: only the Monte-Carlo route loads numpy, no
-route loads the incomplete gamma (ouexit.special, which only the tests and
-the benchmark harness use), and the README's library example imports only
-public names."""
+"""Tests for the import boundary: only the Monte-Carlo route loads numpy, it
+takes nothing from the exact route, no route loads the incomplete gamma
+(ouexit.special, which only the tests and the benchmark harness use), and
+the README's library example imports only public names."""
 
 import ast
 import re
@@ -99,6 +99,14 @@ def test_cli_binds_record_path_on_first_access(tmp_path):
 ])
 def test_simulate_names_are_the_engines_own(module, name):
     assert getattr(module, name) is getattr(simulate, name)
+
+
+def test_monte_carlo_takes_nothing_from_the_exact_route():
+    # the three routes stay independent: simulate imports no name of mfet
+    tree = ast.parse(Path(simulate.__file__).read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not [pair for pair in imported if "mfet" in pair]
 
 
 def test_star_import_binds_every_public_name():

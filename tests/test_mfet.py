@@ -165,7 +165,7 @@ class TestExactFormula:
                 lambda z: z * mpmath.exp(lam * z * z) * mpmath.hyp1f1(a, a + 1, -lam * z * z),
                 [0, big_l],
             )
-        assert mfet_exact(_problem(d, lam, big_l)) == pytest.approx(float(want), rel=1e-12)
+        assert mfet_exact(_problem(d, lam, big_l)) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_strongly_transient_case_keeps_its_bits(self):
         # theta = -1000, L = 100 (mu L^2 = 1e7): 7e-16 from mpmath, in a few
@@ -587,7 +587,7 @@ class TestTransientBracket:
         for p in _transient_sweep(20260611, 120):
             q = p.params
             near = _problem(q.d, -1e-20 / (p.L * p.L), p.L, x=p.x, sigma=q.sigma)
-            assert mfet_exact(near) == pytest.approx(mfet_bm(near), rel=1e-12), near
+            assert mfet_exact(near) == pytest.approx(mfet_bm(near), rel=1e-12, abs=0.0), near
 
 
 class TestBrownianClosedForm:

@@ -22,7 +22,7 @@ from pathlib import Path
 import mpmath
 
 TABLE = Path(__file__).resolve().parent.parent / "src" / "ouexit" / "reference_values.csv"
-HEADER = ["function", "arguments", "reference"]
+HEADER = ["arguments", "reference"]
 DIGITS = 20  # significant digits of each stored reference
 
 
@@ -112,7 +112,7 @@ def write_table(path=TABLE):
         out = csv.writer(f, lineterminator="\n")
         out.writerow(HEADER)
         for stored, args in _rows():
-            out.writerow(["mfet_exact", stored, mpmath.nstr(mp_mfet(*args), DIGITS)])
+            out.writerow([stored, mpmath.nstr(mp_mfet(*args), DIGITS)])
 
 
 def test_table_is_the_generators_output_at_40_and_60_digits():
@@ -120,14 +120,14 @@ def test_table_is_the_generators_output_at_40_and_60_digits():
         rows = list(csv.reader(f))
     assert rows[0] == HEADER
     expected = list(_rows())
-    assert [row[:2] for row in rows[1:]] == [["mfet_exact", stored] for stored, _ in expected]
+    assert [row[0] for row in rows[1:]] == [stored for stored, _ in expected]
     assert len(expected) >= 45
     for row, (_, args) in zip(rows[1:], expected):
         for dps in (40, 60):
             with mpmath.workdps(dps):
                 want = mp_mfet(*args)
                 # DIGITS significant digits round to within 5e-20 of the value
-                assert abs(mpmath.mpf(row[2]) - want) <= mpmath.mpf(1e-19) * abs(want), (row, dps)
+                assert abs(mpmath.mpf(row[1]) - want) <= mpmath.mpf(1e-19) * abs(want), (row, dps)
 
 
 if __name__ == "__main__":

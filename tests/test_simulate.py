@@ -641,41 +641,24 @@ def test_layout_fact_matches_the_kernel(scheme):
     assert np.size(start) == (d if scheme in FULL_DIMENSIONAL else 1)
 
 
-def test_early_exit_draws_few_normals(monkeypatch):
-    # the d = 1000 trajectories record exits after 7 steps; its first
-    # normals block covers _RUN_STEPS steps, not 2000
-    drawn = []
-    normals = simulate._normals
-
-    def counted(streams, steps, shape):
-        block = normals(streams, steps, shape)
-        drawn.append(block.size)
-        return block
-
-    monkeypatch.setattr(simulate, "_normals", counted)
-    cfg = McConfig(n_paths=1, dt=1e-3, seed=123456789, scheme=Scheme.FULL_EULER)
-    assert record_path(_problem(1000, 0.7, 2.5), cfg, 0).exited_at == 0.007
-    assert sum(drawn) <= 256_000
-
-
 class _FirstBlock(Exception):
     pass
 
 
 # The ids keep the names these cases had while a block could hold 2,000,000
 # normals: they end in the full schemes' first block of then (78, 19, 256
-# and 244 steps where 16 pieces now give 20, 5, 128 and 64).
+# and 244 steps where one piece now gives 2, 1, 8 and 4).
 @pytest.mark.parametrize(
     "d,big_l,n,full_steps",
-    [(4, 2.5, 16, 256), (256, 4.0, 100, 20), (1024, 4.0, 100, 5), (256, 12.0, 16, 128),
-     (1024, 24.0, 8, 64)],
+    [(4, 2.5, 16, 256), (256, 4.0, 100, 2), (1024, 4.0, 100, 1), (256, 12.0, 16, 8),
+     (1024, 24.0, 8, 4)],
     ids=["4-2.5-16-256", "256-4.0-100-78", "1024-4.0-100-19", "256-12.0-16-256",
          "1024-24.0-8-244"],
 )
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_first_block_of_a_batch(monkeypatch, scheme, d, big_l, n, full_steps):
-    # the benchmark's MC cells: twice the Brownian exit steps and one
-    # piece both exceed the usual first block, so it keeps its size
+    # the benchmark's MC cells: the first block holds at most one piece of
+    # 2**15 normals over the batch, in whole steps, and at most 256 steps
     seen = []
 
     def first(streams, steps, shape):
@@ -714,8 +697,8 @@ def test_one_block_of_at_most_16_pieces_is_live(monkeypatch, use_workers, n, d, 
 
 @pytest.mark.parametrize("theta", [0.7, 0.0])
 def test_lone_high_dimensional_path_draws_one_piece(monkeypatch, theta):
-    # the trajectories preset's d = 1000 traces: 2 mfet_bm / dt is 12.5
-    # steps, so the first block is one piece of 2**15 normals, 33 steps
+    # the trajectories preset's d = 1000 traces exit after 7 steps, inside
+    # the first block: one piece of 2**15 normals, 33 steps, not 256
     drawn = []
     normals = simulate._normals
 
@@ -725,7 +708,7 @@ def test_lone_high_dimensional_path_draws_one_piece(monkeypatch, theta):
 
     monkeypatch.setattr(simulate, "_normals", counted)
     cfg = McConfig(n_paths=1, dt=1e-3, seed=123456789, scheme=Scheme.FULL_EULER)
-    assert record_path(_problem(1000, theta, 2.5), cfg, 0).exited_at < 0.033
+    assert record_path(_problem(1000, theta, 2.5), cfg, 0).exited_at == 0.007
     assert drawn == [33]  # 33k normals
 
 
