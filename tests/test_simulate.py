@@ -641,6 +641,23 @@ def test_layout_fact_matches_the_kernel(scheme):
     assert np.size(start) == (d if scheme in FULL_DIMENSIONAL else 1)
 
 
+def test_early_exit_draws_few_normals(monkeypatch):
+    # the d = 1000 trajectories record exits after 7 steps; its first
+    # normals block covers at most _RUN_STEPS steps, not 2000
+    drawn = []
+    normals = simulate._normals
+
+    def counted(streams, steps, shape):
+        block = normals(streams, steps, shape)
+        drawn.append(block.size)
+        return block
+
+    monkeypatch.setattr(simulate, "_normals", counted)
+    cfg = McConfig(n_paths=1, dt=1e-3, seed=123456789, scheme=Scheme.FULL_EULER)
+    assert record_path(_problem(1000, 0.7, 2.5), cfg, 0).exited_at == 0.007
+    assert sum(drawn) <= 256_000
+
+
 class _FirstBlock(Exception):
     pass
 
