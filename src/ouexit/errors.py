@@ -10,7 +10,12 @@ class DomainError(OuexitError, ValueError):
 
 
 class ConvergenceError(OuexitError, RuntimeError):
-    """An iterative evaluation (series / continued fraction) did not converge."""
+    """An iterative evaluation did not converge.
+
+    In the package's routes that is mfet_exact's positive series, past its cap
+    of 2**22 terms a side; ``special``, which only the tests and the benchmark
+    use, raises it for its gamma series and continued fraction too.
+    """
 
 
 class EvaluationError(OuexitError, RuntimeError):

@@ -13,14 +13,18 @@ detected exits are biased late and the bias shrinks with dt):
 * radial-euler         Euler on the radial SDE
                        d rho = [(d-1) sigma^2 / (2 rho) - theta rho] dt + sigma dB;
                        the drift is singular at 0, so a start at x = 0 takes
-                       one bootstrap step with the squared-radial update and
-                       then switches.  A nonpositive Euler excursion is
-                       reflected.
+                       the deterministic first step below and then
+                       switches.  A nonpositive Euler excursion is reflected.
 * squared-radial-euler full-truncation Euler on the squared-radial SDE
                        dy = (sigma^2 d - 2 theta y) dt + 2 sigma sqrt(y) dB,
                        i.e. y <- y + (sigma^2 d - 2 theta max(y,0)) dt
                                  + 2 sigma sqrt(max(y,0)) dW,
                        exit when y >= L^2.  Per-step cost independent of d.
+
+From x = 0 both radial schemes take a deterministic first step: the noise
+term is 2 sigma sqrt(dt) sqrt(0) z, a signed zero whatever z is, so every
+path lands on y = sigma^2 d dt, radius sqrt(sigma^2 d dt) (correctly
+rounded by math.sqrt and np.sqrt alike).  The step still uses up its normal.
 
 Determinism contract: the stream of Gaussians for path i is a pure function
 of (seed, i, draw position) for a given numpy version.  Path i owns one
@@ -50,16 +54,16 @@ estimates are identical however the paths are batched or parallelized.
 
 Filling a block: ``_normals`` allocates it once, and each row's stream
 writes its normals straight into the row, with no transform and no
-temporaries.  A block with two or more streams, in rows of at least
-_SPLIT_ROW normals, has its rows split over a thread pool with one worker
+temporaries.  A block's rows are split over a thread pool with one worker
 per CPU in the process's affinity mask (``taskset`` limits it; a forked
-child gets a new pool), into at most one part per whole piece of the block.
-Measured on 2 cores for 1000-4000 rows, a split took a median 0.75-0.85 of
-the direct time for rows of 448-640 normals (0.6 at 2048), but 1.0-1.15
-times it at 384 and 1.3-1.8 times it at 256-320: each row's Python call
-holds the GIL between fills (the sampler releases it), so short rows
-leave little to overlap.  Each row is one stream's draws written to its
-own row, so the bits depend neither on the split nor on the pool size.
+child gets a new pool), into min(workers, rows, whole pieces) parts,
+whatever the row length.  Each row's Python call holds the GIL between
+fills (the sampler releases it), so short rows leave little to overlap:
+on 2 cores, split rows of 256-320 normals took 1.3-1.8 times a direct
+fill, a few ms per block.  Only a batch with one normal per step and over
+128 paths draws rows under 512 normals in blocks of two pieces or more,
+in its second block.  Each row is one stream's draws written to its own
+row, so the bits depend neither on the split nor on the pool size.
 
 Chunks and the straggler hand-off: exit times are heavy-tailed (about
 exp(lambda L^2) at small d), so most time steps of a batch have only a few
@@ -79,10 +83,9 @@ blocks from the path's own stream.  Neither regrouping moves a bit: the
 normals are the same (they depend only on seed, path and position), and
 each scheme's state after step k depends only on its normals up to k.
 The radial schemes run their recurrence over the chunk's columns of
-normals (scaled once per chunk, except squared-radial's), and their
-``run`` is a Python loop over floats that evaluates the same expressions
-in the same order (the radial clamp ``y if y > 0.0 else 0.0`` equals
-``np.maximum(y, 0.0)`` on -0.0 too).
+normals, and their ``run`` is a Python loop over floats that evaluates the
+same expressions in the same order (the radial clamp ``y if y > 0.0 else
+0.0`` equals ``np.maximum(y, 0.0)`` on -0.0 too).
 
 The full schemes' running sum: both are x <- a x + w with w = scale z
 (a = 1 - theta dt for full-euler, exp(-theta dt) for full-exact), a linear
@@ -127,7 +130,6 @@ _CHUNK = 2**13  # path-normals per batch chunk: 64 KB per temporary
 _PERIOD = 2048  # steps per period of the full schemes' running sum, at most
 _SPAN = 64.0  # |ln|a|| times the steps of a period, at most: factors within e**+-64
 _PIECE = 2**15  # normals per piece, the unit of block sizes and pool parts
-_SPLIT_ROW = 512  # normals per row below which a block is filled without the pool
 _BLOCK_FLOATS = 16 * _PIECE  # normals per block past one step: 4 MB
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
@@ -202,35 +204,34 @@ class PathRecord:
     exited_at: Optional[float]
 
 
-_Kernel = namedtuple("_Kernel", "start first step run threshold radius")
+_Kernel = namedtuple("_Kernel", "start step run threshold radius")
 
 
 def _scheme_kernel(problem, cfg):
-    """The configured scheme's _Kernel(start, first, step, run, threshold, radius).
+    """The configured scheme's _Kernel(start, step, run, threshold, radius).
 
     ``start`` is one path's state, a row of d coordinates or a scalar, with
-    one normal per entry drawn each step.  ``first`` and ``step`` advance a
-    batch by c steps, mapping (states, zs, k), zs shaped (paths, c) + shape
-    with each path's next normals in step order and k the steps the paths
-    have taken, to (states after the chunk, monitored values shaped
-    (paths, c)).  ``first`` takes the batch's first step.  A path exits once
-    monitored reaches ``threshold``; ``radius`` maps monitored values to
-    radii.  ``run`` is ``step`` for one path: it maps (state, zs, k) to
-    (state, monitored values of the steps it took), stopping at the exit or
-    after ``len(zs)`` steps, with the bits of ``step``.  The radial schemes'
-    ``run`` is a Python loop over floats; the full schemes' state is the
-    running sum u of the module docstring.
+    one normal per entry drawn each step.  ``step`` advances a batch by c
+    steps, mapping (states, zs, k), zs shaped (paths, c) + shape with each
+    path's next normals in step order and k the steps the paths have taken,
+    to (states after the chunk, monitored values shaped (paths, c)).  A path
+    exits once monitored reaches ``threshold``; ``radius`` maps monitored
+    values to radii.  ``run`` is ``step`` for one path: it maps (state, zs,
+    k) to (state, monitored values of the steps it took), stopping at the
+    exit or after ``len(zs)`` steps, with the bits of ``step``.  The radial
+    schemes' ``run`` is a Python loop over floats, which radial-euler's
+    cannot start at 0; the full schemes' state is the running sum u of the
+    module docstring.
     """
     p, x, dt = problem.params, problem.x, cfg.dt
     sqrt_dt = math.sqrt(dt)
     sig_sqdt = p.sigma * sqrt_dt
     big_l2 = problem.L * problem.L
 
-    def chunk(recur, scale=None):
-        # ``recur`` over the chunk's columns of normals times ``scale``, stacked
+    def chunk(recur):
+        # ``recur`` over the chunk's columns of normals, stacked
         def step(state, zs, k):
-            ws = zs.swapaxes(0, 1)
-            xs = recur(state, ws if scale is None else scale * ws)
+            xs = recur(state, zs.swapaxes(0, 1), k)
             return xs[-1], xs[0][:, None] if len(xs) == 1 else np.stack(xs, axis=1)
         return step
 
@@ -279,18 +280,15 @@ def _scheme_kernel(problem, cfg):
             return u, r2[:hit[0] + 1] if hit.size else r2
 
         start = np.concatenate(([x], np.zeros(p.d - 1)))
-        return _Kernel(start, advance, advance, run, big_l2, np.sqrt)
+        return _Kernel(start, advance, run, big_l2, np.sqrt)
 
     s2d = p.sigma * p.sigma * p.d
-    two_theta = 2.0 * p.theta
-    two_sig_sqdt = 2.0 * p.sigma * sqrt_dt
-
-    def squared_radial(y, zs):
-        # unscaled normals: the noise term multiplies 2 sigma sqrt(dt) sqrt(y+) first
-        return [y := y + (s2d - two_theta * (yp := np.maximum(y, 0.0))) * dt
-                + two_sig_sqdt * np.sqrt(yp) * z for z in zs]
-
     if cfg.scheme is Scheme.SQUARED_RADIAL_EULER:
+        two_theta, two_sig_sqdt = 2.0 * p.theta, 2.0 * p.sigma * sqrt_dt
+
+        def squared_radial(y, zs, k):
+            return [y := y + (s2d - two_theta * (yp := np.maximum(y, 0.0))) * dt
+                    + two_sig_sqdt * np.sqrt(yp) * z for z in zs]
 
         def run(y, zs, k):
             y, ys, sqrt = float(y), [], math.sqrt
@@ -306,19 +304,18 @@ def _scheme_kernel(problem, cfg):
             # not np.maximum, which turns -0.0 into +0.0: the clamp keeps it
             return np.sqrt(np.where(y < 0.0, 0.0, y))
 
-        step = chunk(squared_radial)
-        return _Kernel(x * x, step, step, run, big_l2, radius)
+        return _Kernel(x * x, chunk(squared_radial), run, big_l2, radius)
 
-    # radial-euler; the drift is singular at 0, so a start there bootstraps
+    # radial-euler; the drift is singular at 0, so a start there takes the
+    # deterministic first step of the module docstring
     half_dm1_s2 = 0.5 * (p.d - 1) * p.sigma * p.sigma
     theta, big_l = p.theta, problem.L
 
-    def radial(rho, ws):
-        return [rho := np.abs(rho + (half_dm1_s2 / rho - theta * rho) * dt + w) for w in ws]
-
-    def bootstrap(rho, zs):
-        # a squared-radial step from rho^2, as a radius; only ever one step
-        return [np.sqrt(np.maximum(y, 0.0)) for y in squared_radial(rho * rho, zs)]
+    def radial(rho, zs, k):
+        if k == 0 and x == 0.0:  # the driver's first chunk is one step
+            return [np.full(len(rho), math.sqrt(s2d * dt))]
+        return [rho := np.abs(rho + (half_dm1_s2 / rho - theta * rho) * dt + sig_sqdt * z)
+                for z in zs]
 
     def run(rho, zs, k):
         rho, rhos = float(rho), []
@@ -329,8 +326,7 @@ def _scheme_kernel(problem, cfg):
                 break
         return rho, rhos
 
-    step = chunk(radial, sig_sqdt)
-    return _Kernel(x, chunk(bootstrap) if x == 0.0 else step, step, run, big_l, np.asarray)
+    return _Kernel(x, chunk(radial), run, big_l, np.asarray)
 
 
 def _running_sum(xs):
@@ -360,9 +356,7 @@ def _normals(streams, steps, shape):
     n = len(streams)
     row = steps * math.prod(shape)
     flat = np.empty((n, row))
-    # at least one piece per part, and rows long enough to gain from the
-    # split; see the module docstring
-    parts = min(_WORKERS, n, flat.size // _PIECE) if row >= _SPLIT_ROW else 1
+    parts = min(_WORKERS, n, flat.size // _PIECE)  # at least one piece per part
     if parts < 2:
         _fill(flat, streams, 0, n)
     else:
@@ -415,7 +409,7 @@ def _run_paths(problem, cfg, indices, record=None):
         out[:] = 0.0
         return out
 
-    start, first, step, run, threshold, radius = _scheme_kernel(problem, cfg)
+    start, step, run, threshold, radius = _scheme_kernel(problem, cfg)
     shape = np.shape(start)
     m = np.size(start)
     state = np.full((n,) + shape, start)
@@ -433,7 +427,7 @@ def _run_paths(problem, cfg, indices, record=None):
         # before it, and makes the first chunk one step
         c = min(block.shape[1] - pos, max_steps - k, max(1, k // 8),
                 max(1, _CHUNK // (len(streams) * m)))
-        state, monitored = (first if k == 0 else step)(state, block[:, pos:pos + c], k)
+        state, monitored = step(state, block[:, pos:pos + c], k)
         hit = monitored >= threshold
         exited = hit[:, 0] if c == 1 else hit.any(axis=1)
         if record is not None:

@@ -176,7 +176,7 @@ class TestScalingCommand:
         assert [r["d"] for r in rows] == ["2", "4", "8"]
         for r in rows:
             d = int(r["d"])
-            assert float(r["lower_bm"]) == pytest.approx(4.0 / d, rel=1e-12)
+            assert float(r["lower_bm"]) == pytest.approx(4.0 / d, rel=1e-12, abs=0.0)
             assert float(r["lower_exp"]) <= float(r["mfet_exact"]) <= float(r["upper_mixed"])
 
     def test_brownian_rows_leave_bound_columns_empty(self, capsys):
@@ -329,7 +329,7 @@ class TestScalingRightPanel:
         assert out.splitlines()[0] == "d,mfet_exact,lower_bm,lower_exp,upper_mixed,upper_exp,mc_mean,mc_stderr,n_censored"
         for r in parse_csv(out):
             assert float(r["lower_bm"]) <= float(r["mfet_exact"]) <= float(r["upper_exp"])
-            assert float(r["lower_bm"]) == pytest.approx(9.0 / int(r["d"]), rel=1e-12)
+            assert float(r["lower_bm"]) == pytest.approx(9.0 / int(r["d"]), rel=1e-12, abs=0.0)
 
 
 class TestDriftRatioCommand:

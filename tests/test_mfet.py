@@ -201,7 +201,7 @@ class TestExactFormula:
         # rounding of the quadrature is left
         for big_l, x, sigma in ((4.0, 0.0, 1.0), (2.0, 1.0, 1.3)):
             p = _problem(d, 0.0, big_l, x=x, sigma=sigma)
-            assert mfet_exact(p) == pytest.approx(mfet_bm(p), rel=4e-15)
+            assert mfet_exact(p) == pytest.approx(mfet_bm(p), rel=4e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "theta,sigma,d,big_l,x,want",
@@ -285,7 +285,7 @@ class TestExactFormula:
                             direct = mpmath.quad(lambda t: t ** (d - 1) * mpmath.exp(-lam * t * t),
                                                  [0, z])
                         via = 0.5 * lam ** (-0.5 * d) * math.exp(special.ln_lower_gamma(a, lam * z * z))
-                        assert float(direct) == pytest.approx(via, rel=1e-10)
+                        assert float(direct) == pytest.approx(via, rel=1e-10, abs=0.0)
                         continue
                     mu, x = mpmath.mpf(-lam), 0.4 * z
                     big_a, big_d = mu * x * x, mu * (z * z - x * x)
@@ -295,7 +295,8 @@ class TestExactFormula:
                         t_form = mpmath.quad(lambda t: t ** (a - 1) * mpmath.exp(-big_a * (1 - t))
                                              * -mpmath.expm1(-big_d * (1 - t)) / (1 - t), [0, 1]) / (2 * mu)
                     assert abs(t_form - kummer) <= 1e-25 * kummer
-                    assert mfet_exact(_problem(d, lam, z, x=x)) == pytest.approx(float(kummer), rel=1e-12)
+                    assert mfet_exact(_problem(d, lam, z, x=x)) == pytest.approx(
+                        float(kummer), rel=1e-12, abs=0.0)
 
     def test_panel_exhaustion_raises_with_partial_result(self, monkeypatch):
         # lam < 0: only that regime still integrates
@@ -496,7 +497,7 @@ class TestPositiveSeries:
             if got == math.inf:
                 continue
             quad = math.exp(_single_integral(p))
-            assert got == pytest.approx(quad, rel=2e-10), p
+            assert got == pytest.approx(quad, rel=2e-10, abs=0.0), p
             checked += 1
         assert checked == 173
 
@@ -942,9 +943,9 @@ class TestAsymptoticRatio:
 class TestDriftRatio:
     def test_spot_values(self):
         p = OupParams(theta=0.7, sigma=1.0, d=2)
-        assert drift_ratio(p, 3.0) == pytest.approx(-5.3, rel=1e-13)
+        assert drift_ratio(p, 3.0) == pytest.approx(-5.3, rel=1e-13, abs=0.0)
         p128 = OupParams(theta=0.7, sigma=1.0, d=128)
-        assert drift_ratio(p128, 3.0) == pytest.approx(1.0 - 12.6 / 128.0, rel=1e-13)
+        assert drift_ratio(p128, 3.0) == pytest.approx(1.0 - 12.6 / 128.0, rel=1e-13, abs=0.0)
 
     def test_brownian_is_identity(self):
         # at the largest radius too: 2.0 * 0.0 * rho * rho is 0, never 0 * inf

@@ -175,11 +175,23 @@ class TestAgainstClosedForms:
                 assert abs(pairs[i].mean - pairs[j].mean) <= 3.0 * combined + 0.02 * exact
 
     def test_radial_scheme_with_bootstrap_matches_truth(self):
-        # start at the drift singularity: one squared-radial bootstrap step
+        # start at the drift singularity: a deterministic first step, then Euler
         p = _problem(6, 0.3, 2.0)
         exact = mfet_exact(p)
         est = estimate_mfet(p, McConfig(n_paths=600, dt=5e-4, seed=SEED, scheme=Scheme.RADIAL_EULER))
         assert abs(est.mean - exact) <= 3.0 * est.std_err + 0.05 * exact
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_transient_regime_matches_exact_with_grid_bias(self, scheme):
+        # theta < 0: the mean, biased late by grid monitoring, against the
+        # exact value at the shifted barrier L + 0.5826 sigma sqrt(dt)
+        # (Broadie-Glasserman-Kou 1997), E tau (1 + b) with b = +1.39% here
+        dt = 1e-3
+        est = estimate_mfet(_problem(4, -0.5, 2.0),
+                            McConfig(n_paths=2000, dt=dt, seed=SEED, scheme=scheme))
+        predicted = mfet_exact(_problem(4, -0.5, 2.0 + 0.5826 * math.sqrt(dt)))
+        assert est.n_censored == 0
+        assert abs(est.mean - predicted) <= 4.0 * est.std_err
 
     def test_reverting_slower_than_brownian_small_d(self):
         # matched seeds couple the comparison; at d=2 the drift effect is large
@@ -257,6 +269,19 @@ class TestRecords:
         assert np.all(rec.radii >= 0.0)
         assert np.all(np.isfinite(rec.radii))
 
+    @pytest.mark.parametrize("scheme", [Scheme.RADIAL_EULER, Scheme.SQUARED_RADIAL_EULER])
+    def test_radial_first_step_from_zero_ignores_its_normal(self, scheme):
+        # from 0 the noise term is 2 sigma sqrt(dt) sqrt(0) z, a signed zero,
+        # so step 1 lands on y = sigma^2 d dt whatever the path's normal
+        dt = 1e-3
+        for d in (1, 4, 256, 4096):
+            for theta in (0.5, 0.0, -0.5):
+                for sigma in (1.0, 0.3):
+                    for seed in (SEED, 7):
+                        cfg = McConfig(n_paths=1, dt=dt, seed=seed, scheme=scheme)
+                        radii = record_path(_problem(d, theta, 1.0, sigma=sigma), cfg, 0).radii
+                        assert radii[1] == math.sqrt(sigma * sigma * d * dt)
+
     @pytest.mark.parametrize("t_max", [None, 0.05])
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_times_are_the_step_grid(self, scheme, t_max):
@@ -298,7 +323,8 @@ def chunk_hits(monkeypatch):
 
         def spied_step(state, zs, steps):
             state, monitored = k.step(state, zs, steps)
-            hits.append(monitored >= k.threshold)
+            if steps:
+                hits.append(monitored >= k.threshold)
             return state, monitored
 
         return k._replace(step=spied_step)
@@ -432,7 +458,7 @@ def test_running_sum_forms_give_the_same_bits(shape):
 # Exit steps of paths 0-7 and the SHA-256 of path 3's radius trace at every
 # 7th step plus the crossing, per scheme.  They pin the output bits across
 # code changes, which the run-twice determinism tests cannot; x = 0 covers
-# the radial-euler bootstrap.  The frozen tables hold the bits of numpy's
+# radial-euler's first step from 0.  The frozen tables hold the bits of numpy's
 # standard_normal on the per-path SFC64 streams (captured at numpy 2.4.6),
 # which NEP 19 lets a numpy release change.
 FROZEN = [
@@ -796,7 +822,7 @@ def use_workers(monkeypatch):
     (7, 19, (1024,)),                       # 4 pieces; 7 rows split unevenly
     (1, 3 * simulate._PIECE + 5, ()),        # one row of 3 whole pieces: one part
     (3, 2 * simulate._PIECE + 1, ()),
-    (1000, 256, ()),                        # 7 pieces of short rows: one part
+    (1000, 256, ()),                        # 7 pieces of short rows: a part per worker
 ])
 def test_normals_match_one_shot_transform(use_workers, workers, n, steps, shape):
     use_workers(workers)
@@ -809,19 +835,6 @@ def test_normals_match_one_shot_transform(use_workers, workers, n, steps, shape)
     simulate._normals(streams, steps, shape)
     assert (simulate._normals(streams, 2, shape).tobytes()
             == _one_shot_normals(ref, 2, shape).tobytes())
-
-
-def test_short_rows_are_filled_without_the_pool(use_workers, monkeypatch):
-    # split over the pool, rows under _SPLIT_ROW normals took longer than
-    # one direct fill, so such a block makes no submit however many pieces
-    use_workers(2)
-    submits = []
-    submit = simulate._pool.submit
-    monkeypatch.setattr(simulate._pool, "submit", lambda *args: submits.append(args) or submit(*args))
-    simulate._normals(_streams(1000), 256, ())
-    assert submits == []
-    simulate._normals(_streams(128), simulate._SPLIT_ROW, ())  # 2 pieces
-    assert len(submits) == 2
 
 
 def _highdim_estimate():
@@ -842,6 +855,17 @@ def test_estimate_does_not_depend_on_worker_count(use_workers, workers):
     finally:
         sys.setswitchinterval(interval)
     assert got == default
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_many_path_radial_estimate_does_not_depend_on_worker_count(use_workers, workers):
+    # a radial batch of over 128 paths draws its second block in rows of
+    # 256 normals, which the pool splits like any other block
+    p = _problem(8, 0.5, 2.0)
+    cfg = McConfig(n_paths=300, dt=1e-3, seed=SEED, scheme=Scheme.SQUARED_RADIAL_EULER)
+    default = estimate_mfet(p, cfg)
+    use_workers(workers)
+    assert estimate_mfet(p, cfg) == default
 
 
 def _estimate_into(results):
