@@ -71,30 +71,33 @@ paths still running, and every numpy call costs about a microsecond of
 overhead however few paths it carries.  ``_run_paths`` therefore advances
 the live paths a chunk of steps per kernel call, finds each path's first
 crossing in the chunk with one argmax and drops exited paths once per
-chunk.  A chunk is at most an eighth of the steps already taken,
-so the steps a path takes past its exit, then discarded, stay under an
-eighth of those it needed; past one step it holds at most _CHUNK normals
-over all its paths, so its temporaries stay under glibc's 128 KB mmap
-threshold; and it ends at the end of the normals block and at the horizon.
-Paths step in numpy only while live paths times normals per step exceeds
-``_SCALAR_LOAD``; after that each remaining path is finished alone by the
-kernel's ``run`` over the rest of its pre-drawn normals, drawing further
-blocks from the path's own stream.  Neither regrouping moves a bit: the
-normals are the same (they depend only on seed, path and position), and
-each scheme's state after step k depends only on its normals up to k.
-The radial schemes run their recurrence over the chunk's columns of
-normals, and their ``run`` is a Python loop over floats that evaluates the
-same expressions in the same order (the radial clamp ``y if y > 0.0 else
-0.0`` equals ``np.maximum(y, 0.0)`` on -0.0 too).
+chunk.  Every chunk ends at the end of the normals block and at the
+horizon.  At the first step, and while live paths times normals per step
+exceeds ``_SCALAR_LOAD``, a chunk is also at most an eighth of the steps
+already taken, so the steps a path takes past its exit, then discarded,
+stay under an eighth of those it needed, and past one step it holds at
+most _CHUNK normals over all its paths, so its temporaries stay under
+glibc's 128 KB mmap threshold.  At or below that load a full batch's
+chunks span the rest of each block, while a radial batch, one normal per
+step, hands each remaining path to the kernel's ``run``, a Python loop
+over floats that costs less per step than a numpy call; it finishes the
+path over the rest of its pre-drawn normals, drawing further blocks from
+the path's own stream.  Neither regrouping moves a bit: the normals are
+the same (they depend only on seed, path and position), and each scheme's
+state after step k depends only on its normals up to k.  The radial
+schemes run their recurrence over the chunk's columns of normals, and
+their ``run`` evaluates the same expressions in the same order (the
+radial clamp ``y if y > 0.0 else 0.0`` equals ``np.maximum(y, 0.0)`` on
+-0.0 too).
 
 The full schemes' running sum: both are x <- a x + w with w = scale z
 (a = 1 - theta dt for full-euler, exp(-theta dt) for full-exact), a linear
 recurrence that a rescaled frame turns into a prefix sum (Blelloch 1990,
-CMU-CS-90-190), so a chunk or a run is a fixed number of numpy calls.  A
-path's steps fall in periods of K steps anchored at multiples of K of its
-step count k, never at a chunk, block or hand-off boundary.  At a period's
-start the state u becomes a**K u; its j-th step adds (scale a**(K-j)) z to
-u, and x = u / a**(K-j), so x = u at j = K.  The powers come from repeated
+CMU-CS-90-190), so a chunk is a fixed number of numpy calls.  A path's
+steps fall in periods of K steps anchored at multiples of K of its step
+count k, never at a chunk or block boundary.  At a period's start the
+state u becomes a**K u; its j-th step adds (scale a**(K-j)) z to u, and
+x = u / a**(K-j), so x = u at j = K.  The powers come from repeated
 multiplication, never pow.  The sums are strictly sequential
 (``_running_sum``), so x after step k depends on k and the normals alone;
 at theta = 0 every factor is 1.0 and the sum is x + w itself.  |x|^2 is one
@@ -124,7 +127,7 @@ from .errors import DomainError, EstimationError
 from .schemes import FULL_DIMENSIONAL, Scheme
 
 _U64_MAX = 2**64 - 1
-_SCALAR_LOAD = 32  # live paths x normals per step at which paths finish alone
+_SCALAR_LOAD = 32  # live paths x normals per step at which stragglers start (module docstring)
 _RUN_STEPS = 256  # steps per normals block until twice the steps taken is more
 _CHUNK = 2**13  # path-normals per batch chunk: 64 KB per temporary
 _PERIOD = 2048  # steps per period of the full schemes' running sum, at most
@@ -216,12 +219,13 @@ def _scheme_kernel(problem, cfg):
     path's next normals in step order and k the steps the paths have taken,
     to (states after the chunk, monitored values shaped (paths, c)).  A path
     exits once monitored reaches ``threshold``; ``radius`` maps monitored
-    values to radii.  ``run`` is ``step`` for one path: it maps (state, zs,
-    k) to (state, monitored values of the steps it took), stopping at the
-    exit or after ``len(zs)`` steps, with the bits of ``step``.  The radial
-    schemes' ``run`` is a Python loop over floats, which radial-euler's
-    cannot start at 0; the full schemes' state is the running sum u of the
-    module docstring.
+    values to radii.  Only the radial kernels have a ``run``, the full
+    ones None: it is ``step`` for one path as a Python loop over floats,
+    mapping (state, zs, k) to (state, monitored values of the steps it
+    took), stopping at the exit or after ``len(zs)`` steps, with the bits
+    of ``step``; radial-euler's cannot start at 0.  The full schemes' state
+    is the running sum u of the module docstring.  A radial-euler start at
+    0 whose first step would land on 0 again is a DomainError.
     """
     p, x, dt = problem.params, problem.x, cfg.dt
     sqrt_dt = math.sqrt(dt)
@@ -274,13 +278,8 @@ def _scheme_kernel(problem, cfg):
                 t += n
             return u, np.add.reduce(xs * xs, axis=-1)
 
-        def run(u, zs, k):
-            u, r2 = advance(u, zs, k)
-            hit = np.flatnonzero(r2 >= big_l2)
-            return u, r2[:hit[0] + 1] if hit.size else r2
-
         start = np.concatenate(([x], np.zeros(p.d - 1)))
-        return _Kernel(start, advance, run, big_l2, np.sqrt)
+        return _Kernel(start, advance, None, big_l2, np.sqrt)
 
     s2d = p.sigma * p.sigma * p.d
     if cfg.scheme is Scheme.SQUARED_RADIAL_EULER:
@@ -307,7 +306,11 @@ def _scheme_kernel(problem, cfg):
         return _Kernel(x * x, chunk(squared_radial), run, big_l2, radius)
 
     # radial-euler; the drift is singular at 0, so a start there takes the
-    # deterministic first step of the module docstring
+    # deterministic first step of the module docstring, which must leave 0
+    if x == 0.0 and s2d * dt == 0.0:
+        raise DomainError(f"radial-euler from x = 0 lands on radius 0, where its drift divides "
+                          f"by zero: sigma**2 * d * dt underflows at dt={dt!r}, "
+                          f"sigma={p.sigma!r}, d={p.d!r}")
     half_dm1_s2 = 0.5 * (p.d - 1) * p.sigma * p.sigma
     theta, big_l = p.theta, problem.L
 
@@ -391,11 +394,12 @@ def _run_paths(problem, cfg, indices, record=None):
     NaN for paths censored at the horizon.  When ``record`` is a list it
     collects the radius after every step, as the kernel's ``radius`` of
     each chunk slice and run output (single-path runs only).  Live paths
-    advance together in numpy, a chunk of steps per kernel call, while
-    their load exceeds ``_SCALAR_LOAD`` (the first step always does), then
-    each is finished alone by the kernel's ``run``; every kernel call is
-    given the steps taken.  See the module docstring for why the bits do
-    not change.
+    advance together in numpy, a chunk of steps per kernel call.  While
+    their load exceeds ``_SCALAR_LOAD`` (the first step always does) a
+    chunk is capped; at or below it a full batch's chunks run to the end
+    of the block, and a radial batch's paths are each finished alone by
+    the kernel's ``run``.  Every kernel call is given the steps taken.  See
+    the module docstring for why the bits do not change.
     """
     n = len(indices)
     dt = cfg.dt
@@ -418,15 +422,16 @@ def _run_paths(problem, cfg, indices, record=None):
     block = _normals(streams, _block_steps(n * m, 0), shape)
     pos = k = 0  # next column of ``block``; steps taken
 
-    while k < max_steps and (k == 0 or len(streams) * m > _SCALAR_LOAD):
+    while k < max_steps and (k == 0 or run is None or len(streams) * m > _SCALAR_LOAD):
         if pos == block.shape[1]:
             del block  # so the spent block is freed before the next is allocated
             block = _normals(streams, _block_steps(n * m, k), shape)
             pos = 0
-        # k // 8 keeps the steps taken past an exit under an eighth of those
-        # before it, and makes the first chunk one step
-        c = min(block.shape[1] - pos, max_steps - k, max(1, k // 8),
-                max(1, _CHUNK // (len(streams) * m)))
+        c = min(block.shape[1] - pos, max_steps - k)
+        if k == 0 or len(streams) * m > _SCALAR_LOAD:
+            # k // 8 keeps the steps taken past an exit under an eighth of
+            # those before it, and makes the first chunk one step
+            c = min(c, max(1, k // 8), max(1, _CHUNK // (len(streams) * m)))
         state, monitored = step(state, block[:, pos:pos + c], k)
         hit = monitored >= threshold
         exited = hit[:, 0] if c == 1 else hit.any(axis=1)

@@ -132,6 +132,23 @@ class TestBoundaryAndValidation:
             McConfig(n_paths=1, dt=1.0, t_max=2.0**54)
         assert McConfig(n_paths=1, dt=1.0, t_max=2.0**53).t_max == 2.0**53
 
+    @pytest.mark.parametrize("n", [40, 8])
+    def test_radial_euler_refuses_a_first_step_onto_zero(self, monkeypatch, n):
+        # from x = 0 radial-euler lands on sqrt(sigma^2 d dt) and then divides
+        # by that radius: where sigma^2 d dt underflows, a numpy batch (40
+        # paths) and the float loop (8) would divide by zero, so the kernel
+        # refuses the problem before any stream is made
+        p = _problem(4, 0.5, 1e-150, sigma=1e-150)
+        cfg = McConfig(n_paths=n, dt=1e-100, t_max=1e-99, scheme=Scheme.RADIAL_EULER)
+        monkeypatch.setattr(simulate, "_stream", lambda seed, i: pytest.fail("stream made"))
+        with pytest.raises(DomainError, match=r"dt=1e-100, sigma=1e-150, d=4"):
+            estimate_mfet(p, cfg)
+        # squared-radial divides by nothing; from y = 0 it stays below L^2
+        monkeypatch.undo()
+        cfg = McConfig(n_paths=n, dt=1e-100, t_max=1e-99, scheme=Scheme.SQUARED_RADIAL_EULER)
+        with pytest.raises(EstimationError, match=f"all {n} paths censored"):
+            estimate_mfet(p, cfg)
+
     def test_default_horizon_is_million_steps(self):
         cfg = McConfig(n_paths=1, dt=1e-3)
         assert cfg.t_max == pytest.approx(1e3)
@@ -190,6 +207,25 @@ class TestAgainstClosedForms:
         est = estimate_mfet(_problem(4, -0.5, 2.0),
                             McConfig(n_paths=2000, dt=dt, seed=SEED, scheme=scheme))
         predicted = mfet_exact(_problem(4, -0.5, 2.0 + 0.5826 * math.sqrt(dt)))
+        assert est.n_censored == 0
+        assert abs(est.mean - predicted) <= 4.0 * est.std_err
+
+    @pytest.mark.parametrize("scheme", [
+        Scheme.FULL_EULER,
+        Scheme.FULL_EXACT,
+        pytest.param(Scheme.RADIAL_EULER, marks=pytest.mark.xfail(
+            strict=True, reason="radial-euler reads low at d = 2 on every seed tried "
+                                "(z = -1.4 to -4.2 over five seeds), ROADMAP item 15's "
+                                "evidence against it")),
+        Scheme.SQUARED_RADIAL_EULER,
+    ])
+    def test_transient_regime_at_d_2_matches_exact_with_grid_bias(self, scheme):
+        # the same gate at d = 2, theta = -1, L = 2, where b = +0.92%; the
+        # full schemes finish their stragglers in uncapped batch chunks
+        dt = 1e-3
+        est = estimate_mfet(_problem(2, -1.0, 2.0),
+                            McConfig(n_paths=2000, dt=dt, seed=SEED, scheme=scheme))
+        predicted = mfet_exact(_problem(2, -1.0, 2.0 + 0.5826 * math.sqrt(dt)))
         assert est.n_censored == 0
         assert abs(est.mean - predicted) <= 4.0 * est.std_err
 
@@ -400,11 +436,12 @@ def test_chunks_keep_the_bits_across_periods(monkeypatch, chunk_hits, scheme):
     assert _run_paths(p, cfg, list(range(64))).tobytes() == chunked.tobytes()
     assert {h.shape[1] for h in chunk_hits} == {1}
     assert record_path(rec_p, cfg, 0).radii.tobytes() == rec.radii.tobytes()
-    # every path finished alone after its first step, in runs of whole blocks
+    # at or below _SCALAR_LOAD every chunk after the first step runs to the
+    # end of its normals block (64 and 320 steps) or to the horizon
     monkeypatch.setattr(simulate, "_SCALAR_LOAD", 10**9)
     chunk_hits.clear()
     assert _run_paths(p, cfg, list(range(64))).tobytes() == chunked.tobytes()
-    assert chunk_hits == []
+    assert [h.shape[1] for h in chunk_hits] == [63, 256, 117]
 
 
 @pytest.mark.parametrize("big_l", [1e-150, 1e150])
@@ -863,6 +900,17 @@ def test_many_path_radial_estimate_does_not_depend_on_worker_count(use_workers, 
     # 256 normals, which the pool splits like any other block
     p = _problem(8, 0.5, 2.0)
     cfg = McConfig(n_paths=300, dt=1e-3, seed=SEED, scheme=Scheme.SQUARED_RADIAL_EULER)
+    default = estimate_mfet(p, cfg)
+    use_workers(workers)
+    assert estimate_mfet(p, cfg) == default
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_low_dimensional_full_batch_does_not_depend_on_worker_count(use_workers, workers):
+    # mc-metastable's cell: below _SCALAR_LOAD a full batch's refills hold a
+    # few rows of up to 2048 steps of d normals, which the pool may split
+    p = _problem(4, 0.5, 2.5)
+    cfg = McConfig(n_paths=16, dt=1e-3, seed=SEED, scheme=Scheme.FULL_EXACT)
     default = estimate_mfet(p, cfg)
     use_workers(workers)
     assert estimate_mfet(p, cfg) == default
