@@ -71,24 +71,22 @@ paths still running, and every numpy call costs about a microsecond of
 overhead however few paths it carries.  ``_run_paths`` therefore advances
 the live paths a chunk of steps per kernel call, finds each path's first
 crossing in the chunk with one argmax and drops exited paths once per
-chunk.  Every chunk ends at the end of the normals block and at the
-horizon.  At the first step, and while live paths times normals per step
-exceeds ``_SCALAR_LOAD``, a chunk is also at most an eighth of the steps
-already taken, so the steps a path takes past its exit, then discarded,
-stay under an eighth of those it needed, and past one step it holds at
-most _CHUNK normals over all its paths, so its temporaries stay under
-glibc's 128 KB mmap threshold.  At or below that load a full batch's
-chunks span the rest of each block, while a radial batch, one normal per
-step, hands each remaining path to the kernel's ``run``, a Python loop
-over floats that costs less per step than a numpy call; it finishes the
-path over the rest of its pre-drawn normals, drawing further blocks from
-the path's own stream.  Neither regrouping moves a bit: the normals are
-the same (they depend only on seed, path and position), and each scheme's
-state after step k depends only on its normals up to k.  The radial
-schemes run their recurrence over the chunk's columns of normals, and
-their ``run`` evaluates the same expressions in the same order (the
-radial clamp ``y if y > 0.0 else 0.0`` equals ``np.maximum(y, 0.0)`` on
--0.0 too).
+chunk.  A chunk is at most an eighth of the steps already taken,
+so the steps a path takes past its exit, then discarded, stay under an
+eighth of those it needed; past one step it holds at most _CHUNK normals
+over all its paths, so its temporaries stay under glibc's 128 KB mmap
+threshold; and it ends at the end of the normals block and at the horizon.
+A full batch steps in numpy to its last path.  A radial batch, one normal
+per step, does so only while its live paths exceed ``_SCALAR_LOAD``; after
+that each remaining path is finished alone by the kernel's ``run``, a
+Python loop over floats that costs less per step than a numpy call, over
+the rest of its pre-drawn normals, drawing further blocks from the path's
+own stream.  Neither regrouping moves a bit: the normals are the same
+(they depend only on seed, path and position), and each scheme's state
+after step k depends only on its normals up to k.  The radial schemes run
+their recurrence over the chunk's columns of normals, and their ``run``
+evaluates the same expressions in the same order (the radial clamp
+``y if y > 0.0 else 0.0`` equals ``np.maximum(y, 0.0)`` on -0.0 too).
 
 The full schemes' running sum: both are x <- a x + w with w = scale z
 (a = 1 - theta dt for full-euler, exp(-theta dt) for full-exact), a linear
@@ -127,7 +125,7 @@ from .errors import DomainError, EstimationError
 from .schemes import FULL_DIMENSIONAL, Scheme
 
 _U64_MAX = 2**64 - 1
-_SCALAR_LOAD = 32  # live paths x normals per step at which stragglers start (module docstring)
+_SCALAR_LOAD = 32  # live paths at which a radial batch's paths finish alone
 _RUN_STEPS = 256  # steps per normals block until twice the steps taken is more
 _CHUNK = 2**13  # path-normals per batch chunk: 64 KB per temporary
 _PERIOD = 2048  # steps per period of the full schemes' running sum, at most
@@ -394,12 +392,11 @@ def _run_paths(problem, cfg, indices, record=None):
     NaN for paths censored at the horizon.  When ``record`` is a list it
     collects the radius after every step, as the kernel's ``radius`` of
     each chunk slice and run output (single-path runs only).  Live paths
-    advance together in numpy, a chunk of steps per kernel call.  While
-    their load exceeds ``_SCALAR_LOAD`` (the first step always does) a
-    chunk is capped; at or below it a full batch's chunks run to the end
-    of the block, and a radial batch's paths are each finished alone by
-    the kernel's ``run``.  Every kernel call is given the steps taken.  See
-    the module docstring for why the bits do not change.
+    advance together in numpy, a chunk of steps per kernel call; a kernel
+    with a ``run`` (the radial ones) has it finish each path alone once
+    their load is at most ``_SCALAR_LOAD`` (the first step is always a
+    chunk).  Every kernel call is given the steps taken.  See the module
+    docstring for why the bits do not change.
     """
     n = len(indices)
     dt = cfg.dt
@@ -427,11 +424,10 @@ def _run_paths(problem, cfg, indices, record=None):
             del block  # so the spent block is freed before the next is allocated
             block = _normals(streams, _block_steps(n * m, k), shape)
             pos = 0
-        c = min(block.shape[1] - pos, max_steps - k)
-        if k == 0 or len(streams) * m > _SCALAR_LOAD:
-            # k // 8 keeps the steps taken past an exit under an eighth of
-            # those before it, and makes the first chunk one step
-            c = min(c, max(1, k // 8), max(1, _CHUNK // (len(streams) * m)))
+        # k // 8 keeps the steps taken past an exit under an eighth of those
+        # before it, and makes the first chunk one step
+        c = min(block.shape[1] - pos, max_steps - k, max(1, k // 8),
+                max(1, _CHUNK // (len(streams) * m)))
         state, monitored = step(state, block[:, pos:pos + c], k)
         hit = monitored >= threshold
         exited = hit[:, 0] if c == 1 else hit.any(axis=1)

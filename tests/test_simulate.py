@@ -221,7 +221,7 @@ class TestAgainstClosedForms:
     ])
     def test_transient_regime_at_d_2_matches_exact_with_grid_bias(self, scheme):
         # the same gate at d = 2, theta = -1, L = 2, where b = +0.92%; the
-        # full schemes finish their stragglers in uncapped batch chunks
+        # full schemes finish their stragglers in batch chunks
         dt = 1e-3
         est = estimate_mfet(_problem(2, -1.0, 2.0),
                             McConfig(n_paths=2000, dt=dt, seed=SEED, scheme=scheme))
@@ -408,11 +408,11 @@ class _Width(int):
 def test_chunks_keep_the_bits_across_periods(monkeypatch, chunk_hits, scheme):
     # theta dt = 0.299 gives the running sum periods of 180 (full-euler)
     # and 214 (full-exact) steps: batch chunks straddle a period boundary
-    # and start on one, lone-path runs cross them, and every exit time and
-    # record keeps the bits of one-step chunks.  Chunks of at most 9 steps,
-    # however many paths are live, fix the chunk starts apart from the
-    # exits: 72 + 9j after the ramp reaches 180, and 320 + 9j after the
-    # block boundary at 320 reaches 428 = 2 * 214
+    # and start on one, and every exit time and record keeps the bits of
+    # one-step chunks.  Chunks of at most 9 steps, however many paths are
+    # live, fix the chunk starts apart from the exits: 72 + 9j after the
+    # ramp reaches 180, and 320 + 9j after the block boundary at 320
+    # reaches 428 = 2 * 214
     monkeypatch.setattr(simulate, "_CHUNK", _Width(9))
     theta, dt = 299.0, 1e-3
     a = 1.0 - theta * dt if scheme is Scheme.FULL_EULER else math.exp(-theta * dt)
@@ -436,12 +436,12 @@ def test_chunks_keep_the_bits_across_periods(monkeypatch, chunk_hits, scheme):
     assert _run_paths(p, cfg, list(range(64))).tobytes() == chunked.tobytes()
     assert {h.shape[1] for h in chunk_hits} == {1}
     assert record_path(rec_p, cfg, 0).radii.tobytes() == rec.radii.tobytes()
-    # at or below _SCALAR_LOAD every chunk after the first step runs to the
-    # end of its normals block (64 and 320 steps) or to the horizon
+    # a full batch hands no path to a lone run at any load: it stays in
+    # capped batch chunks to the horizon
     monkeypatch.setattr(simulate, "_SCALAR_LOAD", 10**9)
     chunk_hits.clear()
     assert _run_paths(p, cfg, list(range(64))).tobytes() == chunked.tobytes()
-    assert [h.shape[1] for h in chunk_hits] == [63, 256, 117]
+    assert [h.shape[1] for h in chunk_hits] == [1] * 436
 
 
 @pytest.mark.parametrize("big_l", [1e-150, 1e150])
@@ -907,7 +907,7 @@ def test_many_path_radial_estimate_does_not_depend_on_worker_count(use_workers, 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_low_dimensional_full_batch_does_not_depend_on_worker_count(use_workers, workers):
-    # mc-metastable's cell: below _SCALAR_LOAD a full batch's refills hold a
+    # mc-metastable's cell: a full batch's last few paths draw refills of a
     # few rows of up to 2048 steps of d normals, which the pool may split
     p = _problem(4, 0.5, 2.5)
     cfg = McConfig(n_paths=16, dt=1e-3, seed=SEED, scheme=Scheme.FULL_EXACT)
