@@ -1,9 +1,9 @@
 """Mean first-exit times of d-dimensional Ornstein-Uhlenbeck processes.
 
 Three independent routes to the same quantity, cross-validated against each
-other: the exact closed form (a positive series for theta >= 0, adaptive
-quadrature below), elementary two-sided bounds, and Monte-Carlo path
-simulation.
+other: the exact closed form (a positive series for theta >= 0, and below
+it a positive Poisson series where |lam| L^2 <= 150, adaptive quadrature
+past that), elementary two-sided bounds, and Monte-Carlo path simulation.
 
 Only the Monte-Carlo route needs numpy.  Its names are bound on
 first access (PEP 562), so importing the package and the exact route load

@@ -33,9 +33,19 @@ D = mu (L^2 - x^2):
 
     E tau = (1/(2 sigma^2 mu)) int_0^1 t^(a-1) e^(-A s) (1 - e^(-D s)) / s dt,
 
-one integral of a bounded elementary function, which mfet_exact takes in
-log space (_transient_log_integrand).  integrate_log raises QuadratureError
-when its panel budget runs out, so no caller here checks.
+one integral of a bounded elementary function.  With e^(-A s) (1 - e^(-D s))/s
+= int_A^(A+D) e^(-w s) dw and int_0^1 t^(a-1) e^(-w (1-t)) dt = E[1/(a + N_w)],
+N_w ~ Poisson(w), each Poisson weight integrated over w gives
+
+    2 sigma^2 mu E tau = sum_{n>=0} [P(N_A <= n) - P(N_(A+D) <= n)] / (a + n),
+
+every term positive.  mfet_exact sums it (_transient_series) where
+mu L^2 <= _SERIES_MAX_Y (150) and D/d >= _SERIES_MIN_D (1e-280), and
+takes the t-integral in log space (_transient_log_integrand) everywhere
+else: mu L^2 from 150 to past the double range, where the series would
+need about mu L^2 terms, and the D/d that would bring its sum near the
+subnormal range.  integrate_log raises QuadratureError when its panel
+budget runs out, so no caller here checks.
 
 Also here: the Brownian-motion closed form (L^2-x^2)/(sigma^2 d), the
 two-sided closed-form bounds obtained by pushing the Neuman inequalities
@@ -53,6 +63,8 @@ used as an independent correctness probe on the computed solution.
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul, sub, truediv
 
 from .errors import ConvergenceError, DomainError
 from .quadrature import integrate_log
@@ -63,6 +75,17 @@ _MAX_EXP = 709.782712893384
 _SERIES_TOL = 1e-17
 _MAX_TERMS = 2**22
 _TINY = sys.float_info.min  # the smallest normal double; below it digits are lost
+# lam < 0 takes the Poisson series (_transient_series) where mu L^2 is at
+# most _SERIES_MAX_Y: its mu L^2 + 10 sqrt(mu L^2) + 12 terms cost less than
+# the quadrature's panels there (a sweep of 150 problems a point, d, sigma
+# and x as in the benchmark: 111 against 181 us at mu L^2 = 100, 147
+# against 189 at 150, 185 against 191 at 200, 216 against 189 at 250), and
+# its weights e^-w w^k/k! stay normal.  It also needs D/d at least
+# _SERIES_MIN_D, D = mu (L^2 - x^2): its sum is at least D/(a + mu L^2), so
+# the sum and its terms down to _SERIES_TOL of it stay normal doubles.  Both
+# switches depend on the input alone
+_SERIES_MAX_Y = 150.0
+_SERIES_MIN_D = 1e-280
 # the lam < 0 integral's substitution, knee and cut (_transient_log_integrand)
 _K = 6.0
 _KNEE = 3.0
@@ -207,6 +230,78 @@ def _transient_log_integrand(problem):
     return log_f, upper, ln_j - math.log(2.0) - math.log(-p.theta)
 
 
+def _poisson_weights(w, n):
+    """[e^-w w^k / k! for k in 0..n], for 0 <= w < 709 and n >= w.
+
+    Each step multiplies by w/(k+1) upward or k/w downward.  Below w = 10
+    the steps run up from e^-w, fewer than 10 of them to the mode; from
+    w = 10 on they run outward from the mode m = floor(w), whose weight is
+    formed in Stirling's form with Binet's function, each term O(1), so it
+    is exact to a few ulps.
+    """
+    if w < 10.0:
+        return list(accumulate(map(truediv, repeat(w), range(1, n + 1)), mul, initial=math.exp(-w)))
+    m = int(w)
+    top = math.exp((m + 1.0 - w) + m * math.log1p((w - m - 1.0) / (m + 1.0))
+                   - 0.5 * math.log(2.0 * math.pi * (m + 1.0)) - _binet(m + 1.0))
+    out = list(accumulate(map(truediv, range(m, 0, -1), repeat(w)), mul, initial=top))[::-1]
+    out[m:] = accumulate(map(truediv, repeat(w), range(m + 1, n + 1)), mul, initial=top)
+    return out
+
+
+def _transient_series(problem):
+    """E tau for lam < 0 as a positive Poisson series (module docstring).
+
+    With a = d/2, y = mu L^2, A = mu x^2, D = y - A, p_k(w) = e^-w w^k/k!
+    and c_n = P(N_A <= n) - P(N_y <= n) for N_w ~ Poisson(w),
+
+        2 sigma^2 mu E tau = sum_{n>=0} c_n / (a + n),
+
+    every c_n positive.  c_n is a partial sum of the weight differences
+    delta_k = p_k(A) - p_k(y) = p_k(y) expm1(D + k l), l = ln(A/y): forward
+    from k = 0 below the crossing k* = D/(-l), where every delta_k > 0, and
+    backward from the last term above it, where every delta_k < 0, so no
+    sum cancels.  Each delta_k is the difference of the two weights where
+    they lie a factor e apart or more, and the expm1 form, whose argument
+    errs by about an ulp of D, where they lie closer; so small D and tiny y
+    lose nothing.
+
+    The sum stops at the first n from y + 10 sqrt(y) + 12 on with
+    p_n(y) (n+1) (a+y)/a <= _SERIES_TOL (1 - y/(n+1)).  Past n >= y every
+    c_n <= D p_n(y), and the p_n(y) fall at least geometrically, by
+    y/(n+1), so the terms dropped, and the rest missing from the backward
+    sums, come to at most _SERIES_TOL D/(a+y), below _SERIES_TOL of the sum
+    by Jensen's bound (_transient_log_integrand).  The sum is at least
+    D/(a+y), which mfet_exact keeps far above the subnormal range.
+    """
+    p = problem.params
+    big_l, x = problem.L, problem.x
+    a = 0.5 * p.d
+    y = -p.lam * big_l * big_l
+    # l = 2 ln(x/L), with L - x exact near L as in _ln_peak_term; -inf at x = 0
+    r = x / big_l
+    l = 2.0 * (math.log1p((x - big_l) / big_l) if r >= 0.5 else math.log(r)) if r else -math.inf
+    big_a, big_d = y * math.exp(l), -y * math.expm1(l)
+    n = int(y + 10.0 * math.sqrt(y)) + 12  # at or near the stop below
+    weights = _poisson_weights(y, n)
+    scale = (a + y) / a
+    while weights[-1] * (n + 1.0) * scale > _SERIES_TOL * (1.0 - y / (n + 1.0)):
+        n += 1
+        weights.append(weights[-1] * y / n)
+    delta = list(map(sub, _poisson_weights(big_a, n), weights))
+    # the k >= 1 with |D + k l| < 1, and k = 0, whose ln ratio is D
+    lo, hi = max(1, math.ceil((big_d - 1.0) / -l)), int(min(n, (big_d + 1.0) / -l)) + 1
+    delta[lo:hi] = [w * math.expm1(big_d + k * l) for k, w in zip(range(lo, hi), weights[lo:])]
+    if big_d < 1.0:
+        delta[0] = weights[0] * math.expm1(big_d)
+    s = int(min(n - 1, big_d / -l)) + 1  # delta_k > 0 for k < s, < 0 above
+    # c_0..c_(s-1) forward, and -c_(n-1)..-c_s backward
+    low = math.fsum(map(truediv, accumulate(delta[:s]), map(a.__add__, range(s))))
+    high = math.fsum(map(truediv, accumulate(delta[:s:-1]),
+                         map(a.__add__, range(n - 1, s - 1, -1))))
+    return (low - high) / (-2.0 * p.theta)
+
+
 def _ln_peak_term(problem):
     """(ln t_n, slack, scales) for the largest term t_n of the lam >= 0 series.
 
@@ -338,14 +433,19 @@ def _sum_from_peak(n0, ln_rise, y, b, ln_s, f0, c, ln_c):
 
 
 def mfet_exact(problem):
-    """Exact mean first-exit time: the positive series for lam >= 0, a quadrature below.
+    """Exact mean first-exit time: a positive series, or a quadrature (module docstring).
 
     Exactly 0 when the start radius sits on the boundary, and inf once
     ln E tau exceeds 709.78 (module docstring).
     """
     if problem.x == problem.L:
         return 0.0
-    if problem.params.lam < 0:
+    lam = problem.params.lam
+    if lam < 0:
+        big_l, x = problem.L, problem.x
+        if (-lam * big_l * big_l <= _SERIES_MAX_Y
+                and -lam * (big_l - x) * (big_l + x) >= _SERIES_MIN_D * problem.params.d):
+            return _transient_series(problem)
         log_f, upper, ln_scale = _transient_log_integrand(problem)
         return _exp_saturating(integrate_log(log_f, 0.0, upper).value + ln_scale)
     ln_term, slack, scales = _ln_peak_term(problem)
@@ -469,10 +569,10 @@ def avp_residual(problem, x_eval, h=None):
     By the strong Markov property u(x1) - u(x2), for x1 < x2, is the mean
     time to exit the ball of radius x2 from x1, so each difference is one
     mfet_exact call on a sub-ball: the probe checks the route mfet_exact
-    takes (the positive series for lam >= 0, the quadrature below), and
-    avoids the catastrophic cancellation of differencing nearly equal
-    exit times.  A stencil that leaves the double range (an exit time, or a
-    sum of them, past 1.8e308) is a DomainError.
+    takes (a positive series, or for lam < 0 past the Poisson series, the
+    quadrature), and avoids the catastrophic cancellation of differencing
+    nearly equal exit times.  A stencil that leaves the double range (an
+    exit time, or a sum of them, past 1.8e308) is a DomainError.
     """
     if h is None:
         h = 1e-3 * problem.L

@@ -1,4 +1,4 @@
-"""Deterministic adaptive quadrature, in log space, for mfet_exact's lam < 0 route.
+"""Deterministic adaptive log-space quadrature for mfet_exact's lam < 0 route past its series.
 
 ``integrate_log`` takes the integrand as its logarithm and returns the log
 of the integral over [a, b], a < b both finite, which the caller
@@ -60,7 +60,7 @@ _WG_AT_NODES = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
 
 
 # Relative tolerance and panel budget of the adaptive loop.
-_REL_TOL = 1e-10
+_REL_TOL = 1e-12
 _MAX_PANELS = 4096
 
 

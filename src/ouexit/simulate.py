@@ -71,9 +71,11 @@ paths still running, and every numpy call costs about a microsecond of
 overhead however few paths it carries.  ``_run_paths`` therefore advances
 the live paths a chunk of steps per kernel call, finds each path's first
 crossing in the chunk with one argmax and drops exited paths once per
-chunk.  A chunk is at most an eighth of the steps already taken,
-so the steps a path takes past its exit, then discarded, stay under an
-eighth of those it needed; past one step it holds at most _CHUNK normals
+chunk.  While two or more paths are live, a chunk is at most an eighth of
+the steps already taken, so the steps a path takes past its exit, then
+discarded, stay under an eighth of those it needed; a lone path's chunks
+past its first step have no such cap, since what it discards is at most one
+chunk of one row.  Past one step a chunk holds at most _CHUNK normals
 over all its paths, so its temporaries stay under glibc's 128 KB mmap
 threshold; and it ends at the end of the normals block and at the horizon.
 A full batch steps in numpy to its last path.  A radial batch, one normal
@@ -425,9 +427,10 @@ def _run_paths(problem, cfg, indices, record=None):
             block = _normals(streams, _block_steps(n * m, k), shape)
             pos = 0
         # k // 8 keeps the steps taken past an exit under an eighth of those
-        # before it, and makes the first chunk one step
-        c = min(block.shape[1] - pos, max_steps - k, max(1, k // 8),
-                max(1, _CHUNK // (len(streams) * m)))
+        # before it, and makes the first chunk one step; a lone path past its
+        # first step wastes at most one chunk of one row, so it goes uncapped
+        cap = max_steps if len(streams) == 1 and k else max(1, k // 8)
+        c = min(block.shape[1] - pos, max_steps - k, cap, max(1, _CHUNK // (len(streams) * m)))
         state, monitored = step(state, block[:, pos:pos + c], k)
         hit = monitored >= threshold
         exited = hit[:, 0] if c == 1 else hit.any(axis=1)

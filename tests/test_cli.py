@@ -91,9 +91,10 @@ class TestMfetCommand:
         def starved(log_f, a, b):
             raise QuadratureError("quadrature did not converge", QuadResult(0.0, 1.0, 1))
 
-        # theta < 0: only that regime still integrates
+        # theta < 0 past the Poisson series' mu L^2 = 150: only there is a
+        # quadrature left
         monkeypatch.setattr(ouexit.mfet, "integrate_log", starved)
-        code = run_cli("mfet", "--d", "1", "--L", "4", "--x", "0",
+        code = run_cli("mfet", "--d", "1", "--L", "10", "--x", "0",
                        "--sigma", "1", "--theta", "-2")
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -369,7 +370,7 @@ class TestOutputBytes:
          "9cd25157da1adef9a6f0680636e39d4ec32d267832fb176f3ef478b5a4e85882"),
         # transient: the four bound cells are empty
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "-0.5"],
-         "314a9037e5ff5543d38b9905f65c95d8e7fcff82b89ba9689ca0564e016180d0"),
+         "6f5cfcfddb5e3d9616800ca593e94a6058b85064ab8e04ac12b47c035e256d2a"),
     ], ids=["trajectories", "drift-ratio-inside", "mfet-recurrent", "mfet-transient"])
     def test_csv_keeps_its_bytes(self, argv, sha, capsys):
         assert main(argv) == 0
@@ -444,8 +445,20 @@ class TestSelftestCommand:
         assert code == 1
         assert out.splitlines()[-1] == "FAILED: reference-values"
 
+    def test_corrupted_transient_series_names_the_reference_check(self, capsys, monkeypatch):
+        # the lam < 0 Poisson series off by 1e-11: past the 1e-12 that every
+        # mfet_exact row of the table is held to
+        honest = ouexit.mfet._transient_series
+        monkeypatch.setattr(ouexit.mfet, "_transient_series",
+                            lambda problem: honest(problem) * (1.0 + 1e-11))
+        code = run_cli("selftest")
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.splitlines()[-1] == "FAILED: reference-values"
+
     def test_a_check_that_raises_is_named(self, capsys, monkeypatch):
-        # a theta < 0 row of reference-values runs out of panels and raises;
+        # a theta < 0 row of reference-values past the Poisson series' mu L^2
+        # = 150 runs out of panels and raises;
         # the suite reports it as that check's failure and runs the rest
         monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
         code = run_cli("selftest")
