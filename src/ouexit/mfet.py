@@ -39,13 +39,12 @@ N_w ~ Poisson(w), each Poisson weight integrated over w gives
 
     2 sigma^2 mu E tau = sum_{n>=0} [P(N_A <= n) - P(N_(A+D) <= n)] / (a + n),
 
-every term positive.  mfet_exact sums it (_transient_series) where
-mu L^2 <= _SERIES_MAX_Y (150) and D/d >= _SERIES_MIN_D (1e-280), and
-takes the t-integral in log space (_transient_log_integrand) everywhere
-else: mu L^2 from 150 to past the double range, where the series would
-need about mu L^2 terms, and the D/d that would bring its sum near the
-subnormal range.  integrate_log raises QuadratureError when its panel
-budget runs out, so no caller here checks.
+every term positive.  Over D the brackets sum to (E N_(A+D) - E N_A)/D = 1,
+so E tau is the Brownian value times a mean of a/(a + n).  mfet_exact sums
+it (_transient_series) where mu L^2 <= _SERIES_MAX_Y (150), and takes the
+t-integral in log space (_transient_log_integrand) past it, to past the
+double range, where the series would need about mu L^2 terms.  integrate_log
+raises QuadratureError when its panel budget runs out, so no caller checks.
 
 Also here: the Brownian-motion closed form (L^2-x^2)/(sigma^2 d), the
 two-sided closed-form bounds obtained by pushing the Neuman inequalities
@@ -75,17 +74,12 @@ _MAX_EXP = 709.782712893384
 _SERIES_TOL = 1e-17
 _MAX_TERMS = 2**22
 _TINY = sys.float_info.min  # the smallest normal double; below it digits are lost
-# lam < 0 takes the Poisson series (_transient_series) where mu L^2 is at
-# most _SERIES_MAX_Y: its mu L^2 + 10 sqrt(mu L^2) + 12 terms cost less than
-# the quadrature's panels there (a sweep of 150 problems a point, d, sigma
-# and x as in the benchmark: 111 against 181 us at mu L^2 = 100, 147
-# against 189 at 150, 185 against 191 at 200, 216 against 189 at 250), and
-# its weights e^-w w^k/k! stay normal.  It also needs D/d at least
-# _SERIES_MIN_D, D = mu (L^2 - x^2): its sum is at least D/(a + mu L^2), so
-# the sum and its terms down to _SERIES_TOL of it stay normal doubles.  Both
-# switches depend on the input alone
+# lam < 0 takes the Poisson series (_transient_series) where mu L^2 is at most
+# _SERIES_MAX_Y, a switch on the input alone: its weights stay normal, and its
+# mu L^2 + 10 sqrt(mu L^2) + 10 terms cost less than the quadrature's panels
+# (150 problems a point, d, sigma and x as in the benchmark: 111 against 181 us
+# at mu L^2 = 100, 147 against 189 at 150, 185 against 191 at 200, 216 against 189 at 250)
 _SERIES_MAX_Y = 150.0
-_SERIES_MIN_D = 1e-280
 # the lam < 0 integral's substitution, knee and cut (_transient_log_integrand)
 _K = 6.0
 _KNEE = 3.0
@@ -196,6 +190,8 @@ def _transient_log_integrand(problem):
     logs relative to mu L^2, so nothing overflows.  f is divided by Jensen's
     lower bound J = ln((a + mu L^2)/(a + mu x^2)) on the t-integral, so its
     integral is at least 1; integrate_log's relative tolerance alone decides.
+    The scale J/(2 sigma^2 mu) takes sigma^2 mu from sigma and lam, as
+    _transient_series does, in log space as -theta times (1 + O(ulp)).
     """
     p = problem.params
     big_l, x = problem.L, problem.x
@@ -227,79 +223,85 @@ def _transient_log_integrand(problem):
         ln_rise = ds if ds < -40.0 else (0.0 if ds > 4.0 else log(-expm1(-exp(ds))))
         return ln_rise - q - (_K - 1.0) * g - exp(alpha + xi + q) - ln_j
 
-    return log_f, upper, ln_j - math.log(2.0) - math.log(-p.theta)
+    return log_f, upper, ln_j - log(2.0) - log(-p.theta) - log(p.sigma * p.sigma / p.theta * p.lam)
 
 
-def _poisson_weights(w, n):
-    """[e^-w w^k / k! for k in 0..n], for 0 <= w < 709 and n >= w.
+def _poisson_weights(w, n, unit):
+    """[e^-w w^k / k! * unit / w for k in 1..n], for 0 <= w < 709 and n >= w.
 
-    Each step multiplies by w/(k+1) upward or k/w downward.  Below w = 10
-    the steps run up from e^-w, fewer than 10 of them to the mode; from
-    w = 10 on they run outward from the mode m = floor(w), whose weight is
-    formed in Stirling's form with Binet's function, each term O(1), so it
-    is exact to a few ulps.
+    unit = w/D gives them in units of D, normal where D or w underflows.
+    Each step multiplies by w/(k+1) upward or k/w downward: below w = 10 up
+    from e^-w unit, fewer than 10 steps to the mode; from w = 10 on outward
+    from the mode m = floor(w), whose weight is formed in Stirling's form
+    with Binet's function, each term O(1), so it is exact to a few ulps.
     """
     if w < 10.0:
-        return list(accumulate(map(truediv, repeat(w), range(1, n + 1)), mul, initial=math.exp(-w)))
+        return list(accumulate(map(truediv, repeat(w), range(2, n + 1)), mul,
+                               initial=math.exp(-w) * unit))
     m = int(w)
     top = math.exp((m + 1.0 - w) + m * math.log1p((w - m - 1.0) / (m + 1.0))
-                   - 0.5 * math.log(2.0 * math.pi * (m + 1.0)) - _binet(m + 1.0))
-    out = list(accumulate(map(truediv, range(m, 0, -1), repeat(w)), mul, initial=top))[::-1]
-    out[m:] = accumulate(map(truediv, repeat(w), range(m + 1, n + 1)), mul, initial=top)
+                   - 0.5 * math.log(2.0 * math.pi * (m + 1.0)) - _binet(m + 1.0)) * (unit / w)
+    out = list(accumulate(map(truediv, range(m, 1, -1), repeat(w)), mul, initial=top))[::-1]
+    out[m - 1:] = accumulate(map(truediv, repeat(w), range(m + 1, n + 1)), mul, initial=top)
     return out
 
 
 def _transient_series(problem):
-    """E tau for lam < 0 as a positive Poisson series (module docstring).
+    """E tau for lam < 0 as mfet_bm times a mean of a/(a + n) (module docstring).
 
     With a = d/2, y = mu L^2, A = mu x^2, D = y - A, p_k(w) = e^-w w^k/k!
-    and c_n = P(N_A <= n) - P(N_y <= n) for N_w ~ Poisson(w),
+    and N_w ~ Poisson(w), pi_n = (P(N_A <= n) - P(N_y <= n))/D > 0 sums to
+    (E N_y - E N_A)/D = 1, and E tau = mfet_bm sum_n pi_n a/(a + n): at
+    most mfet_bm, and at least mfet_bm a/(a + y) by Jensen (the pi-mean of
+    n is (y + A)/2).  The weights are in units of D, from y/D and A/D (below
+    about 2^53) and never from D, so they stay normal for any theta, d and y.
 
-        2 sigma^2 mu E tau = sum_{n>=0} c_n / (a + n),
+    pi_n is a partial sum of delta_k = (p_k(A) - p_k(y))/D, forward from
+    k = 0 below the crossing k* = D/(-l), l = ln(A/y), where every
+    delta_k > 0, and backward from the last term above it, where every
+    delta_k < 0, so no sum cancels.  delta_k is the difference of the two
+    weights (p_k(A) = 0 at x = 0) where they lie a factor e apart or more,
+    and p_k(y)/D expm1(D + k l), whose argument errs by about an ulp of D,
+    where closer.  The mean is the sum of each pi_n over (a + n)/a >= 1,
+    over the sum of the same pi_n: common errors cancel, and it is <= 1.
 
-    every c_n positive.  c_n is a partial sum of the weight differences
-    delta_k = p_k(A) - p_k(y) = p_k(y) expm1(D + k l), l = ln(A/y): forward
-    from k = 0 below the crossing k* = D/(-l), where every delta_k > 0, and
-    backward from the last term above it, where every delta_k < 0, so no
-    sum cancels.  Each delta_k is the difference of the two weights where
-    they lie a factor e apart or more, and the expm1 form, whose argument
-    errs by about an ulp of D, where they lie closer; so small D and tiny y
-    lose nothing.
-
-    The sum stops at the first n from y + 10 sqrt(y) + 12 on with
+    The sums stop at the first n from y + 10 sqrt(y) + 10 on with
     p_n(y) (n+1) (a+y)/a <= _SERIES_TOL (1 - y/(n+1)).  Past n >= y every
-    c_n <= D p_n(y), and the p_n(y) fall at least geometrically, by
-    y/(n+1), so the terms dropped, and the rest missing from the backward
-    sums, come to at most _SERIES_TOL D/(a+y), below _SERIES_TOL of the sum
-    by Jensen's bound (_transient_log_integrand).  The sum is at least
-    D/(a+y), which mfet_exact keeps far above the subnormal range.
+    pi_n <= p_n(y), and the p_n(y) fall at least geometrically, by y/(n+1),
+    so the terms dropped, and the rest missing from the backward sums, come
+    to at most _SERIES_TOL a/(a+y) in each, below _SERIES_TOL of the mean.
     """
     p = problem.params
-    big_l, x = problem.L, problem.x
-    a = 0.5 * p.d
+    big_l, x, d = problem.L, problem.x, p.d
     y = -p.lam * big_l * big_l
     # l = 2 ln(x/L), with L - x exact near L as in _ln_peak_term; -inf at x = 0
     r = x / big_l
     l = 2.0 * (math.log1p((x - big_l) / big_l) if r >= 0.5 else math.log(r)) if r else -math.inf
-    big_a, big_d = y * math.exp(l), -y * math.expm1(l)
-    n = int(y + 10.0 * math.sqrt(y)) + 12  # at or near the stop below
-    weights = _poisson_weights(y, n)
-    scale = (a + y) / a
-    while weights[-1] * (n + 1.0) * scale > _SERIES_TOL * (1.0 - y / (n + 1.0)):
+    ratio, rise = math.exp(l), -math.expm1(l)  # A/y and D/y
+    big_a, big_d = y * ratio, y * rise
+    n = int(y + 10.0 * math.sqrt(y)) + 10  # at or near the stop below
+    weights = _poisson_weights(y, n, 1.0 / rise)  # p_k(y)/D for k >= 1
+    scale = (d + 2.0 * y) / d  # (a + y)/a
+    while weights[-1] * big_d * (n + 1.0) * scale > _SERIES_TOL * (1.0 - y / (n + 1.0)):
         n += 1
         weights.append(weights[-1] * y / n)
-    delta = list(map(sub, _poisson_weights(big_a, n), weights))
-    # the k >= 1 with |D + k l| < 1, and k = 0, whose ln ratio is D
+    if big_d < 1.0:  # delta_0, 1 where D underflows
+        first = math.exp(-y) * (math.expm1(big_d) / big_d) if big_d else 1.0
+    else:
+        first = (math.exp(-big_a) - math.exp(-y)) / big_d
+    delta = [first, *map(sub, _poisson_weights(big_a, n, ratio / rise) if r else repeat(0.0),
+                         weights)]
+    # the k >= 1 with |D + k l| < 1
     lo, hi = max(1, math.ceil((big_d - 1.0) / -l)), int(min(n, (big_d + 1.0) / -l)) + 1
-    delta[lo:hi] = [w * math.expm1(big_d + k * l) for k, w in zip(range(lo, hi), weights[lo:])]
-    if big_d < 1.0:
-        delta[0] = weights[0] * math.expm1(big_d)
+    delta[lo:hi] = [w * math.expm1(big_d + k * l)
+                    for k, w in zip(range(lo, hi), weights[lo - 1:hi - 1])]
     s = int(min(n - 1, big_d / -l)) + 1  # delta_k > 0 for k < s, < 0 above
-    # c_0..c_(s-1) forward, and -c_(n-1)..-c_s backward
-    low = math.fsum(map(truediv, accumulate(delta[:s]), map(a.__add__, range(s))))
-    high = math.fsum(map(truediv, accumulate(delta[:s:-1]),
-                         map(a.__add__, range(n - 1, s - 1, -1))))
-    return (low - high) / (-2.0 * p.theta)
+    # pi_0..pi_(s-1) forward and -pi_s..-pi_(n-1) backward, over (a + n)/a = (d + 2n)/d;
+    # the backward sums reversed, largest first, where fsum runs about 3 times faster
+    lows, highs = list(accumulate(delta[:s])), list(accumulate(delta[:s:-1]))[::-1]
+    low = math.fsum(map(truediv, lows, map(truediv, range(d, d + 2 * s, 2), repeat(d))))
+    high = math.fsum(map(truediv, highs, map(truediv, range(d + 2 * s, d + 2 * n, 2), repeat(d))))
+    return mfet_bm(problem) * ((low - high) / (math.fsum(lows) - math.fsum(highs)))
 
 
 def _ln_peak_term(problem):
@@ -442,9 +444,7 @@ def mfet_exact(problem):
         return 0.0
     lam = problem.params.lam
     if lam < 0:
-        big_l, x = problem.L, problem.x
-        if (-lam * big_l * big_l <= _SERIES_MAX_Y
-                and -lam * (big_l - x) * (big_l + x) >= _SERIES_MIN_D * problem.params.d):
+        if -lam * problem.L * problem.L <= _SERIES_MAX_Y:
             return _transient_series(problem)
         log_f, upper, ln_scale = _transient_log_integrand(problem)
         return _exp_saturating(integrate_log(log_f, 0.0, upper).value + ln_scale)

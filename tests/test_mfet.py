@@ -28,7 +28,7 @@ import pytest
 
 import ouexit.mfet
 from ouexit import special
-from ouexit.mfet import _MAX_EXP, _SERIES_MAX_Y, _SERIES_MIN_D, _ln_peak_term
+from ouexit.mfet import _MAX_EXP, _SERIES_MAX_Y, _ln_peak_term
 from ouexit.quadrature import integrate_log
 from ouexit import (
     ConvergenceError,
@@ -239,7 +239,7 @@ class TestExactFormula:
             "ln_lower_gamma": _digest(gamma),
         }
         assert got == {
-            "mfet_exact": "51a5d2c6674b04d75c3a373763348907461a34e12e548af93dbecaad87933040",
+            "mfet_exact": "b79c0cf643e2e6f6300a8449de61f35571386956bf3ae255c382acfec0f1dc78",
             "mfet_bounds": "9c3e32482e79efe0e10b8a4348b54251d9401e57b4459f52d7ea781b42ccd23c",
             "ln_lower_gamma": "0a2aaf9b5a6ff11efe8a8b1a903cfa87a35ec522c03fee1d983a4db62a302eb0",
         }
@@ -615,44 +615,40 @@ def _mp_transient(problem):
 
 
 class TestTransientSeries:
-    """lam < 0 where mu L^2 <= _SERIES_MAX_Y and D/d >= _SERIES_MIN_D: the
-    Poisson series, with the quadrature on the far side of both switches."""
+    """lam < 0 where mu L^2 <= _SERIES_MAX_Y: the Poisson series, mfet_bm
+    times a mean of a/(a + n), with the quadrature past the switch."""
 
     def test_against_mpmath_across_both_switches(self):
-        # mu L^2 on e^-35..1 times _SERIES_MAX_Y, or 0.8..1.25 times it, or
-        # D/d on 0.5..2 times _SERIES_MIN_D, in turn; d log-uniform on
-        # 1..2**60 and x at 0, U L or L (1 - 10^-U(0, 15)).  Gates: twice the
-        # worst of 400 draws (seeds 5 and 20261020), 8.3e-16 for the series
-        # and 2.2e-13 for the quadrature, at mu L^2 below 1e-260
+        # mu L^2 on e^-35..1 times _SERIES_MAX_Y, 0.8..1 times it, D/d on
+        # 0.5..2 times 1e-280, or 1..1.25 times _SERIES_MAX_Y (the
+        # quadrature), in turn; d log-uniform on 1..2**60 and x at 0, U L or
+        # L (1 - 10^-U(0, 15)).  Over 400 draws (seeds 5 and 20261020) the
+        # series was at worst 4.8e-16 off, under its 2e-15 gate, and the
+        # quadrature 8.1e-15, so its gate is 2e-14
         rng = random.Random(20261020)
-        gates, routes = {True: 2e-15, False: 5e-13}, {True: 0, False: 0}
+        gates, routes = {True: 2e-15, False: 2e-14}, {True: 0, False: 0}
         for i in range(32):
             d, sigma = round(math.exp(rng.uniform(0.0, math.log(2.0**60)))), rng.uniform(0.5, 2.0)
             big_l, u = math.exp(rng.uniform(-3.0, 3.0)), rng.random()
             x = (0.0, u * big_l, big_l * (1.0 - 10.0 ** rng.uniform(-15.0, 0.0)))[i % 3]
             kind = i % 4
             if kind == 2:
-                y = _SERIES_MIN_D * d * rng.uniform(0.5, 2.0) / (1.0 - (x / big_l) ** 2)
+                y = 1e-280 * d * rng.uniform(0.5, 2.0) / (1.0 - (x / big_l) ** 2)
             else:
-                y = _SERIES_MAX_Y * (rng.uniform(0.8, 1.25) if kind == 3
-                                     else math.exp(rng.uniform(-35.0, 0.0)))
+                y = _SERIES_MAX_Y * (rng.uniform(0.8, 1.0) if kind == 1 else rng.uniform(1.0, 1.25)
+                                     if kind == 3 else math.exp(rng.uniform(-35.0, 0.0)))
             p = _problem(d, -y / (big_l * big_l), big_l, x=x, sigma=sigma)
-            mu = -p.params.lam
-            series = (mu * big_l * big_l <= _SERIES_MAX_Y
-                      and mu * (big_l - x) * (big_l + x) >= _SERIES_MIN_D * d)
+            series = -p.params.lam * big_l * big_l <= _SERIES_MAX_Y
             routes[series] += 1
             want = _mp_transient(p)
             assert abs(mfet_exact(p) - want) <= gates[series] * want, p
         assert min(routes.values()) >= 5, routes
 
-    @pytest.mark.parametrize("theta,big_l,x,toward", [(-_SERIES_MAX_Y / 100.0, 10.0, 2.5, -math.inf),
-                                                      (-_SERIES_MIN_D, 1.0, 0.0, 0.0)],
-                             ids=["mu-L2", "D-over-d"])
-    def test_the_two_routes_meet_at_each_switch(self, monkeypatch, theta, big_l, x, toward):
-        # mu L^2 = _SERIES_MAX_Y and D/d = _SERIES_MIN_D exactly take the
-        # series, theta one ulp past them the quadrature; the two agree to 1e-13
-        at = _problem(1, theta, big_l, x=x)
-        past = _problem(1, math.nextafter(theta, toward), big_l, x=x)
+    def test_the_two_routes_meet_at_the_switch(self, monkeypatch):
+        # mu L^2 = _SERIES_MAX_Y exactly takes the series, theta one ulp past
+        # it the quadrature; the two agree to 1e-13
+        at = _problem(1, -_SERIES_MAX_Y / 100.0, 10.0, x=2.5)
+        past = _problem(1, math.nextafter(-_SERIES_MAX_Y / 100.0, -math.inf), 10.0, x=2.5)
         called = []
         monkeypatch.setattr(ouexit.mfet, "integrate_log",
                             lambda *args: called.append(1) or integrate_log(*args))
@@ -661,6 +657,47 @@ class TestTransientSeries:
         got_past = mfet_exact(past)
         assert called == [1]
         assert abs(got_past - got_at) <= 1e-13 * got_at
+
+    def test_tiny_d_takes_the_series(self, monkeypatch):
+        # D/d below 1e-280, where the sum of c_n/(a + n) would be near the
+        # subnormal range: |theta| log-uniform from the smallest normal, d
+        # on 1..10**300 and x at 0, U L or L (1 - 1e-15), in turn; the draws
+        # ExitProblem refuses are skipped.  There y/a < 1e-262, so E tau is
+        # mfet_bm to far below an ulp: the reference, within 2 ulps (a
+        # 40-digit quadrature with 1 - s rounded to 1 was off by O(1) at
+        # d = 10**300).  Also pinned: the problem the quadrature missed by
+        # 2.2e-13, against mpmath, and the d = 10**300 ball it put 3e-14
+        # above mfet_bm
+        called = []
+        monkeypatch.setattr(ouexit.mfet, "integrate_log",
+                            lambda *args: called.append(1) or integrate_log(*args))
+        rng = random.Random(20261021)
+        problems = []
+        for i in range(1000):
+            d, sigma = round(math.exp(rng.uniform(0.0, math.log(1e300)))), rng.uniform(0.5, 2.0)
+            big_l = math.exp(rng.uniform(-3.0, 3.0))
+            x = (0.0, rng.random() * big_l, big_l * (1.0 - 1e-15))[i % 3]
+            s2 = sigma * sigma
+            top = min(1e-280 * d * s2 / ((big_l - x) * (big_l + x)), _SERIES_MAX_Y * s2 / big_l**2)
+            if top > sys.float_info.min:
+                theta = -math.exp(rng.uniform(math.log(sys.float_info.min), math.log(top)))
+                try:
+                    problems.append(ExitProblem(OupParams(theta, sigma, d), L=big_l, x=x))
+                except DomainError:
+                    pass
+        assert len(problems) >= 900
+        found = ExitProblem(OupParams(-9.14915339870259e-277, 1.5019298237109133, 35),
+                            L=0.08604108603334147, x=0.0)
+        huge = ExitProblem(OupParams(-0.5, 1.0, 10**300), L=4.0, x=0.0)
+        for p in [*problems, found, huge]:
+            q, got, bm = p.params, mfet_exact(p), mfet_bm(p)
+            assert -q.lam * (p.L - p.x) * (p.L + p.x) < 1e-280 * q.d, p
+            assert -q.lam * p.L * p.L < 1e-17 * 0.5 * q.d, p
+            assert abs(got - bm) <= 2.0 * math.ulp(bm), p
+            assert got <= bm * (1.0 + 2.0**-52), p
+        want = _mp_transient(found)
+        assert abs(mfet_exact(found) - want) <= 1e-15 * want
+        assert called == []
 
 
 class TestBrownianClosedForm:
@@ -932,14 +969,13 @@ class TestExitTimeIdentities:
     - space scaling: (sigma, L, x) -> (c sigma, c L, c x) leaves E tau unchanged;
     - time scaling: (theta, sigma) -> (k^2 theta, k sigma) divides E tau by k^2.
 
-    c and k are powers of 2, so the scaled inputs are exact.  Gates are
-    about twice the worst relative error measured over 43,500 draws
-    (_identity_sweep seeds 1-13 x 3000, and the exact-grid benchmark's
-    problems at seeds 11/23/37 x 1500): additivity 2.3e-13 for lam >= 0;
-    space 5.7e-14; time 1.1e-13.  Additivity for lam < 0 was 1.4e-12 at the
-    quadrature's former 1e-10 tolerance; with the Poisson series and a
-    1e-12 tolerance it is 4.4e-13 over seeds 1-13 x 3000 (a ball of
-    mu L^2 = 7e17, on the quadrature), so its gate is 1e-12.
+    c and k are powers of 2, so the scaled inputs are exact.  The worst
+    relative errors over _identity_sweep seeds 1-13 x 3000 are: additivity
+    8.6e-13 for lam >= 0 (seed 11, pinned below; the next worst is 4.9e-13
+    at seed 10) and 4.4e-13 for lam < 0 (a ball of mu L^2 = 7e17, on the
+    quadrature); space 5.7e-14; time 9.9e-14.  The gates hold on this
+    test's own seed; the lam >= 0 additivity gate, 5e-13, is below the
+    worst case, which stays a strict xfail.
     """
 
     # identity: (gate for lam < 0, gate for lam >= 0)
@@ -970,6 +1006,14 @@ class TestExitTimeIdentities:
         broken, finite = self._breaches(_identity_sweep(20261019, 1000))
         assert broken == set()
         assert min(finite.values()) >= 300, finite
+
+    @pytest.mark.xfail(strict=True, reason="lam >= 0 additivity is 8.6e-13 off here, past its gate")
+    def test_additivity_holds_on_the_worst_seeded_case(self):
+        q = OupParams(theta=0.0004092554893264649, sigma=0.8751221971164107, d=630574)
+        big_l, x, x2 = 24983.5943273926, 24983.57365904001, 24983.577613694066
+        u = mfet_exact(ExitProblem(q, L=big_l, x=x))
+        v = mfet_exact(ExitProblem(q, L=x2, x=x)) + mfet_exact(ExitProblem(q, L=big_l, x=x2))
+        assert abs(v - u) <= self.GATES["additivity"][1] * u
 
     @pytest.mark.parametrize("corruption,breaks", [("series", {"additivity"}),
                                                    ("lam", {"space", "time"})],
@@ -1092,7 +1136,7 @@ class TestOdeResidual:
             lam, big_l = -math.exp(rng.uniform(math.log(0.01), math.log(5.0))), rng.uniform(0.2, 6.0)
             p = _problem(d, lam, big_l, sigma=sigma)
             calls.append((avp_residual, p, big_l * rng.uniform(0.05, 0.95), 1e-3 * big_l))
-        assert _digest(calls) == "accc64033c6e57fa73e8cc454309c9b96c82a76f06bed80e1f1520230849fbd6"
+        assert _digest(calls) == "4bb2cf6edb3c0d70176d3a3173ed06d42a93fe852b89cfae5dcd30e375223a2d"
 
     def test_step_validation(self):
         p = _problem(2, 0.5, 2.0)

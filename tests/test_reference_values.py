@@ -28,7 +28,7 @@ DIGITS = 20  # significant digits of each stored reference
 
 def _mfet_problems():
     """(theta, sigma, d, L, x) of every regime: lam > 0 with the peak term
-    at n = 0 and past it, lam = 0, lam < 0 with |lam| L^2 from 1e-11 to 45000,
+    at n = 0 and past it, lam = 0, lam < 0 with |lam| L^2 from 1e-320 to 45000,
     d from 1 to 2**60, and x at 0, inside, and next to L."""
     return [
         # lam > 0
@@ -84,6 +84,8 @@ def _mfet_problems():
         (-0.5, 1.0, 65536, 300.0, 0.0),
         (-0.01, 1.0, 2, 1.0, 0.5),
         (-1.0, 1.0, 2**40, 100.0, 0.0),
+        (-9.14915339870259e-277, 1.5019298237109133, 35, 0.08604108603334147, 0.0),
+        (-1e-300, 1.0, 4, 1e-10, 0.5e-10),
     ]
 
 
