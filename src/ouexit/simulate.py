@@ -70,25 +70,25 @@ exp(lambda L^2) at small d), so most time steps of a batch have only a few
 paths still running, and every numpy call costs about a microsecond of
 overhead however few paths it carries.  ``_run_paths`` therefore advances
 the live paths a chunk of steps per kernel call, finds each path's first
-crossing in the chunk with one argmax and drops exited paths once per
-chunk.  While two or more paths are live, a chunk is at most an eighth of
-the steps already taken, so the steps a path takes past its exit, then
-discarded, stay under an eighth of those it needed; a lone path's chunks
-past its first step have no such cap, since what it discards is at most one
-chunk of one row.  Past one step a chunk holds at most _CHUNK normals
-over all its paths, so its temporaries stay under glibc's 128 KB mmap
-threshold; and it ends at the end of the normals block and at the horizon.
-A full batch steps in numpy to its last path.  A radial batch, one normal
-per step, does so only while its live paths exceed ``_SCALAR_LOAD``; after
-that each remaining path is finished alone by the kernel's ``run``, a
-Python loop over floats that costs less per step than a numpy call, over
-the rest of its pre-drawn normals, drawing further blocks from the path's
-own stream.  Neither regrouping moves a bit: the normals are the same
-(they depend only on seed, path and position), and each scheme's state
-after step k depends only on its normals up to k.  The radial schemes run
-their recurrence over the chunk's columns of normals, and their ``run``
-evaluates the same expressions in the same order (the radial clamp
-``y if y > 0.0 else 0.0`` equals ``np.maximum(y, 0.0)`` on -0.0 too).
+crossing in the chunk with one argmax and drops exited paths once per chunk.
+One rule sets every chunk's width: the first step alone (radial-euler's
+deterministic step from x = 0 is one column, after which a small radial
+batch hands off, so ``run`` never starts at 0), then at most _CHUNK normals
+over the live paths, at least one step, so its temporaries stay under
+glibc's 128 KB mmap threshold, ending at the end of the normals block and at
+the horizon.  An exited path's steps past its exit cost a few ns per normal,
+far less than the calls of the extra chunks a narrower width would need.  A
+full batch steps in numpy to its last path.  A radial batch, one normal per
+step, does so only while its live paths exceed ``_SCALAR_LOAD``; after that
+each remaining path is finished alone by the kernel's ``run``, a Python loop
+over floats that costs less per step than a numpy call, over the rest of its
+pre-drawn normals, drawing further blocks from the path's own stream.
+Neither regrouping moves a bit: the normals are the same (they depend only
+on seed, path and position), and each scheme's state after step k depends
+only on its normals up to k.  The radial schemes run their recurrence over
+the chunk's columns of normals, and their ``run`` evaluates the same
+expressions in the same order (the radial clamp ``y if y > 0.0 else 0.0``
+equals ``np.maximum(y, 0.0)`` on -0.0 too).
 
 The full schemes' running sum: both are x <- a x + w with w = scale z
 (a = 1 - theta dt for full-euler, exp(-theta dt) for full-exact), a linear
@@ -236,7 +236,7 @@ def _scheme_kernel(problem, cfg):
         # ``recur`` over the chunk's columns of normals, stacked
         def step(state, zs, k):
             xs = recur(state, zs.swapaxes(0, 1), k)
-            return xs[-1], xs[0][:, None] if len(xs) == 1 else np.stack(xs, axis=1)
+            return xs[-1], np.stack(xs, axis=1)
         return step
 
     if cfg.scheme in FULL_DIMENSIONAL:
@@ -392,13 +392,14 @@ def _run_paths(problem, cfg, indices, record=None):
 
     Returns an array aligned with ``indices`` holding the exit grid time, or
     NaN for paths censored at the horizon.  When ``record`` is a list it
-    collects the radius after every step, as the kernel's ``radius`` of
-    each chunk slice and run output (single-path runs only).  Live paths
-    advance together in numpy, a chunk of steps per kernel call; a kernel
-    with a ``run`` (the radial ones) has it finish each path alone once
-    their load is at most ``_SCALAR_LOAD`` (the first step is always a
-    chunk).  Every kernel call is given the steps taken.  See the module
-    docstring for why the bits do not change.
+    collects the radius after every step, as the kernel's ``radius`` of each
+    chunk slice and run output (single-path runs only).  Live paths advance
+    together in numpy, a chunk of steps per kernel call (the first step
+    alone, then up to ``_CHUNK`` normals, to the block's end and the
+    horizon); a kernel with a ``run`` (the radial ones) has it finish each
+    path alone once their load is at most ``_SCALAR_LOAD``.  Every kernel
+    call is given the steps taken.  See the module docstring for why the
+    bits do not change.
     """
     n = len(indices)
     dt = cfg.dt
@@ -426,14 +427,12 @@ def _run_paths(problem, cfg, indices, record=None):
             del block  # so the spent block is freed before the next is allocated
             block = _normals(streams, _block_steps(n * m, k), shape)
             pos = 0
-        # k // 8 keeps the steps taken past an exit under an eighth of those
-        # before it, and makes the first chunk one step; a lone path past its
-        # first step wastes at most one chunk of one row, so it goes uncapped
-        cap = max_steps if len(streams) == 1 and k else max(1, k // 8)
-        c = min(block.shape[1] - pos, max_steps - k, cap, max(1, _CHUNK // (len(streams) * m)))
+        # the first step alone, then _CHUNK normals, to the block's end and the horizon
+        c = min(block.shape[1] - pos, max_steps - k,
+                max(1, _CHUNK // (len(streams) * m)) if k else 1)
         state, monitored = step(state, block[:, pos:pos + c], k)
         hit = monitored >= threshold
-        exited = hit[:, 0] if c == 1 else hit.any(axis=1)
+        exited = hit.any(axis=1)
         if record is not None:
             upto = hit[0].argmax() + 1 if exited[0] else c
             record.append(radius(monitored[0, :upto]))

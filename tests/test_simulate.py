@@ -191,7 +191,7 @@ class TestAgainstClosedForms:
                 combined = math.hypot(pairs[i].std_err, pairs[j].std_err)
                 assert abs(pairs[i].mean - pairs[j].mean) <= 3.0 * combined + 0.02 * exact
 
-    def test_radial_scheme_with_bootstrap_matches_truth(self):
+    def test_radial_euler_from_the_singularity_matches_truth(self):
         # start at the drift singularity: a deterministic first step, then Euler
         p = _problem(6, 0.3, 2.0)
         exact = mfet_exact(p)
@@ -381,8 +381,15 @@ def test_chunks_keep_the_bits(monkeypatch, chunk_hits, scheme, theta):
     assert any(h.shape[1] > 1 and h[:, :-1].any() for h in chunk_hits)
     widths = [h.shape[1] for h in chunk_hits]
     assert np.isnan(chunked).any() and 1 + sum(widths) == 437
-    k, load = 437 - widths[-1], len(chunk_hits[-1]) * (9 if "full" in scheme else 1)
-    assert widths[-1] < min(k // 8, simulate._CHUNK // load)
+    # past the first step every width is _CHUNK normals over the live paths,
+    # cut at the normals block's end and at the horizon
+    m = 9 if "full" in scheme else 1
+    k, block_end = 1, simulate._block_steps(64 * m, 0)
+    for w, h in zip(widths, chunk_hits):
+        if k == block_end:
+            block_end += simulate._block_steps(64 * m, k)
+        assert w == min(simulate._CHUNK // (len(h) * m), block_end - k, 437 - k)
+        k += w
     # full schemes at d = 64 record in batch chunks; some paths exit
     rec_p = _problem(64, theta, 4.6 if theta > 0 else 6.0)
     recs = [record_path(rec_p, cfg, i) for i in range(4)]
@@ -409,11 +416,15 @@ def test_chunks_keep_the_bits_across_periods(monkeypatch, chunk_hits, scheme):
     # theta dt = 0.299 gives the running sum periods of 180 (full-euler)
     # and 214 (full-exact) steps: batch chunks straddle a period boundary
     # and start on one, and every exit time and record keeps the bits of
-    # one-step chunks.  Chunks of at most 9 steps, however many paths are
-    # live, fix the chunk starts apart from the exits: 72 + 9j after the
-    # ramp reaches 180, and 320 + 9j after the block boundary at 320
-    # reaches 428 = 2 * 214
-    monkeypatch.setattr(simulate, "_CHUNK", _Width(9))
+    # one-step chunks.  A fixed width w, however many paths are live, puts
+    # the chunk starts at 1 + wj, 64 + wj and 320 + wj, restarted at this
+    # cell's block boundaries 64 and 320.  For full-euler, w = 29 starts a
+    # chunk at 64 + 4 * 29 = 180 and straddles 360 with the one at 349; for
+    # full-exact, w = 9 straddles 214 with the one at 208 and starts one at
+    # 320 + 12 * 9 = 428 = 2 * 214
+    assert [simulate._block_steps(64 * 8, k) for k in (0, 64)] == [64, 256]
+    width = 29 if scheme is Scheme.FULL_EULER else 9
+    monkeypatch.setattr(simulate, "_CHUNK", _Width(width))
     theta, dt = 299.0, 1e-3
     a = 1.0 - theta * dt if scheme is Scheme.FULL_EULER else math.exp(-theta * dt)
     period = int(simulate._SPAN / abs(math.log(a)))
