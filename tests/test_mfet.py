@@ -13,6 +13,7 @@ the single-integral form, built here from ln_lower_gamma, are the
 references.
 """
 
+import functools
 import hashlib
 import math
 import random
@@ -20,6 +21,7 @@ import re
 import sys
 import time
 from dataclasses import astuple
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -28,7 +30,7 @@ import pytest
 
 import ouexit.mfet
 from ouexit import special
-from ouexit.mfet import _MAX_EXP, _SERIES_MAX_Y, _ln_peak_term
+from ouexit.mfet import _MAX_EXP, _SERIES_MAX_Y, _SPARSE_SWITCH, _ln_peak_term
 from ouexit.quadrature import integrate_log
 from ouexit import (
     ConvergenceError,
@@ -239,7 +241,7 @@ class TestExactFormula:
             "ln_lower_gamma": _digest(gamma),
         }
         assert got == {
-            "mfet_exact": "b79c0cf643e2e6f6300a8449de61f35571386956bf3ae255c382acfec0f1dc78",
+            "mfet_exact": "175c3fcd3e8b6ed8564063dfdc58e45b061185e7e2afb4c6ca0102a1a13f7d96",
             "mfet_bounds": "9c3e32482e79efe0e10b8a4348b54251d9401e57b4459f52d7ea781b42ccd23c",
             "ln_lower_gamma": "0a2aaf9b5a6ff11efe8a8b1a903cfa87a35ec522c03fee1d983a4db62a302eb0",
         }
@@ -547,6 +549,180 @@ class TestPositiveSeries:
         monkeypatch.setattr(ouexit.mfet, "_MAX_TERMS", 10)
         with pytest.raises(ConvergenceError, match="within 10 terms"):
             mfet_exact(_problem(64, 0.5, 8.0))
+
+
+def _y_with_peak_at(d, k):
+    """lam L^2 whose largest term n0 lies k widths sqrt(b + n0) above n = 0."""
+    b = 0.5 * d + 1.0
+    n0 = 0.5 * (k * k + k * math.sqrt(k * k + 4.0 * b))  # n0 = k sqrt(b + n0)
+    return (b + n0) * (n0 + 2.0) / (n0 + 1.0)  # where t_(n0+1) = t_n0
+
+
+def _bump_sweep(seed, n, d_max=1e6):
+    # lam > 0 problems whose largest term n0 lies k = 14.5..35 widths
+    # sqrt(b + n0) above n = 0, on the sparse route: d log-uniform on
+    # 1024..d_max, and x at 0 or L (1 - 10^-U(1, 12)) in turn.  sigma and L
+    # are powers of 2, so theta = y sigma^2/L^2 and y = lam L^2 are exact:
+    # E tau's condition number in y is about n0 (up to 2.5e4 at d = 1e6),
+    # which would put the rounding of y alone at up to about 5e-12
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        d = round(math.exp(rng.uniform(math.log(1024.0), math.log(d_max))))
+        y = _y_with_peak_at(d, rng.uniform(14.5, 35.0))
+        sigma, big_l = 2.0 ** rng.randint(-2, 2), 2.0 ** rng.randint(-4, 8)
+        x = 0.0 if i % 2 == 0 else big_l * (1.0 - 10.0 ** -rng.uniform(1.0, 12.0))
+        out.append(ExitProblem(OupParams(y * sigma * sigma / (big_l * big_l), sigma, d),
+                               L=big_l, x=x))
+    return out
+
+
+def _on_the_sparse_route(problem):
+    scales = _ln_peak_term(problem)[2]
+    return _SPARSE_SWITCH * math.sqrt(scales[3] + scales[0]) < scales[0] < 2.0**52
+
+
+def _window_sum(problem):
+    """E tau: the series summed term by term over n0 +- 13 sqrt(b + n0), n0 = ceil(y - b).
+
+    In fixed point with exact rational y, b and s = (x/L)^2: each step
+    multiplies by the exact ratio t_(n+1)/t_n and floors, so it shares
+    nothing with the library's Binet forms or its trapezoid.  The first
+    term, at the window's foot, is scaled out and taken from mpmath's
+    loggamma at 60 digits.  The terms past the window are below e^-70 of
+    the peak.  On the first 60 problems of _bump_sweep(20261020, 220) it
+    matched mpmath.hyp2f2 at 40 digits to 1.3e-30.
+    """
+    p = problem.params
+    d = p.d
+    y = Fraction(p.theta) / Fraction(p.sigma) ** 2 * Fraction(problem.L) ** 2
+    s = (Fraction(problem.x) / Fraction(problem.L)) ** 2
+    n0 = max(0, math.ceil(y - Fraction(d + 2, 2)))
+    half = 13 * math.isqrt(d // 2 + 2 + n0)
+    lo = max(0, n0 - half)
+    one = 1 << 160
+    with mpmath.workdps(60):
+        ym, b = mpmath.mpf(y.numerator) / y.denominator, mpmath.mpf(d + 2) / 2
+        ln_g = lo * mpmath.log(ym) - mpmath.log(lo + 1) - mpmath.loggamma(b + lo) + mpmath.loggamma(b)
+        s_pow = int((mpmath.mpf(s.numerator) / s.denominator) ** (lo + 1) * one)
+    g, total = one, 0
+    for n in range(lo, n0 + half + 1):
+        total += g * (one - s_pow)
+        g = g * y.numerator * 2 * (n + 1) // (y.denominator * (n + 2) * (d + 2 + 2 * n))
+        s_pow = s_pow * s.numerator // s.denominator
+    with mpmath.workdps(40):
+        c = mpmath.mpf(problem.L) ** 2 / (mpmath.mpf(p.sigma) ** 2 * d)
+        return c * mpmath.exp(ln_g) * total / mpmath.mpf(one) ** 2
+
+
+def _mp_trapezoid(problem):
+    """E tau as h sum_j t(n0 + j h), h = sqrt(b + n0)/4, |j| <= 56, n0 = ceil(y - b), at 40 digits.
+
+    Half the library's step, a window of n0 +- 14 widths and mpmath's
+    loggamma: it checks the library's step, window and rounding (its Binet
+    forms, _rate), where a term-by-term sum would take too long.
+    """
+    with mpmath.workdps(40):
+        p = problem.params
+        y = mpmath.mpf(p.theta) / mpmath.mpf(p.sigma) ** 2 * mpmath.mpf(problem.L) ** 2
+        b = mpmath.mpf(p.d) / 2 + 1
+        s = (mpmath.mpf(problem.x) / problem.L) ** 2
+        n0 = mpmath.ceil(y - b)
+        h = mpmath.sqrt(b + n0) / 4
+        total = 0
+        for j in range(-56, 57):
+            n = n0 + j * h
+            ln_g = n * mpmath.log(y) - mpmath.log(n + 1) - mpmath.loggamma(b + n) + mpmath.loggamma(b)
+            total += mpmath.exp(ln_g) * (1 - s ** (n + 1))
+        return mpmath.mpf(problem.L) ** 2 / (mpmath.mpf(p.sigma) ** 2 * p.d) * h * total
+
+
+@functools.lru_cache(maxsize=None)
+def _bump_references():
+    """(problem, E tau at 40 digits) for every finite problem of a 220-problem _bump_sweep."""
+    out = []
+    for p in _bump_sweep(20261020, 220):
+        assert _on_the_sparse_route(p), p
+        if mfet_exact(p) < math.inf:
+            out.append((p, _window_sum(p)))
+    return out
+
+
+class TestSparseRoute:
+    """mfet_exact for lam >= 0 where the peak term lies over _SPARSE_SWITCH widths above n = 0."""
+
+    def _breaches(self):
+        return [p for p, want in _bump_references() if not abs(mfet_exact(p) - want) <= 1e-12 * want]
+
+    def test_matches_the_term_by_term_sum_on_the_sweep(self):
+        # d on 1024..1e6 and x at 0 or near L; worst 2.5e-13 (at d = 3978)
+        assert len(_bump_references()) >= 200
+        assert self._breaches() == []
+
+    @pytest.mark.parametrize("step,reach", [(1.0, 9), (0.5, 7)],
+                             ids=["step-doubled", "window-3.5-widths"])
+    def test_a_corrupted_route_fails_the_sweep(self, monkeypatch, step, reach):
+        # h = sigma over about the same window aliases by about e^(-2 pi^2)
+        # = 3e-9; a window of n0 +- 3.5 sigma drops about e^-6 of the sum
+        references = _bump_references()  # filled by the honest route
+        monkeypatch.setattr(ouexit.mfet, "_SPARSE_STEP", step)
+        monkeypatch.setattr(ouexit.mfet, "_SPARSE_REACH", reach)
+        assert len(self._breaches()) == len(references)
+
+    @pytest.mark.parametrize("d", [1, 4, 64, 1024, 65536, 10**6])
+    def test_the_two_routes_meet_just_past_the_switch(self, monkeypatch, d):
+        # n0 at 14.05 widths, x at 0, L/2 and L (1 - 1e-9).  The sums, in
+        # units of the peak term, meet within 2e-14 (7e-16 measured).  The
+        # values differ too by the error of _ln_peak_term's ln_rise, whose
+        # pieces reach n0 and which the sparse route forms again without
+        # their cancellation: up to 2.3e-13 here (at d = 1e6, n0 = 9998)
+        lam = _y_with_peak_at(d, 14.05) / 16.0
+        for x in (0.0, 2.0, 4.0 * (1.0 - 1e-9)):
+            p = _problem(d, lam, 4.0, x=x)
+            assert _on_the_sparse_route(p)
+            sparse = mfet_exact(p)
+            n0, _, y, b, ln_s, f0, *_ = _ln_peak_term(p)[2]
+            total = ouexit.mfet._sparse_sum(n0, y, b, ln_s)[1]
+            with monkeypatch.context() as m:
+                m.setattr(ouexit.mfet, "_SPARSE_SWITCH", math.inf)
+                loop = mfet_exact(p)
+                # c = inf and ln c = ln_rise = 0: the loop's sum itself
+                walked = ouexit.mfet._sum_from_peak(n0, 0.0, y, b, ln_s, f0, math.inf, 0.0)
+            assert abs(total - walked) <= 2e-14 * walked, p
+            assert abs(sparse - loop) <= 4.0 * math.ulp(n0) * loop, p
+
+    def test_bits_over_interior_bumps(self):
+        # mfet_exact pinned to the last bit on 300 problems of the route, d on
+        # 1024..2**60; test_bits_over_a_broad_sweep holds four, all at d <= 4820
+        problems = _bump_sweep(20261022, 300, d_max=2.0**60)
+        assert all(map(_on_the_sparse_route, problems))
+        got = _digest([(mfet_exact, p) for p in problems])
+        assert got == "fb8a61695d370453ed9b4a4cf222ef5085259e6b77fccee76be7e1a67597583c"
+
+    def test_a_peak_index_stopped_at_2_52_walks(self, monkeypatch):
+        # d = 2e29, lam L^2 = b + 1e16: the peak is near n = 1e16, past the
+        # 2**52 where _ln_peak_term stops n0, which still lies 14.2 widths
+        # above n = 0.  A window there misses the peak (it gave 1.03e202);
+        # the loop walks on and reaches its term cap
+        b = 1e29 + 1.0
+        p = _problem(2 * 10**29, 1.0, math.sqrt(b + 1e16))
+        assert _ln_peak_term(p)[2][0] == 2.0**52
+        monkeypatch.setattr(ouexit.mfet, "_MAX_TERMS", 10)
+        with pytest.raises(ConvergenceError, match="within 10 terms"):
+            mfet_exact(p)
+
+    @pytest.mark.parametrize("d", [2**40, 2**50])
+    def test_huge_dimension_interior_bump(self, d):
+        # past d = 2**38 the loop needed over 2**22 terms a side and raised
+        # ConvergenceError; at n0 = 20 widths (about 2e7 and 7e8 terms) the
+        # trapezoid at 40 digits with half the step and a wider window, from
+        # mpmath's loggamma, is the reference
+        lam = _y_with_peak_at(d, 20.0) / 4.0
+        for x in (0.0, 2.0 * (1.0 - 1e-9)):
+            p = _problem(d, lam, 2.0, x=x)
+            assert _on_the_sparse_route(p)
+            want = _mp_trapezoid(p)
+            assert abs(mfet_exact(p) - want) <= 1e-12 * want, p
 
 
 def _transient_sweep(seed, n):
@@ -971,11 +1147,11 @@ class TestExitTimeIdentities:
 
     c and k are powers of 2, so the scaled inputs are exact.  The worst
     relative errors over _identity_sweep seeds 1-13 x 3000 are: additivity
-    8.6e-13 for lam >= 0 (seed 11, pinned below; the next worst is 4.9e-13
-    at seed 10) and 4.4e-13 for lam < 0 (a ball of mu L^2 = 7e17, on the
-    quadrature); space 5.7e-14; time 9.9e-14.  The gates hold on this
-    test's own seed; the lam >= 0 additivity gate, 5e-13, is below the
-    worst case, which stays a strict xfail.
+    4.9e-13 for lam >= 0 (seed 10) and 4.4e-13 for lam < 0 (a ball of
+    mu L^2 = 7e17, on the quadrature); space 5.7e-14; time 9.9e-14.  The
+    gates hold on this test's own seed.  Seed 11's lam >= 0 additivity case,
+    8.6e-13 off when the term-by-term loop summed it, is 3.1e-13 off on the
+    sparse route, and pinned below.
     """
 
     # identity: (gate for lam < 0, gate for lam >= 0)
@@ -1007,8 +1183,10 @@ class TestExitTimeIdentities:
         assert broken == set()
         assert min(finite.values()) >= 300, finite
 
-    @pytest.mark.xfail(strict=True, reason="lam >= 0 additivity is 8.6e-13 off here, past its gate")
     def test_additivity_holds_on_the_worst_seeded_case(self):
+        # n0 = 18249 at d = 630574: the three values are -1.5e-13, +1.3e-12
+        # and -1.0e-13 off 40-digit mpmath, and -1.0e-13, +2.6e-14 and
+        # -5.5e-14 off it at the library's own rounded lam L^2
         q = OupParams(theta=0.0004092554893264649, sigma=0.8751221971164107, d=630574)
         big_l, x, x2 = 24983.5943273926, 24983.57365904001, 24983.577613694066
         u = mfet_exact(ExitProblem(q, L=big_l, x=x))

@@ -28,8 +28,8 @@ DIGITS = 20  # significant digits of each stored reference
 
 def _mfet_problems():
     """(theta, sigma, d, L, x) of every regime: lam > 0 with the peak term
-    at n = 0 and past it, lam = 0, lam < 0 with |lam| L^2 from 1e-320 to 45000,
-    d from 1 to 2**60, and x at 0, inside, and next to L."""
+    at n = 0, past it and far past it, lam = 0, lam < 0 with |lam| L^2 from
+    1e-320 to 45000, d from 1 to 2**60, and x at 0, inside, and next to L."""
     return [
         # lam > 0
         (0.5, 1.0, 4, 4.0, 0.0),
@@ -57,6 +57,13 @@ def _mfet_problems():
         (0.5, 1.0, 2**20, math.sqrt(2.0 * (2**19 + 1 + 7240)), 0.0),
         (3.0, 0.5, 7, 2.0, 1.0),
         (0.05, 1.0, 3, 20.0, 10.0),
+        # lam > 0 with the peak term far above n = 0 (the sparse route): the
+        # ball of the additivity case at d = 630574, and d = 65536 at
+        # lam L^2 = 1.1 b, 1.2 b and, with x next to L, 1.15 b
+        (0.0004092554893264649, 0.8751221971164107, 630574, 24983.5943273926, 24983.57365904001),
+        (1.0, 1.0, 65536, math.sqrt(1.1 * 32769.0), 0.0),
+        (1.0, 1.0, 65536, math.sqrt(1.2 * 32769.0), 0.0),
+        (1.0, 1.0, 65536, math.sqrt(1.15 * 32769.0), math.sqrt(1.15 * 32769.0) * (1.0 - 1e-9)),
         # lam = 0
         (0.0, 1.3, 8, 2.0, 1.0),
         (0.0, 1.0, 1, 1.0, 0.0),
