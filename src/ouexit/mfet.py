@@ -31,7 +31,8 @@ points sigma/2 apart (_sparse_sum), where the walk would take about
 18 sigma terms.  There the terms form a smooth bump, so by the Poisson
 summation formula the trapezoid sum misses the sum over the integers by
 about e^(-8 pi^2) of it, and the window n0 +- 9.5 sigma leaves out under
-4e-18 of it.
+4e-18 of it.  Each log of a term against another (the largest against the
+first, each point against the largest) comes from one formula (_ln_ratio).
 
 For lam < 0 (mu = -lam, a = d/2) the inner integral is (z^d/d) M(a, a+1,
 mu z^2) (DLMF 13.2.2, 8.5.1).  With M(a, a+1, w) = a int_0^1 t^(a-1) e^(w t) dt
@@ -329,16 +330,14 @@ def _ln_peak_term(problem):
     never rigour.  n stops at 2**52, where it is still an exact float.
 
     With g_n = c y^n / ((n+1) (b)_n), so t_n = g_n f_n, ln_rise =
-    ln g_n - ln g_0 is formed without the cancellation of
-    lgamma(b+n) - lgamma(b), from Binet's function (_binet):
+    ln g_n - ln g_0 is -_ln_ratio(n, y, b)(-n), in Binet's form without
+    the cancellation of lgamma(b+n) - lgamma(b).
 
-        ln (b)_n - n ln y = (b - 1/2) log1p(n/b) + n log1p((b+n-y)/y) - n
-                            + binet(b+n) - binet(b).
-
-    ln t_n is exact to within ``slack``, which scales with every log added
-    up, not with their sum.  scales = (n, ln_rise, y, b, ln(x/L), f_n, c,
-    ln c) are _sum_from_peak's arguments; y = inf (lam L^2 past the double
-    range) gives ln t_n = inf and no scales.
+    ln t_n is exact to within ``slack``, 1e-9 of the size of the logs
+    added up: ln c, ln_rise and ln(n + 1), which bounds the pieces of
+    ln_rise that are not of its own size.  scales = (n, ln_rise, y, b,
+    ln(x/L), f_n, c, ln c) are _sum_from_peak's arguments; y = inf
+    (lam L^2 past the double range) gives ln t_n = inf and no scales.
     """
     p = problem.params
     big_l = problem.L
@@ -357,14 +356,8 @@ def _ln_peak_term(problem):
         n = min(float(math.ceil(root)), 2.0**52)
     s2d = p.sigma * p.sigma * p.d
     ln_c = 2.0 * math.log(big_l) - math.log(s2d)
-    ln_rise, abs_logs = 0.0, abs(ln_c)
-    if n:
-        # where n stops at 2**52, (b+n-y)/y can round to -1: log((b+n)/y) there
-        ln_q = math.log1p((b + n - y) / y) if b + n > 0.5 * y else math.log((b + n) / y)
-        pochhammer = [(b - 0.5) * math.log1p(n / b), n * ln_q, -n, _binet(b + n), -_binet(b)]
-        ln_rise = -math.log(n + 1.0) - math.fsum(pochhammer)
-        abs_logs += math.log(n + 1.0) + math.fsum(map(abs, pochhammer))
-    slack = 1e-9 * (abs_logs + 1.0)
+    ln_rise = -_ln_ratio(n, y, b)(-n) if n else 0.0
+    slack = 1e-9 * (abs(ln_c) + abs(ln_rise) + math.log(n + 1.0) + 1.0)
     # ln(x/L) = log1p((x-L)/L), with x - L exact where x/L nears 1 (x >= L/2);
     # 0 flags an x/L that rounds to 0, where every f_n is 1.  x < L, so f_n > 0
     r = (problem.x - big_l) / big_l
@@ -410,21 +403,38 @@ def _rate(m, e):
     return e * v * (1.0 + (1.0 + v) * v * s)
 
 
-def _sparse_sum(n0, y, b, ln_s):
-    """(ln g_n0 - ln g_0, sum_n t_n/g_n0) for a peak n0 far above n = 0 (_sum_from_peak).
+def _ln_ratio(n0, y, b):
+    """e -> ln(g_(n0+e)/g_n0) for real e >= -n0, g_n = c y^n / ((n+1) (b)_n).
 
-    With m = b + n0, e = n - n0 and Binet's function (_binet), for real n,
+    With m = b + n0 and Binet's function (_binet),
 
         ln(g_n/g_n0) = ln((m + e)/m)/2 - e ln(m/y) - ln((n0 + 1 + e)/(n0 + 1))
                        - binet(m + e) + binet(m) - _rate(m, e),
 
-    whose pieces are of the size of the result or below.  _rate(m, e) is
-    the m ln(1 + e/m) - e that _ln_peak_term's ln_rise forms from pieces
-    of about n0, each an ulp of n0 off.  At e = -n0, where m + e = b and
-    n0 + 1 + e = 1, it gives ln g_0 - ln g_n0.  The sum over integer n is
-    taken as the trapezoid sum h sum_j t_(n0 + j h)/g_n0, h = _SPARSE_STEP
-    sigma, sigma = sqrt(m) and |j| <= _SPARSE_REACH, over the window
-    n0 +- 9.5 sigma.  Its error:
+    whose pieces are of the size of the result or below: _rate takes
+    m ln(1 + e/m) - e without the cancellation of pieces of about n0.  At
+    e = -n0, where m + e = b and n0 + 1 + e = 1, it gives ln g_0 - ln g_n0.
+    """
+    m, n1 = b + n0, n0 + 1.0
+    # where n0 stops at 2**52, (m - y)/y can round to -1: ln(m/y) there
+    ln_my = math.log1p((m - y) / y) if m > 0.5 * y else math.log(m / y)
+    binet_m, log = _binet(m), math.log
+
+    def ln_ratio(e):
+        # the small pieces first, so one rounding at the size of the result
+        return (0.5 * log((m + e) / m) - e * ln_my - log((n1 + e) / n1)
+                - (_binet(m + e) - binet_m) - _rate(m, e))
+
+    return ln_ratio
+
+
+def _sparse_sum(n0, y, b, ln_s):
+    """sum_n t_n/g_n0 for a peak n0 far above n = 0 (_sum_from_peak).
+
+    The sum over integer n is taken as the trapezoid sum h sum_j
+    t_(n0 + j h)/g_n0 over real n, each term's log from _ln_ratio, with
+    h = _SPARSE_STEP sigma, sigma = sqrt(b + n0) and |j| <= _SPARSE_REACH,
+    over the window n0 +- 9.5 sigma.  Its error:
 
     - aliasing: by the Poisson summation formula the trapezoid sum and the
       sum over the integers each differ from the integral of the bump by
@@ -439,23 +449,14 @@ def _sparse_sum(n0, y, b, ln_s):
       7e-20 (at d = 2**40) of the sum, under _SERIES_TOL, and less further
       past it.
     """
-    m, n1 = b + n0, n0 + 1.0
-    h = _SPARSE_STEP * math.sqrt(m)
-    ln_my = math.log1p((m - y) / y)
-    binet_m = _binet(m)
-    log, exp, expm1 = math.log, math.exp, math.expm1
-
-    def ln_ratio(e):
-        # the small pieces first, so one rounding at the size of the result
-        return (0.5 * log((m + e) / m) - e * ln_my - log((n1 + e) / n1)
-                - (_binet(m + e) - binet_m) - _rate(m, e))
-
+    h = _SPARSE_STEP * math.sqrt(b + n0)
+    ln_ratio, exp, expm1 = _ln_ratio(n0, y, b), math.exp, math.expm1
     terms = []
     for j in range(-_SPARSE_REACH, _SPARSE_REACH + 1):
         e = j * h
         g = exp(ln_ratio(e))
         terms.append(g * -expm1((2.0 * (n0 + e) + 2.0) * ln_s) if ln_s else g)
-    return -ln_ratio(-n0), h * math.fsum(terms)
+    return h * math.fsum(terms)
 
 
 def _sum_from_peak(n0, ln_rise, y, b, ln_s, f0, c, ln_c):
@@ -472,11 +473,11 @@ def _sum_from_peak(n0, ln_rise, y, b, ln_s, f0, c, ln_c):
     b + 2 sqrt(b-1), most problems), so lam = 0 gives the Brownian value to
     rounding.  A log round trip would cost about |ln E tau| ulps.  Where
     g_0 is negligible, or c overflows, the sum is scaled by ln g_n0 =
-    ln c + ln_rise.  Where n0 > _SPARSE_SWITCH sqrt(b + n0), below the
-    2**52 at which _ln_peak_term stops n0, _sparse_sum gives the sum at 39
-    points and ln_rise without the cancellation of _ln_peak_term's, and the
-    loop is not run.  In each case E tau is as exact as y = lam L^2 itself:
-    its condition number in y is the mean index of the terms, about n0.
+    ln c + ln_rise, ln_rise from _ln_ratio.  Where n0 > _SPARSE_SWITCH
+    sqrt(b + n0), below the 2**52 at which _ln_peak_term stops n0,
+    _sparse_sum gives the sum at 39 points and the loop is not run.  In
+    each case E tau is as exact as y = lam L^2 itself: its condition
+    number in y is the mean index of the terms, about n0.
 
     ConvergenceError past _MAX_TERMS terms a side, which only a peak within
     _SPARSE_SWITCH widths of n = 0 (y near b) with d past about 2**38 needs
@@ -485,8 +486,7 @@ def _sum_from_peak(n0, ln_rise, y, b, ln_s, f0, c, ln_c):
     """
     # an n0 stopped at 2**52 need not be the peak, so the window could miss it
     if _SPARSE_SWITCH * math.sqrt(b + n0) < n0 < 2.0**52:
-        ln_rise, total = _sparse_sum(n0, y, b, ln_s)
-        return _exp_saturating(math.fsum([ln_c, ln_rise, math.log(total)]))
+        return _exp_saturating(math.fsum([ln_c, ln_rise, math.log(_sparse_sum(n0, y, b, ln_s))]))
     tol, total, terms = _SERIES_TOL, f0, [f0]
     g, n = 1.0, n0
     for _ in range(_MAX_TERMS):

@@ -241,7 +241,7 @@ class TestExactFormula:
             "ln_lower_gamma": _digest(gamma),
         }
         assert got == {
-            "mfet_exact": "175c3fcd3e8b6ed8564063dfdc58e45b061185e7e2afb4c6ca0102a1a13f7d96",
+            "mfet_exact": "a3add252e0ecbbd0ff98b442701766ff10727c391a67b9f3028ecca972d1a5c2",
             "mfet_bounds": "9c3e32482e79efe0e10b8a4348b54251d9401e57b4459f52d7ea781b42ccd23c",
             "ln_lower_gamma": "0a2aaf9b5a6ff11efe8a8b1a903cfa87a35ec522c03fee1d983a4db62a302eb0",
         }
@@ -558,18 +558,19 @@ def _y_with_peak_at(d, k):
     return (b + n0) * (n0 + 2.0) / (n0 + 1.0)  # where t_(n0+1) = t_n0
 
 
-def _bump_sweep(seed, n, d_max=1e6):
-    # lam > 0 problems whose largest term n0 lies k = 14.5..35 widths
-    # sqrt(b + n0) above n = 0, on the sparse route: d log-uniform on
-    # 1024..d_max, and x at 0 or L (1 - 10^-U(1, 12)) in turn.  sigma and L
-    # are powers of 2, so theta = y sigma^2/L^2 and y = lam L^2 are exact:
-    # E tau's condition number in y is about n0 (up to 2.5e4 at d = 1e6),
-    # which would put the rounding of y alone at up to about 5e-12
+def _bump_sweep(seed, n, d_min=1024.0, d_max=1e6, widths=(14.5, 35.0)):
+    # lam > 0 problems whose largest term n0 lies k = U(widths) widths
+    # sqrt(b + n0) above n = 0, by default 14.5..35, on the sparse route:
+    # d log-uniform on d_min..d_max, and x at 0 or L (1 - 10^-U(1, 12)) in
+    # turn.  sigma and L are powers of 2, so theta = y sigma^2/L^2 and
+    # y = lam L^2 are exact: E tau's condition number in y is about n0 (up
+    # to 2.5e4 at d = 1e6), which would put the rounding of y alone at up
+    # to about 5e-12
     rng = random.Random(seed)
     out = []
     for i in range(n):
-        d = round(math.exp(rng.uniform(math.log(1024.0), math.log(d_max))))
-        y = _y_with_peak_at(d, rng.uniform(14.5, 35.0))
+        d = round(math.exp(rng.uniform(math.log(d_min), math.log(d_max))))
+        y = _y_with_peak_at(d, rng.uniform(*widths))
         sigma, big_l = 2.0 ** rng.randint(-2, 2), 2.0 ** rng.randint(-4, 8)
         x = 0.0 if i % 2 == 0 else big_l * (1.0 - 10.0 ** -rng.uniform(1.0, 12.0))
         out.append(ExitProblem(OupParams(y * sigma * sigma / (big_l * big_l), sigma, d),
@@ -672,24 +673,22 @@ class TestSparseRoute:
     @pytest.mark.parametrize("d", [1, 4, 64, 1024, 65536, 10**6])
     def test_the_two_routes_meet_just_past_the_switch(self, monkeypatch, d):
         # n0 at 14.05 widths, x at 0, L/2 and L (1 - 1e-9).  The sums, in
-        # units of the peak term, meet within 2e-14 (7e-16 measured).  The
-        # values differ too by the error of _ln_peak_term's ln_rise, whose
-        # pieces reach n0 and which the sparse route forms again without
-        # their cancellation: up to 2.3e-13 here (at d = 1e6, n0 = 9998)
+        # units of the peak term, meet within 2e-14 (7e-16 measured), and
+        # both routes scale them by the one ln_rise, so the values do too
         lam = _y_with_peak_at(d, 14.05) / 16.0
         for x in (0.0, 2.0, 4.0 * (1.0 - 1e-9)):
             p = _problem(d, lam, 4.0, x=x)
             assert _on_the_sparse_route(p)
             sparse = mfet_exact(p)
             n0, _, y, b, ln_s, f0, *_ = _ln_peak_term(p)[2]
-            total = ouexit.mfet._sparse_sum(n0, y, b, ln_s)[1]
+            total = ouexit.mfet._sparse_sum(n0, y, b, ln_s)
             with monkeypatch.context() as m:
                 m.setattr(ouexit.mfet, "_SPARSE_SWITCH", math.inf)
                 loop = mfet_exact(p)
                 # c = inf and ln c = ln_rise = 0: the loop's sum itself
                 walked = ouexit.mfet._sum_from_peak(n0, 0.0, y, b, ln_s, f0, math.inf, 0.0)
             assert abs(total - walked) <= 2e-14 * walked, p
-            assert abs(sparse - loop) <= 4.0 * math.ulp(n0) * loop, p
+            assert abs(sparse - loop) <= 2e-14 * loop, p
 
     def test_bits_over_interior_bumps(self):
         # mfet_exact pinned to the last bit on 300 problems of the route, d on
@@ -723,6 +722,21 @@ class TestSparseRoute:
             assert _on_the_sparse_route(p)
             want = _mp_trapezoid(p)
             assert abs(mfet_exact(p) - want) <= 1e-12 * want, p
+
+
+class TestLoopLogScale:
+    """mfet_exact for lam >= 0 where the loop sums a peak up to _SPARSE_SWITCH widths above n = 0."""
+
+    def test_matches_the_term_by_term_sum_at_large_dimension(self):
+        # d on 2**16..2**22, n0 at 9..14 widths, x at 0 or near L: the loop's
+        # sum does not reach n = 0, so ln_rise scales it.  An ln_rise formed
+        # from pieces of about n0, each an ulp of n0 off, misses 1e-12 on 16
+        # of these (worst 3.1e-12); the worst is 3.4e-14
+        problems = _bump_sweep(20261043, 120, d_min=2.0**16, d_max=2.0**22, widths=(9.0, 14.0))
+        assert not any(map(_on_the_sparse_route, problems))
+        breaches = [p for p, want in zip(problems, map(_window_sum, problems))
+                    if not abs(mfet_exact(p) - want) <= 1e-12 * want]
+        assert breaches == []
 
 
 def _transient_sweep(seed, n):
