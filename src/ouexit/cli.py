@@ -22,9 +22,11 @@ or a cell too large to run (exit 3) writes nothing.  Exit codes: 0 success,
 Every CSV table goes through one writer, a group of rows at a time.  A
 group holds one entry per column: a list of that column's cells (the lists
 share one length), or one value that repeats down the group; a group of
-single values alone is one row.  Each list column is formatted in one pass
-and the rows stream to the output as they are joined, never held as one
-string, so a long trace costs a few C-level passes, not a call per cell.
+single values alone is one row.  Each list column is formatted in one pass,
+and the rows are joined and written ``_BLOCK_ROWS`` at a time, one write a
+block, so a long trace costs a few C-level passes, not a call per cell.
+``trajectories`` formats its time column once per run: every trace's times
+are k * dt, so each trace takes a prefix of the longest one's strings.
 
 Only ``scaling``, ``trajectories`` and ``selftest`` simulate, so only they
 import numpy; ``mfet`` and ``drift-ratio`` run on the standard library
@@ -37,7 +39,6 @@ import contextlib
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from datetime import datetime, timezone
@@ -101,7 +102,7 @@ def _fmt(v):
     return str(v)
 
 
-_FLAGS = {True: "1", False: "0"}
+_BLOCK_ROWS = 4096  # rows joined into one string a write
 
 
 def _cells(entry):
@@ -111,18 +112,18 @@ def _cells(entry):
     kinds = set(map(type, entry))
     if kinds == {float}:
         return map(float.__repr__, entry)
-    if kinds == {bool}:
-        return map(_FLAGS.__getitem__, entry)
+    if kinds == {str}:  # formatted already
+        return entry
     return map(_fmt, entry)
 
 
 def _write_group(out, group):
-    """Write one column group (see the module docstring), a row at a time."""
+    """Write one column group (see the module docstring), ``_BLOCK_ROWS`` rows a write."""
     if not any(type(entry) is list for entry in group):
         group = [[entry] for entry in group]
-    cols = [_cells(entry) for entry in group]
-    cols[-1] = map(operator.add, cols[-1], itertools.repeat("\n"))
-    out.writelines(map(",".join, zip(*cols)))
+    rows = map(",".join, zip(*map(_cells, group)))
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        out.write("\n".join(block) + "\n")
 
 
 @contextlib.contextmanager
@@ -163,9 +164,10 @@ def _write_manifest(args, started):
 def _write_table(args, started, columns, row_groups):
     """Write a CSV table, flushing after each group of rows, then its manifest.
 
-    A group has one entry per column (see ``_write_group``).  Callers check
-    every input before calling, so a usage error never leaves a partial
-    file; groups may be lazy, so rows appear as they are computed.
+    A group has one entry per column (see ``_write_group``), and its rows go
+    out a block at a time.  Callers check every input before calling, so a
+    usage error never leaves a partial file; groups may be lazy, so each
+    group's rows appear as soon as it is computed.
     """
     with _out_stream(args.output) as out:
         _write_group(out, columns)
@@ -300,12 +302,17 @@ def cmd_trajectories(args):
         _check_mc_cost(prob.params.d, cfg)
 
     def groups():
+        times = []  # the run's formatted times: every trace's are k * dt
         for prob in problems:
             p = prob.params
             rec = record_path(prob, cfg, 0)
+            n = len(rec.times)
+            times += map(float.__repr__, rec.times[len(times):].tolist())
             # flag the engine's crossing: sqrt(|x|^2) can reach L a step early
-            yield [p.d, p.theta, rec.times.tolist(), rec.radii.tolist(),
-                   (rec.times == rec.exited_at).tolist()]
+            exited = ["0"] * n
+            for i in (rec.times == rec.exited_at).nonzero()[0].tolist():
+                exited[i] = "1"
+            yield [p.d, p.theta, times[:n], rec.radii.tolist(), exited]
 
     return _write_table(args, started, _TRAJ_COLUMNS, groups())
 

@@ -275,6 +275,30 @@ class TestTrajectoriesCommand:
             ("0.7", "0.002"), ("0.0", "0.002")]
         assert all(r["exited"] == "0" for r in rows if r["t"] != "0.002")
 
+    @pytest.mark.parametrize("lengths", [
+        [1, 4095, 4097, 9000],
+        [3, 5000, 2, 8193],  # a shorter trace between longer ones takes a prefix
+    ], ids=["growing", "with-a-dip"])
+    def test_time_column_is_every_traces_own(self, lengths, monkeypatch, capsys):
+        # the run formats its times once and extends them for a longer trace
+        dt = 0.0007
+        sizes = iter(lengths)
+
+        def record(prob, cfg, i):
+            times = np.arange(next(sizes)) * cfg.dt
+            return PathRecord(times=times, radii=times + 1.0, exited_at=float(times[-1]))
+
+        monkeypatch.setattr(ouexit.cli, "record_path", record)
+        assert run_cli("trajectories", "--d", "2,3", "--dt", str(dt)) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == sum(lengths)
+        start = 0
+        for n in lengths:
+            trace = rows[start:start + n]
+            start += n
+            assert [r["t"] for r in trace] == [repr(t) for t in (np.arange(n) * dt).tolist()]
+            assert [r["exited"] for r in trace] == ["0"] * (n - 1) + ["1"]
+
 
 class TestMcCellTooLarge:
     @pytest.mark.parametrize("argv,first", [
@@ -364,6 +388,9 @@ class TestOutputBytes:
     @pytest.mark.parametrize("argv,sha", [
         (["trajectories"],
          "e79e01541e1cea8d740decfcd2420af3e4ea0608153a8f6db2ea9d7c5e7f04b5"),
+        # the longest trace last: the shared time column grows three times
+        (["trajectories", "--d", "1000,10,2", "--dt", "0.0007"],
+         "ac605a2f61f168ad6a632a05c1331ed36891837bf908851e4dc37b53077aadfc"),
         (["drift-ratio", "--rho-max", "3"],
          "6bd532818ed87c47fffa502b5d25199757466e77df0f8a8e461db5722846820f"),
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "0.5"],
@@ -371,7 +398,8 @@ class TestOutputBytes:
         # transient: the four bound cells are empty
         (["mfet", "--d", "4", "--L", "4", "--x", "0", "--sigma", "1", "--theta", "-0.5"],
          "6f5cfcfddb5e3d9616800ca593e94a6058b85064ab8e04ac12b47c035e256d2a"),
-    ], ids=["trajectories", "drift-ratio-inside", "mfet-recurrent", "mfet-transient"])
+    ], ids=["trajectories", "trajectories-longest-last", "drift-ratio-inside",
+            "mfet-recurrent", "mfet-transient"])
     def test_csv_keeps_its_bytes(self, argv, sha, capsys):
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
@@ -418,6 +446,40 @@ class TestColumnWriter:
         out = io.StringIO()
         ouexit.cli._write_group(out, group)
         assert out.getvalue() == _row_form(_rows(group))
+
+
+class TestWriteGroup:
+    # groups around and past the writer's block of rows
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+    def test_blocks_equal_the_row_form(self, n):
+        group = [
+            7, [i / 7 for i in range(n)], 0.5,
+            [i % 3 == 0 for i in range(n)], None,
+            [None if i % 5 else -0.0 for i in range(n)], "transient",
+            [f"s{i}" for i in range(n)], True,
+        ]
+        out = io.StringIO()
+        ouexit.cli._write_group(out, group)
+        assert out.getvalue() == _row_form(_rows(group))
+        assert out.getvalue().count("\n") == n
+
+    def test_writes_a_block_at_a_time(self):
+        writes = []
+
+        class Sink:
+            write = writes.append
+
+        ouexit.cli._write_group(Sink, [2, [0.5] * 8193])
+        assert [w.count("\n") for w in writes] == [4096, 4096, 1]
+
+    def test_str_column_has_the_bytes_of_fmt(self):
+        # a column formatted already passes through as the cells _fmt gives
+        values = [0.1, 5e-324, -0.0, math.inf, True, None, 3, "x"]
+        as_str = [ouexit.cli._fmt(v) for v in values]
+        plain, formatted = io.StringIO(), io.StringIO()
+        ouexit.cli._write_group(plain, [1, values])
+        ouexit.cli._write_group(formatted, [1, as_str])
+        assert formatted.getvalue() == plain.getvalue() == _row_form(_rows([1, values]))
 
 
 class TestSelftestCommand:
