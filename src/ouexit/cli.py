@@ -308,10 +308,9 @@ def cmd_trajectories(args):
             rec = record_path(prob, cfg, 0)
             n = len(rec.times)
             times += map(float.__repr__, rec.times[len(times):].tolist())
-            # flag the engine's crossing: sqrt(|x|^2) can reach L a step early
-            exited = ["0"] * n
-            for i in (rec.times == rec.exited_at).nonzero()[0].tolist():
-                exited[i] = "1"
+            # flag the engine's crossing, where record_path stops: sqrt(|x|^2)
+            # can reach L a step early
+            exited = ["0"] * (n - 1) + ["0" if rec.exited_at is None else "1"]
             yield [p.d, p.theta, times[:n], rec.radii.tolist(), exited]
 
     return _write_table(args, started, _TRAJ_COLUMNS, groups())

@@ -13,8 +13,9 @@ class ConvergenceError(OuexitError, RuntimeError):
     """An iterative evaluation did not converge.
 
     In the package's routes that is mfet_exact's positive series, past its cap
-    of 2**22 terms a side; ``special``, which only the tests and the benchmark
-    use, raises it for its gamma series and continued fraction too.
+    of 2**22 terms up from its largest; ``special``, which only the tests and
+    the benchmark use, raises it for its gamma series and continued fraction
+    too.
     """
 
 

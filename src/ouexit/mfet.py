@@ -24,14 +24,15 @@ y = lam L^2 and b = d/2 + 1,
 For lam >= 0 every term is positive, so any one term is a lower bound on
 E tau, and the sum needs no quadrature.  mfet_exact takes the largest term,
 in O(1), and returns inf when its log, less a rounding slack, exceeds
-709.78.  Otherwise it sums the series outward from that term n0, term by
-term (_sum_from_peak), or, where n0 lies over _SPARSE_SWITCH (14) widths
-sigma = sqrt(b + n0) above n = 0, as a trapezoid sum over real n at 39
-points sigma/2 apart (_sparse_sum), where the walk would take about
-18 sigma terms.  There the terms form a smooth bump, so by the Poisson
-summation formula the trapezoid sum misses the sum over the integers by
-about e^(-8 pi^2) of it, and the window n0 +- 9.5 sigma leaves out under
-4e-18 of it.  Each log of a term against another (the largest against the
+709.78.  Otherwise it sums the series term by term from n = 0 past that
+term n0 (_sum_from_peak), scaled linearly by the first term, or, where n0
+lies over _SPARSE_SWITCH (10) widths sigma = sqrt(b + n0) above n = 0, as
+a trapezoid sum over real n at 39 points sigma/2 apart (_sparse_sum),
+scaled by the largest term's log, where the walk would take n0 + 9 sigma
+terms.  There the terms form a smooth bump, so by the Poisson summation
+formula the trapezoid sum misses the sum over the integers by about
+e^(-8 pi^2) of it, and the window n0 +- 9.5 sigma leaves out at most
+about an ulp of it.  Each log of a term against another (the largest against the
 first, each point against the largest) comes from one formula (_ln_ratio).
 
 For lam < 0 (mu = -lam, a = d/2) the inner integral is (z^d/d) M(a, a+1,
@@ -77,14 +78,14 @@ from .errors import ConvergenceError, DomainError
 from .quadrature import integrate_log
 
 _MAX_EXP = 709.782712893384
-# the positive series (_sum_from_peak): each side stops once its rest is
+# the positive series (_sum_from_peak): its walk up stops once its rest is
 # below _SERIES_TOL of the running total, and fails past _MAX_TERMS terms
 _SERIES_TOL = 1e-17
 _MAX_TERMS = 2**22
 # its sparse route (_sparse_sum), taken where the peak n0 > _SPARSE_SWITCH
 # widths sigma = sqrt(b + n0): points _SPARSE_STEP sigma apart, _SPARSE_REACH
 # a side, so the window is n0 +- 9.5 sigma
-_SPARSE_SWITCH = 14.0
+_SPARSE_SWITCH = 10.0
 _SPARSE_STEP = 0.5
 _SPARSE_REACH = 19
 _TINY = sys.float_info.min  # the smallest normal double; below it digits are lost
@@ -331,7 +332,8 @@ def _ln_peak_term(problem):
 
     With g_n = c y^n / ((n+1) (b)_n), so t_n = g_n f_n, ln_rise =
     ln g_n - ln g_0 is -_ln_ratio(n, y, b)(-n), in Binet's form without
-    the cancellation of lgamma(b+n) - lgamma(b).
+    the cancellation of lgamma(b+n) - lgamma(b).  ln c + ln_rise scales
+    the trapezoid's sum, and the loop's only where c overflows.
 
     ln t_n is exact to within ``slack``, 1e-9 of the size of the logs
     added up: ln c, ln_rise and ln(n + 1), which bounds the pieces of
@@ -441,13 +443,17 @@ def _sparse_sum(n0, y, b, ln_s):
       its Fourier transform at 2 pi/h and 2 pi, about e^(-2 pi^2 sigma^2/h^2)
       = e^(-8 pi^2) = 6e-35 and e^(-2 pi^2 sigma^2) of it (Trefethen and
       Weideman 2014, SIAM Rev. 56);
-    - the rest past the window: past n = sqrt(b) the ratio of successive
+    - the rest above the window: past n = sqrt(b) the ratio of successive
       g_n, y (n+1)/((n+2)(b+n)) < y/(b+n) = q, falls, and f_n <= 1, so the
-      terms above the window's top n+ sum to at most g_(n+) q/(1 - q), and
-      the n- below its bottom to at most n- max(g_0, g_(n-)).  Just past
-      the switch these come to at most 3.5e-18 (at d = 1, sigma = 14) and
-      7e-20 (at d = 2**40) of the sum, under _SERIES_TOL, and less further
-      past it.
+      terms above its top n+ sum to at most g_(n+)/(1 - q): just past the
+      switch, up to 6.3e-17 of the sum at x = 0 (d = 2), and as f_n rises
+      with n the rest reaches 1.1e-16, about an ulp, with x near L.  It is under
+      _SERIES_TOL past about 15 widths, or from d = 256 on;
+    - the rest below it: as (b)_n >= b^n, the terms below its bottom n-
+      sum to at most g_0 (y/b)^(n-) (1 + ln n-), at most 1e-18 of the sum
+      just past the switch (d = 1 to 2**60).  Further past, where (y/b)^(n-)
+      grows, (n- + 1) max(g_0, g_(n-)) bounds them: under _SERIES_TOL up
+      to 1000 widths.
     """
     h = _SPARSE_STEP * math.sqrt(b + n0)
     ln_ratio, exp, expm1 = _ln_ratio(n0, y, b), math.exp, math.expm1
@@ -462,27 +468,26 @@ def _sparse_sum(n0, y, b, ln_s):
 def _sum_from_peak(n0, ln_rise, y, b, ln_s, f0, c, ln_c):
     """E tau for lam >= 0 as the positive series, summed outward from term n0.
 
-    Takes _ln_peak_term's scales.  g_(n+1)/g_n = y(n+1)/((n+2)(b+n))
-    < y/(b+n) =: Q, and Q falls with n, so once Q < 1 every later term sums
-    to at most g_n Q/(1-Q); each side stops where its rest is below
-    _SERIES_TOL of the running total, the down side bounding its rest, from
-    n down to 0, by n max(g_n, g_0).
+    Takes _ln_peak_term's scales.  Where n0 > _SPARSE_SWITCH sqrt(b + n0),
+    below the 2**52 at which _ln_peak_term stops n0, _sparse_sum gives the
+    sum at 39 points, scaled by ln g_n0 = ln c + ln_rise, and the loop is
+    not run.
 
-    The sum is taken in units of g_n0 and stays linear wherever it reaches
-    n = 0, whose g_0 = c then scales it: always for n0 = 0 (y below about
-    b + 2 sqrt(b-1), most problems), so lam = 0 gives the Brownian value to
-    rounding.  A log round trip would cost about |ln E tau| ulps.  Where
-    g_0 is negligible, or c overflows, the sum is scaled by ln g_n0 =
-    ln c + ln_rise, ln_rise from _ln_ratio.  Where n0 > _SPARSE_SWITCH
-    sqrt(b + n0), below the 2**52 at which _ln_peak_term stops n0,
-    _sparse_sum gives the sum at 39 points and the loop is not run.  In
-    each case E tau is as exact as y = lam L^2 itself: its condition
-    number in y is the mean index of the terms, about n0.
+    Otherwise the loop sums the terms in units of g_n0.  g_(n+1)/g_n =
+    y(n+1)/((n+2)(b+n)) < y/(b+n) =: Q, and Q falls with n, so once Q < 1
+    every later term sums to at most g_n Q/(1-Q); the walk up stops where
+    that rest is below _SERIES_TOL of the running total.  The walk down
+    always reaches n = 0, in at most _SPARSE_SWITCH widths, about 1.1 times
+    the walk up's 9, where g_0/g_n0 is at least e^-94 (at d = 1).  So g_0 =
+    c scales the sum linearly, and lam = 0 gives the Brownian value to
+    rounding, where a log round trip would cost about |ln E tau| ulps; only
+    an overflowing c takes ln g_n0.  In each case E tau is as exact as
+    y = lam L^2 itself: its condition number in y is the mean index of the
+    terms, about n0.
 
-    ConvergenceError past _MAX_TERMS terms a side, which only a peak within
+    ConvergenceError past _MAX_TERMS terms up, which only a peak within
     _SPARSE_SWITCH widths of n = 0 (y near b) with d past about 2**38 needs
-    (about 9 sqrt(y) terms up, and up to n0 down), or an n0 stopped at 2**52
-    short of the peak.
+    (about 9 sqrt(y) terms), or an n0 stopped at 2**52.
     """
     # an n0 stopped at 2**52 need not be the peak, so the window could miss it
     if _SPARSE_SWITCH * math.sqrt(b + n0) < n0 < 2.0**52:
@@ -502,35 +507,23 @@ def _sum_from_peak(n0, ln_rise, y, b, ln_s, f0, c, ln_c):
     else:
         raise ConvergenceError(f"positive series did not converge within {_MAX_TERMS} terms "
                                f"for y={y!r}, b={b!r}")
-    scale = 1.0  # g_0/g_n0 once the sum reaches n = 0
-    if n0:
-        g0 = math.exp(-ln_rise)
-        g, n = 1.0, n0
-        for _ in range(min(int(n0), _MAX_TERMS)):
-            g *= (n + 1.0) * (b + n - 1.0) / (y * n)
-            n -= 1.0
-            t = g * -math.expm1((2.0 * n + 2.0) * ln_s) if ln_s else g
-            terms.append(t)
-            total += t
-            if t < tol * total and n * max(g, g0) < tol * total:
-                break
-        else:
-            if n > 0.0:
-                raise ConvergenceError(f"positive series did not converge within {_MAX_TERMS} "
-                                       f"terms for y={y!r}, b={b!r}")
-        scale = g if n == 0.0 else 0.0
+    g, n = 1.0, n0  # g becomes g_0/g_n0
+    while n:
+        g *= (n + 1.0) * (b + n - 1.0) / (y * n)
+        n -= 1.0
+        terms.append(g * -math.expm1((2.0 * n + 2.0) * ln_s) if ln_s else g)
     total = math.fsum(terms)
-    if scale and c < math.inf:
-        return c * (total / scale)
+    if c < math.inf:
+        return c * (total / g)
     return _exp_saturating(math.fsum([ln_c, ln_rise, math.log(total)]))
 
 
 def mfet_exact(problem):
     """Exact mean first-exit time: a positive series, or a quadrature (module docstring).
 
-    For lam >= 0 the series term by term (_sum_from_peak), or as a trapezoid
-    sum over its peak where that lies far above n = 0 (_sparse_sum); for
-    lam < 0 a Poisson series or a quadrature.  Exactly 0 when the start
+    For lam >= 0 the series term by term, scaled linearly (_sum_from_peak),
+    or as a trapezoid sum over its peak where that lies far above n = 0,
+    log-scaled (_sparse_sum); for lam < 0 a Poisson series or a quadrature.  Exactly 0 when the start
     radius sits on the boundary, and inf once ln E tau exceeds 709.78
     (module docstring).
     """

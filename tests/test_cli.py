@@ -275,6 +275,13 @@ class TestTrajectoriesCommand:
             ("0.7", "0.002"), ("0.0", "0.002")]
         assert all(r["exited"] == "0" for r in rows if r["t"] != "0.002")
 
+    def test_a_censored_trace_flags_no_row(self, monkeypatch, capsys):
+        # a path the horizon stops has no exit time, so its last row is no exit
+        rec = PathRecord(times=np.array([0.0, 0.001]), radii=np.array([0.0, 1.0]), exited_at=None)
+        monkeypatch.setattr(ouexit.cli, "record_path", lambda *a, **k: rec)
+        assert run_cli("trajectories", "--d", "2", "--L", "2.5") == 0
+        assert {r["exited"] for r in parse_csv(capsys.readouterr().out)} == {"0"}
+
     @pytest.mark.parametrize("lengths", [
         [1, 4095, 4097, 9000],
         [3, 5000, 2, 8193],  # a shorter trace between longer ones takes a prefix

@@ -30,7 +30,7 @@ import pytest
 
 import ouexit.mfet
 from ouexit import special
-from ouexit.mfet import _MAX_EXP, _SERIES_MAX_Y, _SPARSE_SWITCH, _ln_peak_term
+from ouexit.mfet import _MAX_EXP, _SERIES_MAX_Y, _SERIES_TOL, _SPARSE_SWITCH, _ln_peak_term
 from ouexit.quadrature import integrate_log
 from ouexit import (
     ConvergenceError,
@@ -241,7 +241,7 @@ class TestExactFormula:
             "ln_lower_gamma": _digest(gamma),
         }
         assert got == {
-            "mfet_exact": "a3add252e0ecbbd0ff98b442701766ff10727c391a67b9f3028ecca972d1a5c2",
+            "mfet_exact": "52d14b1bf6ec8aadf3b9b8f91df2af361292e1944dc28e1ae8e294bbb15928a7",
             "mfet_bounds": "9c3e32482e79efe0e10b8a4348b54251d9401e57b4459f52d7ea781b42ccd23c",
             "ln_lower_gamma": "0a2aaf9b5a6ff11efe8a8b1a903cfa87a35ec522c03fee1d983a4db62a302eb0",
         }
@@ -544,8 +544,9 @@ class TestPositiveSeries:
         assert mfet_exact(p) == pytest.approx(float(_mp_mfet(p)), rel=1e-13)
 
     def test_runaway_series_raises(self, monkeypatch):
-        # a cap on the terms, so a bug cannot hang the loop; no admissible
-        # problem needs more than 2**22 terms a side below d = 2**38
+        # a cap on the walk up, so a bug cannot hang the loop, and a walk up
+        # that converges bounds the walk down; no admissible problem needs
+        # more than 2**22 terms up below d = 2**38
         monkeypatch.setattr(ouexit.mfet, "_MAX_TERMS", 10)
         with pytest.raises(ConvergenceError, match="within 10 terms"):
             mfet_exact(_problem(64, 0.5, 8.0))
@@ -672,10 +673,12 @@ class TestSparseRoute:
 
     @pytest.mark.parametrize("d", [1, 4, 64, 1024, 65536, 10**6])
     def test_the_two_routes_meet_just_past_the_switch(self, monkeypatch, d):
-        # n0 at 14.05 widths, x at 0, L/2 and L (1 - 1e-9).  The sums, in
-        # units of the peak term, meet within 2e-14 (7e-16 measured), and
-        # both routes scale them by the one ln_rise, so the values do too
-        lam = _y_with_peak_at(d, 14.05) / 16.0
+        # n0 just past the switch, x at 0, L/2 and L (1 - 1e-9).  The sums,
+        # in units of the peak term, meet within 2e-14 (7.7e-16 measured);
+        # the trapezoid scales its sum by ln g_n0 and the loop by c times its
+        # walk's product g_n0/g_0, and the values meet within 2e-14 too
+        # (1.45e-14 measured)
+        lam = _y_with_peak_at(d, _SPARSE_SWITCH + 0.05) / 16.0
         for x in (0.0, 2.0, 4.0 * (1.0 - 1e-9)):
             p = _problem(d, lam, 4.0, x=x)
             assert _on_the_sparse_route(p)
@@ -689,6 +692,19 @@ class TestSparseRoute:
                 walked = ouexit.mfet._sum_from_peak(n0, 0.0, y, b, ln_s, f0, math.inf, 0.0)
             assert abs(total - walked) <= 2e-14 * walked, p
             assert abs(sparse - loop) <= 2e-14 * loop, p
+
+    def test_the_rest_below_the_window_is_negligible(self):
+        # just past the switch, d = 1..2**60: the terms below the window's
+        # bottom n- sum to at most g_0 (y/b)^n- (1 + ln n-), as (b)_n >= b^n
+        # (_sparse_sum), under 1e-18 of the sum (9.5e-19 measured, at 2**60)
+        reach = ouexit.mfet._SPARSE_REACH * ouexit.mfet._SPARSE_STEP
+        for d in [2**k for k in range(0, 61, 4)]:
+            p = _problem(d, _y_with_peak_at(d, _SPARSE_SWITCH + 0.05) / 16.0, 4.0)
+            assert _on_the_sparse_route(p)
+            n0, ln_rise, y, b, *_ = _ln_peak_term(p)[2]
+            n_low = n0 - reach * math.sqrt(b + n0)
+            ln_rest = -ln_rise + n_low * math.log1p((y - b) / b) + math.log(1.0 + math.log(n_low))
+            assert math.exp(ln_rest) < _SERIES_TOL * ouexit.mfet._sparse_sum(n0, y, b, 0.0), d
 
     def test_bits_over_interior_bumps(self):
         # mfet_exact pinned to the last bit on 300 problems of the route, d on
@@ -725,15 +741,21 @@ class TestSparseRoute:
 
 
 class TestLoopLogScale:
-    """mfet_exact for lam >= 0 where the loop sums a peak up to _SPARSE_SWITCH widths above n = 0."""
+    """mfet_exact for lam >= 0 at large dimension with the peak 9..14 widths above n = 0.
+
+    Either side of _SPARSE_SWITCH: the loop walks down to n = 0 and scales
+    its sum by c g_n0/g_0, and the trapezoid scales its sum by ln g_n0.
+    """
 
     def test_matches_the_term_by_term_sum_at_large_dimension(self):
-        # d on 2**16..2**22, n0 at 9..14 widths, x at 0 or near L: the loop's
-        # sum does not reach n = 0, so ln_rise scales it.  An ln_rise formed
-        # from pieces of about n0, each an ulp of n0 off, misses 1e-12 on 16
-        # of these (worst 3.1e-12); the worst is 3.4e-14
+        # d on 2**16..2**22, x at 0 or near L.  An ln_rise formed from pieces
+        # of about n0, each an ulp of n0 off, missed 1e-12 on 16 of these
+        # (worst 3.1e-12).  Last, the CI's pinned walk: d = 2**22 and
+        # lam L^2 = 2111109, n0 at 9.5 widths, 13,804 terms down to n = 0
         problems = _bump_sweep(20261043, 120, d_min=2.0**16, d_max=2.0**22, widths=(9.0, 14.0))
-        assert not any(map(_on_the_sparse_route, problems))
+        problems.append(_problem(2**22, 0.5033276081085205, 2048.0))
+        assert set(map(_on_the_sparse_route, problems)) == {False, True}
+        assert not _on_the_sparse_route(problems[-1])
         breaches = [p for p, want in zip(problems, map(_window_sum, problems))
                     if not abs(mfet_exact(p) - want) <= 1e-12 * want]
         assert breaches == []

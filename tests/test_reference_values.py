@@ -64,9 +64,10 @@ def _mfet_problems():
         (1.0, 1.0, 65536, math.sqrt(1.1 * 32769.0), 0.0),
         (1.0, 1.0, 65536, math.sqrt(1.2 * 32769.0), 0.0),
         (1.0, 1.0, 65536, math.sqrt(1.15 * 32769.0), math.sqrt(1.15 * 32769.0) * (1.0 - 1e-9)),
-        # lam > 0 with the peak term 12.5 and 10 widths above n = 0, where the
-        # loop sums it and ln_rise scales the sum: d = 2**22, L = 2048 and
-        # integer lam L^2 = theta 2**22, and x at 0 or next to L
+        # lam > 0 with the peak term 12.5 and 10.0002 widths above n = 0, just
+        # past the switch, where the trapezoid sums it and ln_rise scales the
+        # sum: d = 2**22, L = 2048 and integer lam L^2 = theta 2**22, and x at
+        # 0 or next to L
         (0.5043625831604004, 1.0, 2**22, 2048.0, 0.0),
         (0.5034995079040527, 1.0, 2**22, 2048.0, 0.0),
         (0.5043625831604004, 1.0, 2**22, 2048.0, 2048.0 * (1.0 - 2.0**-30)),
