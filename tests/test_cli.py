@@ -1,5 +1,6 @@
 """Tests for the command-line front end: flags, formats, exit codes, manifests."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -527,24 +528,26 @@ class TestSelftestCommand:
 
     def test_a_check_that_raises_is_named(self, capsys, monkeypatch):
         # a theta < 0 row of reference-values past the Poisson series' mu L^2
-        # = 150 runs out of panels and raises;
-        # the suite reports it as that check's failure and runs the rest
+        # = 150 runs out of panels and raises; the suite reports it as that
+        # check's failure and runs the rest, and bound-chain, which reads the
+        # table's references and never the quadrature, still passes
         monkeypatch.setattr(ouexit.quadrature, "_MAX_PANELS", 2)
         code = run_cli("selftest")
         out, err = capsys.readouterr()
         rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
         assert code == 1
         assert out.splitlines()[-1] == "FAILED: reference-values"
-        assert rows == {"reference-values": "FAIL", "brownian-reduction": "pass",
-                        "bound-chain": "pass", "mc-determinism": "pass"}
+        assert rows == {"reference-values": "FAIL", "bound-chain": "pass",
+                        "mc-determinism": "pass"}
         assert "raised QuadratureError: " in out and "within 2 panels" in out
         assert err == ""
 
-    @pytest.mark.parametrize("shift,failing", [(1e-10, "reference-values"),
-                                               (0.05, "brownian-reduction")])
-    def test_corrupted_series_fails_its_check(self, capsys, monkeypatch, shift, failing):
-        # a series off by 1e-10 in its log fails only the reference values;
-        # at 0.05 the Brownian reduction and the bound chain fail too
+    @pytest.mark.parametrize("shift", [1e-10, 0.05],
+                             ids=["1e-10-reference-values", "0.05-reference-values"])
+    def test_corrupted_series_fails_its_check(self, capsys, monkeypatch, shift):
+        # a series off by a factor e^1e-10 or e^0.05 fails the reference
+        # values alone: the bound chain brackets the table's references, not
+        # mfet_exact
         honest = ouexit.mfet._sum_from_peak
         monkeypatch.setattr(ouexit.mfet, "_sum_from_peak",
                             lambda *args: honest(*args) * math.exp(shift))
@@ -553,9 +556,43 @@ class TestSelftestCommand:
         rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
         assert code == 1
         assert out.splitlines()[-1] == "FAILED: reference-values"
-        assert rows["reference-values"] == rows[failing] == "FAIL"
-        if shift < 1e-9:
-            assert list(rows.values()).count("FAIL") == 1
+        assert rows == {"reference-values": "FAIL", "bound-chain": "pass",
+                        "mc-determinism": "pass"}
+
+    def test_corrupted_bounds_fail_their_check(self, capsys, monkeypatch):
+        # an upper_mixed halved drops below E tau wherever the bound is
+        # within a factor 2 of it, as on the near-Brownian rows
+        honest = selftest.mfet_bounds
+
+        def halved(problem):
+            b = honest(problem)
+            return dataclasses.replace(b, upper_mixed=b.upper_mixed / 2)
+
+        monkeypatch.setattr(selftest, "mfet_bounds", halved)
+        code = run_cli("selftest")
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
+        assert code == 1
+        assert out.splitlines()[-1] == "FAILED: bound-chain"
+        assert rows == {"reference-values": "pass", "bound-chain": "FAIL",
+                        "mc-determinism": "pass"}
+        assert "chain broken at ExitProblem(" in out
+
+    def test_a_table_with_no_theta_positive_row_fails_the_bound_chain(self, capsys, monkeypatch,
+                                                                      tmp_path):
+        # one valid theta < 0 row: its value checks, but bound-chain finds
+        # nothing to bracket and fails by name instead of passing empty
+        table = tmp_path / "reference_values.csv"
+        table.write_text("arguments,reference\n-0x1.0000000000000p-1 0x1.0000000000000p+0 3 "
+                         "0x1.0000000000000p+1 0x0.0p+0,0.95105464217466377005\n")
+        monkeypatch.setattr(selftest, "_TABLE", table)
+        code = run_cli("selftest")
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
+        assert code == 1
+        assert rows == {"reference-values": "pass", "bound-chain": "FAIL",
+                        "mc-determinism": "pass"}
+        assert "holds no theta > 0 row" in out
 
     @pytest.mark.parametrize("content,detail", [
         (None, "not read"),
@@ -563,8 +600,11 @@ class TestSelftestCommand:
         ("arguments,reference\n0x1p-1 0x1p+0 4 0x1p+2 0x0p+0\n", "line 2 is malformed"),
         ("arguments,reference\n0x1p-1 0x1p+0 4 0x1p+1 0x1p+2,1.0\n", "line 2 is malformed"),
         ("arguments,reference\n0x1p-1 0x1p+0 4 0x1p+2 0x0p+0,inf\n", "line 2 is malformed"),
+        ("arguments,reference\n0x1p-1 0x1p+0 4 0x1p+2,66.2\n", "line 2 is malformed"),
         ("args,ref\n", "line 1 is not the header"),
-    ], ids=["missing", "bad-integer", "short-row", "x-past-L", "infinite-reference", "header"])
+        ("arguments,reference\n", "holds no row to check"),
+    ], ids=["missing", "bad-integer", "short-row", "x-past-L", "infinite-reference",
+            "four-arguments", "header", "header-only"])
     def test_unreadable_table_is_a_named_failure(self, capsys, monkeypatch, tmp_path,
                                                  content, detail):
         table = tmp_path / "reference_values.csv"

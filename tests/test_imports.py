@@ -32,7 +32,7 @@ def test_exact_route_loads_no_numpy_or_scipy():
         "                     '--theta', theta, '--format', 'json']) == 0\n"
         "assert cli.main(['drift-ratio', '--theta', '0.7']) == 0\n"
         "checks = dict(selftest.CHECKS)\n"
-        "for name in ('reference-values', 'brownian-reduction', 'bound-chain'):\n"
+        "for name in ('reference-values', 'bound-chain'):\n"
         "    assert checks[name]()[0], name\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}\n"
         "             | set(sys.modules) & {'ouexit.special'}))\n"
