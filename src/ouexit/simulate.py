@@ -49,21 +49,28 @@ shorter copy that dropping exited paths makes.  The first block holds at
 most one piece (_PIECE normals over all paths, in whole steps), so a lone
 path at large d, which exits in a few steps, does not draw 256 steps of d
 normals.  Streams are read in order, so block sizes move no normal's step.
+``_normals`` allocates a block once, and each row's stream writes its
+normals straight into the row, with no transform and no temporaries.
 Every aggregate is reduced in path-index order with pairwise summation, so
-estimates are identical however the paths are batched or parallelized.
+estimates are identical however the paths are batched or sharded over
+processes by the shard rule below.
 
-Filling a block: ``_normals`` allocates it once, and each row's stream
-writes its normals straight into the row, with no transform and no
-temporaries.  A block's rows are split over a thread pool with one worker
-per CPU in the process's affinity mask (``taskset`` limits it; a forked
-child gets a new pool), into min(workers, rows, whole pieces) parts,
-whatever the row length.  Each row's Python call holds the GIL between
-fills (the sampler releases it), so short rows leave little to overlap:
-on 2 cores, split rows of 256-320 normals took 1.3-1.8 times a direct
-fill, a few ms per block.  Only a batch with one normal per step and over
-128 paths draws rows under 512 normals in blocks of two pieces or more,
-in its second block.  Each row is one stream's draws written to its own
-row, so the bits depend neither on the split nor on the pool size.
+The shard rule: ``estimate_mfet`` cuts a full-dimensional batch whose step
+holds at least _SHARD_NORMALS (1,024) normals over its paths into
+min(workers, paths) contiguous ranges of paths, runs ``_run_paths`` on each
+range in a worker process and concatenates the exit times in path order.
+The workers, one per CPU in the process's affinity mask (``taskset``
+limits it), are forked by the first batch that shards, so they start with
+the parent's modules loaded, and serve every later one; they see the
+module as it was when they were forked.  A forked child forgets its
+parent's workers and forks its own, a pool that broke (a worker died) is
+replaced, and the pool is shut down at interpreter exit and at a
+multiprocessing child's exit.  Everything else runs in the calling
+process: radial batches, one normal per path-step, whose stragglers finish
+alone; smaller full batches, such as 16 paths at d = 4 (64 normals a
+step); single-path records; a one-CPU mask; and platforms without fork.  Each path reads its own stream, so its exit time does not depend on
+the range it falls in, and the bits depend neither on the cut nor on the
+worker count.
 
 Chunks and the straggler hand-off: exit times are heavy-tailed (about
 exp(lambda L^2) at small d), so most time steps of a batch have only a few
@@ -117,7 +124,7 @@ kept), so the radii have the bits of a value-by-value map.
 import math
 import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,25 +139,25 @@ _RUN_STEPS = 256  # steps per normals block until twice the steps taken is more
 _CHUNK = 2**13  # path-normals per batch chunk: 64 KB per temporary
 _PERIOD = 2048  # steps per period of the full schemes' running sum, at most
 _SPAN = 64.0  # |ln|a|| times the steps of a period, at most: factors within e**+-64
-_PIECE = 2**15  # normals per piece, the unit of block sizes and pool parts
+_PIECE = 2**15  # normals per piece, the unit of block sizes
 _BLOCK_FLOATS = 16 * _PIECE  # normals per block past one step: 4 MB
+_SHARD_NORMALS = 1024  # normals per step over a full batch's paths from which it shards
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:  # no affinity masks (macOS, Windows)
     _WORKERS = os.cpu_count() or 1
+_pool = None  # the shard workers, made by the first batch that shards
 
 
-def _new_pool():
-    # threads start on the first submit, so making the pool costs nothing;
-    # a forked child has none of the parent's threads, and a pool it
+def _forget_pool():
+    # a forked child has none of the parent's workers, and a pool it
     # inherited would queue work that never runs, so it makes its own
     global _pool
-    _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ouexit-normals")
+    _pool = None
 
 
-_new_pool()
 if hasattr(os, "register_at_fork"):  # no fork on Windows
-    os.register_at_fork(after_in_child=_new_pool)
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -348,25 +355,12 @@ def _running_sum(xs):
             np.add(xs[..., j - 1, :], xs[..., j, :], out=xs[..., j, :])
 
 
-def _fill(flat, streams, lo, hi):
-    """Fill rows lo..hi-1 of ``flat``, each with its stream's next normals."""
-    for r in range(lo, hi):
-        streams[r].standard_normal(out=flat[r])
-
-
 def _normals(streams, steps, shape):
     """The next ``steps`` normals of each stream, shaped (paths, steps) + shape."""
-    n = len(streams)
-    row = steps * math.prod(shape)
-    flat = np.empty((n, row))
-    parts = min(_WORKERS, n, flat.size // _PIECE)  # at least one piece per part
-    if parts < 2:
-        _fill(flat, streams, 0, n)
-    else:
-        cuts = [n * i // parts for i in range(parts + 1)]
-        for f in [_pool.submit(_fill, flat, streams, lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
-            f.result()
-    return flat.reshape((n, steps) + shape)
+    flat = np.empty((len(streams), steps * math.prod(shape)))
+    for stream, row in zip(streams, flat):
+        stream.standard_normal(out=row)
+    return flat.reshape((len(streams), steps) + shape)
 
 
 def _block_steps(floats_per_step, taken):
@@ -465,14 +459,60 @@ def _run_paths(problem, cfg, indices, record=None):
     return out
 
 
+def _shut_pool():
+    global _pool
+    if _pool is not None:
+        _pool.shutdown(cancel_futures=True)
+        _pool = None
+
+
+def _shard_pool():
+    """The shard workers, forked on first use; see the module docstring."""
+    global _pool
+    if _pool is None:
+        # imported here: only a batch that shards needs them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import util
+
+        _pool = ProcessPoolExecutor(_WORKERS, mp_context=multiprocessing.get_context("fork"))
+        # runs at interpreter exit and at a multiprocessing child's exit,
+        # which joins the workers and would wait forever on a live pool;
+        # before module teardown, where the executor's collection callback
+        # would find its modules gone, and before its call queue's
+        # finalizer (priority 10) closes the queue that shutdown sends the
+        # workers' stop signals through
+        util.Finalize(None, _shut_pool, exitpriority=20)
+    return _pool
+
+
+def _exit_times(problem, cfg):
+    """Every path's exit time, in path order, sharded by the module docstring's rule."""
+    n = cfg.n_paths
+    parts = min(_WORKERS, n) if hasattr(os, "fork") else 1
+    if parts < 2 or cfg.scheme not in FULL_DIMENSIONAL or n * problem.params.d < _SHARD_NORMALS:
+        return _run_paths(problem, cfg, range(n))
+    cuts = [n * i // parts for i in range(parts + 1)]
+    pool = _shard_pool()
+    try:
+        shards = [pool.submit(_run_paths, problem, cfg, range(lo, hi))
+                  for lo, hi in zip(cuts, cuts[1:])]
+        return np.concatenate([f.result() for f in shards])
+    except BrokenExecutor:
+        _shut_pool()  # a worker died: the next batch forks new ones
+        raise
+
+
 def estimate_mfet(problem, cfg):
     """Mean exit time over n_paths independent paths.
 
+    A large full-dimensional batch runs its paths over worker processes
+    (the module docstring's shard rule), with the bits of one process.
     Censored paths (those that reach t_max without exiting) are excluded
     from the mean but reported in ``n_censored``; if every path is censored
     the horizon was too short and an EstimationError is raised.
     """
-    times = _run_paths(problem, cfg, list(range(cfg.n_paths)))
+    times = _exit_times(problem, cfg)
     exited = ~np.isnan(times)
     n_exited = int(np.count_nonzero(exited))
     n_censored = cfg.n_paths - n_exited

@@ -11,11 +11,12 @@ import math
 import multiprocessing
 import os
 import queue
+import signal
 import subprocess
 import sys
-import threading
+import textwrap
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -765,11 +766,9 @@ def test_first_block_of_a_batch(monkeypatch, scheme, d, big_l, n, full_steps):
 
 
 @pytest.mark.parametrize("n,d,big_l", [(100, 256, 4.0), (100, 1024, 4.0), (16, 4096, 24.0)])
-def test_one_block_of_at_most_16_pieces_is_live(monkeypatch, use_workers, n, d, big_l):
+def test_one_block_of_at_most_16_pieces_is_live(monkeypatch, n, d, big_l):
     # past one step a block holds at most 16 pieces, and a batch
-    # drops its spent block before the next is drawn.  One worker: a pool
-    # thread lets go of its part of a block just after handing back its result
-    use_workers(1)
+    # drops its spent block before the next is drawn
     normals = simulate._normals
     owners = []
 
@@ -851,38 +850,56 @@ def test_distinct_seeds_and_paths_draw_distinct_normals():
 
 @pytest.fixture
 def use_workers(monkeypatch):
-    # split blocks as if the affinity mask held ``workers`` CPUs
-    pools = []
-
+    # shard as if the affinity mask held ``workers`` CPUs, in a pool this
+    # test makes and shuts down: workers forked earlier would not see a
+    # patch, and the module's pool may have other workers
     def use(workers):
-        pools.append(ThreadPoolExecutor(workers, thread_name_prefix="test-normals"))
         monkeypatch.setattr(simulate, "_WORKERS", workers)
-        monkeypatch.setattr(simulate, "_pool", pools[-1])
+        monkeypatch.setattr(simulate, "_pool", None)
 
     yield use
-    for pool in pools:
-        pool.shutdown()
+    simulate._shut_pool()  # before monkeypatch puts the module's pool back
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("calls", [1, 3])
 @pytest.mark.parametrize("n,steps,shape", [
-    (16, 256, (4,)),                        # mc-metastable's first block: one part
-    (7, 19, (1024,)),                       # 4 pieces; 7 rows split unevenly
-    (1, 3 * simulate._PIECE + 5, ()),        # one row of 3 whole pieces: one part
+    (16, 256, (4,)),                        # mc-metastable's first block
+    (7, 19, (1024,)),                       # 4 pieces; cut into 6, 6 and 7 steps
+    (1, 3 * simulate._PIECE + 5, ()),        # one row of over 3 pieces
     (3, 2 * simulate._PIECE + 1, ()),
-    (1000, 256, ()),                        # 7 pieces of short rows: a part per worker
+    (1000, 256, ()),                        # short rows of many streams
 ])
-def test_normals_match_one_shot_transform(use_workers, workers, n, steps, shape):
-    use_workers(workers)
-    got = simulate._normals(_streams(n), steps, shape)
-    assert got.shape == (n, steps) + shape
-    assert got.tobytes() == _one_shot_normals(_streams(n), steps, shape).tobytes()
+def test_normals_match_one_shot_transform(calls, n, steps, shape):
+    # a block drawn in ``calls`` successive blocks cut along its steps is
+    # each stream's next normals in order, whatever the cut
+    streams = _streams(n)
+    cuts = [steps * i // calls for i in range(calls + 1)]
+    blocks = [simulate._normals(streams, hi - lo, shape) for lo, hi in zip(cuts, cuts[1:])]
+    assert [b.shape for b in blocks] == [(n, hi - lo) + shape for lo, hi in zip(cuts, cuts[1:])]
+    ref = _streams(n)
+    assert (np.concatenate(blocks, axis=1).tobytes()
+            == _one_shot_normals(ref, steps, shape).tobytes())
     # the streams stay in order across calls
-    streams, ref = _streams(n), _streams(n)
-    _one_shot_normals(ref, steps, shape)
-    simulate._normals(streams, steps, shape)
     assert (simulate._normals(streams, 2, shape).tobytes()
             == _one_shot_normals(ref, 2, shape).tobytes())
+
+
+@pytest.mark.parametrize("n", [15, 17])
+@pytest.mark.parametrize("x", [0.0, 0.3])
+@pytest.mark.parametrize("theta", [0.5, 0.0, -0.5])
+@pytest.mark.parametrize("scheme", [Scheme.FULL_EULER, Scheme.FULL_EXACT])
+def test_sharded_exit_times_match_one_process(use_workers, scheme, theta, x, n):
+    # at d = 64, 15 paths step 960 normals and run in this process, 17 paths
+    # step 1,088 and shard over two workers as 8 + 9 paths; either way every
+    # exit time has the bits of one process's run of the whole batch
+    big_l = 2.4
+    p = _problem(64, theta, big_l, x=x * big_l)
+    cfg = McConfig(n_paths=n, dt=1e-3, seed=SEED, scheme=scheme)
+    use_workers(2)
+    times = simulate._exit_times(p, cfg)
+    assert (simulate._pool is not None) == (n * 64 >= simulate._SHARD_NORMALS)
+    assert not np.isnan(times).any()
+    assert times.tobytes() == _run_paths(p, cfg, range(n)).tobytes()
 
 
 def _highdim_estimate():
@@ -892,68 +909,113 @@ def _highdim_estimate():
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_estimate_does_not_depend_on_worker_count(use_workers, workers):
-    # 3 workers is more than the 2 cores the suite is timed on; the short
-    # switch interval interleaves the threads as finely as it can
+    # one process, or 3 workers: more than the 2 cores the suite is timed on
     default = _highdim_estimate()
     use_workers(workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = _highdim_estimate()
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == default
+    assert _highdim_estimate() == default
+    assert (simulate._pool is None) == (workers == 1)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_many_path_radial_estimate_does_not_depend_on_worker_count(use_workers, workers):
-    # a radial batch of over 128 paths draws its second block in rows of
-    # 256 normals, which the pool splits like any other block
+    # a radial batch steps one normal per path, and never shards
     p = _problem(8, 0.5, 2.0)
     cfg = McConfig(n_paths=300, dt=1e-3, seed=SEED, scheme=Scheme.SQUARED_RADIAL_EULER)
     default = estimate_mfet(p, cfg)
     use_workers(workers)
     assert estimate_mfet(p, cfg) == default
+    assert simulate._pool is None
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_low_dimensional_full_batch_does_not_depend_on_worker_count(use_workers, workers):
-    # mc-metastable's cell: a full batch's last few paths draw refills of a
-    # few rows of up to 2048 steps of d normals, which the pool may split
+    # mc-metastable's cell: 16 paths of d = 4 step 64 normals, under the
+    # shard threshold, so its heavy-tailed exits run in one process
     p = _problem(4, 0.5, 2.5)
     cfg = McConfig(n_paths=16, dt=1e-3, seed=SEED, scheme=Scheme.FULL_EXACT)
     default = estimate_mfet(p, cfg)
     use_workers(workers)
     assert estimate_mfet(p, cfg) == default
+    assert simulate._pool is None
+
+
+def test_without_fork_a_batch_runs_in_one_process(use_workers, monkeypatch):
+    default = _highdim_estimate()
+    use_workers(2)
+    monkeypatch.delattr(os, "fork")
+    assert _highdim_estimate() == default
+    assert simulate._pool is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_broken_pool_is_replaced(use_workers):
+    # a worker killed between batches breaks the pool: the next batch
+    # raises, and the one after it forks new workers
+    others = set(multiprocessing.active_children())  # the module pool's workers
+    use_workers(2)
+    default = _highdim_estimate()
+    killed = next(c for c in multiprocessing.active_children() if c not in others)
+    os.kill(killed.pid, signal.SIGKILL)
+    killed.join(timeout=10)
+    assert not killed.is_alive()
+    with pytest.raises(BrokenExecutor):
+        _highdim_estimate()
+    assert simulate._pool is None
+    assert _highdim_estimate() == default
 
 
 def _estimate_into(results):
-    results.put(_highdim_estimate())
+    results.put((_highdim_estimate(), simulate._pool is not None))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
 def test_forked_child_gets_its_own_pool(use_workers):
-    # the child inherits the parent's pool object but none of its threads;
-    # without the at-fork reset its first parallel block waits forever
+    # the child inherits the parent's pool object but none of its workers;
+    # without the at-fork reset its sharded estimate would wait forever, and
+    # without the pool's exit finalizer the child would wait forever to join
+    # its own workers
     use_workers(2)
     parent = _highdim_estimate()
-    assert any(t.name.startswith("test-normals") for t in threading.enumerate())
+    assert simulate._pool is not None
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
     child = ctx.Process(target=_estimate_into, args=(results,))
     child.start()
     try:
-        got = results.get(timeout=60)
+        got, sharded = results.get(timeout=60)
     except queue.Empty:
         pytest.fail("the forked child produced no estimate within 60 s")
     finally:
-        child.join(timeout=10)
+        child.join(timeout=30)
         if child.is_alive():
             child.kill()
             child.join(timeout=10)
-    assert not child.is_alive()
-    assert got == parent
+    assert not child.is_alive() and child.exitcode == 0
+    assert sharded and got == parent
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_sharded_run_exits_cleanly():
+    # the interpreter shuts the workers down at exit: nothing on stderr,
+    # and no worker outlives the process
+    code = textwrap.dedent("""
+        import multiprocessing
+        from ouexit import ExitProblem, McConfig, OupParams, Scheme, estimate_mfet, simulate
+        simulate._WORKERS = 2  # shard on a one-CPU mask too
+        p = ExitProblem(OupParams(theta=0.5, sigma=1.0, d=256), L=4.0, x=0.0)
+        estimate_mfet(p, McConfig(n_paths=8, dt=1e-3, seed=1, scheme=Scheme.FULL_EXACT))
+        assert simulate._pool is not None
+        print(*[c.pid for c in multiprocessing.active_children()])
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_mc_route_runs_without_scipy():
