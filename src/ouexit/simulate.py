@@ -55,22 +55,20 @@ Every aggregate is reduced in path-index order with pairwise summation, so
 estimates are identical however the paths are batched or sharded over
 processes by the shard rule below.
 
-The shard rule: ``estimate_mfet`` cuts a full-dimensional batch whose step
-holds at least _SHARD_NORMALS (1,024) normals over its paths into
-min(workers, paths) contiguous ranges of paths, runs ``_run_paths`` on each
-range in a worker process and concatenates the exit times in path order.
-The workers, one per CPU in the process's affinity mask (``taskset``
-limits it), are forked by the first batch that shards, so they start with
-the parent's modules loaded, and serve every later one; they see the
-module as it was when they were forked.  A forked child forgets its
-parent's workers and forks its own, a pool that broke (a worker died) is
-replaced, and the pool is shut down at interpreter exit and at a
-multiprocessing child's exit.  Everything else runs in the calling
-process: radial batches, one normal per path-step, whose stragglers finish
-alone; smaller full batches, such as 16 paths at d = 4 (64 normals a
-step); single-path records; a one-CPU mask; and platforms without fork.  Each path reads its own stream, so its exit time does not depend on
-the range it falls in, and the bits depend neither on the cut nor on the
-worker count.
+The shard rule: ``estimate_mfet`` cuts a batch of n paths, whatever its
+scheme, into min(workers, n) contiguous ranges of paths, runs
+``_run_paths`` on each range in a worker process and concatenates the exit
+times in path order.  Only single paths and records, a one-CPU mask and
+platforms without fork run in the calling process.  The workers, one per
+CPU in the process's affinity mask (``taskset`` limits it), are forked by
+the first batch that shards, so they start with the parent's modules
+loaded, and serve every later one; they see the module as it was when they
+were forked.  A forked child forgets its parent's workers and forks its
+own; a worker that dies fails its batch with an OuexitError naming it and
+shuts the pool down, so the next batch forks new workers; and the pool is
+shut down at interpreter exit and at a multiprocessing child's exit.  Each
+path reads its own stream, so its exit time does not depend on the range
+it falls in, and the bits depend neither on the cut nor on the worker count.
 
 Chunks and the straggler hand-off: exit times are heavy-tailed (about
 exp(lambda L^2) at small d), so most time steps of a batch have only a few
@@ -123,6 +121,7 @@ kept), so the radii have the bits of a value-by-value map.
 
 import math
 import os
+import signal
 from collections import namedtuple
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
@@ -130,7 +129,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, OuexitError
 from .schemes import FULL_DIMENSIONAL, Scheme
 
 _U64_MAX = 2**64 - 1
@@ -141,7 +140,6 @@ _PERIOD = 2048  # steps per period of the full schemes' running sum, at most
 _SPAN = 64.0  # |ln|a|| times the steps of a period, at most: factors within e**+-64
 _PIECE = 2**15  # normals per piece, the unit of block sizes
 _BLOCK_FLOATS = 16 * _PIECE  # normals per block past one step: 4 MB
-_SHARD_NORMALS = 1024  # normals per step over a full batch's paths from which it shards
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:  # no affinity masks (macOS, Windows)
@@ -490,7 +488,7 @@ def _exit_times(problem, cfg):
     """Every path's exit time, in path order, sharded by the module docstring's rule."""
     n = cfg.n_paths
     parts = min(_WORKERS, n) if hasattr(os, "fork") else 1
-    if parts < 2 or cfg.scheme not in FULL_DIMENSIONAL or n * problem.params.d < _SHARD_NORMALS:
+    if parts < 2:
         return _run_paths(problem, cfg, range(n))
     cuts = [n * i // parts for i in range(parts + 1)]
     pool = _shard_pool()
@@ -498,16 +496,22 @@ def _exit_times(problem, cfg):
         shards = [pool.submit(_run_paths, problem, cfg, range(lo, hi))
                   for lo, hi in zip(cuts, cuts[1:])]
         return np.concatenate([f.result() for f in shards])
-    except BrokenExecutor:
-        _shut_pool()  # a worker died: the next batch forks new ones
-        raise
+    except BrokenExecutor as exc:
+        workers = list(pool._processes.values())  # the shutdown drops them
+        _shut_pool()  # joins the workers; the next batch forks new ones
+        # the pool ends the survivors with SIGTERM, so the others died first
+        dead = [w for w in workers if w.exitcode != -signal.SIGTERM] or workers
+        raise OuexitError("shard worker " + ", ".join(
+            f"pid {w.pid} (exit code {w.exitcode})" for w in dead) + " died, so the batch "
+            "has no exit times; a negative exit code is the signal that ended it") from exc
 
 
 def estimate_mfet(problem, cfg):
     """Mean exit time over n_paths independent paths.
 
-    A large full-dimensional batch runs its paths over worker processes
-    (the module docstring's shard rule), with the bits of one process.
+    Two or more paths run over worker processes (the module docstring's
+    shard rule), with the bits of one process; a worker that dies raises
+    an OuexitError.
     Censored paths (those that reach t_max without exiting) are excluded
     from the mean but reported in ``n_censored``; if every path is censored
     the horizon was too short and an EstimationError is raised.

@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import textwrap
 import time
 
 import numpy as np
@@ -222,6 +225,32 @@ class TestScalingCommand:
                        "--d-max", str(2**20))
         assert code == 0
         assert parse_csv(capsys.readouterr().out)[0]["d"] == str(2**20)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_dead_shard_worker_is_numerical_failure(self):
+        # the worker of the second path range kills itself mid-batch: ouexit
+        # names it on one line and exits 3, with no traceback
+        code = textwrap.dedent("""
+            import os, signal, sys
+            from ouexit import cli, simulate
+            run_paths = simulate._run_paths
+
+            def dying(problem, cfg, indices, record=None):
+                if indices[0]:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return run_paths(problem, cfg, indices, record)
+
+            simulate._run_paths = dying  # before the pool forks, so the workers see it
+            simulate._WORKERS = 2  # shard on a one-CPU mask too
+            sys.argv = ["ouexit", "scaling", "--scheme", "full-exact", "--d-min", "256",
+                        "--d-max", "256", "--paths", "4"]
+            sys.exit(cli.main())
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 3
+        assert re.fullmatch(r"numerical failure: shard worker pid \d+ \(exit code -9\) died, "
+                            r"so the batch has no exit times; [^\n]*\n", proc.stderr)
 
     def test_non_power_of_two_rejected(self, capsys):
         assert run_cli("scaling", "--d-min", "3", "--d-max", "8") == 2

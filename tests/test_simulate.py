@@ -26,6 +26,7 @@ from ouexit import (
     EstimationError,
     ExitProblem,
     McConfig,
+    OuexitError,
     OupParams,
     Scheme,
     estimate_mfet,
@@ -134,18 +135,25 @@ class TestBoundaryAndValidation:
         assert McConfig(n_paths=1, dt=1.0, t_max=2.0**53).t_max == 2.0**53
 
     @pytest.mark.parametrize("n", [40, 8])
-    def test_radial_euler_refuses_a_first_step_onto_zero(self, monkeypatch, n):
+    def test_radial_euler_refuses_a_first_step_onto_zero(self, monkeypatch, use_workers, n):
         # from x = 0 radial-euler lands on sqrt(sigma^2 d dt) and then divides
         # by that radius: where sigma^2 d dt underflows, a numpy batch (40
         # paths) and the float loop (8) would divide by zero, so the kernel
-        # refuses the problem before any stream is made
+        # refuses the problem before any stream is made (checked in this
+        # process: a worker forked earlier would not see the patch)
         p = _problem(4, 0.5, 1e-150, sigma=1e-150)
         cfg = McConfig(n_paths=n, dt=1e-100, t_max=1e-99, scheme=Scheme.RADIAL_EULER)
-        monkeypatch.setattr(simulate, "_stream", lambda seed, i: pytest.fail("stream made"))
-        with pytest.raises(DomainError, match=r"dt=1e-100, sigma=1e-150, d=4"):
+        refusal = r"dt=1e-100, sigma=1e-150, d=4"
+        with monkeypatch.context() as patched:
+            patched.setattr(simulate, "_stream", lambda seed, i: pytest.fail("stream made"))
+            with pytest.raises(DomainError, match=refusal):
+                _run_paths(p, cfg, range(n))
+        # a worker's refusal reaches the caller as the same DomainError (exit 2)
+        use_workers(2)
+        with pytest.raises(DomainError, match=refusal):
             estimate_mfet(p, cfg)
+        assert simulate._pool is not None
         # squared-radial divides by nothing; from y = 0 it stays below L^2
-        monkeypatch.undo()
         cfg = McConfig(n_paths=n, dt=1e-100, t_max=1e-99, scheme=Scheme.SQUARED_RADIAL_EULER)
         with pytest.raises(EstimationError, match=f"all {n} paths censored"):
             estimate_mfet(p, cfg)
@@ -884,20 +892,20 @@ def test_normals_match_one_shot_transform(calls, n, steps, shape):
             == _one_shot_normals(ref, 2, shape).tobytes())
 
 
-@pytest.mark.parametrize("n", [15, 17])
+@pytest.mark.parametrize("n", [2, 15, 17])
 @pytest.mark.parametrize("x", [0.0, 0.3])
 @pytest.mark.parametrize("theta", [0.5, 0.0, -0.5])
-@pytest.mark.parametrize("scheme", [Scheme.FULL_EULER, Scheme.FULL_EXACT])
+@pytest.mark.parametrize("scheme", list(Scheme))
 def test_sharded_exit_times_match_one_process(use_workers, scheme, theta, x, n):
-    # at d = 64, 15 paths step 960 normals and run in this process, 17 paths
-    # step 1,088 and shard over two workers as 8 + 9 paths; either way every
-    # exit time has the bits of one process's run of the whole batch
+    # at d = 64, every batch of two or more paths shards over two workers:
+    # 1 + 1, 7 + 8 and 8 + 9 paths; each exit time has the bits of one
+    # process's run of the whole batch
     big_l = 2.4
     p = _problem(64, theta, big_l, x=x * big_l)
     cfg = McConfig(n_paths=n, dt=1e-3, seed=SEED, scheme=scheme)
     use_workers(2)
     times = simulate._exit_times(p, cfg)
-    assert (simulate._pool is not None) == (n * 64 >= simulate._SHARD_NORMALS)
+    assert simulate._pool is not None
     assert not np.isnan(times).any()
     assert times.tobytes() == _run_paths(p, cfg, range(n)).tobytes()
 
@@ -909,34 +917,21 @@ def _highdim_estimate():
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_estimate_does_not_depend_on_worker_count(use_workers, workers):
-    # one process, or 3 workers: more than the 2 cores the suite is timed on
+    # one process, or 3 workers: more than the 2 cores the suite is timed on.
+    # Cells: mc-highdim's d = 1024, a 300-path radial batch at d = 8, and
+    # mc-metastable's 16 heavy-tailed full-exact paths at d = 4
+    cells = [(_problem(8, 0.5, 2.0), 300, Scheme.SQUARED_RADIAL_EULER),
+             (_problem(4, 0.5, 2.5), 16, Scheme.FULL_EXACT)]
+    defaults = [estimate_mfet(p, McConfig(n_paths=n, dt=1e-3, seed=SEED, scheme=scheme))
+                for p, n, scheme in cells]
     default = _highdim_estimate()
     use_workers(workers)
     assert _highdim_estimate() == default
     assert (simulate._pool is None) == (workers == 1)
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_many_path_radial_estimate_does_not_depend_on_worker_count(use_workers, workers):
-    # a radial batch steps one normal per path, and never shards
-    p = _problem(8, 0.5, 2.0)
-    cfg = McConfig(n_paths=300, dt=1e-3, seed=SEED, scheme=Scheme.SQUARED_RADIAL_EULER)
-    default = estimate_mfet(p, cfg)
-    use_workers(workers)
-    assert estimate_mfet(p, cfg) == default
-    assert simulate._pool is None
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_low_dimensional_full_batch_does_not_depend_on_worker_count(use_workers, workers):
-    # mc-metastable's cell: 16 paths of d = 4 step 64 normals, under the
-    # shard threshold, so its heavy-tailed exits run in one process
-    p = _problem(4, 0.5, 2.5)
-    cfg = McConfig(n_paths=16, dt=1e-3, seed=SEED, scheme=Scheme.FULL_EXACT)
-    default = estimate_mfet(p, cfg)
-    use_workers(workers)
-    assert estimate_mfet(p, cfg) == default
-    assert simulate._pool is None
+    for (p, n, scheme), want in zip(cells, defaults):
+        simulate._shut_pool()
+        assert estimate_mfet(p, McConfig(n_paths=n, dt=1e-3, seed=SEED, scheme=scheme)) == want
+        assert (simulate._pool is None) == (workers == 1)
 
 
 def test_without_fork_a_batch_runs_in_one_process(use_workers, monkeypatch):
@@ -950,7 +945,8 @@ def test_without_fork_a_batch_runs_in_one_process(use_workers, monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_broken_pool_is_replaced(use_workers):
     # a worker killed between batches breaks the pool: the next batch
-    # raises, and the one after it forks new workers
+    # raises an OuexitError that names it (ouexit's exit 3), and the one
+    # after it forks new workers
     others = set(multiprocessing.active_children())  # the module pool's workers
     use_workers(2)
     default = _highdim_estimate()
@@ -958,8 +954,10 @@ def test_a_broken_pool_is_replaced(use_workers):
     os.kill(killed.pid, signal.SIGKILL)
     killed.join(timeout=10)
     assert not killed.is_alive()
-    with pytest.raises(BrokenExecutor):
+    with pytest.raises(OuexitError, match=rf"shard worker pid {killed.pid} \(exit code -9\) "
+                       "died") as raised:
         _highdim_estimate()
+    assert raised.type is OuexitError and isinstance(raised.value.__cause__, BrokenExecutor)
     assert simulate._pool is None
     assert _highdim_estimate() == default
 
